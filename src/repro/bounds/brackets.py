@@ -11,11 +11,11 @@ cost of *not* having feedback is visible in one table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence
 
 from ..core.capacity import feedback_lower_bound
 from ..infotheory.probability import validate_probability
-from ..numerics import KernelBackend, SolverStatus
+from ..numerics import SolverStatus
 from .deletion import (
     block_bound_sweep,
     erasure_upper_bound_binary,
@@ -59,7 +59,6 @@ def capacity_bracket_sweep(
     deletion_probs: Sequence[float],
     *,
     block_length: int = 8,
-    backend: Optional[Union[str, KernelBackend]] = None,
 ) -> List[BracketRow]:
     """Compute the bound ladder for each ``p_d`` in *deletion_probs*.
 
@@ -70,13 +69,10 @@ def capacity_bracket_sweep(
     The finite-block column is computed for the whole grid at once by
     :func:`repro.bounds.deletion.block_bound_sweep` — one shared table
     build plus a single batched Blahut-Arimoto invocation (memoized
-    per point when a result store is active); *backend* selects the
-    kernel backend for that solve.
+    per point when a result store is active).
     """
     rows = []
-    blocks = block_bound_sweep(
-        deletion_probs, block_length=block_length, backend=backend
-    )
+    blocks = block_bound_sweep(deletion_probs, block_length=block_length)
     for pd, block in zip(deletion_probs, blocks):
         pd = float(pd)
         gallager = gallager_lower_bound(pd)

@@ -27,14 +27,14 @@ deleted with probability ``p_d``:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ..infotheory.blahut_arimoto import blahut_arimoto_guarded
 from ..infotheory.entropy import binary_entropy, mutual_information
 from ..infotheory.kernels import BATCH_SOLVER, blahut_arimoto_batch
-from ..numerics import KernelBackend, SolverStatus, get_backend, record_status
+from ..numerics import SolverStatus, record_status
 from ..store import cached_batch, cached_solve, code_fingerprint
 
 __all__ = [
@@ -273,7 +273,7 @@ def _replay_batch_block_status(result: BlockBoundResult) -> None:
 
 
 def _solve_block_points(
-    n: int, pds: Sequence[float], tol: float, backend: KernelBackend
+    n: int, pds: Sequence[float], tol: float
 ) -> List[BlockBoundResult]:
     """Solve a set of grid points with one batched kernel invocation.
 
@@ -283,7 +283,7 @@ def _solve_block_points(
     weakens the sweep's worst-case answer quality.
     """
     stack, _groups = deletion_block_transition_stack(n, pds)
-    batch = blahut_arimoto_batch(stack, tol=tol, backend=backend)
+    batch = blahut_arimoto_batch(stack, tol=tol)
     uniform = np.full(stack.shape[1], 1.0 / stack.shape[1])
     results = []
     for i in range(len(pds)):
@@ -315,7 +315,6 @@ def block_bound_sweep(
     *,
     block_length: int = 8,
     tol: float = 1e-9,
-    backend: Optional[Union[str, KernelBackend]] = None,
 ) -> List[BlockBoundResult]:
     """Finite-block bounds for a whole ``p_d`` grid, batched.
 
@@ -327,30 +326,22 @@ def block_bound_sweep(
     Memoized per point through :func:`repro.store.cached_batch` under
     the ``deletion_block_bound_batch`` namespace when a store is active
     — a warm sweep does zero solver work, and a partially-warm sweep
-    batch-solves exactly its missing points. The resolved kernel
-    backend's name is part of each cache key: two backends may differ
-    in the last ulp, so their entries never mix.
+    batch-solves exactly its missing points.
     """
-    be = get_backend(backend)
     pds = [float(p) for p in deletion_probs]
     if not pds:
         return []
     if not _SWEEP_FINGERPRINT:
         _SWEEP_FINGERPRINT.append(code_fingerprint(_solve_block_points))
     params = [
-        {
-            "block_length": block_length,
-            "deletion_prob": pd,
-            "tol": tol,
-            "backend": be.name,
-        }
+        {"block_length": block_length, "deletion_prob": pd, "tol": tol}
         for pd in pds
     ]
     return cached_batch(
         BLOCK_BOUND_BATCH_FN_ID,
         params,
         lambda misses: _solve_block_points(
-            block_length, [pds[i] for i in misses], tol, be
+            block_length, [pds[i] for i in misses], tol
         ),
         fingerprint=_SWEEP_FINGERPRINT[0],
         on_hit=_replay_batch_block_status,

@@ -16,7 +16,7 @@ upper-bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from ..infotheory.blahut_arimoto import blahut_arimoto
 from ..infotheory.entropy import mutual_information
 from ..infotheory.kernels import BATCH_SOLVER, blahut_arimoto_batch
 from ..infotheory.probability import validate_probability
-from ..numerics import KernelBackend, SolverStatus, get_backend, record_status
+from ..numerics import SolverStatus, record_status
 from ..store import cached_batch, cached_solve, code_fingerprint
 
 __all__ = [
@@ -295,13 +295,12 @@ def _solve_indel_points(
     points: Sequence[Tuple[float, float]],
     max_extra: int,
     tol: float,
-    backend: KernelBackend,
 ) -> List[IndelBlockResult]:
     """Solve a set of grid points with one batched kernel invocation."""
     stack, groups, tails = indel_block_transition_stack(
         n, points, max_extra=max_extra
     )
-    batch = blahut_arimoto_batch(stack, tol=tol, backend=backend)
+    batch = blahut_arimoto_batch(stack, tol=tol)
     uniform = np.full(stack.shape[1], 1.0 / stack.shape[1])
     num_lengths = len(groups) + 1  # possible output lengths + overflow
     results = []
@@ -333,7 +332,6 @@ def indel_block_bound_sweep(
     block_length: int = 6,
     max_extra: int = 4,
     tol: float = 1e-9,
-    backend: Optional[Union[str, KernelBackend]] = None,
 ) -> List[IndelBlockResult]:
     """Finite-block indel bounds over a ``(P_d, P_i)`` grid, batched.
 
@@ -342,11 +340,10 @@ def indel_block_bound_sweep(
     (:func:`indel_block_transition_stack`) and every Blahut-Arimoto
     solve runs inside one batched kernel invocation. Memoized per point
     through :func:`repro.store.cached_batch` under the
-    ``indel_block_bound_batch`` namespace (the kernel backend's name is
-    part of each key), so warm sweeps do zero solver work and
-    partially-warm sweeps batch-solve only their missing points.
+    ``indel_block_bound_batch`` namespace, so warm sweeps do zero
+    solver work and partially-warm sweeps batch-solve only their
+    missing points.
     """
-    be = get_backend(backend)
     points = [(float(pd), float(pi)) for pd, pi in grid]
     if not points:
         return []
@@ -359,7 +356,6 @@ def indel_block_bound_sweep(
             "insertion_prob": pi,
             "max_extra": max_extra,
             "tol": tol,
-            "backend": be.name,
         }
         for pd, pi in points
     ]
@@ -367,7 +363,7 @@ def indel_block_bound_sweep(
         INDEL_BATCH_FN_ID,
         params,
         lambda misses: _solve_indel_points(
-            block_length, [points[i] for i in misses], max_extra, tol, be
+            block_length, [points[i] for i in misses], max_extra, tol
         ),
         fingerprint=_SWEEP_FINGERPRINT[0],
         on_hit=_replay_indel_batch_status,

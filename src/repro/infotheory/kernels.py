@@ -18,10 +18,8 @@ diverged / stalled / max-iter classification in that order, best-so-far
 fallback for non-converged channels), so a batched sweep reports the
 same solver health the scalar loop would.
 
-The O(k·nx·ny) inner primitive is dispatched through
-:mod:`repro.numerics.backend` (``numpy`` default, optional JIT
-backends); the resolved backend is stamped into the result's
-:class:`repro.numerics.SolverDiagnostics`. The scalar
+The O(k·nx·ny) inner primitive is one einsum divergence step
+(:func:`_divergence_step`) shared by both kernels. The scalar
 :func:`repro.infotheory.blahut_arimoto.blahut_arimoto` remains the
 reference oracle — the parity suite holds this kernel to 1e-12 against
 it per channel.
@@ -31,23 +29,19 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Tuple, Union
+from typing import Deque, List, Optional, Tuple
 
 import numpy as np
 
 from ..numerics import (
-    KernelBackend,
     SolverDiagnostics,
     SolverStatus,
-    get_backend,
     masked_log2,
     normalized_exp2,
-    numpy_step,
     record_status,
     safe_log2,
     stage,
 )
-from ..numerics.backend import StepFn
 from .blahut_arimoto import BlahutArimotoResult
 
 __all__ = [
@@ -71,6 +65,23 @@ _SEVERITY = (
     SolverStatus.DIVERGED,
     SolverStatus.ABORTED,
 )
+
+
+def _divergence_step(
+    p: np.ndarray, w: np.ndarray, log_w: np.ndarray
+) -> np.ndarray:
+    """Per-input divergence for every channel in a stack.
+
+    ``q_k = p_k @ W_k`` then ``d(k, x) = sum_y W (log_w - log2 q)`` for
+    ``p`` of shape ``(k, nx)`` and ``w`` / ``log_w`` of shape
+    ``(k, nx, ny)`` — the O(k * nx * ny) inner loop of both kernels.
+    ``log2 q`` is floored via :func:`repro.numerics.safe_log2` so an
+    underflowed output symbol gives a large-but-finite divergence
+    instead of ``inf``.
+    """
+    q = np.einsum("kx,kxy->ky", p, w)
+    log_q = safe_log2(q)
+    return np.einsum("kxy,kxy->kx", w, log_w - log_q[:, None, :])
 
 
 def validate_transition_stack(transitions: np.ndarray) -> np.ndarray:
@@ -143,12 +154,10 @@ class BatchedBAResult:
         converged), shape ``(k,)``.
     statuses:
         Terminal :class:`repro.numerics.SolverStatus` per channel.
-    backend:
-        Name of the kernel backend that ran the inner step.
     diagnostics:
         Stack-level :class:`repro.numerics.SolverDiagnostics`: worst
         status, iteration count of the slowest channel, the max-gap
-        trajectory tail, and the backend name in ``notes``.
+        trajectory tail, and per-status channel counts in ``notes``.
     """
 
     capacity: np.ndarray
@@ -157,7 +166,6 @@ class BatchedBAResult:
     converged: np.ndarray
     gap: np.ndarray
     statuses: Tuple[SolverStatus, ...]
-    backend: str
     diagnostics: SolverDiagnostics
 
     def __len__(self) -> int:
@@ -189,15 +197,12 @@ def _stack_diagnostics(
     iterations: np.ndarray,
     gap: np.ndarray,
     tail: Deque[float],
-    backend_name: str,
 ) -> SolverDiagnostics:
     """Summarize a stack's per-channel outcomes into one diagnostics."""
     worst = max(statuses, key=_SEVERITY.index)
     finite_gaps = gap[np.isfinite(gap)]
     counts = {s: statuses.count(s) for s in _SEVERITY if s in statuses}
-    notes = (f"backend={backend_name}",) + tuple(
-        f"{s.value}={n}" for s, n in counts.items()
-    )
+    notes = tuple(f"{s.value}={n}" for s, n in counts.items())
     return SolverDiagnostics(
         solver=BATCH_SOLVER,
         status=worst,
@@ -217,7 +222,6 @@ def blahut_arimoto_batch(
     initial_input: Optional[np.ndarray] = None,
     stall_window: int = 200,
     divergence_factor: float = 1e6,
-    backend: Optional[Union[str, KernelBackend]] = None,
 ) -> BatchedBAResult:
     """Blahut-Arimoto over a ``(k, nx, ny)`` stack of channels at once.
 
@@ -240,14 +244,9 @@ def blahut_arimoto_batch(
         row shared by the stack or a full ``(k, nx)`` array.
     stall_window, divergence_factor:
         Guard parameters (scalar defaults).
-    backend:
-        Kernel backend name/instance; ``None`` resolves through
-        :func:`repro.numerics.get_backend` (``use_backend`` override,
-        then ``REPRO_KERNEL_BACKEND``, then numpy).
     """
     w = validate_transition_stack(transitions)
     k, nx, _ny = w.shape
-    be = get_backend(backend)
     p = _initial_stack(initial_input, k, nx)
     log_w = masked_log2(w)
 
@@ -268,7 +267,7 @@ def blahut_arimoto_batch(
         while active.any():
             idx = np.nonzero(active)[0]
             pa = p[idx]
-            d = be.step(pa, w[idx], log_w[idx])
+            d = _divergence_step(pa, w[idx], log_w[idx])
             capacity = np.einsum("kx,kx->k", pa, d)
             gap = d.max(axis=1) - capacity
             iterations[idx] += 1
@@ -352,10 +351,7 @@ def blahut_arimoto_batch(
         converged=converged,
         gap=out_gap,
         statuses=statuses,
-        backend=be.name,
-        diagnostics=_stack_diagnostics(
-            statuses, iterations, out_gap, tail, be.name
-        ),
+        diagnostics=_stack_diagnostics(statuses, iterations, out_gap, tail),
     )
 
 
@@ -388,7 +384,6 @@ def penalized_blahut_arimoto_batch(
     log_w: Optional[np.ndarray] = None,
     tol: float = 1e-11,
     max_iter: int = 5000,
-    step: StepFn = numpy_step,
 ) -> PenalizedBABatchResult:
     """Maximize ``I(p, W_k) - p · penalties_k`` per channel in a stack.
 
@@ -407,13 +402,6 @@ def penalized_blahut_arimoto_batch(
     log_w:
         Optional precomputed :func:`repro.numerics.masked_log2` of the
         stack; constant across an outer loop, so callers hoist it.
-    step:
-        The divergence primitive. Defaults to the pure
-        :func:`repro.numerics.numpy_step`; pass an explicit backend's
-        ``step`` to override. Deliberately **not** resolved from the
-        environment here: this function runs inside memoized solvers
-        (``timed_dmc_capacity``), whose cached results must not depend
-        on ambient process state (rule GRAPH001).
     """
     w = np.asarray(transitions, dtype=float)
     if w.ndim == 2:
@@ -436,7 +424,7 @@ def penalized_blahut_arimoto_batch(
     while active.any():
         idx = np.nonzero(active)[0]
         pa = p[idx]
-        d = step(pa, w[idx], log_w[idx]) - pen[idx]
+        d = _divergence_step(pa, w[idx], log_w[idx]) - pen[idx]
         value = np.einsum("kx,kx->k", pa, d)
         gap = d.max(axis=1) - value
         iterations[idx] += 1

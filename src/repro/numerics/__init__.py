@@ -18,11 +18,6 @@ solvers honest there:
 * :mod:`.bracketing` — root bracketing that fails as a
   diagnostics-carrying :class:`BracketingError` instead of a bare
   ``RuntimeError``;
-* :mod:`.backend` — the kernel-backend registry for the batched
-  solver kernels (:func:`get_backend`, :func:`use_backend`, the
-  ``REPRO_KERNEL_BACKEND`` environment variable, and the
-  ``repro.kernel_backends`` entry-point group for optional JIT
-  backends such as :mod:`.backend_numba`);
 * :mod:`.profiling` — opt-in per-stage wall-clock attribution
   (:func:`stage`, :func:`collect_stage_timings`) so benchmarks can
   split campaign time into lattice vs. solver vs. orchestration
@@ -34,15 +29,6 @@ See ``docs/numerics.md`` for guard semantics and how to read
 diagnostics.
 """
 
-from .backend import (
-    BACKEND_ENV_VAR,
-    KernelBackend,
-    available_backends,
-    get_backend,
-    numpy_step,
-    register_backend,
-    use_backend,
-)
 from .bracketing import (
     BracketDiagnostics,
     BracketingError,
@@ -100,11 +86,4 @@ __all__ = [
     "BracketingError",
     "expand_bracket",
     "guarded_brentq",
-    "BACKEND_ENV_VAR",
-    "KernelBackend",
-    "available_backends",
-    "get_backend",
-    "numpy_step",
-    "register_backend",
-    "use_backend",
 ]

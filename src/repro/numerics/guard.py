@@ -250,14 +250,16 @@ def collect_solver_statuses() -> Iterator[Dict[str, int]]:
     """Collect ``{"solver:status": count}`` from guarded solvers.
 
     Nested collectors all receive every recorded status. The yielded
-    dict is mutated in place as statuses arrive.
+    dict is mutated in place as statuses arrive. Exiting removes this
+    collector by identity: nested collectors that are still empty
+    compare equal, and must not be mistaken for one another.
     """
     counts: Dict[str, int] = {}
     _COLLECTORS.append(counts)
     try:
         yield counts
     finally:
-        _COLLECTORS.remove(counts)
+        _COLLECTORS[:] = [c for c in _COLLECTORS if c is not counts]
 
 
 def record_status(solver: str, status: Union[SolverStatus, str]) -> None:

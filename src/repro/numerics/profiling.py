@@ -39,14 +39,16 @@ def collect_stage_timings() -> Iterator[Dict[str, float]]:
     """Collect ``{stage: seconds}`` from instrumented code.
 
     Nested collectors all receive every recorded interval. The yielded
-    dict is mutated in place as stages complete.
+    dict is mutated in place as stages complete. Exiting removes this
+    collector by identity: nested collectors that are still empty
+    compare equal, and must not be mistaken for one another.
     """
     totals: Dict[str, float] = {}
     _COLLECTORS.append(totals)
     try:
         yield totals
     finally:
-        _COLLECTORS.remove(totals)
+        _COLLECTORS[:] = [c for c in _COLLECTORS if c is not totals]
 
 
 def timing_active() -> bool:
@@ -79,7 +81,7 @@ def collect_store_events() -> Iterator[Dict[str, int]]:
     try:
         yield counts
     finally:
-        _STORE_COLLECTORS.remove(counts)
+        _STORE_COLLECTORS[:] = [c for c in _STORE_COLLECTORS if c is not counts]
 
 
 def record_store_event(fn_id: str, event: str) -> None:

@@ -89,17 +89,12 @@ def _block_bound_values(
     """Solve a group of ``(P_d, P_i)`` block_bound points at once.
 
     One :func:`repro.bounds.indel_block_bound_sweep` call — one stacked
-    table build, one batched kernel invocation. The backend is pinned
-    to ``"numpy"`` because service answers are cached under
-    semantic-only keys (:func:`repro.service.query.query_key`): the
-    stored value must not depend on which backend happened to be
-    configured in the worker's environment.
+    table build, one batched kernel invocation.
     """
     bounds = indel_block_bound_sweep(
         points,
         block_length=BLOCK_BOUND_LENGTH,
         max_extra=BLOCK_BOUND_MAX_EXTRA,
-        backend="numpy",
     )
     return [
         {"lower": bound.lower_bound, "upper": bound.erasure_upper}

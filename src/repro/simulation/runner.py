@@ -80,9 +80,9 @@ __all__ = [
 ]
 
 #: Version of the checkpoint config-fingerprint format. Bumped when the
-#: fingerprint gains or changes fields; checkpoints written by the
-#: pre-versioned format are still resumed (one-release migration shim)
-#: and rewritten in the current format on the next save.
+#: fingerprint gains or changes fields; a checkpoint written under any
+#: other fingerprint (including the pre-versioned format) is
+#: incompatible and is never resumed.
 CHECKPOINT_SCHEMA_VERSION = 2
 
 #: Store function-id under which whole aggregated runs are cached.
@@ -464,27 +464,6 @@ class ExperimentRunner:
             "confidence": self.confidence,
         }
 
-    def _config_compatible(self, stored: Any) -> bool:
-        """Whether a checkpoint config matches this runner.
-
-        Accepts the current versioned fingerprint exactly, plus the
-        pre-``schema_version`` format (bare seed/replications/confidence
-        triple) as a one-time migration: a resumed legacy checkpoint is
-        rewritten with the versioned fingerprint on its next save.
-        """
-        if not isinstance(stored, dict):
-            return False
-        if stored == self._config_fingerprint():
-            return True
-        if "schema_version" not in stored:
-            legacy = {
-                "root_seed": self.root_seed,
-                "replications": self.replications,
-                "confidence": self.confidence,
-            }
-            return stored == legacy
-        return False
-
     def _discard_or_raise(self, path: Path, message: str) -> Dict:
         """Honor ``discard_corrupt_checkpoint``: delete and start fresh,
         or raise ``ValueError`` telling the caller about the flag."""
@@ -515,7 +494,7 @@ class ExperimentRunner:
             return self._discard_or_raise(
                 path, f"unreadable checkpoint {path}: {exc!r}"
             )
-        if not self._config_compatible(state.get("config")):
+        if state.get("config") != self._config_fingerprint():
             return self._discard_or_raise(
                 path,
                 f"checkpoint {path} was written by an incompatible runner "
@@ -538,10 +517,7 @@ class ExperimentRunner:
         if path.exists():
             try:
                 prior = json.loads(path.read_text(encoding="utf-8"))
-                # Same compatibility test as resume, so legacy-format
-                # sweep state survives the fingerprint migration
-                # instead of being silently dropped on the first save.
-                if self._config_compatible(prior.get("config")):
+                if prior.get("config") == self._config_fingerprint():
                     state["runs"] = prior.get("runs", {})
             except (json.JSONDecodeError, UnicodeDecodeError, OSError):
                 pass  # rewrite a corrupt checkpoint from scratch

@@ -254,8 +254,8 @@ def cached_batch(
         entries must never masquerade as the scalar function's.
     params_list:
         One canonical-key parameter mapping per item. Include
-        everything the numeric result depends on — tolerances, block
-        lengths, and the kernel backend name.
+        everything the numeric result depends on — tolerances and block
+        lengths.
     solve_misses:
         Called once with the sorted list of indices whose entries were
         not found (skipped entirely when everything hit); must return

@@ -12,8 +12,7 @@ program solved by a penalized Blahut-Arimoto iteration), then update
 ``lambda = I/T`` at the maximizer; ``lambda`` converges monotonically to
 the capacity. The inner penalized solve is the batched kernel
 :func:`repro.infotheory.kernels.penalized_blahut_arimoto_batch` on a
-1-stack with the numpy step pinned — cached results must not depend on
-the ambient kernel-backend selection. Cross-checks in the test suite:
+1-stack. Cross-checks in the test suite:
 the timed Z-channel and Shannon's noiseless channels with non-uniform
 durations both drop out as special cases.
 """
@@ -96,8 +95,7 @@ def _penalized_blahut_arimoto(
 ) -> Tuple[np.ndarray, bool]:
     """Maximize ``I(p, W) - sum_x p(x) penalties[x]`` over ``p``.
 
-    Thin 1-stack wrapper over the batched penalized kernel (the numpy
-    step stays pinned — see the module docstring). Returns the
+    Thin 1-stack wrapper over the batched penalized kernel. Returns the
     maximizer and whether the duality gap met *tol* before the
     iteration cap; an unconverged inner iterate is reported, never
     silently returned as if optimal.

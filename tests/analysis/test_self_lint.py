@@ -5,7 +5,20 @@ registry-completeness invariants: any unsuppressed finding anywhere in
 ``src/`` fails the suite with a ``file:line`` report.
 """
 
+import pytest
+
 from repro.analysis import find_project_root, lint_project
+from repro.analysis.graph import Effect, analyze_source_root
+from repro.store import ResultStore, use_store
+
+
+@pytest.fixture(scope="module")
+def summary_store(tmp_path_factory):
+    """One result store for this module: the graph gate's self-analysis
+    caches every module summary, so later closure checks re-link the
+    call graph instead of re-extracting every file."""
+    with use_store(ResultStore(tmp_path_factory.mktemp("graph"))) as store:
+        yield store
 
 
 def test_repository_is_lint_clean():
@@ -17,7 +30,7 @@ def test_repository_is_lint_clean():
     )
 
 
-def test_repository_is_graph_clean():
+def test_repository_is_graph_clean(summary_store):
     """Whole-program self-analysis: every ``@cached_solve`` target is
     transitively pure, every pool submission is picklable, and no
     experiment entry point reaches the wall clock — with zero
@@ -28,3 +41,15 @@ def test_repository_is_graph_clean():
     assert not findings, "unsuppressed graph findings:\n" + "\n".join(
         f.format() for f in findings
     )
+
+
+def test_batched_kernels_read_no_environment(summary_store):
+    """The batched kernels have one numeric path: nothing they reach
+    reads an environment variable, so no ambient setting can change
+    their answers."""
+    root = find_project_root()
+    assert root is not None, "cannot locate the repository root"
+    closure = analyze_source_root(root / "src").closure
+    for name in ("blahut_arimoto_batch", "penalized_blahut_arimoto_batch"):
+        effects = closure[f"repro.infotheory.kernels.{name}"]
+        assert Effect.ENV not in effects, name

@@ -161,6 +161,14 @@ class TestStatusCollector:
         assert outer == {"s:converged": 1, "s:max_iter": 1}
         assert inner == {"s:max_iter": 1}
 
+        # Both still empty, so the two dicts compare equal: exiting the
+        # inner collector must remove it, not the outer one.
+        with collect_solver_statuses() as outer:
+            with collect_solver_statuses():
+                pass
+            record_status("s", SolverStatus.STALLED)
+        assert outer == {"s:stalled": 1}
+
     def test_collector_closes_on_exception(self):
         with pytest.raises(RuntimeError):
             with collect_solver_statuses():

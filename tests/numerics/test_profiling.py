@@ -2,7 +2,9 @@
 
 from repro.numerics import (
     collect_stage_timings,
+    collect_store_events,
     record_stage_seconds,
+    record_store_event,
     stage,
     timing_active,
 )
@@ -39,6 +41,19 @@ def test_nested_collectors_both_receive_records():
         record_stage_seconds("b", 0.5)
     assert inner == {"a": 2.0}
     assert outer == {"a": 3.0, "b": 0.5}
+
+    # Both still empty, so the two dicts compare equal: exiting the
+    # inner collector must remove it, not the outer one.
+    with collect_stage_timings() as outer:
+        with collect_stage_timings():
+            pass
+        record_stage_seconds("a", 1.0)
+    assert outer == {"a": 1.0}
+    with collect_store_events() as outer_events:
+        with collect_store_events():
+            pass
+        record_store_event("fn", "hit")
+    assert outer_events == {"fn:hit": 1}
 
 
 def test_stages_nest_and_sum():

@@ -122,7 +122,6 @@ def test_block_bound_answers_match_the_batched_sweep():
         grid,
         block_length=BLOCK_BOUND_LENGTH,
         max_extra=BLOCK_BOUND_MAX_EXTRA,
-        backend="numpy",
     )
     for result, bound in zip(results, expected):
         assert result.status is QueryStatus.OK

@@ -140,61 +140,28 @@ class TestRunResultSerializers:
 
 
 class TestCheckpointMigration:
-    def legacy_config(self, runner):
-        return {
+    def test_versioned_mismatch_is_incompatible(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        runner = ExperimentRunner(
+            root_seed=5, replications=4, checkpoint_path=path
+        )
+        newer = dict(
+            runner._config_fingerprint(),
+            schema_version=CHECKPOINT_SCHEMA_VERSION + 1,
+        )
+        # The pre-schema_version format: a bare seed/replications/
+        # confidence triple is no longer resumed either.
+        legacy = {
             "root_seed": runner.root_seed,
             "replications": runner.replications,
             "confidence": runner.confidence,
         }
-
-    def test_legacy_checkpoint_resumes_and_is_rewritten(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        runner = ExperimentRunner(
-            root_seed=5, replications=4, checkpoint_path=path
-        )
-        full = ExperimentRunner(root_seed=5, replications=4).run(counting_trial)
-        # Forge a legacy (pre-schema_version) checkpoint holding the
-        # first two completed replications of the same run.
-        CALLS.clear()
-        completed = {
-            str(k): {"value": full["value"].samples[k]} for k in range(2)
-        }
-        path.write_text(
-            json.dumps(
-                {
-                    "config": self.legacy_config(runner),
-                    "runs": {
-                        "run": {
-                            "completed": completed,
-                            "failures": [],
-                            "statuses": {},
-                        }
-                    },
-                }
-            )
-        )
-        result = runner.run(counting_trial)
-        assert result.resumed_replications == 2
-        assert len(CALLS) == 2  # only the missing replications ran
-        assert result["value"].samples == full["value"].samples
-        migrated = json.loads(path.read_text())
-        assert (
-            migrated["config"]["schema_version"] == CHECKPOINT_SCHEMA_VERSION
-        )
-        assert "package_version" in migrated["config"]
-
-    def test_versioned_mismatch_is_incompatible(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        config = ExperimentRunner(
-            root_seed=5, replications=4, checkpoint_path=path
-        )._config_fingerprint()
-        config["schema_version"] = CHECKPOINT_SCHEMA_VERSION + 1
-        path.write_text(json.dumps({"config": config, "runs": {}}))
-        runner = ExperimentRunner(
-            root_seed=5, replications=4, checkpoint_path=path
-        )
-        with pytest.raises(ValueError, match="incompatible"):
-            runner.run(counting_trial)
+        for config in (newer, legacy):
+            path.write_text(json.dumps({"config": config, "runs": {}}))
+            with pytest.raises(
+                ValueError, match="incompatible.*discard_corrupt_checkpoint"
+            ):
+                runner.run(counting_trial)
 
 
 class TestDiscardCorruptCheckpoint:
