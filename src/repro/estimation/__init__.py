@@ -4,7 +4,8 @@ The matrix-based estimators (`repro.infotheory`, `repro.timing`) need
 an enumerable channel; this package prices channels we can only *draw
 from*. :mod:`repro.estimation.knn` hosts the KSG mutual-information
 estimators (continuous KSG1 and the discrete/continuous mixed variant)
-on ``scipy.spatial.cKDTree`` with deterministic tie-breaking jitter;
+on ``scipy.spatial.cKDTree``, or on sorted arrays for 1-D outputs, with
+deterministic tie-breaking jitter;
 :mod:`repro.estimation.samplers` adapts the repository's channel
 models to the :class:`ChannelSampler` draw protocol; and
 :mod:`repro.estimation.optimize` maximizes the estimated MI over input

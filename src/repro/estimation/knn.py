@@ -1,6 +1,6 @@
 """Kraskov (KSG) k-nearest-neighbour mutual-information estimators.
 
-Two estimators, both built on ``scipy.spatial.cKDTree``:
+Two estimators:
 
 * :func:`ksg_mutual_information` — the KSG "algorithm 1" estimator of
   Kraskov, Stögbauer & Grassberger (Phys. Rev. E 69, 066138; arXiv:
@@ -11,6 +11,14 @@ Two estimators, both built on ``scipy.spatial.cKDTree``:
   output an arbitrary continuous vector. Neighbour distances are taken
   inside each symbol class; the neighbour *count* at that radius is
   taken over the pooled outputs.
+
+Neighbour searches run on ``scipy.spatial.cKDTree``, except for the
+mixed estimator on 1-D outputs (every sampler in
+:mod:`repro.estimation.samplers` produces one). There the Chebyshev
+ball is an interval, so class radii come from windows of each sorted
+symbol class and pooled counts from ``searchsorted`` on the sorted
+outputs, with each run's edges settled by the exact ``|y_i - y_j| <=
+r_i`` test the oracle applies.
 
 Both estimators break ties with a deterministic jitter drawn from the
 caller's RNG stream (:func:`tie_break_jitter`): replays under the same
@@ -24,7 +32,7 @@ property suite (``tests/estimation/test_knn.py``): radii come from the
 k-th neighbour *excluding* the query point, and ball counts likewise
 exclude the query point. The naive O(n²) reference implementations
 (`*_reference`) share the exact arithmetic — including the jitter — so
-the tree-accelerated paths are gated by bit-identity, the same
+the sorted and tree paths are gated by bit-identity, the same
 scalar-oracle pattern the vectorized lattice kernels use.
 
 All ``cKDTree`` construction in the repository lives in this module:
@@ -189,20 +197,27 @@ def ksg_mutual_information_reference(
 # Mixed discrete/continuous variant
 
 
+def _check_class_sizes(symbols: np.ndarray, sizes: np.ndarray, k: int) -> None:
+    small = np.flatnonzero(sizes <= k)
+    if small.size:
+        first = small[0]
+        raise ValueError(
+            f"symbol {int(symbols[first])} has {sizes[first]} samples; the "
+            f"mixed estimator needs more than k = {k} per symbol"
+        )
+
+
 def _mixed_counts_tree(
     labels: np.ndarray, yj: np.ndarray, k: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-point ``(class size, pooled count at class k-NN radius)``."""
+    symbols, sizes = np.unique(labels, return_counts=True)
+    _check_class_sizes(symbols, sizes, k)
     n = labels.size
     class_size = np.empty(n, dtype=float)
     radius = np.empty(n, dtype=float)
-    for symbol in np.unique(labels):
+    for symbol in symbols:
         idx = np.flatnonzero(labels == symbol)
-        if idx.size <= k:
-            raise ValueError(
-                f"symbol {int(symbol)} has {idx.size} samples; the mixed "
-                f"estimator needs more than k = {k} per symbol"
-            )
         sub = cKDTree(yj[idx])
         dist, _ = sub.query(yj[idx], k=k + 1, p=np.inf)
         radius[idx] = dist[:, -1]
@@ -215,6 +230,69 @@ def _mixed_counts_tree(
     # on one side only biases the estimate by psi(k) - psi(k+1)
     # (~ -0.36 bits at k = 4).
     return class_size, pooled.astype(float) - 1.0
+
+
+def _mixed_counts_sorted(
+    labels: np.ndarray, yj: np.ndarray, k: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_mixed_counts_tree` for 1-D outputs, from sorted arrays.
+
+    In 1-D the Chebyshev ball is an interval. A point's k nearest
+    class neighbours, together with the point, fill a window of k + 1
+    consecutive members of its sorted class, so its radius is the
+    narrowest such window's reach: O(n k) with no tree. Every distance
+    is the same float difference the O(n^2) oracle takes, so the
+    result is bit-identical to it.
+    """
+    symbols, sizes = np.unique(labels, return_counts=True)
+    _check_class_sizes(symbols, sizes, k)
+    n = labels.size
+    # Work in the order of the sorted pooled outputs s; a stable sort
+    # of the labels then gives class-major order, ascending within a
+    # class.
+    by_value = np.argsort(yj[:, 0])
+    s = yj[by_value, 0]
+    order = np.argsort(labels[by_value], kind="stable")
+    v = s[order]
+    size_of = np.repeat(sizes, sizes)
+    end = np.repeat(np.cumsum(sizes), sizes)
+    start = end - size_of
+    pos = np.arange(n)
+    reach = np.full(n, np.inf)
+    for back in range(k + 1):
+        first = pos - back
+        last = first + k
+        inside = (first >= start) & (last < end)
+        width = np.maximum(
+            v - v[np.maximum(first, 0)], v[np.minimum(last, n - 1)] - v
+        )
+        np.minimum(reach, width, out=reach, where=inside)
+    radius = np.empty(n)
+    radius[order] = reach
+
+    # Pooled count: the points within radius of s_i form one run of s
+    # (fl subtraction is monotone). searchsorted at s_i -/+ r_i places
+    # its ends to within the rounding of those two sums; the exact
+    # predicate then moves each end to the run's true edge.
+    lo = np.searchsorted(s, s - radius, side="left")
+    hi = np.searchsorted(s, s + radius, side="right")
+
+    def within(j: np.ndarray) -> np.ndarray:
+        return np.abs(s - s[np.clip(j, 0, n - 1)]) <= radius
+
+    while np.any(step := (lo > 0) & within(lo - 1)):
+        lo -= step
+    while np.any(step := ~within(lo)):
+        lo += step
+    while np.any(step := (hi < n) & within(hi)):
+        hi += step
+    while np.any(step := ~within(hi - 1)):
+        hi -= step
+    class_size = np.empty(n)
+    class_size[by_value[order]] = size_of
+    pooled = np.empty(n)
+    pooled[by_value] = hi - lo - 1.0  # less the point itself, as above
+    return class_size, pooled
 
 
 def _mixed_contributions(
@@ -263,7 +341,8 @@ def mixed_mi_contributions(
     lab, arr = _validate_mixed_inputs(labels, y)
     _validate_k(k, lab.size)
     yj = tie_break_jitter(arr, rng)
-    class_size, pooled = _mixed_counts_tree(lab, yj, k)
+    counts = _mixed_counts_sorted if yj.shape[1] == 1 else _mixed_counts_tree
+    class_size, pooled = counts(lab, yj, k)
     return _mixed_contributions(lab, class_size, pooled, k)
 
 
@@ -298,7 +377,7 @@ def mixed_mutual_information_reference(
     Identical jitter draws and digamma arithmetic to
     :func:`mixed_mutual_information`; neighbour radii and pooled counts
     come from full pairwise Chebyshev scans. The benchmark suite holds
-    the cKDTree path to a >= 5x speedup over this scan at n = 4096.
+    the fast paths to a >= 5x speedup over this scan at n = 4096.
     """
     lab, arr = _validate_mixed_inputs(labels, y)
     _validate_k(k, lab.size)

@@ -89,7 +89,9 @@ class QueryStatus(str, enum.Enum):
       onto an identical in-flight query; full fidelity, no solve paid.
     * ``DEGRADED`` — answered by a lower rung of the shed ladder
       (cache-only or the coarse erasure bound ``N(1-P_d)``) because of
-      overload, breaker state, or exhausted retries.
+      overload, breaker state, or exhausted retries. An ``erasure``
+      query answered by the coarse rung is ``OK``: that bound is its
+      full answer.
     * ``TIMEOUT`` — the query's deadline expired before an answer.
     * ``SHED`` — rejected by admission control (queue saturated).
     * ``FAILED`` — malformed input, or a non-retryable solve error.

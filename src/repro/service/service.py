@@ -28,7 +28,8 @@ The moving parts, front to back:
    reroll injected faults on fresh substreams.
 6. **Fallback** — when retries or the breaker give up, the batch's
    queries are answered by the shed ladder (``degraded``), never
-   dropped.
+   dropped. An ``erasure`` query's coarse answer ``N(1-P_d)`` is its
+   full answer, so it stays ``ok``.
 
 Blocking solver work never runs inside a coroutine (enforced by lint
 rule ``SVC001``): coroutines call the synchronous ladder in
@@ -90,6 +91,13 @@ from .workers import solve_query_batch
 __all__ = ["ServiceStats", "CapacityService", "serve_queries"]
 
 RawQuery = Union[CapacityQuery, Mapping[str, Any]]
+
+
+def _coarse_is_exact(query: CapacityQuery, source: str) -> bool:
+    """Whether a shed-ladder answer is already full fidelity: the
+    coarse rung's ``N(1-P_d)`` is exactly what an ``erasure`` query
+    solves to."""
+    return source == "coarse_bound" and query.kind == "erasure"
 
 
 @dataclass
@@ -472,11 +480,12 @@ class CapacityService:
         error: Optional[str],
     ) -> QueryResult:
         outcome = resolve_degraded(query, try_cache=try_cache)
-        status = (
-            QueryStatus.CACHED
-            if outcome.source == "store"
-            else QueryStatus.DEGRADED
-        )
+        if outcome.source == "store":
+            status = QueryStatus.CACHED
+        elif _coarse_is_exact(query, outcome.source):
+            status = QueryStatus.OK
+        else:
+            status = QueryStatus.DEGRADED
         return QueryResult(
             query_id=query.query_id,
             key=key,
@@ -623,14 +632,15 @@ class CapacityService:
         self.stats.fallback_batches += 1
         for pending in batch:
             outcome = resolve_degraded(pending.query, try_cache=True)
+            exact = _coarse_is_exact(pending.query, outcome.source)
             self._resolve_pending(
                 pending,
                 _Solved(
-                    status=QueryStatus.DEGRADED,
+                    status=QueryStatus.OK if exact else QueryStatus.DEGRADED,
                     value=outcome.value,
                     source=outcome.source,
                     attempts=attempts,
-                    error=last_error,
+                    error=None if exact else last_error,
                 ),
             )
 

@@ -3,8 +3,8 @@
 Anchors the estimators on channels with closed-form mutual
 information — independence (MI = 0), noiseless M-ary (MI = log2 M),
 the binary symmetric channel (MI = 1 - h(p)) — across sample sizes,
-and pins the cKDTree fast paths to their naive O(n^2) oracles
-bit-for-bit.
+and pins the fast paths (sorted arrays for 1-D outputs, cKDTree
+otherwise) to their naive O(n^2) oracles bit-for-bit.
 
 Documented bias trend (mixed estimator, BSC(0.1), capacity-achieving
 uniform input, seed-averaged): the estimate is biased low by an amount
@@ -17,6 +17,8 @@ encode that trend: looser at small n, tight at large n.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.estimation import (
     ksg_mutual_information,
@@ -122,7 +124,8 @@ class TestKsg1Anchors:
 
 
 class TestOracleParity:
-    """The tree paths must match the O(n^2) scans bit-for-bit."""
+    """The fast paths — sorted (1-D) and tree (d > 1) — must match the
+    O(n^2) scans bit-for-bit."""
 
     def test_mixed_matches_reference(self):
         factory = RngFactory(42)
@@ -140,6 +143,49 @@ class TestOracleParity:
         fast = mixed_mi_contributions(x, y, k=4, rng=factory.fresh("j"))
         slow = mixed_mutual_information_reference(
             x, y, k=4, rng=factory.fresh("j"), return_contributions=True
+        )
+        assert np.array_equal(fast, slow)
+
+    def test_mixed_2d_outputs_match_reference(self):
+        # A two-column output takes the tree path.
+        factory = RngFactory(45)
+        x = factory.fresh("x").integers(0, 3, 400)
+        noise = factory.fresh("n").normal(size=(400, 2))
+        y = np.column_stack([x, -x]) + 0.5 * noise
+        fast = mixed_mi_contributions(x, y, k=4, rng=factory.fresh("j"))
+        slow = mixed_mutual_information_reference(
+            x, y, k=4, rng=factory.fresh("j"), return_contributions=True
+        )
+        assert np.array_equal(fast, slow)
+
+    @given(
+        k=st.integers(1, 8),
+        extras=st.lists(st.integers(0, 30), min_size=1, max_size=5),
+        kind=st.sampled_from(["discrete", "negative", "offset"]),
+        offset=st.floats(-1e6, 1e6),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_mixed_1d_matches_reference_on_generated_inputs(
+        self, k, extras, kind, offset, seed
+    ):
+        # Class sizes go down to exactly k + 1; the estimator needs
+        # more than k + 1 samples overall, so a lone class gets one more.
+        sizes = [k + 1 + e for e in extras]
+        if len(sizes) == 1:
+            sizes[0] += 1
+        rng = np.random.default_rng(seed)
+        x = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        if kind == "discrete":  # massive exact ties
+            y = rng.integers(-2, 3, x.size).astype(float)
+        elif kind == "negative":
+            y = -rng.exponential(size=x.size)
+        else:  # far from zero, where y +/- r rounds unlike |y - s|
+            y = offset + x + rng.normal(size=x.size)
+        fast = mixed_mi_contributions(x, y, k=k, rng=RngFactory(seed).fresh("j"))
+        slow = mixed_mutual_information_reference(
+            x, y, k=k, rng=RngFactory(seed).fresh("j"),
+            return_contributions=True,
         )
         assert np.array_equal(fast, slow)
 

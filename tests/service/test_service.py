@@ -17,7 +17,9 @@ from repro.service import (
     CircuitBreaker,
     QueryStatus,
     RetryPolicy,
+    normalize_query,
     serve_queries,
+    solve_query,
 )
 from repro.store import ResultStore, use_store
 
@@ -236,6 +238,27 @@ def test_total_worker_failure_degrades_and_opens_the_breaker():
     assert stats["retries"] >= 1  # the retry policy fired
     assert stats["fallback_batches"] >= 1
     assert stats["breaker"]["transitions"].get("closed->open", 0) >= 1
+
+
+def test_worker_failure_answers_erasure_exactly():
+    # The coarse rung's N(1 - P_d) is the erasure kind's full answer, so
+    # only the other kinds are degraded when every worker crashes.
+    crashy = ServiceFaultPlan(worker_crash_prob=1.0)
+    erasure = _raw(kind="erasure")
+    results, stats = _serve(
+        [erasure, _raw()],
+        fault_plan=crashy,
+        workers=1,
+        retry_policy=RetryPolicy(max_retries=0),
+    )
+    assert stats["fallback_batches"] >= 1
+    exact, estimate = results
+    assert exact.status is QueryStatus.OK
+    assert exact.source == "coarse_bound"
+    assert exact.error is None
+    assert exact.value == solve_query(normalize_query(erasure))
+    assert estimate.status is QueryStatus.DEGRADED
+    assert estimate.source == "coarse_bound"
 
 
 # ----------------------------------------------------------------------
