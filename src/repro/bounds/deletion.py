@@ -18,10 +18,6 @@ deleted with probability ``p_d``:
   near-superadditivity ``C >= (max I_n - log2(n+1)) / n``.
 * :func:`erasure_upper_bound_binary` — the genie bound ``1 - p_d``
   (paper Theorem 1 with N = 1).
-* :func:`fractional_upper_bound` — a simple strengthening for large
-  ``p_d``: since capacity is at most the rate of the surviving symbols
-  and vanishes at ``p_d = 1``, combine ``1 - p_d`` with the trivial
-  cap at ``1 - H(p_d)``-style achievability gaps.
 """
 
 from __future__ import annotations
@@ -307,9 +303,6 @@ def _solve_block_points(
     return results
 
 
-_SWEEP_FINGERPRINT: List[str] = []  # lazily computed, cached
-
-
 def block_bound_sweep(
     deletion_probs: Sequence[float],
     *,
@@ -331,8 +324,6 @@ def block_bound_sweep(
     pds = [float(p) for p in deletion_probs]
     if not pds:
         return []
-    if not _SWEEP_FINGERPRINT:
-        _SWEEP_FINGERPRINT.append(code_fingerprint(_solve_block_points))
     params = [
         {"block_length": block_length, "deletion_prob": pd, "tol": tol}
         for pd in pds
@@ -343,7 +334,7 @@ def block_bound_sweep(
         lambda misses: _solve_block_points(
             block_length, [pds[i] for i in misses], tol
         ),
-        fingerprint=_SWEEP_FINGERPRINT[0],
+        fingerprint=code_fingerprint(_solve_block_points),
         on_hit=_replay_batch_block_status,
     )
 

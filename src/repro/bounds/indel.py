@@ -323,9 +323,6 @@ def _solve_indel_points(
     return results
 
 
-_SWEEP_FINGERPRINT: List[str] = []  # lazily computed, cached
-
-
 def indel_block_bound_sweep(
     grid: Sequence[Tuple[float, float]],
     *,
@@ -347,8 +344,6 @@ def indel_block_bound_sweep(
     points = [(float(pd), float(pi)) for pd, pi in grid]
     if not points:
         return []
-    if not _SWEEP_FINGERPRINT:
-        _SWEEP_FINGERPRINT.append(code_fingerprint(_solve_indel_points))
     params = [
         {
             "block_length": block_length,
@@ -365,6 +360,6 @@ def indel_block_bound_sweep(
         lambda misses: _solve_indel_points(
             block_length, [points[i] for i in misses], max_extra, tol
         ),
-        fingerprint=_SWEEP_FINGERPRINT[0],
+        fingerprint=code_fingerprint(_solve_indel_points),
         on_hit=_replay_indel_batch_status,
     )

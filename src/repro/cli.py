@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     graph_calls_p.add_argument(
         "function",
         help="fully qualified name, or an unambiguous suffix "
-        "(e.g. ExperimentRunner._run_parallel)",
+        "(e.g. ExperimentRunner.run)",
     )
     graph_effects_p = graph_sub.add_parser(
         "effects", help="direct and transitive effect set of a function"

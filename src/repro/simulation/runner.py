@@ -18,34 +18,45 @@ and ``tests/simulation/test_parallel_runner``):
 * **Wall-clock budget** — ``time_budget_seconds`` stops the run early
   (with however many replications completed) instead of overrunning a
   campaign schedule.
-* **Checkpoint/resume** — with ``checkpoint_path`` set, completed
-  replication metrics (and their solver-status counts) are persisted
-  (atomically) after every trial; re-running the same configuration
-  resumes from the checkpoint and produces bit-identical summaries,
-  because replication ``k`` always draws from the substream
-  ``trial/<k>`` regardless of which replications were restored.
+* **Checkpoint/resume** — with ``checkpoint_path`` set, every finished
+  replication (its metrics, solver-status counts and failures) is
+  appended as one line to a JSONL journal; a torn final line is
+  dropped. Re-running the same configuration resumes from the journal
+  and produces bit-identical summaries, because replication ``k``
+  always draws from the substream ``trial/<k>`` regardless of which
+  replications were restored.
 * **Parallel execution** — ``workers > 1`` fans replications out over a
   :class:`repro.simulation.pool.SupervisedPool` (a restartable,
   hang-aware ``ProcessPoolExecutor``). Replication ``k`` still draws
   from ``trial/<k>`` (the worker re-derives the substream from
   ``(root_seed, k)``), so serial and parallel runs are bit-identical;
-  the parent process remains the only checkpoint writer, merging worker
-  results as tasks complete. A worker killed mid-replication no longer
-  poisons the run: the pool is rebuilt and the interrupted replications
-  are resubmitted on their original substreams. See
-  ``docs/performance.md`` for the worker model and determinism
-  contract.
+  both feed the same merge loop, and the parent process remains the
+  only journal writer, appending worker results as tasks complete. A
+  worker killed mid-replication no longer poisons the run: the pool is
+  rebuilt and the interrupted replications are resubmitted on their
+  original substreams. See ``docs/performance.md`` for the worker
+  model and determinism contract.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pickle
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -79,11 +90,10 @@ __all__ = [
     "sweep_checkpoint_label",
 ]
 
-#: Version of the checkpoint config-fingerprint format. Bumped when the
-#: fingerprint gains or changes fields; a checkpoint written under any
-#: other fingerprint (including the pre-versioned format) is
-#: incompatible and is never resumed.
-CHECKPOINT_SCHEMA_VERSION = 2
+#: Version of the checkpoint format (the journal's header fingerprint).
+#: Bumped when the format or the fingerprint changes; a checkpoint
+#: written under any other version is incompatible and is never resumed.
+CHECKPOINT_SCHEMA_VERSION = 3
 
 #: Store function-id under which whole aggregated runs are cached.
 RUNNER_FN_ID = "experiment_runner.run"
@@ -391,18 +401,21 @@ class ExperimentRunner:
         replications are skipped and the result is flagged
         ``budget_exhausted``.
     checkpoint_path:
-        Optional path for persisted partial state. Written atomically
-        after every completed replication; an existing compatible
-        checkpoint is resumed (bit-identical results), an incompatible
-        one raises ``ValueError``.
+        Optional path of an append-only journal of persisted partial
+        state: one JSON header line, then one line per finished
+        replication; a torn final line is dropped. An existing
+        compatible journal is resumed (bit-identical results); an
+        unreadable or incompatible one raises ``ValueError`` and is
+        left untouched.
     workers:
-        Number of replication executors. ``1`` (the default) runs the
-        classic serial loop; ``> 1`` fans pending replications out over
-        a ``ProcessPoolExecutor``. Because substreams are derived from
-        the replication index, the aggregated result is bit-identical
-        to a serial run; the trial callable must be picklable
-        (module-level function or picklable callable object). Serial
-        and parallel runs share checkpoints interchangeably.
+        Number of replication executors. ``1`` (the default) runs
+        replications inline; ``> 1`` fans pending replications out over
+        a ``ProcessPoolExecutor``. Either way one loop merges the
+        outcomes and appends them to the journal. Because substreams
+        are derived from the replication index, the aggregated result
+        is bit-identical to a serial run; the trial callable must be
+        picklable (module-level function or picklable callable object).
+        Serial and parallel runs share journals interchangeably.
     max_pool_restarts:
         How many times a crashed (or hung) worker pool may be rebuilt
         before the affected replications are recorded as failed.
@@ -426,11 +439,11 @@ class ExperimentRunner:
     checkpoint_path: Optional[Union[str, Path]] = None
     workers: int = 1
     collect_timing: bool = False
-    discard_corrupt_checkpoint: bool = False
     max_pool_restarts: int = 2
     worker_hang_seconds: Optional[float] = None
     _factory: RngFactory = field(init=False, repr=False)
     _pool_restarts: int = field(default=0, init=False, repr=False)
+    _journal_end: Optional[int] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.replications < 2:
@@ -464,82 +477,103 @@ class ExperimentRunner:
             "confidence": self.confidence,
         }
 
-    def _discard_or_raise(self, path: Path, message: str) -> Dict:
-        """Honor ``discard_corrupt_checkpoint``: delete and start fresh,
-        or raise ``ValueError`` telling the caller about the flag."""
-        if self.discard_corrupt_checkpoint:
-            try:
-                path.unlink()
-            except OSError:
-                pass  # already gone or unremovable; run fresh anyway
-            return {}
-        raise ValueError(
-            f"{message} (pass discard_corrupt_checkpoint=True to delete "
-            "the checkpoint and start over)"
-        )
+    def _load_checkpoint(
+        self, label: str
+    ) -> Tuple[
+        Dict[int, Dict[str, float]],
+        List[ReplicationFailure],
+        Dict[int, Dict[str, int]],
+    ]:
+        """Journalled state of *label*: completed metrics, failures and
+        solver statuses, keyed by replication.
 
-    def _load_checkpoint(self, label: str) -> Dict:
-        """Completed-replication state for *label*, or an empty dict."""
+        Also sets :attr:`_journal_end`, the byte offset the next append
+        goes to (``None`` when there is no journal yet). A final line
+        without its newline is a torn append and lies past that offset.
+        """
+        completed: Dict[int, Dict[str, float]] = {}
+        failures: List[ReplicationFailure] = []
+        statuses: Dict[int, Dict[str, int]] = {}
+        self._journal_end = None
         if self.checkpoint_path is None:
-            return {}
+            return completed, failures, statuses
         path = Path(self.checkpoint_path)
-        if not path.exists():
-            return {}
         try:
-            state = json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
-            # UnicodeDecodeError covers binary garbage at the checkpoint
-            # path (e.g. a truncated .npz written by something else):
-            # decode failures are corruption, not programming errors.
-            return self._discard_or_raise(
-                path, f"unreadable checkpoint {path}: {exc!r}"
-            )
-        if state.get("config") != self._config_fingerprint():
-            return self._discard_or_raise(
-                path,
+            data = path.read_bytes()
+        except FileNotFoundError:
+            return completed, failures, statuses
+        except OSError as exc:
+            raise ValueError(f"unreadable checkpoint {path}: {exc!r}") from exc
+        end = data.rfind(b"\n") + 1
+        lines = data[:end].split(b"\n")[:-1]
+        # The header is not torn-tolerant: the first save writes it
+        # together with the first record, so a file without a complete
+        # header line is not a journal.
+        try:
+            config = json.loads(lines[0])["config"]
+        except (IndexError, ValueError, KeyError, TypeError) as exc:
+            raise ValueError(
+                f"unreadable checkpoint {path}: no journal header ({exc!r})"
+            ) from exc
+        if config != self._config_fingerprint():
+            raise ValueError(
                 f"checkpoint {path} was written by an incompatible runner "
-                f"configuration {state.get('config')}; expected "
-                f"{self._config_fingerprint()}",
+                f"configuration {config}; expected {self._config_fingerprint()}"
             )
-        return state.get("runs", {}).get(label, {})
+        for number, line in enumerate(lines[1:], start=2):
+            try:
+                record = json.loads(line)
+                if record["label"] != label:
+                    continue
+                failures.extend(
+                    ReplicationFailure(int(r), int(a), str(e))
+                    for r, a, e in record["failures"]
+                )
+                if record["metrics"] is not None:
+                    k = int(record["k"])
+                    completed[k] = {
+                        str(m): float(v) for m, v in record["metrics"].items()
+                    }
+                    statuses[k] = {
+                        str(s): int(c) for s, c in record["statuses"].items()
+                    }
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise ValueError(
+                    f"unreadable checkpoint {path} line {number}: {exc!r}"
+                ) from exc
+        self._journal_end = end
+        return completed, failures, statuses
 
     def _save_checkpoint(
         self,
         label: str,
-        completed: Dict[int, Dict[str, float]],
-        failures: List[ReplicationFailure],
-        statuses_by_replication: Dict[int, Dict[str, int]],
+        k: int,
+        metrics: Optional[Dict[str, float]],
+        statuses: Dict[str, int],
+        failures: Sequence[Tuple[int, int, str]],
     ) -> None:
+        """Append replication *k*'s outcome to the journal."""
         if self.checkpoint_path is None:
             return
+        payload = json.dumps(
+            {
+                "label": label,
+                "k": k,
+                "metrics": metrics,
+                "statuses": statuses,
+                "failures": list(failures),
+            }
+        ) + "\n"
+        if self._journal_end is None:
+            header = json.dumps({"config": self._config_fingerprint()})
+            payload = header + "\n" + payload
         path = Path(self.checkpoint_path)
-        state = {"config": self._config_fingerprint(), "runs": {}}
-        if path.exists():
-            try:
-                prior = json.loads(path.read_text(encoding="utf-8"))
-                if prior.get("config") == self._config_fingerprint():
-                    state["runs"] = prior.get("runs", {})
-            except (json.JSONDecodeError, UnicodeDecodeError, OSError):
-                pass  # rewrite a corrupt checkpoint from scratch
-        state["runs"][label] = {
-            "completed": {str(k): v for k, v in sorted(completed.items())},
-            "failures": [
-                {"replication": f.replication, "attempt": f.attempt, "error": f.error}
-                for f in sorted(
-                    set(failures), key=lambda f: (f.replication, f.attempt)
-                )
-            ],
-            # Per-replication solver statuses persist so a resumed run
-            # reports the same solver health as an uninterrupted one.
-            "statuses": {
-                str(k): v
-                for k, v in sorted(statuses_by_replication.items())
-                if v
-            },
-        }
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(state, indent=1, sort_keys=True), encoding="utf-8")
-        os.replace(tmp, path)
+        with open(path, "wb" if self._journal_end is None else "r+b") as fh:
+            # Cut a torn final line away before appending after it.
+            fh.seek(self._journal_end or 0)
+            fh.truncate()
+            fh.write(payload.encode("utf-8"))
+            self._journal_end = fh.tell()
 
     # ------------------------------------------------------------------
     # result store
@@ -577,29 +611,6 @@ class ExperimentRunner:
             and time.monotonic() - start > self.time_budget_seconds  # repro: noqa[DET001]
         )
 
-    def _save_checkpoint_timed(
-        self,
-        label: str,
-        completed: Dict[int, Dict[str, float]],
-        failures: List[ReplicationFailure],
-        statuses_by_replication: Dict[int, Dict[str, int]],
-        timing: Dict[str, float],
-    ) -> None:
-        """Persist state, attributing the cost to the ``checkpoint``
-        stage when timing collection is on."""
-        if not self.collect_timing:
-            self._save_checkpoint(
-                label, completed, failures, statuses_by_replication
-            )
-            return
-        t0 = time.perf_counter()  # repro: noqa[DET001] — observability only
-        self._save_checkpoint(label, completed, failures, statuses_by_replication)
-        timing["checkpoint"] = (
-            timing.get("checkpoint", 0.0)
-            + time.perf_counter()  # repro: noqa[DET001] — observability only
-            - t0
-        )
-
     @staticmethod
     def _merge_metrics(
         k: int,
@@ -620,71 +631,36 @@ class ExperimentRunner:
         completed[k] = {name: float(value) for name, value in metrics.items()}
         return expected_names
 
-    def _run_serial(
+    def _outcomes(
         self,
         trial: Callable[[np.random.Generator], Dict[str, float]],
-        label: str,
         start: float,
         pending: Sequence[int],
-        completed: Dict[int, Dict[str, float]],
-        failures: List[ReplicationFailure],
-        statuses_by_replication: Dict[int, Dict[str, int]],
-        timing: Dict[str, float],
-        expected_names: Optional[frozenset],
-    ) -> bool:
-        """Classic in-process loop; returns ``budget_exhausted``."""
-        for k in pending:
-            if self._over_budget(start):
-                return True
-            _, metrics, fail_tuples, statuses, rep_timing = (
-                _execute_replication_task(
+    ) -> Iterator[Tuple[int, Any]]:
+        """Execute *pending* replications; yield ``(k, outcome)`` as
+        each finishes.
+
+        *outcome* is :func:`_execute_replication_task`'s return value,
+        or an ``Exception`` when pool supervision gave up on the task.
+        With ``workers == 1`` replications run inline, in index order;
+        otherwise :class:`SupervisedPool` runs them in worker processes
+        and yields in completion order — irrelevant to the summaries,
+        which aggregation sorts by replication index. Supervision
+        restarts crashed workers and resubmits their replications on
+        the same substreams, and — with ``worker_hang_seconds`` set —
+        terminates wedged ones. Either way the wall-clock budget is
+        consulted before every dispatch; a replication it skips yields
+        nothing.
+        """
+        if self.workers == 1:
+            for k in pending:
+                if self._over_budget(start):
+                    return
+                yield k, _execute_replication_task(
                     trial, self.root_seed, k, self.max_trial_retries,
                     self.collect_timing,
                 )
-            )
-            failures.extend(ReplicationFailure(*t) for t in fail_tuples)
-            if metrics is None:
-                self._save_checkpoint_timed(
-                    label, completed, failures, statuses_by_replication, timing
-                )
-                continue
-            statuses_by_replication[k] = statuses
-            for stage_name, seconds in rep_timing.items():
-                timing[stage_name] = timing.get(stage_name, 0.0) + seconds
-            expected_names = self._merge_metrics(
-                k, metrics, completed, expected_names
-            )
-            self._save_checkpoint_timed(
-                label, completed, failures, statuses_by_replication, timing
-            )
-        return False
-
-    def _run_parallel(
-        self,
-        trial: Callable[[np.random.Generator], Dict[str, float]],
-        label: str,
-        start: float,
-        pending: Sequence[int],
-        completed: Dict[int, Dict[str, float]],
-        failures: List[ReplicationFailure],
-        statuses_by_replication: Dict[int, Dict[str, int]],
-        timing: Dict[str, float],
-        expected_names: Optional[frozenset],
-    ) -> bool:
-        """Fan *pending* replications over worker processes.
-
-        The parent is the only checkpoint writer: worker results are
-        merged (and persisted) as tasks complete, in completion
-        order — which is irrelevant to the final summaries because
-        aggregation sorts by replication index.
-
-        Supervision is delegated to :class:`SupervisedPool`: the
-        wall-clock budget is consulted between submissions (not merely
-        at completions), crashed workers are restarted and their
-        replications resubmitted on the same substreams (bit-identical
-        results), and — with ``worker_hang_seconds`` set — wedged
-        workers are terminated. Returns ``budget_exhausted``.
-        """
+            return
         try:
             pickle.dumps(trial)
         except Exception as exc:
@@ -694,58 +670,23 @@ class ExperimentRunner:
                 f"object, not a lambda/closure): {exc!r}"
             ) from exc
         pool = SupervisedPool(
-            min(self.workers, len(pending)) if pending else 1,
+            min(self.workers, len(pending)) or 1,
             max_restarts=self.max_pool_restarts,
             hang_seconds=self.worker_hang_seconds,
         )
         tasks = [
-            (
-                k,
-                (
-                    trial,
-                    self.root_seed,
-                    k,
-                    self.max_trial_retries,
-                    self.collect_timing,
-                ),
-            )
+            (k, (trial, self.root_seed, k, self.max_trial_retries, self.collect_timing))
             for k in pending
         ]
         try:
-            for k, outcome in pool.map_tasks(
+            yield from pool.map_tasks(
                 _execute_replication_task,
                 tasks,
                 should_stop=lambda: self._over_budget(start),
-            ):
-                if isinstance(outcome, Exception):
-                    # Supervision gave up (restart budget spent) or the
-                    # task machinery itself raised; record it like any
-                    # other permanently failed replication.
-                    failures.append(ReplicationFailure(k, 0, repr(outcome)))
-                    self._save_checkpoint_timed(
-                        label, completed, failures, statuses_by_replication,
-                        timing,
-                    )
-                    continue
-                _, metrics, fail_tuples, statuses, rep_timing = outcome
-                failures.extend(ReplicationFailure(*t) for t in fail_tuples)
-                if metrics is not None:
-                    statuses_by_replication[k] = statuses
-                    for stage_name, seconds in rep_timing.items():
-                        timing[stage_name] = (
-                            timing.get(stage_name, 0.0) + seconds
-                        )
-                    expected_names = self._merge_metrics(
-                        k, metrics, completed, expected_names
-                    )
-                self._save_checkpoint_timed(
-                    label, completed, failures, statuses_by_replication,
-                    timing,
-                )
+            )
         finally:
             self._pool_restarts += pool.restarts
             pool.shutdown()
-        return pool.stopped_early
 
     def run(
         self,
@@ -790,33 +731,49 @@ class ExperimentRunner:
         # use of real time in src/.
         start = time.monotonic()  # repro: noqa[DET001]
         self._pool_restarts = 0
-        completed: Dict[int, Dict[str, float]] = {}
-        failures: List[ReplicationFailure] = []
-        statuses_by_replication: Dict[int, Dict[str, int]] = {}
         timing: Dict[str, float] = {}
-
-        resumed_state = self._load_checkpoint(label)
-        for key, metrics in resumed_state.get("completed", {}).items():
-            completed[int(key)] = {m: float(v) for m, v in metrics.items()}
-        for f in resumed_state.get("failures", []):
-            failures.append(
-                ReplicationFailure(f["replication"], f["attempt"], f["error"])
-            )
-        for key, counts in resumed_state.get("statuses", {}).items():
-            statuses_by_replication[int(key)] = {
-                status: int(count) for status, count in counts.items()
-            }
+        completed, failures, statuses_by_replication = self._load_checkpoint(
+            label
+        )
         resumed = len(completed)
 
         expected_names: Optional[frozenset] = (
             frozenset(next(iter(completed.values()))) if completed else None
         )
         pending = [k for k in range(self.replications) if k not in completed]
-        execute = self._run_parallel if self.workers > 1 else self._run_serial
-        budget_exhausted = execute(
-            trial, label, start, pending, completed, failures,
-            statuses_by_replication, timing, expected_names,
-        )
+        finished = 0
+        with closing(self._outcomes(trial, start, pending)) as outcomes:
+            for k, outcome in outcomes:
+                finished += 1
+                if isinstance(outcome, Exception):
+                    # Supervision gave up (restart budget spent) or the
+                    # task machinery itself raised; record it like any
+                    # other permanently failed replication.
+                    metrics, statuses, rep_timing = None, {}, {}
+                    fail_tuples = [(k, 0, repr(outcome))]
+                else:
+                    _, metrics, fail_tuples, statuses, rep_timing = outcome
+                failures.extend(ReplicationFailure(*t) for t in fail_tuples)
+                if metrics is not None:
+                    statuses_by_replication[k] = statuses
+                    for stage_name, seconds in rep_timing.items():
+                        timing[stage_name] = timing.get(stage_name, 0.0) + seconds
+                    expected_names = self._merge_metrics(
+                        k, metrics, completed, expected_names
+                    )
+                t0 = time.perf_counter()  # repro: noqa[DET001] — observability only
+                self._save_checkpoint(
+                    label, k, completed.get(k), statuses, fail_tuples
+                )
+                if self.collect_timing:
+                    timing["checkpoint"] = (
+                        timing.get("checkpoint", 0.0)
+                        + time.perf_counter()  # repro: noqa[DET001] — observability only
+                        - t0
+                    )
+        # Only the budget skips a pending replication: every other one
+        # yields an outcome.
+        budget_exhausted = finished < len(pending)
 
         if len(completed) < 2:
             raise RuntimeError(

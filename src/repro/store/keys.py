@@ -23,6 +23,7 @@ import enum
 import hashlib
 import inspect
 import textwrap
+import weakref
 from typing import Any, Callable, Dict, Optional
 
 import numpy as np
@@ -148,14 +149,25 @@ def canonical_key(
     return hashlib.sha256(payload).hexdigest()
 
 
+#: Fingerprints by callable object. Weak keys, so a cached fingerprint
+#: never keeps a closure alive.
+_FINGERPRINTS: "weakref.WeakKeyDictionary[Any, str]" = weakref.WeakKeyDictionary()
+
+
 def code_fingerprint(fn: Callable[..., Any]) -> str:
     """Short hash of a callable's source code.
 
     Any textual edit (including comments — conservatively safe)
     changes the fingerprint, which changes every key salted with it.
     Falls back to hashing the compiled bytecode when source is
-    unavailable (REPL definitions, frozen imports).
+    unavailable (REPL definitions, frozen imports). Memoised per
+    callable object: a function's code cannot change after it is
+    defined, so only its first call reads and hashes the source.
     """
+    try:
+        return _FINGERPRINTS[fn]
+    except (KeyError, TypeError):  # TypeError: fn has no weak references
+        pass
     target = inspect.unwrap(fn)
     try:
         source = textwrap.dedent(inspect.getsource(target))
@@ -167,7 +179,12 @@ def code_fingerprint(fn: Callable[..., Any]) -> str:
                 f"cannot fingerprint {fn!r}: no source and no code object"
             )
         raw = code.co_code + repr(code.co_consts).encode("utf-8")
-    return hashlib.sha256(raw).hexdigest()[:16]
+    fingerprint = hashlib.sha256(raw).hexdigest()[:16]
+    try:
+        _FINGERPRINTS[fn] = fingerprint
+    except TypeError:
+        pass
+    return fingerprint
 
 
 def callable_fingerprint(obj: Any) -> Optional[Dict[str, Any]]:

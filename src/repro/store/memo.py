@@ -162,13 +162,6 @@ def cached_solve(
     """
 
     def decorate(fn: Callable[..., Any]) -> Callable[..., Any]:
-        fingerprint: List[str] = []  # lazily computed, cached
-
-        def _fingerprint() -> str:
-            if not fingerprint:
-                fingerprint.append(code_fingerprint(fn))
-            return fingerprint[0]
-
         @functools.wraps(fn)
         def wrapper(*args: Any, **kwargs: Any) -> Any:
             store = active_store()
@@ -188,7 +181,7 @@ def cached_solve(
                 else:
                     params = {"args": list(args), "kwargs": kwargs}
                 key = canonical_key(
-                    fn_id, params, code_fingerprint=_fingerprint()
+                    fn_id, params, code_fingerprint=code_fingerprint(fn)
                 )
             except (UnsupportedParameterError, IndexError):
                 record_cache_event(fn_id, "bypass")
@@ -214,7 +207,7 @@ def cached_solve(
                     key,
                     result,
                     fn_id=fn_id,
-                    code_fingerprint=_fingerprint(),
+                    code_fingerprint=code_fingerprint(fn),
                     compute_seconds=seconds,
                 )
             except (OSError, SerializationError, UnsupportedParameterError, StoreError):

@@ -15,9 +15,8 @@ moved into place with one ``os.rename``. Readers therefore never see a
 partial entry, and concurrent writers need no locks — content
 addressing makes the race idempotent: whoever renames first wins, the
 loser observes the existing entry and discards its staging directory.
-(This is the same atomic-rename discipline the experiment runner's
-checkpoints use, extended to directories; it is what makes the store
-safe under the runner's ``ProcessPoolExecutor`` workers.)
+This is what makes the store safe under the runner's
+``ProcessPoolExecutor`` workers.
 
 Corrupt entries (truncated JSON, hash mismatch, missing arrays) are
 indistinguishable from misses on the read path — the cache never

@@ -180,9 +180,10 @@ class TestDeterminismAndResume:
         )
         with pytest.raises(KeyboardInterrupt):
             first.run(dies_at_5)
-        assert path.exists()
-        state = json.loads(path.read_text())
-        assert len(state["runs"]["run"]["completed"]) == 4
+        # One header line, then one journal record per finished
+        # replication.
+        records = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+        assert [r["k"] for r in records] == [0, 1, 2, 3]
 
         resumed = ExperimentRunner(
             root_seed=3, replications=8, checkpoint_path=path
@@ -230,8 +231,8 @@ class TestDeterminismAndResume:
             return {"value": v + float(rng.random())}
 
         out = runner.sweep(trial, [0.0, 10.0])
-        state = json.loads(path.read_text())
-        assert set(state["runs"]) == {"sweep/0.0", "sweep/10.0"}
+        records = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+        assert [r["label"] for r in records] == ["sweep/0.0"] * 3 + ["sweep/10.0"] * 3
         assert out[10.0]["value"].mean == pytest.approx(
             out[0.0]["value"].mean + 10.0
         )

@@ -1,6 +1,5 @@
 """Runner <-> result-store integration: whole-run caching, checkpoint
-fingerprint migration, the corrupt-checkpoint escape hatch, and the
-RunResult serializers."""
+fingerprint versioning, and the RunResult serializers."""
 
 import json
 
@@ -145,68 +144,25 @@ class TestCheckpointMigration:
         runner = ExperimentRunner(
             root_seed=5, replications=4, checkpoint_path=path
         )
+        older = dict(
+            runner._config_fingerprint(),
+            schema_version=CHECKPOINT_SCHEMA_VERSION - 1,
+        )
         newer = dict(
             runner._config_fingerprint(),
             schema_version=CHECKPOINT_SCHEMA_VERSION + 1,
         )
         # The pre-schema_version format: a bare seed/replications/
-        # confidence triple is no longer resumed either.
+        # confidence triple is not resumed either.
         legacy = {
             "root_seed": runner.root_seed,
             "replications": runner.replications,
             "confidence": runner.confidence,
         }
-        for config in (newer, legacy):
-            path.write_text(json.dumps({"config": config, "runs": {}}))
-            with pytest.raises(
-                ValueError, match="incompatible.*discard_corrupt_checkpoint"
-            ):
+        for config in (older, newer, legacy):
+            header = json.dumps({"config": config}) + "\n"
+            path.write_text(header)
+            with pytest.raises(ValueError, match="incompatible"):
                 runner.run(counting_trial)
-
-
-class TestDiscardCorruptCheckpoint:
-    def test_unreadable_checkpoint_error_names_the_flag(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        path.write_text("{not json")
-        runner = ExperimentRunner(replications=3, checkpoint_path=path)
-        with pytest.raises(ValueError) as excinfo:
-            runner.run(counting_trial)
-        assert "unreadable checkpoint" in str(excinfo.value)
-        assert "discard_corrupt_checkpoint=True" in str(excinfo.value)
-
-    def test_flag_discards_unreadable_checkpoint(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        path.write_text("{not json")
-        runner = ExperimentRunner(
-            replications=3,
-            checkpoint_path=path,
-            discard_corrupt_checkpoint=True,
-        )
-        result = runner.run(counting_trial)
-        assert result.resumed_replications == 0
-        # The checkpoint was rewritten from scratch and is valid again.
-        state = json.loads(path.read_text())
-        assert state["config"]["schema_version"] == CHECKPOINT_SCHEMA_VERSION
-
-    def test_flag_discards_incompatible_checkpoint(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "config": {
-                        "schema_version": 99,
-                        "root_seed": 0,
-                        "replications": 3,
-                        "confidence": 0.95,
-                    },
-                    "runs": {},
-                }
-            )
-        )
-        runner = ExperimentRunner(
-            replications=3,
-            checkpoint_path=path,
-            discard_corrupt_checkpoint=True,
-        )
-        result = runner.run(counting_trial)
-        assert result.resumed_replications == 0
+            assert path.read_text() == header  # left untouched
+        assert CALLS == []

@@ -1,6 +1,9 @@
 """Canonical-key determinism and collision resistance."""
 
 import dataclasses
+import gc
+import inspect
+import weakref
 
 import numpy as np
 import pytest
@@ -95,6 +98,24 @@ def test_code_fingerprint_tracks_source():
 
     assert code_fingerprint(f) == code_fingerprint(f)
     assert code_fingerprint(f) != code_fingerprint(g)
+
+
+def test_code_fingerprint_is_memoised_without_pinning(monkeypatch):
+    def f(x):
+        return x + 3
+
+    first = code_fingerprint(f)
+
+    def no_source(obj):
+        raise AssertionError("source re-read for a fingerprinted function")
+
+    monkeypatch.setattr(inspect, "getsource", no_source)
+    assert code_fingerprint(f) == first
+    # The cache holds its keys weakly: it never keeps a function alive.
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
 
 
 def test_callable_fingerprint_functions_and_sweep_trials():
