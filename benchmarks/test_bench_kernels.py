@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.bounds.deletion import block_mutual_information_bound
+from repro.bounds.deletion import block_bound_sweep
 from repro.coding.forward_backward import DriftChannelModel
 from repro.core.events import ChannelParameters
 from repro.infotheory.blahut_arimoto import blahut_arimoto
@@ -133,8 +133,8 @@ def test_bench_blahut_arimoto_batched_vs_serial(benchmark):
 
 
 def test_bench_block_bound(benchmark):
-    result = benchmark.pedantic(
-        lambda: block_mutual_information_bound(8, 0.2),
+    [result] = benchmark.pedantic(
+        lambda: block_bound_sweep([0.2], block_length=8),
         rounds=1,
         iterations=1,
     )

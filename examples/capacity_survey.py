@@ -15,7 +15,7 @@ series, every quantitative curve implied by the paper's analysis.
 Run:  python examples/capacity_survey.py
 """
 
-from repro.bounds import deletion_capacity_bracket
+from repro.bounds import capacity_bracket_sweep
 from repro.core.capacity import (
     converted_capacity,
     convergence_ratio,
@@ -51,16 +51,12 @@ def main() -> None:
     )
 
     print("\n=== No-feedback deletion channel bracket (binary) ===")
-    rows = []
-    for pd in (0.05, 0.1, 0.2, 0.3, 0.5):
-        bracket = deletion_capacity_bracket(pd, block_length=8)
-        rows.append({"p_d": pd, **bracket})
-    print(
-        format_table(
-            ["p_d", "gallager_lower", "block_lower", "iid_rate", "best_lower", "erasure_upper"],
-            rows,
-        )
-    )
+    columns = ["gallager_lower", "block_lower", "best_lower", "erasure_upper"]
+    rows = [
+        {"p_d": row.deletion_prob, **{c: getattr(row, c) for c in columns}}
+        for row in capacity_bracket_sweep((0.05, 0.1, 0.2, 0.3, 0.5), block_length=8)
+    ]
+    print(format_table(["p_d"] + columns, rows))
 
     print("\n=== Convergence of C_lower/C_upper at P_i = P_d (eqs. 6-7) ===")
     rows = []

@@ -1,37 +1,29 @@
 """Numerical capacity bounds for no-feedback deletion/insertion channels
-(the computational-bounds literature the paper cites in Section 4.1)."""
+(the computational-bounds literature the paper cites in Section 4.1).
+
+Every finite-block table and bound is computed over a grid of channel
+parameters; a single point is a one-element grid. The insertion-only
+channel is the indel channel at ``P_d = 0``.
+"""
 
 from .brackets import BracketRow, capacity_bracket_sweep
 from .deletion import (
     BlockBoundResult,
     block_bound_sweep,
-    block_mutual_information_bound,
     deletion_block_transition_stack,
-    deletion_capacity_bracket,
     erasure_upper_bound_binary,
-    exact_block_transition,
     gallager_lower_bound,
     subsequence_embedding_counts,
 )
 from .markov_input import (
     MarkovInputBound,
     markov_block_distribution,
-    markov_block_information,
-    optimize_markov_input,
     optimize_markov_input_sweep,
 )
 from .indel import (
     IndelBlockResult,
-    indel_block_bound,
     indel_block_bound_sweep,
-    indel_block_transition,
     indel_block_transition_stack,
-)
-from .insertion import (
-    InsertionBlockResult,
-    insertion_block_bound,
-    insertion_block_transition,
-    insertion_tail_mass,
 )
 
 __all__ = [
@@ -39,25 +31,14 @@ __all__ = [
     "capacity_bracket_sweep",
     "BlockBoundResult",
     "block_bound_sweep",
-    "block_mutual_information_bound",
     "deletion_block_transition_stack",
-    "deletion_capacity_bracket",
     "erasure_upper_bound_binary",
-    "exact_block_transition",
     "gallager_lower_bound",
     "subsequence_embedding_counts",
     "MarkovInputBound",
     "markov_block_distribution",
-    "markov_block_information",
-    "optimize_markov_input",
     "optimize_markov_input_sweep",
     "IndelBlockResult",
-    "indel_block_bound",
     "indel_block_bound_sweep",
-    "indel_block_transition",
     "indel_block_transition_stack",
-    "InsertionBlockResult",
-    "insertion_block_bound",
-    "insertion_block_transition",
-    "insertion_tail_mass",
 ]

@@ -10,12 +10,14 @@ deleted with probability ``p_d``:
 * :func:`gallager_lower_bound` — the classic achievability bound
   ``C >= 1 - H(p_d)`` (binary), from sequential-decoding arguments of
   the Gallager/Zigangirov school (ref [12]).
-* :func:`exact_block_transition` / :func:`block_mutual_information_bound`
+* :func:`deletion_block_transition_stack` / :func:`block_bound_sweep`
   — exact finite-block computation in the style of Vvedenskaya &
-  Dobrushin (1968): build the full ``P(y|x)`` table for blocks of
-  length ``n`` (outputs are all subsequences), run Blahut-Arimoto for
-  ``max I_n``, and convert to a capacity *lower* bound via Dobrushin's
-  near-superadditivity ``C >= (max I_n - log2(n+1)) / n``.
+  Dobrushin (1968) over a whole ``p_d`` grid: build the full
+  ``P(y|x)`` table for blocks of length ``n`` (outputs are all
+  subsequences), run Blahut-Arimoto for ``max I_n``, and convert to a
+  capacity *lower* bound via Dobrushin's near-superadditivity
+  ``C >= (max I_n - log2(n+1)) / n``. A single point is a one-element
+  grid.
 * :func:`erasure_upper_bound_binary` — the genie bound ``1 - p_d``
   (paper Theorem 1 with N = 1).
 """
@@ -23,7 +25,7 @@ deleted with probability ``p_d``:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -31,26 +33,21 @@ from ..infotheory.blahut_arimoto import blahut_arimoto_guarded
 from ..infotheory.entropy import binary_entropy, mutual_information
 from ..infotheory.kernels import BATCH_SOLVER, blahut_arimoto_batch
 from ..numerics import SolverStatus, record_status
-from ..store import cached_batch, cached_solve, code_fingerprint
+from ..store import cached_batch, code_fingerprint
 
 __all__ = [
     "gallager_lower_bound",
     "erasure_upper_bound_binary",
     "subsequence_embedding_counts",
-    "exact_block_transition",
     "deletion_block_transition_stack",
     "BlockBoundResult",
-    "block_mutual_information_bound",
     "block_bound_sweep",
-    "deletion_capacity_bracket",
 ]
 
 _MAX_EXACT_BLOCK = 12
 
-#: Store namespace for the batched sweep. Distinct from the scalar
-#: ``deletion_block_bound`` id on purpose: the batched kernel may
-#: differ from the scalar oracle in the last ulp, so their cache
-#: entries must never masquerade as one another.
+#: Store namespace for the sweep's per-point entries. The ``_batch``
+#: suffix is kept so that existing stores keep hitting.
 BLOCK_BOUND_BATCH_FN_ID = "deletion_block_bound_batch"
 
 
@@ -127,57 +124,31 @@ def subsequence_embedding_counts(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return dp[m]
 
 
-def exact_block_transition(
-    n: int, deletion_prob: float
-) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """Exact block transition matrix of the binary deletion channel.
-
-    Inputs are all ``2^n`` binary strings of length *n*; outputs are all
-    binary strings of length ``0..n``. Entry ``(x, y)`` is
-    ``N(x, y) p_d^{n-|y|} (1 - p_d)^{|y|}``.
-
-    Returns ``(transition, output_groups)`` where *output_groups* lists
-    the output strings by length (matching the column blocks).
-    """
-    if not 1 <= n <= _MAX_EXACT_BLOCK:
-        raise ValueError(f"block length must be in [1, {_MAX_EXACT_BLOCK}]")
-    if not 0.0 <= deletion_prob <= 1.0:
-        raise ValueError("deletion_prob must be in [0, 1]")
-    pd = deletion_prob
-    xs = _all_binary_strings(n)[n]
-    groups = _all_binary_strings(n)
-    blocks = []
-    for m, ys in enumerate(groups):
-        counts = subsequence_embedding_counts(xs, ys)
-        weight = (pd ** (n - m)) * ((1.0 - pd) ** m)
-        blocks.append(counts * weight)
-    transition = np.concatenate(blocks, axis=1)
-    # Rows sum to 1 exactly: sum_y N(x,y) pd^{n-m}(1-pd)^m = 1.
-    return transition, groups
-
-
 def deletion_block_transition_stack(
     n: int, deletion_probs: Sequence[float]
 ) -> Tuple[np.ndarray, List[np.ndarray]]:
     """Block transition tables for a whole ``p_d`` grid as one stack.
 
-    The expensive part of :func:`exact_block_transition` — the
-    subsequence embedding counts ``N(x, y)`` — does not depend on
-    ``p_d`` at all; only the scalar weight ``p_d^{n-m} (1-p_d)^m``
-    does. This builder therefore runs the counting DP **once** per
-    output length and broadcasts the per-point weights over a leading
-    grid axis, producing the ``(k, 2^n, num_outputs)`` stack the
-    batched Blahut-Arimoto kernel consumes directly.
+    Inputs are all ``2^n`` binary strings of length *n*; outputs are
+    all binary strings of length ``0..n``. Entry ``(x, y)`` is
+    ``N(x, y) p_d^{n-|y|} (1 - p_d)^{|y|}``, so every row sums to 1.
+    The subsequence embedding counts ``N(x, y)`` do not depend on
+    ``p_d``, only the weight does. This builder therefore runs the
+    counting DP **once** per output length and broadcasts the
+    per-point weights over a leading grid axis, producing the
+    ``(k, 2^n, num_outputs)`` stack the batched Blahut-Arimoto kernel
+    consumes directly.
 
-    Returns ``(stack, output_groups)`` with *output_groups* as in the
-    scalar builder (shared by every grid point).
+    Returns ``(stack, output_groups)``, where *output_groups* lists
+    the output strings by length (matching the column blocks, shared
+    by every grid point).
     """
     if not 1 <= n <= _MAX_EXACT_BLOCK:
         raise ValueError(f"block length must be in [1, {_MAX_EXACT_BLOCK}]")
     pds = np.asarray(list(deletion_probs), dtype=float)
     if pds.ndim != 1 or pds.size == 0:
         raise ValueError("deletion_probs must be a non-empty 1-D sequence")
-    if np.any(pds < 0) or np.any(pds > 1):
+    if not np.all((pds >= 0) & (pds <= 1)):  # also rejects NaN
         raise ValueError("deletion_prob must be in [0, 1]")
     groups = _all_binary_strings(n)
     xs = groups[n]
@@ -186,7 +157,7 @@ def deletion_block_transition_stack(
         counts = subsequence_embedding_counts(xs, ys)
         # Python-float powers, not vectorized ones: numpy's small-
         # integer-power fast path differs from libm pow by an ulp, and
-        # the stack must be bitwise what the scalar builder produces.
+        # the tests pin every table bitwise to a scalar oracle.
         weights = np.array(
             [(pd ** (n - m)) * ((1.0 - pd) ** m) for pd in pds.tolist()]
         )
@@ -225,42 +196,6 @@ class BlockBoundResult:
     lower_bound: float
     iid_rate: float
     status: SolverStatus = SolverStatus.CONVERGED
-
-
-def _replay_block_status(result: BlockBoundResult) -> None:
-    """Report the stored inner-solve status on a cache hit."""
-    record_status("blahut_arimoto", result.status)
-
-
-@cached_solve("deletion_block_bound", on_hit=_replay_block_status)
-def block_mutual_information_bound(
-    n: int, deletion_prob: float, *, tol: float = 1e-9
-) -> BlockBoundResult:
-    """Vvedenskaya-Dobrushin-style exact finite-block bound.
-
-    Memoized through :mod:`repro.store` when a result store is active —
-    the block table build and the Blahut-Arimoto solve are both skipped
-    on a hit (this is the E9 grid's dominant cost).
-
-    Computes the exact ``P(y|x)`` table for blocks of length *n*,
-    maximizes block mutual information with Blahut-Arimoto, and applies
-    the boundary correction ``log2(n+1)`` (the receiver can be told how
-    many symbols of each block survived at a cost of at most
-    ``log2(n+1)`` bits) to produce a true capacity lower bound.
-    """
-    transition, _groups = exact_block_transition(n, deletion_prob)
-    result = blahut_arimoto_guarded(transition, tol=tol)
-    uniform = np.full(transition.shape[0], 1.0 / transition.shape[0])
-    iid_info = mutual_information(uniform, transition)
-    lower = max(0.0, (result.capacity - np.log2(n + 1)) / n)
-    return BlockBoundResult(
-        block_length=n,
-        max_block_information=result.capacity,
-        iid_block_information=iid_info,
-        lower_bound=float(lower),
-        iid_rate=iid_info / n,
-        status=result.status,
-    )
 
 
 def _replay_batch_block_status(result: BlockBoundResult) -> None:
@@ -311,8 +246,8 @@ def block_bound_sweep(
 ) -> List[BlockBoundResult]:
     """Finite-block bounds for a whole ``p_d`` grid, batched.
 
-    The sweep twin of :func:`block_mutual_information_bound`: the
-    embedding counts are built once
+    The only finite-block deletion bound; a single point is a
+    one-element grid. The embedding counts are built once
     (:func:`deletion_block_transition_stack`) and every grid point's
     Blahut-Arimoto runs inside one
     :func:`repro.infotheory.kernels.blahut_arimoto_batch` invocation.
@@ -337,30 +272,3 @@ def block_bound_sweep(
         fingerprint=code_fingerprint(_solve_block_points),
         on_hit=_replay_batch_block_status,
     )
-
-
-def deletion_capacity_bracket(
-    deletion_prob: float,
-    *,
-    block_length: int = 8,
-    include_block_bound: bool = True,
-) -> Dict[str, float]:
-    """Bracket the binary deletion-channel capacity.
-
-    Returns a dict with the Gallager lower bound, the optional
-    finite-block lower bound, their max (best lower), and the erasure
-    upper bound — the series plotted by experiment E9.
-    """
-    lower_gallager = gallager_lower_bound(deletion_prob)
-    result: Dict[str, float] = {
-        "gallager_lower": lower_gallager,
-        "erasure_upper": erasure_upper_bound_binary(deletion_prob),
-    }
-    if include_block_bound:
-        block = block_mutual_information_bound(block_length, deletion_prob)
-        result["block_lower"] = block.lower_bound
-        result["iid_rate"] = block.iid_rate
-        result["best_lower"] = max(lower_gallager, block.lower_bound)
-    else:
-        result["best_lower"] = lower_gallager
-    return result

@@ -1,16 +1,20 @@
 """Exact finite-block computation for the joint deletion-insertion
 channel — the paper's actual channel, no feedback.
 
-Combines the subsequence machinery of :mod:`repro.bounds.deletion` and
-the interleaving DP of :mod:`repro.bounds.insertion`: each channel use
-deletes the next queued bit (``p_d``), inserts a uniform bit (``p_i``),
-or transmits (``p_t = 1 - p_d - p_i``); the block table enumerates all
-outputs up to an insertion budget, with the truncated tail folded into
-an uninformative overflow column (keeping the lower-bound direction
-honest). Blahut-Arimoto on the table then gives the finite-block
-information, and Dobrushin's boundary correction a true capacity lower
-bound for the joint channel — the quantity the Theorem-1 erasure bound
-upper-bounds.
+Each channel use deletes the next queued bit (``p_d``), inserts a
+uniform bit (``p_i``), or transmits (``p_t = 1 - p_d - p_i``); the
+channel stops once the queue is empty, so no trailing insertions
+occur. The block table enumerates all outputs up to an insertion
+budget, with the truncated tail folded into an uninformative overflow
+column (keeping the lower-bound direction honest). At ``p_i = 0`` the
+table is the deletion table of :mod:`repro.bounds.deletion`; at
+``p_d = 0`` it is the insertion-only channel, whose truncated mass is
+the NegativeBinomial(n, 1 - p_i) tail beyond the budget.
+Blahut-Arimoto on the table then gives the finite-block information,
+and Dobrushin's boundary correction a true capacity lower bound for
+the joint channel — the quantity the Theorem-1 erasure bound
+upper-bounds. Every table and bound is built over a ``(P_d, P_i)``
+grid; a single point is a one-element grid.
 """
 
 from __future__ import annotations
@@ -21,26 +25,23 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ..core.capacity import erasure_upper_bound
-from ..infotheory.blahut_arimoto import blahut_arimoto
 from ..infotheory.entropy import mutual_information
 from ..infotheory.kernels import BATCH_SOLVER, blahut_arimoto_batch
 from ..infotheory.probability import validate_probability
 from ..numerics import SolverStatus, record_status
-from ..store import cached_batch, cached_solve, code_fingerprint
+from ..store import cached_batch, code_fingerprint
 
 __all__ = [
-    "indel_block_transition",
     "indel_block_transition_stack",
     "IndelBlockResult",
-    "indel_block_bound",
     "indel_block_bound_sweep",
 ]
 
 _MAX_BLOCK = 8
 _MAX_EXTRA = 6
 
-#: Store namespace for the batched (P_d, P_i) grid sweep; separate
-#: from the scalar ``indel_block_bound`` id (ulp-level honesty).
+#: Store namespace for the sweep's per-point entries. The ``_batch``
+#: suffix is kept so that existing stores keep hitting.
 INDEL_BATCH_FN_ID = "indel_block_bound_batch"
 
 
@@ -51,57 +52,18 @@ def _strings_of_length(m: int) -> np.ndarray:
     return ((codes[:, None] >> np.arange(m - 1, -1, -1)[None, :]) & 1).astype(np.int8)
 
 
-def _pair_probabilities(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    deletion_prob: float,
-    insertion_prob: float,
-) -> np.ndarray:
-    """Exact ``P(y|x)`` for all pairs via the two-index DP.
-
-    ``f(i, j)`` = probability of having consumed ``i`` input bits and
-    emitted the first ``j`` output bits. Insertions are only possible
-    while input remains (the channel stops once the queue is empty).
-    """
-    num_x, n = xs.shape
-    num_y, m = ys.shape
-    pd = deletion_prob
-    pi = insertion_prob
-    pt = 1.0 - pd - pi
-    half_ins = pi / 2.0
-
-    f_prev_j = np.zeros((n + 1, num_x, num_y))  # f(., j-1)
-    f_cur_j = np.zeros((n + 1, num_x, num_y))  # f(., j)
-    # j = 0 column: only deletions can have consumed inputs.
-    f_cur_j[0] = 1.0
-    for i in range(1, n + 1):
-        f_cur_j[i] = f_cur_j[i - 1] * pd
-    for j in range(1, m + 1):
-        f_prev_j, f_cur_j = f_cur_j, np.zeros_like(f_cur_j)
-        yj = ys[:, j - 1][None, :]
-        for i in range(0, n + 1):
-            acc = np.zeros((num_x, num_y))
-            if i < n:
-                # Insertion emitting y_j, input untouched.
-                acc += half_ins * f_prev_j[i]
-            if i > 0:
-                match = (xs[:, i - 1][:, None] == yj).astype(float)
-                acc += pt * match * f_prev_j[i - 1]
-                # Deletion consumes input i without emitting: same j.
-                acc += pd * f_cur_j[i - 1]
-            f_cur_j[i] = acc
-    return f_cur_j[n]
-
-
 def _pair_probabilities_stack(
     xs: np.ndarray,
     ys: np.ndarray,
     deletion_probs: np.ndarray,
     insertion_probs: np.ndarray,
 ) -> np.ndarray:
-    """The two-index DP of :func:`_pair_probabilities`, vectorized over
-    a leading ``(k,)`` parameter axis.
+    """Exact ``P(y|x)`` for all pairs via the two-index DP, vectorized
+    over a leading ``(k,)`` parameter axis.
 
+    ``f(i, j)`` = probability of having consumed ``i`` input bits and
+    emitted the first ``j`` output bits. Insertions are only possible
+    while input remains (the channel stops once the queue is empty).
     All ``(P_d, P_i)`` grid points share the same match structure
     (which depends only on ``xs``/``ys``), so the per-point
     probabilities enter the recursion purely as ``(k, 1, 1)``
@@ -182,49 +144,12 @@ def indel_block_transition_stack(
     return transition, groups, overflow.max(axis=(1, 2))
 
 
-def indel_block_transition(
-    n: int,
-    deletion_prob: float,
-    insertion_prob: float,
-    *,
-    max_extra: int = 4,
-) -> Tuple[np.ndarray, List[np.ndarray], float]:
-    """Exact (truncated) block table for the deletion-insertion channel.
-
-    Outputs are all binary strings of length ``0 .. n + max_extra``
-    plus one overflow column absorbing the truncated insertion tail.
-    Returns ``(transition, output_groups, max_tail_mass)``.
-    """
-    if not 1 <= n <= _MAX_BLOCK:
-        raise ValueError(f"block length must be in [1, {_MAX_BLOCK}]")
-    if not 0 <= max_extra <= _MAX_EXTRA:
-        raise ValueError(f"max_extra must be in [0, {_MAX_EXTRA}]")
-    if not 0.0 <= deletion_prob <= 1.0 or not 0.0 <= insertion_prob < 1.0:
-        raise ValueError("probabilities out of range")
-    if deletion_prob + insertion_prob > 1.0:
-        raise ValueError("P_d + P_i must not exceed 1")
-    xs = _strings_of_length(n)
-    blocks = []
-    groups = []
-    for m in range(0, n + max_extra + 1):
-        ys = _strings_of_length(m)
-        groups.append(ys)
-        blocks.append(
-            _pair_probabilities(xs, ys, deletion_prob, insertion_prob)
-        )
-    transition = np.concatenate(blocks, axis=1)
-    row_sums = transition.sum(axis=1)
-    overflow = np.clip(1.0 - row_sums, 0.0, 1.0)[:, None]
-    transition = np.concatenate([transition, overflow], axis=1)
-    return transition, groups, float(overflow.max())
-
-
 @dataclass(frozen=True)
 class IndelBlockResult:
     """Finite-block bound for the joint deletion-insertion channel.
 
     ``status`` is the terminal :class:`repro.numerics.SolverStatus` of
-    the inner Blahut-Arimoto solve (scalar or batched); a
+    the inner batched Blahut-Arimoto solve; a
     non-``converged`` value flags a bound built from a best-so-far
     iterate.
     """
@@ -246,43 +171,6 @@ class IndelBlockResult:
     @property
     def bracket_width(self) -> float:
         return self.erasure_upper - self.lower_bound
-
-
-@cached_solve("indel_block_bound")
-def indel_block_bound(
-    n: int,
-    deletion_prob: float,
-    insertion_prob: float,
-    *,
-    max_extra: int = 4,
-    tol: float = 1e-9,
-) -> IndelBlockResult:
-    """Blahut-Arimoto block bound plus the Theorem-1 upper bound.
-
-    The lower bound applies Dobrushin's boundary correction
-    ``log2`` of the number of possible per-block output lengths.
-    Memoized through :mod:`repro.store` when a result store is active
-    (one entry per ``(n, P_d, P_i, max_extra, tol)`` grid point).
-    """
-    transition, groups, tail = indel_block_transition(
-        n, deletion_prob, insertion_prob, max_extra=max_extra
-    )
-    result = blahut_arimoto(transition, tol=tol)
-    uniform = np.full(transition.shape[0], 1.0 / transition.shape[0])
-    iid_info = mutual_information(uniform, transition)
-    num_lengths = len(groups) + 1  # possible output lengths + overflow
-    lower = max(0.0, (result.capacity - np.log2(num_lengths)) / n)
-    return IndelBlockResult(
-        block_length=n,
-        deletion_prob=deletion_prob,
-        insertion_prob=insertion_prob,
-        max_block_information=result.capacity,
-        iid_block_information=iid_info,
-        lower_bound=float(lower),
-        erasure_upper=erasure_upper_bound(1, deletion_prob),
-        truncated_mass=tail,
-        status=result.status,
-    )
 
 
 def _replay_indel_batch_status(result: IndelBlockResult) -> None:
@@ -332,7 +220,10 @@ def indel_block_bound_sweep(
 ) -> List[IndelBlockResult]:
     """Finite-block indel bounds over a ``(P_d, P_i)`` grid, batched.
 
-    The sweep twin of :func:`indel_block_bound`: every grid point's
+    The only finite-block indel bound; a single point is a one-element
+    grid. The lower bound applies Dobrushin's boundary correction
+    ``log2`` of the number of possible per-block output lengths, and
+    ``erasure_upper`` is the Theorem-1 bound. Every grid point's
     table comes out of one parameter-axis DP pass
     (:func:`indel_block_transition_stack`) and every Blahut-Arimoto
     solve runs inside one batched kernel invocation. Memoized per point

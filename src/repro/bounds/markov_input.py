@@ -6,7 +6,8 @@ a low flip probability beats i.i.d. coin flips (Dobrushin's school
 already computed such improvements numerically; modern work pushed the
 same idea much further). This module optimizes the block information of
 a symmetric binary Markov source through the exact finite-block
-transition table of :mod:`repro.bounds.deletion`, giving a strictly
+transition tables of :mod:`repro.bounds.deletion` for a whole ``p_d``
+grid (a single point is a one-element grid), giving a strictly
 better laptop-scale lower bound than the i.i.d. computation.
 """
 
@@ -20,13 +21,11 @@ from scipy import optimize
 
 from ..infotheory.entropy import mutual_information
 from ..infotheory.probability import is_one, is_zero, validate_probability
-from .deletion import deletion_block_transition_stack, exact_block_transition
+from .deletion import deletion_block_transition_stack
 
 __all__ = [
     "markov_block_distribution",
-    "markov_block_information",
     "MarkovInputBound",
-    "optimize_markov_input",
     "optimize_markov_input_sweep",
 ]
 
@@ -63,14 +62,6 @@ def markov_block_distribution(n: int, flip_prob: float) -> np.ndarray:
             ),
         )
     return probs
-
-
-def markov_block_information(n: int, deletion_prob: float, flip_prob: float) -> float:
-    """Exact block mutual information ``I(X^n; Y)`` under the Markov
-    input, in bits."""
-    transition, _ = exact_block_transition(n, deletion_prob)
-    dist = markov_block_distribution(n, flip_prob)
-    return mutual_information(dist, transition)
 
 
 @dataclass(frozen=True)
@@ -136,26 +127,15 @@ def _optimize_over_flip(
     )
 
 
-def optimize_markov_input(
-    n: int, deletion_prob: float, *, tol: float = 1e-6
-) -> MarkovInputBound:
-    """Maximize block information over the Markov flip probability.
-
-    A 1-D bounded search; the objective is smooth and unimodal in
-    practice over ``f in (0, 1)`` for the deletion channel.
-    """
-    transition, _ = exact_block_transition(n, deletion_prob)
-    return _optimize_over_flip(n, deletion_prob, transition, tol)
-
-
 def optimize_markov_input_sweep(
     n: int, deletion_probs: Sequence[float], *, tol: float = 1e-6
 ) -> List[MarkovInputBound]:
     """Optimize the Markov input for a whole ``p_d`` grid at once.
 
-    The per-point search is the same 1-D optimization as
-    :func:`optimize_markov_input`, but the exact block tables for the
-    grid come from one
+    Each point is a 1-D bounded search over the flip probability; the
+    objective is smooth and unimodal in practice over ``f in (0, 1)``
+    for the deletion channel. The exact block tables for the grid come
+    from one
     :func:`repro.bounds.deletion.deletion_block_transition_stack` call
     — the subsequence-counting DP (the dominant cost at ``n = 8``) runs
     once instead of once per grid point.

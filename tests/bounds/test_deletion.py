@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bounds.brackets import capacity_bracket_sweep
 from repro.bounds.deletion import (
-    block_mutual_information_bound,
-    deletion_capacity_bracket,
+    block_bound_sweep,
+    deletion_block_transition_stack,
     erasure_upper_bound_binary,
-    exact_block_transition,
     gallager_lower_bound,
     subsequence_embedding_counts,
 )
@@ -91,48 +91,50 @@ class TestEmbeddingCounts:
 class TestBlockTransition:
     @pytest.mark.parametrize("pd", [0.0, 0.1, 0.5, 1.0])
     def test_rows_stochastic(self, pd):
-        t, _ = exact_block_transition(6, pd)
-        assert np.allclose(t.sum(axis=1), 1.0)
+        stack, _ = deletion_block_transition_stack(6, [pd])
+        assert np.allclose(stack[0].sum(axis=1), 1.0)
 
     def test_shape(self):
-        t, groups = exact_block_transition(5, 0.2)
-        assert t.shape == (32, sum(2**m for m in range(6)))
+        stack, groups = deletion_block_transition_stack(5, [0.2])
+        assert stack.shape == (1, 32, sum(2**m for m in range(6)))
         assert len(groups) == 6
 
     def test_zero_deletion_is_identity_block(self):
-        t, _ = exact_block_transition(4, 0.0)
+        stack, _ = deletion_block_transition_stack(4, [0.0])
         # All mass on the length-4 outputs, diagonal.
-        full_block = t[:, -16:]
+        full_block = stack[0][:, -16:]
         assert np.allclose(full_block, np.eye(16))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            exact_block_transition(0, 0.1)
+            deletion_block_transition_stack(0, [0.1])
         with pytest.raises(ValueError):
-            exact_block_transition(50, 0.1)
+            deletion_block_transition_stack(50, [0.1])
         with pytest.raises(ValueError):
-            exact_block_transition(4, 1.5)
+            deletion_block_transition_stack(4, [1.5])
+        with pytest.raises(ValueError, match="non-empty"):
+            deletion_block_transition_stack(4, [])
 
 
 class TestBlockBound:
     def test_zero_deletion_full_rate(self):
-        b = block_mutual_information_bound(6, 0.0)
+        [b] = block_bound_sweep([0.0], block_length=6)
         assert b.max_block_information == pytest.approx(6.0, abs=1e-6)
         assert b.iid_rate == pytest.approx(1.0, abs=1e-6)
 
     def test_bound_below_erasure(self):
-        for pd in (0.1, 0.3, 0.5):
-            b = block_mutual_information_bound(7, pd)
+        pds = (0.1, 0.3, 0.5)
+        for pd, b in zip(pds, block_bound_sweep(pds, block_length=7)):
             assert b.lower_bound <= erasure_upper_bound_binary(pd) + 1e-9
             assert b.iid_rate <= erasure_upper_bound_binary(pd) + 1e-9
 
     def test_max_at_least_iid(self):
-        b = block_mutual_information_bound(6, 0.2)
+        [b] = block_bound_sweep([0.2], block_length=6)
         assert b.max_block_information >= b.iid_block_information - 1e-9
 
     def test_block_information_grows_with_n(self):
-        b5 = block_mutual_information_bound(5, 0.2)
-        b8 = block_mutual_information_bound(8, 0.2)
+        [b5] = block_bound_sweep([0.2], block_length=5)
+        [b8] = block_bound_sweep([0.2], block_length=8)
         assert b8.max_block_information > b5.max_block_information
         # The per-symbol iid rate *decreases* with n: short blocks get
         # disproportionate help from the known block boundary.
@@ -144,13 +146,8 @@ class TestBlockBound:
 
 class TestBracket:
     def test_keys_and_order(self):
-        out = deletion_capacity_bracket(0.2, block_length=6)
-        assert out["best_lower"] <= out["erasure_upper"] + 1e-12
-        assert out["best_lower"] == pytest.approx(
-            max(out["gallager_lower"], out["block_lower"])
+        [row] = capacity_bracket_sweep([0.2], block_length=6)
+        assert row.best_lower <= row.erasure_upper + 1e-12
+        assert row.best_lower == pytest.approx(
+            max(row.gallager_lower, row.block_lower)
         )
-
-    def test_without_block_bound(self):
-        out = deletion_capacity_bracket(0.2, include_block_bound=False)
-        assert "block_lower" not in out
-        assert out["best_lower"] == out["gallager_lower"]

@@ -3,74 +3,84 @@
 import numpy as np
 import pytest
 
-from repro.bounds.deletion import exact_block_transition
-from repro.bounds.indel import indel_block_bound, indel_block_transition
-from repro.bounds.insertion import insertion_block_transition
+from repro.bounds.deletion import block_bound_sweep, deletion_block_transition_stack
+from repro.bounds.indel import indel_block_bound_sweep, indel_block_transition_stack
+
+from .oracles import insertion_tail_mass
 
 
 class TestReductions:
     def test_pi_zero_reduces_to_deletion_table(self):
-        t_joint, _g, tail = indel_block_transition(6, 0.2, 0.0, max_extra=0)
-        t_del, _g2 = exact_block_transition(6, 0.2)
-        assert tail == pytest.approx(0.0, abs=1e-12)
-        assert np.allclose(t_joint[:, :-1], t_del)
+        t_joint, _g, tails = indel_block_transition_stack(
+            6, [(0.2, 0.0)], max_extra=0
+        )
+        t_del, _g2 = deletion_block_transition_stack(6, [0.2])
+        assert tails[0] == pytest.approx(0.0, abs=1e-12)
+        assert np.allclose(t_joint[0][:, :-1], t_del[0])
 
     def test_pd_zero_reduces_to_insertion_table(self):
-        t_joint, _g, _tail = indel_block_transition(5, 0.0, 0.15, max_extra=3)
-        t_ins, _g2, _t2 = insertion_block_transition(5, 0.15, max_extra=3)
+        t_joint, _g, tails = indel_block_transition_stack(
+            5, [(0.0, 0.15)], max_extra=3
+        )
         offset = sum(2**m for m in range(5))  # lengths 0..4 unreachable
-        assert np.allclose(t_joint[:, :offset], 0.0)
-        assert np.allclose(t_joint[:, offset:-1], t_ins[:, :-1])
+        assert np.allclose(t_joint[0][:, :offset], 0.0)
+        # Every input sees the same NegativeBinomial insertion count.
+        np.testing.assert_allclose(
+            t_joint[0][:, -1], insertion_tail_mass(5, 0.15, 3), atol=1e-15
+        )
 
     def test_synchronous_identity(self):
-        t, groups, tail = indel_block_transition(4, 0.0, 0.0, max_extra=0)
+        t, groups, tails = indel_block_transition_stack(
+            4, [(0.0, 0.0)], max_extra=0
+        )
         # Only length-4 outputs, identity.
-        block = t[:, -17:-1]
+        block = t[0][:, -17:-1]
         assert np.allclose(block, np.eye(16))
-        assert tail == 0.0
+        assert tails[0] == 0.0
 
 
 class TestTable:
     def test_rows_stochastic(self):
-        t, _g, _tail = indel_block_transition(5, 0.15, 0.1, max_extra=4)
-        assert np.allclose(t.sum(axis=1), 1.0)
+        t, _g, _tails = indel_block_transition_stack(5, [(0.15, 0.1)], max_extra=4)
+        assert np.allclose(t[0].sum(axis=1), 1.0)
 
     def test_tail_small_for_moderate_pi(self):
-        _t, _g, tail = indel_block_transition(6, 0.1, 0.1, max_extra=4)
-        assert tail < 0.01
+        _t, _g, tails = indel_block_transition_stack(6, [(0.1, 0.1)], max_extra=4)
+        assert tails[0] < 0.01
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            indel_block_transition(0, 0.1, 0.1)
+            indel_block_transition_stack(0, [(0.1, 0.1)])
         with pytest.raises(ValueError):
-            indel_block_transition(4, 0.6, 0.6)
+            indel_block_transition_stack(4, [(0.6, 0.6)])
         with pytest.raises(ValueError):
-            indel_block_transition(4, 0.1, 0.1, max_extra=99)
+            indel_block_transition_stack(4, [(0.1, 0.1)], max_extra=99)
+        with pytest.raises(ValueError):
+            indel_block_transition_stack(4, [(float("nan"), 0.1)])
 
 
 class TestBound:
     def test_below_erasure_bound(self):
-        for pd, pi in [(0.1, 0.05), (0.2, 0.1)]:
-            r = indel_block_bound(6, pd, pi)
+        grid = [(0.1, 0.05), (0.2, 0.1)]
+        for r in indel_block_bound_sweep(grid, block_length=6):
             assert r.lower_bound <= r.erasure_upper + 1e-9
             assert r.bracket_width >= 0
 
     def test_matches_deletion_only_information(self):
         """With pi = 0 the block information must match the
         deletion-module computation."""
-        from repro.bounds.deletion import block_mutual_information_bound
-
-        r_joint = indel_block_bound(6, 0.2, 0.0, max_extra=0)
-        r_del = block_mutual_information_bound(6, 0.2)
+        [r_joint] = indel_block_bound_sweep(
+            [(0.2, 0.0)], block_length=6, max_extra=0
+        )
+        [r_del] = block_bound_sweep([0.2], block_length=6)
         assert r_joint.max_block_information == pytest.approx(
             r_del.max_block_information, abs=1e-6
         )
 
     def test_information_decreases_with_insertions(self):
-        r0 = indel_block_bound(6, 0.1, 0.0)
-        r1 = indel_block_bound(6, 0.1, 0.15)
+        r0, r1 = indel_block_bound_sweep([(0.1, 0.0), (0.1, 0.15)], block_length=6)
         assert r1.max_block_information < r0.max_block_information
 
     def test_synchronous_full_information(self):
-        r = indel_block_bound(5, 0.0, 0.0, max_extra=0)
+        [r] = indel_block_bound_sweep([(0.0, 0.0)], block_length=5, max_extra=0)
         assert r.max_block_information == pytest.approx(5.0, abs=1e-6)

@@ -1,21 +1,28 @@
-"""Numerical insertion-channel bounds."""
+"""The insertion-only channel: the indel tables and bounds at P_d = 0."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.bounds.insertion import (
-    insertion_block_bound,
-    insertion_block_transition,
-    insertion_tail_mass,
-)
+from repro.bounds.indel import indel_block_bound_sweep, indel_block_transition_stack
+
+from .oracles import insertion_tail_mass
+
+
+def _insertion_table(n, insertion_prob, max_extra):
+    stack, groups, tails = indel_block_transition_stack(
+        n, [(0.0, insertion_prob)], max_extra=max_extra
+    )
+    return stack[0], groups, float(tails[0])
 
 
 class TestTailMass:
     def test_zero_insertions_no_tail(self):
-        assert insertion_tail_mass(5, 0.0, 0) == pytest.approx(0.0)
+        assert _insertion_table(5, 0.0, 0)[2] == pytest.approx(0.0)
 
     def test_tail_decreases_with_budget(self):
-        masses = [insertion_tail_mass(6, 0.2, k) for k in range(6)]
+        masses = [_insertion_table(6, 0.2, k)[2] for k in range(6)]
         assert masses == sorted(masses, reverse=True)
 
     def test_tail_matches_simulation(self, rng):
@@ -25,38 +32,30 @@ class TestTailMass:
         trials = 200_000
         total = rng.negative_binomial(n, 1 - pi, size=trials)
         sim = (total > k).mean()
-        assert insertion_tail_mass(n, pi, k) == pytest.approx(sim, abs=0.005)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            insertion_tail_mass(0, 0.1, 2)
-        with pytest.raises(ValueError):
-            insertion_tail_mass(5, 1.0, 2)
-        with pytest.raises(ValueError):
-            insertion_tail_mass(5, 0.1, -1)
+        assert _insertion_table(n, pi, k)[2] == pytest.approx(sim, abs=0.005)
 
 
 class TestBlockTransition:
     def test_rows_stochastic_with_overflow(self):
-        t, groups, tail = insertion_block_transition(5, 0.15, max_extra=3)
+        t, _groups, tail = _insertion_table(5, 0.15, 3)
         assert np.allclose(t.sum(axis=1), 1.0)
         assert tail == pytest.approx(insertion_tail_mass(5, 0.15, 3), abs=1e-12)
 
     def test_zero_insertion_identity(self):
-        t, _groups, tail = insertion_block_transition(4, 0.0, max_extra=2)
+        t, _groups, tail = _insertion_table(4, 0.0, 2)
         assert tail == 0.0
         # Only the length-4 block is populated, as identity.
-        block = t[:, :16]
+        offset = sum(2**m for m in range(4))
+        block = t[:, offset : offset + 16]
         assert np.allclose(block, np.eye(16))
-        assert np.allclose(t[:, 16:], 0.0)
+        assert np.allclose(t[:, :offset], 0.0)
+        assert np.allclose(t[:, offset + 16 :], 0.0)
 
     def test_likelihood_consistency_with_simulation(self, rng):
         """P(y|x) from the DP matches Monte-Carlo frequency."""
         n, pi = 4, 0.25
         x = np.array([1, 0, 1, 1])
         # Simulate the Definition-1 insertion process.
-        from collections import Counter
-
         counts = Counter()
         trials = 120_000
         for _ in range(trials):
@@ -66,11 +65,11 @@ class TestBlockTransition:
                     out.append(int(rng.integers(0, 2)))
                 out.append(int(b))
             counts[tuple(out)] += 1
-        t, groups, _tail = insertion_block_transition(n, pi, max_extra=4)
-        # Locate x's row and a few output columns.
+        t, groups, _tail = _insertion_table(n, pi, 4)
+        # Locate x's row and every output column with visible mass.
         x_index = int("".join(map(str, x)), 2)
         col = 0
-        for m, ys in zip(range(n, n + 5), groups):
+        for ys in groups:
             for row_idx in range(ys.shape[0]):
                 y = tuple(int(v) for v in ys[row_idx])
                 expected = t[x_index, col]
@@ -79,26 +78,17 @@ class TestBlockTransition:
                     assert sim == pytest.approx(expected, abs=0.01)
                 col += 1
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            insertion_block_transition(0, 0.1)
-        with pytest.raises(ValueError):
-            insertion_block_transition(4, 0.1, max_extra=99)
-        with pytest.raises(ValueError):
-            insertion_block_transition(4, 1.0)
-
 
 class TestBlockBound:
     def test_zero_insertion_full_rate(self):
-        r = insertion_block_bound(5, 0.0, max_extra=2)
-        assert r.rate_per_symbol == pytest.approx(1.0, abs=1e-6)
+        [r] = indel_block_bound_sweep([(0.0, 0.0)], block_length=5, max_extra=2)
+        assert r.max_block_information / 5 == pytest.approx(1.0, abs=1e-6)
 
     def test_rate_decreases_with_insertion(self):
-        r1 = insertion_block_bound(5, 0.05)
-        r2 = insertion_block_bound(5, 0.25)
-        assert r2.rate_per_symbol < r1.rate_per_symbol
+        r1, r2 = indel_block_bound_sweep([(0.0, 0.05), (0.0, 0.25)], block_length=5)
+        assert r2.max_block_information < r1.max_block_information
 
     def test_rate_in_unit_interval(self):
-        r = insertion_block_bound(6, 0.15)
-        assert 0.0 < r.rate_per_symbol <= 1.0
+        [r] = indel_block_bound_sweep([(0.0, 0.15)], block_length=6)
+        assert 0.0 < r.max_block_information / 6 <= 1.0
         assert r.truncated_mass < 0.05

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.bounds.deletion import block_mutual_information_bound
+from repro.bounds.deletion import block_bound_sweep, deletion_block_transition_stack
 from repro.bounds.markov_input import (
     markov_block_distribution,
-    markov_block_information,
-    optimize_markov_input,
+    optimize_markov_input_sweep,
 )
+from repro.infotheory.entropy import binary_entropy, mutual_information
 
 
 class TestBlockDistribution:
@@ -43,35 +43,34 @@ class TestBlockDistribution:
 
 class TestInformation:
     def test_iid_point_matches_deletion_module(self):
-        b = block_mutual_information_bound(6, 0.2)
-        info = markov_block_information(6, 0.2, 0.5)
-        assert info == pytest.approx(b.iid_block_information, abs=1e-9)
+        [b] = block_bound_sweep([0.2], block_length=6)
+        [bound] = optimize_markov_input_sweep(6, [0.2])
+        assert bound.iid_information == pytest.approx(
+            b.iid_block_information, abs=1e-9
+        )
 
     def test_no_deletion_gives_source_entropy(self):
         # Channel is the identity: I = H(X^n) of the Markov source.
-        from repro.infotheory.entropy import binary_entropy
-
         n, f = 5, 0.2
-        info = markov_block_information(n, 0.0, f)
+        stack, _ = deletion_block_transition_stack(n, [0.0])
+        info = mutual_information(markov_block_distribution(n, f), stack[0])
         assert info == pytest.approx(1 + (n - 1) * binary_entropy(f), abs=1e-9)
 
 
 class TestOptimization:
     def test_bursty_optimum_under_deletions(self):
-        bound = optimize_markov_input(7, 0.3)
+        [bound] = optimize_markov_input_sweep(7, [0.3])
         assert bound.best_flip_prob < 0.5
         assert bound.improvement_over_iid > 0
 
     def test_gain_grows_with_deletion_rate(self):
-        g1 = optimize_markov_input(7, 0.1).improvement_over_iid
-        g2 = optimize_markov_input(7, 0.4).improvement_over_iid
-        assert g2 > g1
+        b1, b2 = optimize_markov_input_sweep(7, [0.1, 0.4])
+        assert b2.improvement_over_iid > b1.improvement_over_iid
 
     def test_markov_never_below_iid(self):
-        for pd in (0.05, 0.2, 0.5):
-            bound = optimize_markov_input(6, pd)
+        for bound in optimize_markov_input_sweep(6, [0.05, 0.2, 0.5]):
             assert bound.block_information >= bound.iid_information - 1e-9
 
     def test_lower_bound_below_erasure(self):
-        bound = optimize_markov_input(7, 0.2)
+        [bound] = optimize_markov_input_sweep(7, [0.2])
         assert bound.lower_bound <= 0.8 + 1e-9

@@ -1,10 +1,10 @@
-"""Batched bound sweeps vs. their scalar twins.
+"""Grid sweeps: the only finite-block path in ``repro.bounds``.
 
-Every ``*_sweep`` function promises the same numbers as calling its
-scalar counterpart point by point (to 1e-12 — batched and scalar solves
-share arithmetic paths down to BLAS reduction order), with the whole
-grid's tables built once and all Blahut-Arimoto solves inside one
-batched kernel invocation.
+Every table builder must reproduce the test-side scalar oracle in
+``tests/bounds/oracles.py`` (bitwise for deletion, to 1e-15 for indel),
+and a point's answer must not depend on the grid it is solved in: a
+one-element sweep matches the same point inside a larger batched grid
+to 1e-12.
 """
 
 import numpy as np
@@ -12,16 +12,13 @@ import pytest
 
 from repro.bounds import (
     block_bound_sweep,
-    block_mutual_information_bound,
     deletion_block_transition_stack,
-    exact_block_transition,
-    indel_block_bound,
     indel_block_bound_sweep,
-    indel_block_transition,
     indel_block_transition_stack,
-    optimize_markov_input,
     optimize_markov_input_sweep,
 )
+
+from .oracles import exact_block_transition, indel_block_transition
 
 PARITY = 1e-12
 
@@ -41,19 +38,34 @@ class TestDeletionStack:
     def test_sweep_matches_scalar_bounds(self):
         sweep = block_bound_sweep(PDS, block_length=4)
         for pd, row in zip(PDS, sweep):
-            scalar = block_mutual_information_bound(4, pd)
-            assert abs(row.lower_bound - scalar.lower_bound) < PARITY
+            [single] = block_bound_sweep([pd], block_length=4)
+            assert abs(row.lower_bound - single.lower_bound) < PARITY
             assert (
-                abs(row.max_block_information - scalar.max_block_information)
+                abs(row.max_block_information - single.max_block_information)
                 < PARITY
             )
             assert (
-                abs(row.iid_block_information - scalar.iid_block_information)
+                abs(row.iid_block_information - single.iid_block_information)
                 < PARITY
             )
+            assert row.status is single.status
 
     def test_empty_grid_is_empty_sweep(self):
         assert block_bound_sweep([], block_length=4) == []
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda pds: deletion_block_transition_stack(4, pds),
+            lambda pds: block_bound_sweep(pds, block_length=4),
+            lambda pds: optimize_markov_input_sweep(4, pds),
+        ],
+        ids=["stack", "block_bound_sweep", "markov_sweep"],
+    )
+    def test_rejects_out_of_range_deletion_prob(self, solve, bad):
+        with pytest.raises(ValueError, match=r"deletion_prob must be in \[0, 1\]"):
+            solve([0.2, bad])
 
 
 class TestIndelStack:
@@ -74,15 +86,18 @@ class TestIndelStack:
         sweep = indel_block_bound_sweep(
             INDEL_GRID, block_length=3, max_extra=2
         )
-        for (pd, pi), row in zip(INDEL_GRID, sweep):
-            scalar = indel_block_bound(3, pd, pi, max_extra=2)
-            assert abs(row.lower_bound - scalar.lower_bound) < PARITY
+        for point, row in zip(INDEL_GRID, sweep):
+            [single] = indel_block_bound_sweep(
+                [point], block_length=3, max_extra=2
+            )
+            assert abs(row.lower_bound - single.lower_bound) < PARITY
             assert (
-                abs(row.max_block_information - scalar.max_block_information)
+                abs(row.max_block_information - single.max_block_information)
                 < PARITY
             )
-            assert abs(row.truncated_mass - scalar.truncated_mass) < 1e-15
-            assert row.erasure_upper == scalar.erasure_upper
+            assert abs(row.truncated_mass - single.truncated_mass) < 1e-15
+            assert row.erasure_upper == single.erasure_upper
+            assert row.status is single.status
 
     def test_rejects_bad_grids(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -98,9 +113,4 @@ class TestMarkovSweep:
         pds = (0.1, 0.3)
         sweep = optimize_markov_input_sweep(4, pds)
         for pd, bound in zip(pds, sweep):
-            scalar = optimize_markov_input(4, pd)
-            assert abs(bound.best_flip_prob - scalar.best_flip_prob) < 1e-8
-            assert (
-                abs(bound.block_information - scalar.block_information) < 1e-10
-            )
-            assert abs(bound.lower_bound - scalar.lower_bound) < 1e-10
+            assert optimize_markov_input_sweep(4, [pd]) == [bound]

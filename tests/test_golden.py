@@ -8,11 +8,8 @@ Blahut-Arimoto and Monte-Carlo simulation; see EXPERIMENTS.md).
 
 import pytest
 
-from repro.bounds.deletion import (
-    block_mutual_information_bound,
-    gallager_lower_bound,
-)
-from repro.bounds.markov_input import optimize_markov_input
+from repro.bounds.deletion import block_bound_sweep, gallager_lower_bound
+from repro.bounds.markov_input import optimize_markov_input_sweep
 from repro.core.capacity import (
     converted_capacity,
     convergence_ratio,
@@ -86,11 +83,11 @@ class TestGoldenBlockBounds:
     """Heavier deterministic computations, looser freeze tolerance."""
 
     def test_block8_deletion_info(self):
-        b = block_mutual_information_bound(8, 0.2)
+        [b] = block_bound_sweep([0.2], block_length=8)
         assert b.max_block_information == pytest.approx(4.52990915, abs=1e-6)
         assert b.iid_block_information == pytest.approx(4.33610051, abs=1e-6)
 
     def test_markov_block8(self):
-        b = optimize_markov_input(8, 0.3)
+        [b] = optimize_markov_input_sweep(8, [0.3])
         assert b.block_information == pytest.approx(3.4634, abs=2e-3)
         assert b.best_flip_prob == pytest.approx(0.297, abs=0.01)
