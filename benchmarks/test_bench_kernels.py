@@ -96,7 +96,9 @@ def test_bench_blahut_arimoto_batched_vs_serial(benchmark):
     """Serial-vs-batched comparison on a stack of small channels.
 
     The batched kernel's promise is amortized dispatch: k channels per
-    einsum instead of k separate solver loops. Reports the batched time
+    einsum instead of k separate solver loops. The serial side is k
+    calls of the scalar ``blahut_arimoto``, i.e. k one-channel calls of
+    the same kernel. Reports the batched time
     via the benchmark fixture, checks 1e-12 parity per channel, and
     asserts the >=3x speedup acceptance target (relaxed under
     ``BENCH_SMOKE``, whose tiny stack sits below the vectorization

@@ -29,9 +29,9 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..infotheory.blahut_arimoto import blahut_arimoto_guarded
+from ..infotheory.blahut_arimoto import _guarded_stack
 from ..infotheory.entropy import binary_entropy, mutual_information
-from ..infotheory.kernels import BATCH_SOLVER, blahut_arimoto_batch
+from ..infotheory.kernels import BATCH_SOLVER
 from ..numerics import SolverStatus, record_status
 from ..store import cached_batch, code_fingerprint
 
@@ -198,43 +198,41 @@ class BlockBoundResult:
     status: SolverStatus = SolverStatus.CONVERGED
 
 
-def _replay_batch_block_status(result: BlockBoundResult) -> None:
-    """Report the stored per-point solver status on a sweep cache hit."""
+def _record_block_status(result: BlockBoundResult) -> None:
+    """Report a point's final solver status: once when it is solved,
+    and again on every sweep cache hit, so cold and warm sweeps record
+    the same counts."""
     record_status(BATCH_SOLVER, result.status)
 
 
 def _solve_block_points(
     n: int, pds: Sequence[float], tol: float
 ) -> List[BlockBoundResult]:
-    """Solve a set of grid points with one batched kernel invocation.
+    """Solve a set of grid points through one degradation ladder.
 
-    Channels whose batched solve ends non-``converged`` fall back to
-    the guarded scalar oracle (:func:`blahut_arimoto_guarded` and its
-    damping/tolerance degradation ladder) — the batched fast path never
+    Points whose plain batched solve ends non-``converged`` are retried
+    together on the damped rungs of
+    :func:`repro.infotheory.blahut_arimoto_guarded`, so batching never
     weakens the sweep's worst-case answer quality.
     """
     stack, _groups = deletion_block_transition_stack(n, pds)
-    batch = blahut_arimoto_batch(stack, tol=tol)
+    solved = _guarded_stack(stack, tol=tol)
     uniform = np.full(stack.shape[1], 1.0 / stack.shape[1])
     results = []
-    for i in range(len(pds)):
-        capacity = float(batch.capacity[i])
-        status = batch.statuses[i]
-        if status is not SolverStatus.CONVERGED:
-            guarded = blahut_arimoto_guarded(stack[i], tol=tol)
-            capacity, status = guarded.capacity, guarded.status
+    for i, ba in enumerate(solved):
         iid_info = mutual_information(uniform, stack[i])
-        lower = max(0.0, (capacity - np.log2(n + 1)) / n)
+        lower = max(0.0, (ba.capacity - np.log2(n + 1)) / n)
         results.append(
             BlockBoundResult(
                 block_length=n,
-                max_block_information=capacity,
+                max_block_information=ba.capacity,
                 iid_block_information=iid_info,
                 lower_bound=float(lower),
                 iid_rate=iid_info / n,
-                status=status,
+                status=ba.status,
             )
         )
+        _record_block_status(results[-1])
     return results
 
 
@@ -270,5 +268,5 @@ def block_bound_sweep(
             block_length, [pds[i] for i in misses], tol
         ),
         fingerprint=code_fingerprint(_solve_block_points),
-        on_hit=_replay_batch_block_status,
+        on_hit=_record_block_status,
     )

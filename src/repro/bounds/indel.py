@@ -173,8 +173,10 @@ class IndelBlockResult:
         return self.erasure_upper - self.lower_bound
 
 
-def _replay_indel_batch_status(result: IndelBlockResult) -> None:
-    """Report the stored per-point solver status on a sweep cache hit."""
+def _record_indel_status(result: IndelBlockResult) -> None:
+    """Report a point's solver status: once when it is solved, and
+    again on every sweep cache hit, so cold and warm sweeps record the
+    same counts."""
     record_status(BATCH_SOLVER, result.status)
 
 
@@ -208,6 +210,7 @@ def _solve_indel_points(
                 status=batch.statuses[i],
             )
         )
+        _record_indel_status(results[-1])
     return results
 
 
@@ -252,5 +255,5 @@ def indel_block_bound_sweep(
             block_length, [points[i] for i in misses], max_extra, tol
         ),
         fingerprint=code_fingerprint(_solve_indel_points),
-        on_hit=_replay_indel_batch_status,
+        on_hit=_record_indel_status,
     )

@@ -6,14 +6,13 @@ the channel capacity ``C = max_{p(x)} I(X; Y)``. It is the numerical
 workhorse used to cross-check every closed-form capacity in this package
 (erasure channels, M-ary symmetric converted channels, Z-channels, ...).
 
-The iteration runs under a :class:`repro.numerics.IterationGuard`: a
-NaN/Inf, divergence, or stall in an extreme regime (``P_d -> 1``,
-near-degenerate transition rows) terminates with an honest
-:class:`repro.numerics.SolverStatus` and the best-so-far estimate
-instead of spinning or poisoning downstream bounds.
-:func:`blahut_arimoto_guarded` adds the degradation ladder (damped
-updates, relaxed tolerance) for callers that must always get a finite
-answer.
+Both entry points call the one guarded iteration,
+:func:`repro.infotheory.kernels.blahut_arimoto_batch`, which ends an
+extreme-regime solve (``P_d -> 1``, near-degenerate rows) with an honest
+:class:`repro.numerics.SolverStatus` and its best-so-far estimate.
+:func:`blahut_arimoto` solves one channel; :func:`blahut_arimoto_guarded`
+adds the degradation ladder (damped updates, relaxed tolerance) over a
+whole stack, for callers that must always get a finite answer.
 
 Reference: R. Blahut, "Computation of channel capacity and
 rate-distortion functions", IEEE Trans. IT, 1972.
@@ -21,23 +20,19 @@ rate-distortion functions", IEEE Trans. IT, 1972.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import replace
+from typing import List, Optional
 
 import numpy as np
 
-from ..numerics import (
-    IterationGuard,
-    SolverDiagnostics,
-    SolverStatus,
-    degrade_gracefully,
-    masked_log2,
-    normalized_exp2,
-    record_status,
-    safe_log2,
-    stage,
-)
+from ..numerics import record_status
 from ..store import cached_solve
+from .kernels import (
+    BatchedBAResult,
+    BlahutArimotoResult,
+    blahut_arimoto_batch,
+    validate_transition_stack,
+)
 
 __all__ = [
     "BlahutArimotoResult",
@@ -45,42 +40,6 @@ __all__ = [
     "blahut_arimoto_guarded",
     "channel_capacity",
 ]
-
-
-@dataclass(frozen=True)
-class BlahutArimotoResult:
-    """Outcome of a Blahut-Arimoto run.
-
-    Attributes
-    ----------
-    capacity:
-        Channel capacity estimate in bits per channel use. On a
-        non-``converged`` status this is the best-so-far (finite)
-        estimate, accurate to within ``gap`` bits.
-    input_distribution:
-        Capacity-achieving input distribution found by the algorithm.
-    iterations:
-        Number of iterations performed.
-    converged:
-        Whether the duality-gap stopping criterion was met
-        (equivalent to ``status is SolverStatus.CONVERGED``).
-    gap:
-        Final upper-bound minus lower-bound gap on the capacity
-        (the best observed gap when not converged).
-    status:
-        Terminal :class:`repro.numerics.SolverStatus` of the solve.
-    diagnostics:
-        Guard trace (:class:`repro.numerics.SolverDiagnostics`) —
-        residual tail, best iteration, degradation retries.
-    """
-
-    capacity: float
-    input_distribution: np.ndarray
-    iterations: int
-    converged: bool
-    gap: float
-    status: SolverStatus = SolverStatus.CONVERGED
-    diagnostics: Optional[SolverDiagnostics] = None
 
 
 @cached_solve("blahut_arimoto")
@@ -94,31 +53,13 @@ def blahut_arimoto(
 ) -> BlahutArimotoResult:
     """Compute DMC capacity via the Blahut-Arimoto iteration.
 
-    Memoized through :mod:`repro.store` when a result store is active
-    (``REPRO_STORE_DIR`` or :func:`repro.store.use_store`); with no
-    store the decorator is a bit-exact pass-through.
-
-    Parameters
-    ----------
-    transition:
-        Row-stochastic matrix ``P(y|x)`` of shape ``(nx, ny)``. Must be
-        finite; non-finite entries are rejected explicitly rather than
-        left to trip the row-sum check.
-    tol:
-        Stopping threshold on the duality gap
-        ``max_x D(W(.|x) || q) - I`` which sandwiches the true capacity.
-    max_iter:
-        Iteration cap.
-    initial_input:
-        Optional starting input distribution (defaults to uniform).
-        Zero entries can never recover under the multiplicative update,
-        so a start point containing exact zeros is smoothed slightly; a
-        strictly positive start point is used exactly as given.
-    damping:
-        Convex-combination weight kept on the previous iterate
-        (``0`` = plain BA update). Used by the degradation ladder to
-        settle oscillating iterates; slows nominal convergence, so the
-        default is off.
+    A one-channel call of
+    :func:`repro.infotheory.kernels.blahut_arimoto_batch` on the
+    ``(nx, ny)`` row-stochastic matrix *transition*; the keywords are
+    the kernel's. Memoized through :mod:`repro.store` when a result
+    store is active (``REPRO_STORE_DIR`` or
+    :func:`repro.store.use_store`); with no store the decorator is a
+    bit-exact pass-through.
 
     Returns
     -------
@@ -131,117 +72,100 @@ def blahut_arimoto(
     w = np.asarray(transition, dtype=float)
     if w.ndim != 2:
         raise ValueError("transition must be a 2-D matrix P(y|x)")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("transition matrix contains non-finite entries")
-    if np.any(w < 0):
-        raise ValueError("transition probabilities must be non-negative")
-    if not np.allclose(w.sum(axis=1), 1.0, atol=1e-9):
-        raise ValueError("transition matrix rows must each sum to 1")
-    if not 0.0 <= damping < 1.0:
-        raise ValueError("damping must be in [0, 1)")
-    nx = w.shape[0]
-
-    if initial_input is None:
-        p = np.full(nx, 1.0 / nx)
-    else:
-        p = np.asarray(initial_input, dtype=float)
-        if p.shape != (nx,):
-            raise ValueError("initial_input has wrong shape")
-        if np.any(p < 0) or not np.isclose(p.sum(), 1.0, atol=1e-9):
-            raise ValueError("initial_input must be a distribution")
-        if np.any(p == 0):
-            # Zero entries can never recover; smooth slightly. A
-            # strictly positive start point passes through untouched.
-            p = (p + 1e-12) / (p + 1e-12).sum()
-
-    log_w = masked_log2(w)
-
-    guard = IterationGuard(
-        "blahut_arimoto", max_iter=max_iter, tol=tol, stall_window=200
+    batch: BatchedBAResult = blahut_arimoto_batch(
+        w[None],
+        tol=tol,
+        max_iter=max_iter,
+        initial_input=initial_input,
+        damping=damping,
     )
-    capacity = 0.0
-    gap = float("inf")
-    status: Optional[SolverStatus] = None
-    with stage("solver"):
-        while status is None:
-            q = p @ w  # output distribution, shape (ny,)
-            # D(W(.|x) || q) for each x, in bits.
-            log_q = safe_log2(q)
-            d = np.einsum("xy,xy->x", w, log_w - log_q[None, :])
-            capacity = float(p @ d)  # lower bound: I(p, W)
-            upper = float(d.max())  # upper bound on C
-            gap = upper - capacity
-            status = guard.update(gap, value=(capacity, p))
-            if status is not None:
-                break
-            # Multiplicative update p_{t+1}(x) ∝ p_t(x) 2^{D(W(.|x)||q)},
-            # computed as a stabilized base-2 softmax.
-            p_next = normalized_exp2(safe_log2(p) + d)
-            if damping > 0.0:
-                p_next = (1.0 - damping) * p_next + damping * p
-            p = p_next
-
-    if status is not SolverStatus.CONVERGED and guard.best_value is not None:
-        # Honest fallback: report the best finite iterate, not the last.
-        capacity, p = guard.best_value
-        gap = guard.best_residual
-    if not np.isfinite(capacity):
-        capacity, gap = 0.0, float("inf")
-
-    return BlahutArimotoResult(
-        capacity=max(0.0, capacity),
-        input_distribution=p,
-        iterations=guard.iterations,
-        converged=status is SolverStatus.CONVERGED,
-        gap=gap,
-        status=status,
-        diagnostics=guard.diagnostics(),
-    )
+    return batch.unbatch()[0]
 
 
-#: Degradation ladder for :func:`blahut_arimoto_guarded`: progressively
-#: heavier damping to settle oscillation/stall, then a relaxed
-#: tolerance to accept a near-converged gap.
-_DEGRADE_LADDER = (
-    {"damping": 0.5},
-    {"damping": 0.9, "tol_scale": 1e4},
-)
+#: Degradation ladder of :func:`blahut_arimoto_guarded` as
+#: ``(damping, tolerance scale)`` rungs: the plain iteration, damping to
+#: settle oscillation/stall, then heavy damping with a relaxed tolerance
+#: to accept a near-converged gap.
+_DEGRADE_LADDER = ((0.0, 1.0), (0.5, 1.0), (0.9, 1e4))
 
 
-def _replay_guarded_status(result: BlahutArimotoResult) -> None:
-    """On a cache hit, report the stored terminal status so a warm run
-    surfaces the same solver health the cold run observed."""
-    record_status("blahut_arimoto", result.status)
-
-
-@cached_solve("blahut_arimoto_guarded", on_hit=_replay_guarded_status)
-def blahut_arimoto_guarded(
-    transition: np.ndarray,
+def _guarded_stack(
+    transitions: np.ndarray,
     *,
     tol: float = 1e-10,
     max_iter: int = 10_000,
     initial_input: Optional[np.ndarray] = None,
-) -> BlahutArimotoResult:
+) -> List[BlahutArimotoResult]:
+    """The degradation ladder over a channel stack; records nothing.
+
+    Each rung is one batched solve of the channels that no earlier rung
+    converged. Per channel it keeps the converged attempt, otherwise the
+    attempt with the lowest gap (ties go to the earlier attempt), and
+    sets ``diagnostics.retries`` to the number of extra attempts that
+    channel ran.
+    """
+    w = validate_transition_stack(transitions)
+    init = None if initial_input is None else np.asarray(initial_input, dtype=float)
+    attempts: List[List[BlahutArimotoResult]] = [[] for _ in range(len(w))]
+    todo = list(range(len(w)))
+    for damping, tol_scale in _DEGRADE_LADDER:
+        # Annotated so the effect analysis can type the .unbatch() call.
+        batch: BatchedBAResult = blahut_arimoto_batch(
+            w[todo],
+            tol=tol * tol_scale,
+            max_iter=max_iter,
+            initial_input=init if init is None or init.ndim == 1 else init[todo],
+            damping=damping,
+        )
+        for i, result in zip(todo, batch.unbatch()):
+            attempts[i].append(result)
+        todo = [i for i in todo if not attempts[i][-1].converged]
+        if not todo:
+            break
+    chosen = []
+    for tried in attempts:
+        best = tried[-1] if tried[-1].converged else min(tried, key=lambda r: r.gap)
+        if len(tried) > 1 and best.diagnostics is not None:
+            retried = replace(best.diagnostics, retries=len(tried) - 1)
+            best = replace(best, diagnostics=retried)
+        chosen.append(best)
+    return chosen
+
+
+def _record_guarded_statuses(results: List[BlahutArimotoResult]) -> None:
+    """Report each channel's terminal status to the status collector;
+    also replayed on a cache hit, so a warm run surfaces the same
+    solver health the cold run observed."""
+    for result in results:
+        record_status("blahut_arimoto", result.status)
+
+
+@cached_solve("blahut_arimoto_guarded", on_hit=_record_guarded_statuses)
+def blahut_arimoto_guarded(
+    transitions: np.ndarray,
+    *,
+    tol: float = 1e-10,
+    max_iter: int = 10_000,
+    initial_input: Optional[np.ndarray] = None,
+) -> List[BlahutArimotoResult]:
     """Blahut-Arimoto under the full graceful-degradation policy.
 
-    Runs the plain iteration first; on any non-``converged`` status
-    retries with damped updates, then with heavy damping and a relaxed
-    tolerance. Always returns a finite estimate: the first converged
-    attempt, or the best-so-far attempt with an honest status. The
+    Takes one ``(nx, ny)`` matrix or a ``(k, nx, ny)`` stack and returns
+    one result per channel (a single matrix is a one-element stack:
+    ``[r] = blahut_arimoto_guarded(w)``). Runs the plain iteration
+    first; channels that end non-``converged`` are retried with damped
+    updates, then with heavy damping and a relaxed tolerance, each rung
+    as one batched solve over the channels still unconverged. Always
+    returns finite estimates: per channel the converged attempt, or
+    the best-so-far attempt with an honest status. Each channel's
     terminal status is reported to the experiment runner's status
     collector (:func:`repro.numerics.collect_solver_statuses`).
     """
-
-    def solve(damping: float = 0.0, tol_scale: float = 1.0) -> BlahutArimotoResult:
-        return blahut_arimoto(
-            transition,
-            tol=tol * tol_scale,
-            max_iter=max_iter,
-            initial_input=initial_input,
-            damping=damping,
-        )
-
-    return degrade_gracefully(solve, _DEGRADE_LADDER, solver="blahut_arimoto")
+    results = _guarded_stack(
+        transitions, tol=tol, max_iter=max_iter, initial_input=initial_input
+    )
+    _record_guarded_statuses(results)
+    return results
 
 
 def channel_capacity(transition: np.ndarray, *, tol: float = 1e-10) -> float:

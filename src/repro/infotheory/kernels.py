@@ -1,28 +1,18 @@
 """Batched multi-channel solver kernels (stack-of-channels Blahut-Arimoto).
 
-Every bound sweep in this package — the E9 deletion grid, the indel
-``(P_d, P_i)`` grids, service query batches — evaluates the *same*
-algorithm over many small channels. Solving them one at a time pays the
-Python/numpy dispatch overhead per channel per iteration; these kernels
-instead operate on a ``(k, nx, ny)`` **stack** of transition matrices
-with one extra leading axis and einsum/broadcast throughout, so a
-k-channel sweep costs one well-vectorized iteration loop.
-
-Per-channel convergence is tracked with boolean masks: channels that
-meet the duality-gap criterion freeze (their iterates stop updating and
-drop out of the arithmetic) while stragglers keep iterating — the
-kernel's cost tracks the *slowest* channel only in iteration count, not
-in per-iteration width. The guard semantics mirror
-:class:`repro.numerics.IterationGuard` exactly (aborted / converged /
-diverged / stalled / max-iter classification in that order, best-so-far
-fallback for non-converged channels), so a batched sweep reports the
-same solver health the scalar loop would.
-
-The O(k·nx·ny) inner primitive is one einsum divergence step
-(:func:`_divergence_step`) shared by both kernels. The scalar
-:func:`repro.infotheory.blahut_arimoto.blahut_arimoto` remains the
-reference oracle — the parity suite holds this kernel to 1e-12 against
-it per channel.
+:func:`blahut_arimoto_batch` is the package's one Blahut-Arimoto
+iteration. It runs over a ``(k, nx, ny)`` **stack** of transition
+matrices with one extra leading einsum axis, so a k-channel sweep (the
+E9 deletion grid, the indel grids, a service batch) costs one
+vectorized loop; the scalar :func:`repro.infotheory.blahut_arimoto` is
+a one-stack call, and :func:`repro.infotheory.blahut_arimoto_guarded`
+runs its damped rungs as sub-stack calls. Channels that reach a
+terminal status drop out of the working arrays while stragglers
+iterate. The guard mirrors :class:`repro.numerics.IterationGuard`
+(aborted / converged / diverged / stalled / max-iter, in that order,
+with best-so-far fallback). The test suite keeps the original scalar
+loop as the reference oracle and holds this kernel to 1e-12 against it
+per channel.
 """
 
 from __future__ import annotations
@@ -38,14 +28,13 @@ from ..numerics import (
     SolverStatus,
     masked_log2,
     normalized_exp2,
-    record_status,
     safe_log2,
     stage,
 )
-from .blahut_arimoto import BlahutArimotoResult
 
 __all__ = [
     "BATCH_SOLVER",
+    "BlahutArimotoResult",
     "BatchedBAResult",
     "PenalizedBABatchResult",
     "validate_transition_stack",
@@ -55,6 +44,12 @@ __all__ = [
 
 #: Solver name batched runs report under (status collector + diagnostics).
 BATCH_SOLVER = "blahut_arimoto_batch"
+
+#: Guard settings of every Blahut-Arimoto solve: iterations without a
+#: new best gap before a channel is ``stalled``, and the growth over
+#: its best gap that makes it ``diverged``.
+STALL_WINDOW = 200
+DIVERGENCE_FACTOR = 1e6
 
 #: Severity order used to summarize a stack's statuses into one
 #: diagnostics status (worst wins; CONVERGED only if unanimous).
@@ -112,10 +107,10 @@ def validate_transition_stack(transitions: np.ndarray) -> np.ndarray:
 def _initial_stack(
     initial_input: Optional[np.ndarray], k: int, nx: int
 ) -> np.ndarray:
-    """Per-channel starting distributions with the scalar smoothing rule."""
+    """Per-channel start points: a fresh copy, never the caller's array."""
     if initial_input is None:
         return np.full((k, nx), 1.0 / nx)
-    p = np.asarray(initial_input, dtype=float)
+    p = np.array(initial_input, dtype=float)
     if p.shape == (nx,):
         p = np.broadcast_to(p, (k, nx)).copy()
     if p.shape != (k, nx):
@@ -130,6 +125,42 @@ def _initial_stack(
         smoothed = p[rows] + 1e-12
         p[rows] = smoothed / smoothed.sum(axis=1, keepdims=True)
     return p
+
+
+@dataclass(frozen=True)
+class BlahutArimotoResult:
+    """Outcome of a Blahut-Arimoto run on one channel.
+
+    Attributes
+    ----------
+    capacity:
+        Channel capacity estimate in bits per channel use. On a
+        non-``converged`` status this is the best-so-far (finite)
+        estimate, accurate to within ``gap`` bits.
+    input_distribution:
+        Capacity-achieving input distribution found by the algorithm.
+    iterations:
+        Number of iterations performed.
+    converged:
+        Whether the duality-gap stopping criterion was met
+        (equivalent to ``status is SolverStatus.CONVERGED``).
+    gap:
+        Final upper-bound minus lower-bound gap on the capacity
+        (the best observed gap when not converged).
+    status:
+        Terminal :class:`repro.numerics.SolverStatus` of the solve.
+    diagnostics:
+        Guard trace (:class:`repro.numerics.SolverDiagnostics`) —
+        residual tail, best iteration, degradation retries.
+    """
+
+    capacity: float
+    input_distribution: np.ndarray
+    iterations: int
+    converged: bool
+    gap: float
+    status: SolverStatus = SolverStatus.CONVERGED
+    diagnostics: Optional[SolverDiagnostics] = None
 
 
 @dataclass(frozen=True)
@@ -174,9 +205,10 @@ class BatchedBAResult:
     def unbatch(self) -> List[BlahutArimotoResult]:
         """Split into per-channel scalar-shaped results.
 
-        Each entry mirrors what the scalar solver would return for that
-        channel (capacity, distribution, iterations, status, gap); the
-        shared stack-level diagnostics are attached to every entry.
+        Each entry is what :func:`repro.infotheory.blahut_arimoto`
+        returns for that channel alone (capacity, distribution,
+        iterations, status, gap); the shared stack-level diagnostics are
+        attached to every entry.
         """
         return [
             BlahutArimotoResult(
@@ -220,138 +252,139 @@ def blahut_arimoto_batch(
     tol: float = 1e-10,
     max_iter: int = 10_000,
     initial_input: Optional[np.ndarray] = None,
-    stall_window: int = 200,
-    divergence_factor: float = 1e6,
+    damping: float = 0.0,
 ) -> BatchedBAResult:
     """Blahut-Arimoto over a ``(k, nx, ny)`` stack of channels at once.
 
-    Semantics match running the scalar
-    :func:`~repro.infotheory.blahut_arimoto.blahut_arimoto` (with its
-    default guard: ``stall_window=200``, divergence at ``1e6 ×`` best)
-    independently per channel — capacity, input distribution, and gap
-    agree to 1e-12 — but the iteration is one vectorized loop whose
-    per-sweep cost covers only the channels still active: early
-    finishers freeze while stragglers iterate.
+    Each channel ends exactly as if solved alone; its stack-mates only
+    share the loop. Records no solver status.
 
     Parameters
     ----------
     transitions:
         Channel stack ``(k, nx, ny)``; a single matrix is promoted to
-        a 1-stack. All channels must share the alphabet shape — pad
-        heterogeneous sweeps (see the bounds sweeps) before stacking.
-    tol, max_iter, initial_input:
-        As in the scalar solver; ``initial_input`` may be one ``(nx,)``
-        row shared by the stack or a full ``(k, nx)`` array.
-    stall_window, divergence_factor:
-        Guard parameters (scalar defaults).
+        a 1-stack. All channels share the alphabet shape (pad
+        heterogeneous sweeps before stacking).
+    tol:
+        Stopping threshold on the duality gap
+        ``max_x D(W(.|x) || q) - I``, which sandwiches the capacity.
+    max_iter:
+        Iteration cap.
+    initial_input:
+        Start point (default uniform): one ``(nx,)`` row for the stack
+        or a ``(k, nx)`` array. Rows with exact zeros are smoothed (a
+        zero never recovers under the multiplicative update); strictly
+        positive rows are used exactly. Never written to.
+    damping:
+        Weight kept on the previous iterate (``0`` = plain update); the
+        degradation ladder uses it to settle oscillating iterates.
     """
+    if not 0.0 <= damping < 1.0:
+        raise ValueError("damping must be in [0, 1)")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    if tol < 0:
+        raise ValueError("tol must be non-negative")
     w = validate_transition_stack(transitions)
     k, nx, _ny = w.shape
     p = _initial_stack(initial_input, k, nx)
     log_w = masked_log2(w)
 
+    statuses = [SolverStatus.MAX_ITER] * k
     iterations = np.zeros(k, dtype=np.int64)
-    status_codes: List[Optional[SolverStatus]] = [None] * k
+    out_capacity = np.zeros(k)
+    out_p = np.empty((k, nx))
+    out_gap = np.full(k, np.inf)
+    tail: Deque[float] = deque(maxlen=8)
+    # Working state of the active channels only: row j of every array
+    # below belongs to channel idx[j]. All active channels started
+    # together, so they share one iteration count.
+    idx = np.arange(k)
     best_gap = np.full(k, np.inf)
     best_iteration = np.zeros(k, dtype=np.int64)
-    out_capacity = np.zeros(k)
-    out_p = p.copy()
-    out_gap = np.full(k, np.inf)
-    have_best = np.zeros(k, dtype=bool)
     best_capacity = np.zeros(k)
-    best_p = p.copy()
-    active = np.ones(k, dtype=bool)
-    tail: Deque[float] = deque(maxlen=8)
+    best_p = np.empty_like(p)  # a row is written before it is read
+    it = 0
 
     with stage("solver"):
-        while active.any():
-            idx = np.nonzero(active)[0]
-            pa = p[idx]
-            d = _divergence_step(pa, w[idx], log_w[idx])
-            capacity = np.einsum("kx,kx->k", pa, d)
-            gap = d.max(axis=1) - capacity
-            iterations[idx] += 1
-            it = iterations[idx]
-            tail.append(float(np.max(gap)))
+        while True:
+            it += 1
+            d = _divergence_step(p, w, log_w)
+            capacity = np.einsum("kx,kx->k", p, d)
+            gap = np.max(d, axis=1) - capacity
+            tail.append(float(gap.max()))
 
             # Classification order mirrors IterationGuard.update:
             # non-finite -> aborted; best-so-far bookkeeping; gap <= tol
             # -> converged; divergence vs. best; stall window; max_iter.
             finite = np.isfinite(gap)
-            improved = finite & (gap < best_gap[idx])
-            imp = idx[improved]
-            best_gap[imp] = gap[improved]
-            best_iteration[imp] = it[improved]
-            best_capacity[imp] = capacity[improved]
-            best_p[imp] = pa[improved]
-            have_best[imp] = True
-
+            improved = finite & (gap < best_gap)
+            if improved.all():
+                # The common case; these arrays are fresh every sweep.
+                best_gap, best_capacity, best_p = gap, capacity, p
+                best_iteration.fill(it)
+            elif improved.any():
+                best_gap[improved] = gap[improved]
+                best_iteration[improved] = it
+                best_capacity[improved] = capacity[improved]
+                best_p[improved] = p[improved]
             conv = finite & (gap <= tol)
-            div = (
-                finite
-                & ~conv
-                & np.isfinite(best_gap[idx])
-                & (gap > divergence_factor * np.maximum(best_gap[idx], 1e-30))
-            )
-            stall = (
-                finite
-                & ~conv
-                & ~div
-                & (it - best_iteration[idx] >= stall_window)
-            )
-            capped = finite & ~conv & ~div & ~stall & (it >= max_iter)
-            aborted = ~finite
-
-            for status, mask in (
-                (SolverStatus.ABORTED, aborted),
-                (SolverStatus.CONVERGED, conv),
-                (SolverStatus.DIVERGED, div),
-                (SolverStatus.STALLED, stall),
-                (SolverStatus.MAX_ITER, capped),
-            ):
-                if mask.any():
-                    for channel in idx[mask]:
-                        status_codes[channel] = status
-            done = aborted | conv | div | stall | capped
+            done = ~finite | conv
+            # Only a channel whose finite best gap did not just improve
+            # can diverge or stall.
+            div = stall = lagging = ~(done | improved)
+            if lagging.any():
+                div = lagging & (
+                    gap > DIVERGENCE_FACTOR * np.maximum(best_gap, 1e-30)
+                )
+                stall = lagging & ~div & (it - best_iteration >= STALL_WINDOW)
+                done = done | div | stall
+            if it >= max_iter:
+                done[:] = True
             if done.any():
-                # Terminal channels keep their *current* iterate here;
-                # non-converged ones are replaced by best-so-far below.
+                for status, mask in (
+                    (SolverStatus.ABORTED, ~finite),
+                    (SolverStatus.CONVERGED, conv),
+                    (SolverStatus.DIVERGED, div),
+                    (SolverStatus.STALLED, stall),
+                ):
+                    for channel in idx[mask]:
+                        statuses[channel] = status
+                # Honest fallback: a non-converged channel reports its
+                # best finite iterate (if any), not its last one.
                 t = idx[done]
-                out_capacity[t] = capacity[done]
-                out_p[t] = pa[done]
-                out_gap[t] = gap[done]
-                active[t] = False
-            cont = ~done
-            if cont.any():
-                ci = idx[cont]
-                p[ci] = normalized_exp2(safe_log2(pa[cont]) + d[cont], axis=-1)
+                fb = (~conv & np.isfinite(best_gap))[done]
+                out_capacity[t] = np.where(fb, best_capacity[done], capacity[done])
+                out_gap[t] = np.where(fb, best_gap[done], gap[done])
+                out_p[t] = np.where(fb[:, None], best_p[done], p[done])
+                iterations[t] = it
+                if done.all():
+                    break
+                keep = ~done
+                idx, w, log_w, p, d = idx[keep], w[keep], log_w[keep], p[keep], d[keep]
+                best_gap = best_gap[keep]
+                best_iteration = best_iteration[keep]
+                best_capacity = best_capacity[keep]
+                best_p = best_p[keep]
+            # Multiplicative update p(x) <- p(x) 2^{D(W(.|x)||q)}, as a
+            # stabilized base-2 softmax.
+            p_next = normalized_exp2(safe_log2(p) + d, axis=-1)
+            if damping > 0.0:
+                p_next = (1.0 - damping) * p_next + damping * p
+            p = p_next
 
-    statuses = tuple(
-        s if s is not None else SolverStatus.MAX_ITER for s in status_codes
-    )
-    converged = np.array(
-        [s is SolverStatus.CONVERGED for s in statuses], dtype=bool
-    )
-    # Honest fallback, as in the scalar solver: a non-converged channel
-    # reports its best finite iterate, not its last one.
-    fallback = ~converged & have_best
-    out_capacity[fallback] = best_capacity[fallback]
-    out_p[fallback] = best_p[fallback]
-    out_gap[fallback] = best_gap[fallback]
     bad = ~np.isfinite(out_capacity)
     out_capacity[bad] = 0.0
     out_gap[bad] = np.inf
-
-    for status in statuses:
-        record_status(BATCH_SOLVER, status)
+    final = tuple(statuses)
     return BatchedBAResult(
         capacity=np.maximum(0.0, out_capacity),
         input_distribution=out_p,
         iterations=iterations,
-        converged=converged,
+        converged=np.array([s is SolverStatus.CONVERGED for s in final]),
         gap=out_gap,
-        statuses=statuses,
-        diagnostics=_stack_diagnostics(statuses, iterations, out_gap, tail),
+        statuses=final,
+        diagnostics=_stack_diagnostics(final, iterations, out_gap, tail),
     )
 
 

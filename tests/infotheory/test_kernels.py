@@ -1,15 +1,19 @@
 """Batched kernels vs. the scalar oracle: property-style parity at 1e-12.
 
-The batched kernels promise *semantic* equality with the scalar
-Blahut-Arimoto loop — same capacity, same input distribution, same
-iteration count and terminal status per channel — while iterating a
-whole ``(k, nx, ny)`` stack at once. These tests hold them to that over
-randomized stacks (structural zeros, near-deterministic rows, shared
-and per-channel starting points).
+The batched kernel is the package's one Blahut-Arimoto loop and
+promises *semantic* equality with the original scalar loop
+(:func:`tests.infotheory.oracles.reference_blahut_arimoto`) — same
+capacity, same input distribution, same iteration count and terminal
+status per channel — while iterating a whole ``(k, nx, ny)`` stack at
+once. These tests hold it to that over randomized and generated stacks
+(structural zeros, near-deterministic rows, erasure rows at P_d -> 1,
+damping, shared and per-channel starting points).
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.infotheory import (
     BatchedBAResult,
@@ -19,7 +23,14 @@ from repro.infotheory import (
     validate_transition_stack,
 )
 from repro.infotheory.kernels import BATCH_SOLVER, _divergence_step
-from repro.numerics import SolverStatus, masked_log2, safe_log2
+from repro.numerics import (
+    SolverStatus,
+    collect_solver_statuses,
+    masked_log2,
+    safe_log2,
+)
+
+from .oracles import reference_blahut_arimoto
 
 PARITY = 1e-12
 
@@ -44,10 +55,16 @@ def random_stack(
     return w / w.sum(axis=2, keepdims=True)
 
 
-def assert_batch_matches_scalar(stack, *, tol=1e-10, max_iter=10_000):
-    batch = blahut_arimoto_batch(stack, tol=tol, max_iter=max_iter)
+def assert_batch_matches_scalar(
+    stack, *, tol=1e-10, max_iter=10_000, damping=0.0
+):
+    batch = blahut_arimoto_batch(
+        stack, tol=tol, max_iter=max_iter, damping=damping
+    )
     for i in range(stack.shape[0]):
-        scalar = blahut_arimoto(stack[i], tol=tol, max_iter=max_iter)
+        scalar = reference_blahut_arimoto(
+            stack[i], tol=tol, max_iter=max_iter, damping=damping
+        )
         assert abs(batch.capacity[i] - scalar.capacity) < PARITY
         assert np.max(
             np.abs(batch.input_distribution[i] - scalar.input_distribution)
@@ -111,13 +128,69 @@ class TestBatchScalarParity:
         batch = assert_batch_matches_scalar(stack)
         assert batch.iterations[0] < batch.iterations[1]
 
+    @pytest.mark.parametrize("damping", [0.5, 0.9])
+    def test_damped_updates(self, damping):
+        stack = random_stack(3, 3, 4, seed=19, zero_fraction=0.2)
+        assert_batch_matches_scalar(stack, damping=damping)
+
+
+def _erasure_rows(rng, k, nx, ny):
+    """Channels whose rows keep one symbol with prob 1 - P_d and erase
+    it (last column) otherwise, with P_d at or near 1."""
+    w = np.zeros((k, nx, ny))
+    pds = rng.choice([0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-12, 1.0], (k, nx))
+    keep = rng.integers(0, ny - 1, (k, nx))
+    ks, xs = np.meshgrid(np.arange(k), np.arange(nx), indexing="ij")
+    w[ks, xs, keep] = 1.0 - pds
+    w[:, :, -1] += pds
+    return w
+
+
+@st.composite
+def channel_stacks(draw):
+    """Small stacks of one generated regime, as a normalized array."""
+    k = draw(st.integers(1, 4))
+    nx = draw(st.integers(1, 4))
+    ny = draw(st.integers(2, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    regime = draw(
+        st.sampled_from(["random", "zeros", "near_deterministic", "erasure"])
+    )
+    if regime == "erasure":
+        return _erasure_rows(np.random.default_rng(seed), k, nx, ny)
+    return random_stack(
+        k,
+        nx,
+        ny,
+        seed=seed,
+        zero_fraction=0.5 if regime == "zeros" else 0.0,
+        near_deterministic=regime == "near_deterministic",
+    )
+
+
+class TestGeneratedParity:
+    """Generated stacks, every damping rung the ladder uses: each
+    channel matches the scalar oracle in capacity, distribution, gap,
+    iteration count and status."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        stack=channel_stacks(),
+        damping=st.sampled_from([0.0, 0.5, 0.9]),
+        tol=st.sampled_from([1e-10, 1e-6]),
+    )
+    def test_kernel_matches_scalar_oracle(self, stack, damping, tol):
+        assert_batch_matches_scalar(
+            stack, tol=tol, max_iter=500, damping=damping
+        )
+
 
 class TestBatchSemantics:
     def test_single_matrix_promoted(self):
         w = np.array([[0.9, 0.1], [0.2, 0.8]])
         batch = blahut_arimoto_batch(w)
         assert len(batch) == 1
-        scalar = blahut_arimoto(w)
+        scalar = reference_blahut_arimoto(w)
         assert abs(batch.capacity[0] - scalar.capacity) < PARITY
 
     def test_unbatch_mirrors_scalar_results(self):
@@ -125,7 +198,7 @@ class TestBatchSemantics:
         parts = blahut_arimoto_batch(stack).unbatch()
         assert len(parts) == 5
         for part, w in zip(parts, stack):
-            scalar = blahut_arimoto(w)
+            scalar = reference_blahut_arimoto(w)
             assert abs(part.capacity - scalar.capacity) < PARITY
             assert part.converged == scalar.converged
             assert part.status is scalar.status
@@ -135,11 +208,51 @@ class TestBatchSemantics:
         shared = np.array([0.4, 0.3, 0.2, 0.1])
         batch = blahut_arimoto_batch(stack, initial_input=shared)
         for i in range(3):
-            scalar = blahut_arimoto(stack[i], initial_input=shared)
+            scalar = reference_blahut_arimoto(stack[i], initial_input=shared)
             assert abs(batch.capacity[i] - scalar.capacity) < PARITY
         per_channel = np.tile(shared, (3, 1))
         batch2 = blahut_arimoto_batch(stack, initial_input=per_channel)
         np.testing.assert_array_equal(batch.capacity, batch2.capacity)
+
+    def test_initial_input_is_not_overwritten(self):
+        # A float (k, nx) start point used to be aliased and come back
+        # holding the final iterates (and its zero rows smoothed).
+        stack = random_stack(2, 2, 3, seed=67)
+        for init in (
+            np.array([[0.3, 0.7], [0.6, 0.4]]),
+            np.array([[1.0, 0.0], [0.6, 0.4]]),
+        ):
+            before = init.copy()
+            blahut_arimoto_batch(stack, initial_input=init)
+            np.testing.assert_array_equal(init, before)
+
+    def test_scalar_solver_is_a_one_stack_call(self):
+        w = random_stack(1, 3, 4, seed=71)[0]
+        scalar = blahut_arimoto(w, damping=0.5)
+        [part] = blahut_arimoto_batch(w[None], damping=0.5).unbatch()
+        assert scalar.capacity == part.capacity
+        np.testing.assert_array_equal(
+            scalar.input_distribution, part.input_distribution
+        )
+        assert (scalar.iterations, scalar.status) == (
+            part.iterations,
+            part.status,
+        )
+
+    def test_kernel_records_no_status(self):
+        with collect_solver_statuses() as counts:
+            blahut_arimoto_batch(random_stack(3, 2, 2, seed=73))
+            blahut_arimoto(random_stack(1, 2, 2, seed=79)[0])
+        assert counts == {}
+
+    def test_guard_arguments_validated(self):
+        w = random_stack(1, 2, 2, seed=83)
+        with pytest.raises(ValueError, match="damping"):
+            blahut_arimoto_batch(w, damping=1.0)
+        with pytest.raises(ValueError, match="max_iter"):
+            blahut_arimoto_batch(w, max_iter=0)
+        with pytest.raises(ValueError, match="tol"):
+            blahut_arimoto_batch(w, tol=-1.0)
 
     def test_diagnostics_report_statuses(self):
         stack = random_stack(4, 3, 3, seed=37)

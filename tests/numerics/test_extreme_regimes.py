@@ -39,7 +39,7 @@ class TestDeletionLimit:
     @pytest.mark.parametrize("pd", EXTREME_PD)
     def test_erasure_channel_near_pd_one(self, pd):
         w = binary_erasure_channel(pd).transition_matrix
-        result = blahut_arimoto_guarded(w)
+        [result] = blahut_arimoto_guarded(w)
         assert_honest(result)
         if result.converged:
             tolerance = max(1e-8, 10.0 * result.gap)
@@ -47,7 +47,7 @@ class TestDeletionLimit:
 
     @pytest.mark.parametrize("pd", EXTREME_PD)
     def test_z_channel_near_pd_one(self, pd):
-        result = blahut_arimoto_guarded(z_channel(pd).transition_matrix)
+        [result] = blahut_arimoto_guarded(z_channel(pd).transition_matrix)
         assert_honest(result)
         # The capacity-achieving input mass vanishes as pd -> 1; the
         # solve may honestly report max_iter, but the best-so-far
@@ -55,7 +55,7 @@ class TestDeletionLimit:
         assert abs(result.capacity - z_channel_capacity(pd)) <= 1e-6
 
     def test_exact_pd_one_is_zero_capacity(self):
-        result = blahut_arimoto_guarded(
+        [result] = blahut_arimoto_guarded(
             binary_erasure_channel(1.0).transition_matrix
         )
         assert_honest(result)
@@ -72,7 +72,7 @@ class TestInsertionPlusDeletionLimit:
         pi = (1.0 - pd) / 2.0 - 1e-9
         keep = 1.0 - pd - pi
         w = np.array([[keep, pi, pd], [pi, keep, pd]])
-        result = blahut_arimoto_guarded(w)
+        [result] = blahut_arimoto_guarded(w)
         assert_honest(result)
         assert result.capacity <= 1e-6
 
@@ -80,7 +80,7 @@ class TestInsertionPlusDeletionLimit:
         # insertion_prob = 1 drives the converted M-ary channel to the
         # uniform (zero-capacity) table.
         w = converted_channel(2, 1.0).transition_matrix
-        result = blahut_arimoto_guarded(w)
+        [result] = blahut_arimoto_guarded(w)
         assert_honest(result)
         assert result.capacity == pytest.approx(0.0, abs=1e-9)
 
@@ -88,7 +88,7 @@ class TestInsertionPlusDeletionLimit:
 class TestDegenerateTables:
     def test_one_column_channel(self):
         # Every input maps to the same output: capacity exactly 0.
-        result = blahut_arimoto_guarded(np.ones((4, 1)))
+        [result] = blahut_arimoto_guarded(np.ones((4, 1)))
         assert_honest(result)
         assert result.status is SolverStatus.CONVERGED
         assert result.capacity == pytest.approx(0.0, abs=1e-12)
@@ -96,7 +96,7 @@ class TestDegenerateTables:
     def test_duplicate_row_channel(self):
         # Two indistinguishable inputs; capacity of the merged channel.
         w = np.array([[0.9, 0.1], [0.9, 0.1], [0.1, 0.9]])
-        result = blahut_arimoto_guarded(w)
+        [result] = blahut_arimoto_guarded(w)
         assert_honest(result)
         assert result.converged
 
@@ -121,7 +121,7 @@ class TestHonestPartialAnswers:
         ] + [np.ones((3, 1))]
         with collect_solver_statuses() as counts:
             for w in grid:
-                result = blahut_arimoto_guarded(w)
+                [result] = blahut_arimoto_guarded(w)
                 assert np.isfinite(result.capacity)
         recorded = sum(
             count

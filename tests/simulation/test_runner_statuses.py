@@ -27,7 +27,7 @@ class TestSolverStatusSurface:
         w = binary_symmetric_channel(0.1).transition_matrix
 
         def trial(rng):
-            ba = blahut_arimoto_guarded(w)
+            [ba] = blahut_arimoto_guarded(w)
             return {"capacity": ba.capacity}
 
         result = ExperimentRunner(replications=3).run(trial)

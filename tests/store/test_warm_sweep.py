@@ -9,7 +9,10 @@ bit-identical. A partially-warm sweep batch-solves only its missing
 points.
 """
 
+import pytest
+
 from repro.bounds.brackets import capacity_bracket_sweep
+from repro.bounds.deletion import block_bound_sweep
 from repro.numerics import (
     collect_solver_statuses,
     collect_stage_timings,
@@ -77,3 +80,28 @@ def test_store_disabled_sweep_is_unaffected(tmp_path):
         )
     plain_rows = capacity_bracket_sweep(DELETION_PROBS, block_length=BLOCK_LENGTH)
     assert plain_rows == cached_rows
+
+
+@pytest.mark.parametrize(
+    "block_length, deletion_prob",
+    [
+        (4, 0.8),  # ends stalled after every rung
+        (3, 0.95),  # the plain solve diverges, a damped rung converges
+    ],
+)
+def test_fallback_points_record_the_same_statuses_cold_and_warm(
+    tmp_path, block_length, deletion_prob
+):
+    """A point that needs the degradation ladder records one status,
+    its final one, both when it is solved and when a hit replays it."""
+    with use_store(ResultStore(tmp_path / "cache")):
+        with collect_solver_statuses() as cold:
+            block_bound_sweep(
+                [deletion_prob], block_length=block_length, tol=1e-13
+            )
+        with collect_solver_statuses() as warm:
+            block_bound_sweep(
+                [deletion_prob], block_length=block_length, tol=1e-13
+            )
+    assert sum(cold.values()) == 1
+    assert warm == cold
