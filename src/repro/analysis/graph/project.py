@@ -9,9 +9,9 @@ into a :class:`CallGraph` and computes the transitive effect closure.
 
 The cache discipline mirrors ``@cached_solve``: strictly opt-in (no
 active store → plain computation), best-effort writes, and hit/miss
-counters recorded under the ``graph_module`` function id so tests and
+events recorded under the ``graph_module`` function id so tests and
 CI can assert incremental reuse with the existing
-:func:`repro.store.store_counters` machinery.
+:func:`repro.numerics.collect_store_events` collector.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 #: Cache-event id for per-module summary lookups (so graph analysis
-#: shows up in ``store_counters()`` next to solver hits).
+#: shows up in ``collect_store_events()`` next to solver hits).
 GRAPH_CACHE_FN_ID = "graph_module"
 
 _FINGERPRINT_CACHE: List[str] = []

@@ -11,19 +11,15 @@ solvers honest there:
 * :mod:`.guard` — :class:`IterationGuard` with NaN/divergence/stall
   detection, the :class:`SolverStatus` taxonomy
   (``converged | max_iter | stalled | diverged | aborted``),
-  :class:`SolverDiagnostics`, and the status collector the experiment
-  runner uses to surface solver health;
-* :mod:`.degrade` — :func:`degrade_gracefully`: retry with stabilizing
-  adjustments, else return best-so-far with an honest status;
+  and :class:`SolverDiagnostics`;
 * :mod:`.bracketing` — root bracketing that fails as a
   diagnostics-carrying :class:`BracketingError` instead of a bare
   ``RuntimeError``;
-* :mod:`.profiling` — opt-in per-stage wall-clock attribution
-  (:func:`stage`, :func:`collect_stage_timings`) so benchmarks can
-  split campaign time into lattice vs. solver vs. orchestration
-  (see ``docs/performance.md``), plus the result-store cache-event
-  collector (:func:`collect_store_events`) fed by
-  :mod:`repro.store`'s hit/miss/bypass counters.
+* :mod:`.telemetry` — the one collector stack for solver statuses
+  (:func:`record_status`, :func:`collect_solver_statuses`), per-stage
+  wall-clock (:func:`stage`, :func:`collect_stage_timings`) and
+  result-store cache events (:func:`record_cache_event`,
+  :func:`collect_store_events`).
 
 See ``docs/numerics.md`` for guard semantics and how to read
 diagnostics.
@@ -35,22 +31,7 @@ from .bracketing import (
     expand_bracket,
     guarded_brentq,
 )
-from .degrade import GuardedValue, degrade_gracefully
-from .guard import (
-    IterationGuard,
-    SolverDiagnostics,
-    SolverStatus,
-    collect_solver_statuses,
-    record_status,
-)
-from .profiling import (
-    collect_stage_timings,
-    collect_store_events,
-    record_stage_seconds,
-    record_store_event,
-    stage,
-    timing_active,
-)
+from .guard import IterationGuard, SolverDiagnostics, SolverStatus
 from .safeops import (
     LOG_FLOOR,
     logsumexp2,
@@ -59,6 +40,15 @@ from .safeops import (
     normalized_exp2,
     safe_log,
     safe_log2,
+)
+from .telemetry import (
+    collect_solver_statuses,
+    collect_stage_timings,
+    collect_store_events,
+    record_cache_event,
+    record_stage_seconds,
+    record_status,
+    stage,
 )
 
 __all__ = [
@@ -73,15 +63,12 @@ __all__ = [
     "SolverDiagnostics",
     "IterationGuard",
     "collect_solver_statuses",
-    "record_status",
-    "GuardedValue",
-    "degrade_gracefully",
     "collect_stage_timings",
     "collect_store_events",
+    "record_status",
     "record_stage_seconds",
-    "record_store_event",
+    "record_cache_event",
     "stage",
-    "timing_active",
     "BracketDiagnostics",
     "BracketingError",
     "expand_bracket",

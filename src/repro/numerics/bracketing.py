@@ -20,7 +20,8 @@ from typing import Callable, Tuple
 import numpy as np
 from scipy import optimize
 
-from .guard import SolverStatus, record_status
+from .guard import SolverStatus
+from .telemetry import record_status
 
 __all__ = [
     "BracketDiagnostics",

@@ -9,20 +9,18 @@ solve that stalls in an extreme channel regime returns an honest
 partial answer instead of spinning, NaN-poisoning, or crashing an
 experiment campaign hours in.
 
-The module also hosts the *status collector*: experiment code (the
-:class:`repro.simulation.runner.ExperimentRunner`) opens a collector
-around each trial, guarded solvers call :func:`record_status`, and the
-runner surfaces the counts — a stalled solve inside a 10k-replication
-sweep becomes visible in the run result rather than silent.
+Guarded solvers report their terminal status through
+:func:`repro.numerics.record_status` (:mod:`.telemetry`), so the
+experiment runner can surface a stalled solve inside a 10k-replication
+sweep instead of letting it vanish.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Deque, Optional, Tuple
 
 import numpy as np
 
@@ -30,8 +28,6 @@ __all__ = [
     "SolverStatus",
     "SolverDiagnostics",
     "IterationGuard",
-    "collect_solver_statuses",
-    "record_status",
 ]
 
 
@@ -87,7 +83,7 @@ class SolverDiagnostics:
         0 when no finite residual was ever seen.
     retries:
         Degradation retries consumed before this attempt was accepted
-        (filled in by :func:`repro.numerics.degrade_gracefully`).
+        (filled in by :func:`repro.infotheory.blahut_arimoto_guarded`).
     notes:
         Free-form annotations (e.g. which degradation adjustments ran).
     """
@@ -235,40 +231,3 @@ class IterationGuard:
             best_iteration=self.best_iteration,
             notes=notes,
         )
-
-
-# ----------------------------------------------------------------------
-# Status collection: guarded solvers report here; the experiment runner
-# aggregates per-trial counts so stalled/aborted solves surface in run
-# results instead of vanishing inside a replication.
-
-_COLLECTORS: List[Dict[str, int]] = []
-
-
-@contextmanager
-def collect_solver_statuses() -> Iterator[Dict[str, int]]:
-    """Collect ``{"solver:status": count}`` from guarded solvers.
-
-    Nested collectors all receive every recorded status. The yielded
-    dict is mutated in place as statuses arrive. Exiting removes this
-    collector by identity: nested collectors that are still empty
-    compare equal, and must not be mistaken for one another.
-    """
-    counts: Dict[str, int] = {}
-    _COLLECTORS.append(counts)
-    try:
-        yield counts
-    finally:
-        _COLLECTORS[:] = [c for c in _COLLECTORS if c is not counts]
-
-
-def record_status(solver: str, status: Union[SolverStatus, str]) -> None:
-    """Report a terminal solver status to every active collector.
-
-    A no-op when no collector is open, so guarded solvers can call it
-    unconditionally.
-    """
-    value = status.value if isinstance(status, SolverStatus) else str(status)
-    key = f"{solver}:{value}"
-    for counts in _COLLECTORS:
-        counts[key] = counts.get(key, 0) + 1

@@ -42,11 +42,14 @@ from __future__ import annotations
 import asyncio
 import functools
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
+    Deque,
     Dict,
     Iterable,
     List,
@@ -60,14 +63,13 @@ from typing import (
 import numpy as np
 
 from ..faults.service_faults import ServiceFaultPlan, TransientWorkerError
-from ..numerics import record_stage_seconds
+from ..numerics import collect_store_events, record_stage_seconds
 from ..simulation.pool import (
     PoolTaskError,
     SupervisedPool,
     WorkerCrashedError,
     WorkerHungError,
 )
-from ..store.memo import store_counters
 from .breaker import CircuitBreaker
 from .policy import RetryPolicy
 from .query import (
@@ -91,6 +93,9 @@ from .workers import solve_query_batch
 __all__ = ["ServiceStats", "CapacityService", "serve_queries"]
 
 RawQuery = Union[CapacityQuery, Mapping[str, Any]]
+
+#: How many of the most recent latencies the percentiles are taken over.
+LATENCY_WINDOW = 1 << 14
 
 
 def _coarse_is_exact(query: CapacityQuery, source: str) -> bool:
@@ -124,14 +129,20 @@ class _Pending:
 class ServiceStats:
     """Mutable service observability: the ``service stats`` payload.
 
-    Latencies are submit-to-terminal per query; percentiles come out
-    of :meth:`to_dict`. Everything here is observability — it never
-    feeds back into any answer.
+    Latencies are submit-to-terminal per query. The count and max are
+    exact over the service's life; the p50/p99 of :meth:`to_dict` are
+    taken over the most recent :data:`LATENCY_WINDOW` latencies, so a
+    long-lived service holds bounded memory. Everything here is
+    observability — it never feeds back into any answer.
     """
 
     status_counts: Dict[str, int] = field(default_factory=dict)
     shed_levels: Dict[str, int] = field(default_factory=dict)
-    latencies_seconds: List[float] = field(default_factory=list)
+    latencies_seconds: Deque[float] = field(
+        default_factory=lambda: deque(maxlen=LATENCY_WINDOW)
+    )
+    latency_count: int = 0
+    latency_max: float = 0.0
     queue_depth_peak: int = 0
     submitted: int = 0
     batches: int = 0
@@ -143,6 +154,8 @@ class ServiceStats:
         key = result.status.value
         self.status_counts[key] = self.status_counts.get(key, 0) + 1
         self.latencies_seconds.append(result.latency_seconds)
+        self.latency_count += 1
+        self.latency_max = max(self.latency_max, result.latency_seconds)
 
     def record_shed_level(self, level: ShedLevel) -> None:
         """Count one admission decision above ``FULL``."""
@@ -171,14 +184,10 @@ class ServiceStats:
             "fallback_batches": self.fallback_batches,
             "retries": self.retries,
             "latency_seconds": {
-                "count": len(self.latencies_seconds),
+                "count": self.latency_count,
                 "p50": self.latency_percentile(50.0),
                 "p99": self.latency_percentile(99.0),
-                "max": (
-                    max(self.latencies_seconds)
-                    if self.latencies_seconds
-                    else 0.0
-                ),
+                "max": self.latency_max,
             },
         }
 
@@ -256,6 +265,8 @@ class CapacityService:
         self.fault_plan = fault_plan
         self.worker_hang_seconds = worker_hang_seconds
         self.stats = ServiceStats()
+        self._store_events: Dict[str, int] = {}
+        self._telemetry = ExitStack()
         self._clock = clock
         self._pool: Optional[SupervisedPool] = None
         self._threads: Optional[ThreadPoolExecutor] = None
@@ -283,6 +294,9 @@ class CapacityService:
             max_workers=self.workers, thread_name_prefix="svc-dispatch"
         )
         self._queue = asyncio.Queue(maxsize=self.admission.queue_limit)
+        self._store_events = self._telemetry.enter_context(
+            collect_store_events()
+        )
         self._dispatcher = asyncio.create_task(self._dispatch_loop())
 
     async def stop(self) -> None:
@@ -321,6 +335,7 @@ class CapacityService:
         if self._pool is not None:
             self._final_pool_restarts = self._pool.restarts
             self._pool.shutdown()
+        self._telemetry.close()
 
     async def __aenter__(self) -> "CapacityService":
         await self.start()
@@ -695,13 +710,14 @@ class CapacityService:
     def stats_snapshot(self) -> Dict[str, Any]:
         """The full ``service stats`` payload: query counters, latency
         percentiles, breaker state/transitions, shed counts, pool
-        restarts, and the store's hit/miss counters for query keys."""
+        restarts, and the store's hit/miss counters for query keys seen
+        while this service was running."""
         payload = self.stats.to_dict()
         payload["breaker"] = self.breaker.snapshot()
         payload["pool_restarts"] = self.pool_restarts
         payload["store_events"] = {
             k: v
-            for k, v in store_counters().items()
+            for k, v in self._store_events.items()
             if k.startswith(QUERY_FN_ID)
         }
         return payload

@@ -15,11 +15,9 @@ query from a cheaper rung instead of queueing it:
 ``REJECT``            shed: the query terminates with status ``shed``
 ====================  ====================================================
 
-The cache→coarse descent is expressed through
-:func:`repro.numerics.degrade_gracefully` — the same retry-ladder
-machinery the guarded solvers use — so shed-ladder outcomes land in the
-solver-status collector (``service.shed_ladder:<status>``) next to
-every other solver's health. These ladder functions are deliberately
+Each cache→coarse descent records one status in the solver-status
+collector (``service.shed_ladder:<status>``), next to every other
+solver's health. These ladder functions are deliberately
 *synchronous*: coroutine code in :mod:`repro.service.service` must not
 call solvers directly (rule ``SVC001``) and instead calls this module,
 whose coarse rung is O(1).
@@ -32,7 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..core.capacity import erasure_upper_bound
-from ..numerics import SolverStatus, degrade_gracefully
+from ..numerics import SolverStatus, record_status
 from ..store import active_store
 from ..store.memo import record_cache_event
 from .query import QUERY_FN_ID, CapacityQuery, query_key
@@ -99,16 +97,13 @@ class AdmissionController:
 
 @dataclass(frozen=True)
 class LadderOutcome:
-    """One shed-ladder rung's answer, shaped for ``degrade_gracefully``.
-
-    ``status``/``diagnostics`` satisfy the guarded-result protocol;
-    ``value``/``source`` carry the service-level answer.
-    """
+    """The shed ladder's answer: the rung's ``status`` (``CONVERGED``
+    for a cache hit, ``STALLED`` for the coarse bound), its ``value``
+    and its ``source``."""
 
     status: SolverStatus
     value: Optional[Dict[str, float]]
     source: str
-    diagnostics: None = None
 
 
 def cached_lookup(query: CapacityQuery) -> Optional[Dict[str, float]]:
@@ -164,44 +159,18 @@ def resolve_degraded(
     """Walk the degraded rungs for *query*: cache, then coarse bound.
 
     ``try_cache=False`` (the ``COARSE`` shed level, where even a store
-    read is too much queueing) jumps straight to the bound. The descent
-    runs through :func:`repro.numerics.degrade_gracefully`, so the
-    chosen rung's status is recorded under ``service.shed_ladder``:
+    read is too much queueing) jumps straight to the bound. The chosen
+    rung's status is recorded under ``service.shed_ladder``:
     ``CONVERGED`` for a cache hit, ``STALLED`` for a coarse-bound
     answer — a fleet-level signal of how degraded the service's answers
     currently are.
     """
-    rungs = []
-    if try_cache:
-        def cache_rung() -> LadderOutcome:
-            hit = cached_lookup(query)
-            if hit is None:
-                return LadderOutcome(
-                    status=SolverStatus.ABORTED, value=None, source="store"
-                )
-            return LadderOutcome(
-                status=SolverStatus.CONVERGED, value=hit, source="store"
-            )
-
-        rungs.append(cache_rung)
-
-    def coarse_rung() -> LadderOutcome:
-        return LadderOutcome(
-            status=SolverStatus.STALLED,
-            value=coarse_bound_value(query),
-            source="coarse_bound",
+    hit = cached_lookup(query) if try_cache else None
+    if hit is not None:
+        outcome = LadderOutcome(SolverStatus.CONVERGED, hit, "store")
+    else:
+        outcome = LadderOutcome(
+            SolverStatus.STALLED, coarse_bound_value(query), "coarse_bound"
         )
-
-    rungs.append(coarse_rung)
-
-    def solve(rung: int = 0) -> LadderOutcome:
-        return rungs[rung]()
-
-    outcome: LadderOutcome = degrade_gracefully(
-        solve,
-        [{"rung": i} for i in range(1, len(rungs))],
-        solver=SHED_LADDER_SOLVER,
-        accept=(SolverStatus.CONVERGED, SolverStatus.STALLED),
-        rank=lambda attempt: 0.0 if attempt.value is not None else 1.0,
-    )
+    record_status(SHED_LADDER_SOLVER, outcome.status)
     return outcome

@@ -22,7 +22,8 @@ Pieces:
   provenance manifests, ``gc``/``verify``/``stats`` maintenance;
 * :mod:`.memo` — :func:`cached_solve` and the active-store registry
   (explicit handles or ``REPRO_STORE_DIR``), with hit/miss/bypass
-  counters surfaced through :mod:`repro.numerics.profiling`.
+  events recorded through :mod:`repro.numerics.telemetry`
+  (:func:`repro.numerics.collect_store_events`).
 
 Caching is opt-in and observability-neutral: with no active store the
 decorated solvers are bit-exact pass-throughs. The experiment runner
@@ -45,10 +46,8 @@ from .memo import (
     cached_batch,
     cached_solve,
     record_cache_event,
-    reset_store_counters,
     resolve_store,
     set_active_store,
-    store_counters,
     use_store,
 )
 from .result_store import (
@@ -70,10 +69,8 @@ __all__ = [
     "cached_batch",
     "cached_solve",
     "record_cache_event",
-    "reset_store_counters",
     "resolve_store",
     "set_active_store",
-    "store_counters",
     "use_store",
     "ResultStore",
     "StoreEntry",

@@ -11,10 +11,10 @@ environment variable) bit-identical to an uncached build.
 Every consultation is counted as a **hit** (entry found and decoded),
 **miss** (computed and written), or **bypass** (store active but the
 call is uncacheable — e.g. a parameter outside the canonical key
-vocabulary). Counters aggregate per process (:func:`store_counters`)
-and stream into any open :func:`repro.numerics.collect_store_events`
-collector, next to the stage timings the profiling module already
-gathers.
+vocabulary). Events stream into any open
+:func:`repro.numerics.collect_store_events` collector, the same
+collector stack that gathers solver statuses and stage timings
+(:mod:`repro.numerics.telemetry`).
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
 
-from ..numerics import record_stage_seconds
-from ..numerics.profiling import record_store_event
+from ..numerics import record_cache_event, record_stage_seconds
 from .keys import UnsupportedParameterError, canonical_key, code_fingerprint
 from .result_store import ResultStore, StoreError
 from .serialization import SerializationError
@@ -40,13 +39,10 @@ __all__ = [
     "cached_solve",
     "cached_batch",
     "record_cache_event",
-    "store_counters",
-    "reset_store_counters",
 ]
 
 _ACTIVE: List[Optional[ResultStore]] = []
 _ENV_STORES: Dict[str, ResultStore] = {}
-_COUNTERS: Dict[str, int] = {}
 
 
 def active_store() -> Optional[ResultStore]:
@@ -107,26 +103,6 @@ def resolve_store(directory: Optional[Union[str, Path]] = None) -> ResultStore:
             "no store configured: pass --dir or set REPRO_STORE_DIR"
         )
     return store
-
-
-# ----------------------------------------------------------------------
-# counters
-
-def record_cache_event(fn_id: str, event: str) -> None:
-    """Count one hit/miss/bypass for *fn_id* (process-wide + collectors)."""
-    key = f"{fn_id}:{event}"
-    _COUNTERS[key] = _COUNTERS.get(key, 0) + 1
-    record_store_event(fn_id, event)
-
-
-def store_counters() -> Dict[str, int]:
-    """Snapshot of the process-wide ``{"fn_id:event": count}`` map."""
-    return dict(_COUNTERS)
-
-
-def reset_store_counters() -> None:
-    """Zero the process-wide counters (test isolation)."""
-    _COUNTERS.clear()
 
 
 # ----------------------------------------------------------------------

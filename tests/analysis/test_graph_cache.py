@@ -2,46 +2,34 @@
 
 from pathlib import Path
 
-import pytest
-
 from repro.analysis.graph import analyze_source_root
 from repro.analysis.graph.project import GRAPH_CACHE_FN_ID
-from repro.store import (
-    ResultStore,
-    reset_store_counters,
-    store_counters,
-    use_store,
-)
+from repro.numerics import collect_store_events
+from repro.store import ResultStore, use_store
 
 FIXTURE_SRC = (
     Path(__file__).parent / "fixtures" / "graph_clock" / "src"
 )
 
 
-@pytest.fixture(autouse=True)
-def _clean_counters():
-    reset_store_counters()
-    yield
-    reset_store_counters()
-
-
 def test_no_store_is_a_plain_computation():
-    analysis = analyze_source_root(FIXTURE_SRC)
+    with collect_store_events() as events:
+        analysis = analyze_source_root(FIXTURE_SRC)
     assert analysis.cache_hits == 0
     assert analysis.cache_misses > 0
-    assert store_counters() == {}
+    assert events == {}
 
 
 def test_cold_then_warm_run_reuses_every_summary(tmp_path):
     store = ResultStore(tmp_path / "cache")
-    with use_store(store):
+    with use_store(store), collect_store_events() as events:
         cold = analyze_source_root(FIXTURE_SRC)
         warm = analyze_source_root(FIXTURE_SRC)
     n = cold.cache_misses
     assert n > 0 and cold.cache_hits == 0
     assert warm.cache_hits == n and warm.cache_misses == 0
     assert warm.reanalyzed == ()
-    assert store_counters() == {
+    assert events == {
         f"{GRAPH_CACHE_FN_ID}:miss": n,
         f"{GRAPH_CACHE_FN_ID}:hit": n,
     }

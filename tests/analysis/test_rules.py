@@ -91,7 +91,7 @@ def test_parallel_worker_code_keeps_rng_discipline():
     rng_rules = ["RNG001", "RNG002", "RNG003", "RNG004"]
     for module in (
         src / "simulation" / "runner.py",
-        src / "numerics" / "profiling.py",
+        src / "numerics" / "telemetry.py",
         src / "experiments" / "e4_convergence.py",
     ):
         findings = lint_file(module, rule_ids=rng_rules)

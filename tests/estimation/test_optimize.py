@@ -12,21 +12,13 @@ from repro.estimation import (
 )
 from repro.estimation.optimize import ESTIMATE_FN_ID, SOLVER_NAME
 from repro.infotheory.blahut_arimoto import blahut_arimoto
-from repro.numerics import SolverStatus, collect_solver_statuses
-from repro.numerics.profiling import collect_stage_timings
-from repro.store import (
-    ResultStore,
-    reset_store_counters,
-    store_counters,
-    use_store,
+from repro.numerics import (
+    SolverStatus,
+    collect_solver_statuses,
+    collect_stage_timings,
+    collect_store_events,
 )
-
-
-@pytest.fixture(autouse=True)
-def _clean_counters():
-    reset_store_counters()
-    yield
-    reset_store_counters()
+from repro.store import ResultStore, use_store
 
 
 class TestSimplexProjection:
@@ -143,9 +135,9 @@ class TestStoreReplay:
     def test_warm_replay_hits_store_with_zero_optimizer_work(self, tmp_path):
         sampler = bsc_sampler(0.15)
         store = ResultStore(tmp_path)
-        with use_store(store):
+        with use_store(store), collect_store_events() as events:
             cold = estimate_sample_capacity(sampler, n_samples=1024, seed=3)
-            assert store_counters() == {f"{ESTIMATE_FN_ID}:miss": 1}
+            assert events == {f"{ESTIMATE_FN_ID}:miss": 1}
             with collect_stage_timings() as stages:
                 with collect_solver_statuses() as counts:
                     warm = estimate_sample_capacity(
@@ -154,7 +146,7 @@ class TestStoreReplay:
         # Answered from the store: no optimize stage ran — zero
         # optimizer iterations paid — and the stored status replayed
         # into the collector exactly as the cold solve recorded it.
-        assert store_counters()[f"{ESTIMATE_FN_ID}:hit"] == 1
+        assert events[f"{ESTIMATE_FN_ID}:hit"] == 1
         assert "estimation:optimize" not in stages
         assert counts == {f"{SOLVER_NAME}:{cold.status.value}": 1}
         assert warm.capacity == cold.capacity
@@ -166,15 +158,16 @@ class TestStoreReplay:
 
     def test_key_distinguishes_sampler_and_knobs(self, tmp_path):
         store = ResultStore(tmp_path)
-        with use_store(store):
+        with use_store(store), collect_store_events() as events:
             estimate_sample_capacity(bsc_sampler(0.1), n_samples=1024)
             estimate_sample_capacity(bsc_sampler(0.2), n_samples=1024)
             estimate_sample_capacity(bsc_sampler(0.1), n_samples=2048)
-        assert store_counters() == {f"{ESTIMATE_FN_ID}:miss": 3}
+        assert events == {f"{ESTIMATE_FN_ID}:miss": 3}
 
     def test_no_store_is_pure_passthrough(self):
-        result = estimate_sample_capacity(
-            bsc_sampler(0.1), n_samples=1024, seed=0
-        )
-        assert store_counters() == {}
+        with collect_store_events() as events:
+            result = estimate_sample_capacity(
+                bsc_sampler(0.1), n_samples=1024, seed=0
+            )
+        assert events == {}
         assert isinstance(result.status, SolverStatus)

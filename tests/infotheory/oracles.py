@@ -5,13 +5,14 @@
 the degradation ladder are calls of it. This module keeps the original
 one-channel ``while`` loop under an :class:`repro.numerics.IterationGuard`
 as the parity reference, and the per-channel degradation ladder over it
-(:func:`repro.numerics.degrade_gracefully` with the package's rungs).
+(the package's rungs, retried one scalar solve at a time).
 The kernel must match the loop to 1e-12 per channel, with the same
 iteration count and terminal status.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -20,9 +21,9 @@ from repro.infotheory import BlahutArimotoResult
 from repro.numerics import (
     IterationGuard,
     SolverStatus,
-    degrade_gracefully,
     masked_log2,
     normalized_exp2,
+    record_status,
     safe_log2,
     stage,
 )
@@ -155,7 +156,8 @@ def reference_blahut_arimoto_guarded(
 ) -> BlahutArimotoResult:
     """One channel through the degradation ladder, one scalar solve per
     rung: the first converged attempt, otherwise the lowest best gap
-    (ties to the earlier attempt), with ``diagnostics.retries`` set."""
+    (ties to the earlier attempt), with ``diagnostics.retries`` set and
+    the chosen status recorded once."""
 
     def solve(damping: float = 0.0, tol_scale: float = 1.0) -> BlahutArimotoResult:
         return reference_blahut_arimoto(
@@ -166,4 +168,23 @@ def reference_blahut_arimoto_guarded(
             damping=damping,
         )
 
-    return degrade_gracefully(solve, DEGRADE_LADDER, solver="blahut_arimoto")
+    def rank(attempt: BlahutArimotoResult) -> float:
+        best = attempt.diagnostics.best_residual
+        return float(best) if np.isfinite(best) else float("inf")
+
+    attempts = [solve()]
+    for rung in DEGRADE_LADDER:
+        if attempts[-1].status is SolverStatus.CONVERGED:
+            break
+        attempts.append(solve(**rung))
+    chosen = next(
+        (a for a in attempts if a.status is SolverStatus.CONVERGED),
+        min(attempts, key=rank),
+    )
+    if len(attempts) > 1:
+        chosen = replace(
+            chosen,
+            diagnostics=replace(chosen.diagnostics, retries=len(attempts) - 1),
+        )
+    record_status("blahut_arimoto", chosen.status)
+    return chosen

@@ -1,17 +1,15 @@
-"""Stage-timing collector semantics (repro.numerics.profiling)."""
+"""Stage-timing (profiling) collector semantics (repro.numerics.telemetry)."""
 
 from repro.numerics import (
     collect_stage_timings,
     collect_store_events,
+    record_cache_event,
     record_stage_seconds,
-    record_store_event,
     stage,
-    timing_active,
 )
 
 
 def test_no_collector_is_a_noop():
-    assert not timing_active()
     with stage("lattice"):
         pass
     record_stage_seconds("lattice", 1.0)  # silently dropped
@@ -22,13 +20,11 @@ def test_no_collector_is_a_noop():
 
 def test_stage_accumulates_into_open_collector():
     with collect_stage_timings() as totals:
-        assert timing_active()
         with stage("lattice"):
             pass
         with stage("lattice"):
             pass
         record_stage_seconds("solver", 0.25)
-    assert not timing_active()
     assert totals["lattice"] >= 0.0
     assert totals["solver"] == 0.25
 
@@ -52,7 +48,7 @@ def test_nested_collectors_both_receive_records():
     with collect_store_events() as outer_events:
         with collect_store_events():
             pass
-        record_store_event("fn", "hit")
+        record_cache_event("fn", "hit")
     assert outer_events == {"fn:hit": 1}
 
 

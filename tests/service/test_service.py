@@ -15,12 +15,15 @@ from repro.service import (
     AdmissionController,
     CapacityService,
     CircuitBreaker,
+    QueryResult,
     QueryStatus,
     RetryPolicy,
+    ServiceStats,
     normalize_query,
     serve_queries,
     solve_query,
 )
+from repro.service.service import LATENCY_WINDOW
 from repro.store import ResultStore, use_store
 
 
@@ -170,6 +173,27 @@ def test_store_serves_repeat_queries(tmp_path):
     assert stats["store_events"]  # hit/miss counters surfaced
 
 
+def test_store_events_are_per_service(tmp_path):
+    # Two services in one process under one store: each reports only
+    # the cache events it saw while running, not the other's.
+    async def serve_one_by_one(raws):
+        async with CapacityService(workers=2) as service:
+            results = [await service.submit(raw) for raw in raws]
+        return results, service.stats_snapshot()
+
+    with use_store(ResultStore(tmp_path)):
+        first, stats1 = asyncio.run(
+            serve_one_by_one([_raw(kind="erasure"), _raw(kind="erasure")])
+        )
+        _, stats2 = asyncio.run(serve_one_by_one([_raw(kind="bounds")]))
+    assert first[1].status is QueryStatus.CACHED
+    assert stats1["store_events"] == {
+        "service.capacity_query:miss": 1,
+        "service.capacity_query:hit": 1,
+    }
+    assert stats2["store_events"] == {"service.capacity_query:miss": 1}
+
+
 # ----------------------------------------------------------------------
 # failure dispositions
 
@@ -285,6 +309,27 @@ def test_stats_snapshot_shape():
     assert stats["submitted"] == 2
     assert sum(stats["status_counts"].values()) == 2
     assert {"p50", "p99", "max", "count"} <= set(stats["latency_seconds"])
+
+
+def test_latency_record_is_a_bounded_window():
+    stats = ServiceStats()
+    n = 20_000
+    for i in range(n):
+        stats.record_result(
+            QueryResult(
+                query_id=f"q{i}",
+                key=None,
+                status=QueryStatus.OK,
+                source="solver",
+                latency_seconds=float(i % 1000) if i != 123 else 1e6,
+            )
+        )
+    assert len(stats.latencies_seconds) == LATENCY_WINDOW < n
+    latency = stats.to_dict()["latency_seconds"]
+    assert latency["count"] == n
+    # The max is exact: its sample has long left the window.
+    assert latency["max"] == 1e6
+    assert latency["p99"] < 1000.0
 
 
 # ----------------------------------------------------------------------

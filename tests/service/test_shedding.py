@@ -105,24 +105,32 @@ def test_resolve_degraded_prefers_the_cache(tmp_path):
         "corrected_capacity": 3.2,
         "feedback_lower": 2.9,
     }
-    assert statuses.get(f"{SHED_LADDER_SOLVER}:converged", 0) >= 1
+    assert statuses == {f"{SHED_LADDER_SOLVER}:converged": 1}
 
 
-def test_resolve_degraded_falls_back_to_the_coarse_bound():
+def test_resolve_degraded_falls_back_to_the_coarse_bound(tmp_path):
     query = _query()
     with collect_solver_statuses() as statuses:
-        outcome = resolve_degraded(query)  # no store: cache rung aborts
+        outcome = resolve_degraded(query)  # no store: nothing cached
     assert outcome.source == "coarse_bound"
     assert outcome.value == coarse_bound_value(query)
-    assert statuses.get(f"{SHED_LADDER_SOLVER}:stalled", 0) >= 1
+    assert statuses == {f"{SHED_LADDER_SOLVER}:stalled": 1}
+
+    with use_store(ResultStore(tmp_path)):
+        with collect_solver_statuses() as statuses:
+            outcome = resolve_degraded(query)  # store miss
+    assert outcome.source == "coarse_bound"
+    assert statuses == {f"{SHED_LADDER_SOLVER}:stalled": 1}
 
 
 def test_resolve_degraded_can_skip_the_cache(tmp_path):
     query = _query()
     with use_store(ResultStore(tmp_path)):
         store_answer(query, {"corrected_capacity": 3.2, "feedback_lower": 2.9})
-        outcome = resolve_degraded(query, try_cache=False)
+        with collect_solver_statuses() as statuses:
+            outcome = resolve_degraded(query, try_cache=False)
     assert outcome.source == "coarse_bound"
+    assert statuses == {f"{SHED_LADDER_SOLVER}:stalled": 1}
 
 
 def test_store_answer_without_a_store_is_a_noop():

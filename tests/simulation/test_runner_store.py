@@ -11,7 +11,8 @@ from repro.simulation.runner import (
     ExperimentRunner,
     RunResult,
 )
-from repro.store import ResultStore, reset_store_counters, store_counters, use_store
+from repro.numerics import collect_store_events
+from repro.store import ResultStore, use_store
 
 CALLS = []
 
@@ -32,10 +33,8 @@ def flaky_trial(rng):
 @pytest.fixture(autouse=True)
 def _reset_state():
     CALLS.clear()
-    reset_store_counters()
     yield
     CALLS.clear()
-    reset_store_counters()
 
 
 @pytest.fixture
@@ -50,15 +49,15 @@ def summaries_equal(a: RunResult, b: RunResult) -> bool:
 class TestWholeRunCaching:
     def test_warm_run_dispatches_no_replications(self, store):
         runner = ExperimentRunner(root_seed=7, replications=4)
-        with use_store(store):
+        with use_store(store), collect_store_events() as events:
             cold = runner.run(counting_trial)
             dispatched = len(CALLS)
             warm = runner.run(counting_trial)
         assert dispatched == 4
         assert len(CALLS) == 4  # warm run never called the trial
         assert summaries_equal(cold, warm)
-        assert store_counters()[f"{RUNNER_FN_ID}:miss"] == 1
-        assert store_counters()[f"{RUNNER_FN_ID}:hit"] == 1
+        assert events[f"{RUNNER_FN_ID}:miss"] == 1
+        assert events[f"{RUNNER_FN_ID}:hit"] == 1
 
     def test_store_off_is_bit_identical_to_store_on(self, store):
         runner = ExperimentRunner(root_seed=7, replications=4)
@@ -78,19 +77,19 @@ class TestWholeRunCaching:
                 return {"value": float(rng.random())}
 
         runner = ExperimentRunner(root_seed=1, replications=3)
-        with use_store(store):
+        with use_store(store), collect_store_events() as events:
             runner.run(OpaqueTrial())
-        assert store_counters() == {f"{RUNNER_FN_ID}:bypass": 1}
+        assert events == {f"{RUNNER_FN_ID}:bypass": 1}
         assert store.stats().entries == 0
 
     def test_different_config_or_label_misses(self, store):
-        with use_store(store):
+        with use_store(store), collect_store_events() as events:
             ExperimentRunner(root_seed=1, replications=3).run(counting_trial)
             ExperimentRunner(root_seed=2, replications=3).run(counting_trial)
             ExperimentRunner(root_seed=1, replications=3).run(
                 counting_trial, label="other"
             )
-        assert store_counters()[f"{RUNNER_FN_ID}:miss"] == 3
+        assert events[f"{RUNNER_FN_ID}:miss"] == 3
         assert store.stats().entries == 3
 
     def test_incomplete_runs_are_not_cached(self, store):

@@ -1,4 +1,4 @@
-"""Memoization semantics: opt-in activation, counters, invalidation."""
+"""Memoization semantics: opt-in activation, cache events, invalidation."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,7 @@ from repro.numerics import collect_store_events
 from repro.store import (
     ResultStore,
     cached_solve,
-    reset_store_counters,
     set_active_store,
-    store_counters,
     use_store,
 )
 
@@ -18,13 +16,11 @@ BSC = np.array([[0.9, 0.1], [0.1, 0.9]])
 
 
 @pytest.fixture(autouse=True)
-def _fresh_counters():
+def _no_leftover_handles():
     from repro.store import memo
 
-    reset_store_counters()
     memo._ACTIVE.clear()  # no leftover explicit handles between tests
     yield
-    reset_store_counters()
     memo._ACTIVE.clear()
 
 
@@ -46,10 +42,11 @@ def make_counting_solver(fn_id, body=None):
 
 def test_no_store_means_pass_through(store):
     solve, calls = make_counting_solver("memo_passthrough")
-    assert solve(3.0) == {"y": 6.0}
-    assert solve(3.0) == {"y": 6.0}
+    with collect_store_events() as events:
+        assert solve(3.0) == {"y": 6.0}
+        assert solve(3.0) == {"y": 6.0}
     assert calls == [3.0, 3.0]  # computed twice: no store, no caching
-    assert store_counters() == {}
+    assert events == {}
 
 
 def test_hit_miss_counters_and_collector(store):
@@ -60,8 +57,7 @@ def test_hit_miss_counters_and_collector(store):
             assert solve(3.0) == {"y": 6.0}
             assert solve(4.0, scale=2.0) == {"y": 16.0}
     assert calls == [3.0, 4.0]
-    assert store_counters() == {"memo_basic:miss": 2, "memo_basic:hit": 1}
-    assert dict(events) == {"memo_basic:miss": 2, "memo_basic:hit": 1}
+    assert events == {"memo_basic:miss": 2, "memo_basic:hit": 1}
 
 
 def test_kwarg_spelling_shares_entries(store):
@@ -77,9 +73,9 @@ def test_bypass_on_unsupported_parameter(store):
     def solve(x):
         return {"r": repr(x)}
 
-    with use_store(store):
+    with use_store(store), collect_store_events() as events:
         solve(object())
-    assert store_counters() == {"memo_bypass:bypass": 1}
+    assert events == {"memo_bypass:bypass": 1}
     assert store.stats().entries == 0
 
 
@@ -100,11 +96,11 @@ def test_on_hit_callback_replays(store):
 def test_explicit_none_pins_caching_off(store, monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "envstore"))
     solve, calls = make_counting_solver("memo_pinned_off")
-    with use_store(None):
+    with use_store(None), collect_store_events() as events:
         solve(5.0)
         solve(5.0)
     assert calls == [5.0, 5.0]
-    assert store_counters() == {}
+    assert events == {}
 
 
 def test_set_active_store_installs_process_wide_handle(store):
