@@ -3,35 +3,33 @@
 :func:`analyze_project` is the one entry point the lint runner and the
 ``repro graph`` CLI share. It extracts a :class:`ModuleSummary` per
 source file — consulting the active result store first, keyed by the
-module's source hash and the analyzer's own fingerprint, so a warm run
-only re-extracts files that actually changed — then links the summaries
-into a :class:`CallGraph` and computes the transitive effect closure.
+module's source hash and the extractor's code fingerprint, so a warm
+run only re-extracts files that actually changed — then links the
+summaries into a :class:`CallGraph` and computes the transitive effect
+closure.
 
-The cache discipline mirrors ``@cached_solve``: strictly opt-in (no
-active store → plain computation), best-effort writes, and hit/miss
-events recorded under the ``graph_module`` function id so tests and
-CI can assert incremental reuse with the existing
-:func:`repro.numerics.collect_store_events` collector.
+The cache is one :func:`repro.store.cached_batch` call: strictly
+opt-in, best-effort writes through the store's generic dataclass
+codec, and hit/miss events recorded under the ``graph_module`` id so
+tests and CI can assert incremental reuse with
+:func:`repro.numerics.collect_store_events`.
 """
 
 from __future__ import annotations
 
 import ast
 import hashlib
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ...store.keys import UnsupportedParameterError, canonical_key
-from ...store.memo import active_store, record_cache_event
-from ...store.result_store import StoreError
-from ...store.serialization import SerializationError
+from ...store.keys import code_fingerprint
+from ...store.memo import cached_batch
 from . import symbols as _symbols_module
 from .callgraph import CallGraph, build_call_graph
 from .effects import transitive_effects
 from .lattice import EffectSet
-from .symbols import SUMMARY_SCHEMA_VERSION, ModuleSummary, extract_module
+from .symbols import ModuleSummary, extract_module
 
 __all__ = [
     "ModuleInput",
@@ -44,19 +42,6 @@ __all__ = [
 #: Cache-event id for per-module summary lookups (so graph analysis
 #: shows up in ``collect_store_events()`` next to solver hits).
 GRAPH_CACHE_FN_ID = "graph_module"
-
-_FINGERPRINT_CACHE: List[str] = []
-
-
-def _analyzer_fingerprint() -> str:
-    """Hash of the extractor's own source: salts every cache key so a
-    change to the effect tables or the summary schema orphans every
-    cached summary instead of silently mis-reading it."""
-    if not _FINGERPRINT_CACHE:
-        data = Path(_symbols_module.__file__).read_bytes()
-        digest = hashlib.sha256(data).hexdigest()[:16]
-        _FINGERPRINT_CACHE.append(f"{digest}:s{SUMMARY_SCHEMA_VERSION}")
-    return _FINGERPRINT_CACHE[0]
 
 
 @dataclass(frozen=True)
@@ -103,81 +88,45 @@ def iter_module_inputs(src_root: Path) -> List[ModuleInput]:
     return inputs
 
 
-def _summary_for(item: ModuleInput) -> Tuple[ModuleSummary, bool]:
-    """Extract one summary, consulting the active store. Returns
-    ``(summary, was_cache_hit)``."""
-    store = active_store()
-    key: Optional[str] = None
-    if store is not None:
-        try:
-            key = canonical_key(
-                GRAPH_CACHE_FN_ID,
-                {
-                    "module": item.module,
-                    "source_sha256": hashlib.sha256(
-                        item.source.encode("utf-8")
-                    ).hexdigest(),
-                },
-                code_fingerprint=_analyzer_fingerprint(),
-            )
-        except UnsupportedParameterError:  # pragma: no cover - keys are str
-            key = None
-    if store is not None and key is not None:
-        found = store.fetch(key)
-        if found is not None:
-            value, _entry = found
-            cached: Optional[ModuleSummary]
-            try:
-                cached = ModuleSummary.from_dict(value)
-            except (KeyError, TypeError, ValueError):
-                cached = None  # corrupted/foreign entry: recompute
-            if cached is not None:
-                record_cache_event(GRAPH_CACHE_FN_ID, "hit")
-                return cached, True
-    # Extraction cost is provenance for the store manifest only.
-    t0 = time.perf_counter()  # repro: noqa[DET001]
-    summary = extract_module(
-        item.module, item.display_path, item.source, tree=item.tree
-    )
-    seconds = time.perf_counter() - t0  # repro: noqa[DET001]
-    if store is not None and key is not None:
-        record_cache_event(GRAPH_CACHE_FN_ID, "miss")
-        try:
-            store.put(
-                key,
-                summary.to_dict(),
-                fn_id=GRAPH_CACHE_FN_ID,
-                code_fingerprint=_analyzer_fingerprint(),
-                compute_seconds=seconds,
-            )
-        except (OSError, SerializationError, StoreError, UnsupportedParameterError):
-            pass  # best-effort write, like @cached_solve
-    return summary, False
-
-
 def analyze_project(
     inputs: Iterable[ModuleInput],
 ) -> ProjectAnalysis:
-    """Extract every module (cache-aware), link, and close effects."""
-    modules: Dict[str, ModuleSummary] = {}
-    hits = 0
-    misses = 0
+    """Extract every module (cache-aware), link, and close effects.
+
+    The extractor's code fingerprint salts every key, so a change to
+    the effect tables or the summary dataclasses orphans every cached
+    summary instead of silently mis-reading it.
+    """
+    items = list(inputs)
     reanalyzed: List[str] = []
-    for item in inputs:
-        summary, was_hit = _summary_for(item)
-        modules[summary.module] = summary
-        if was_hit:
-            hits += 1
-        else:
-            misses += 1
-            reanalyzed.append(summary.module)
-    graph = build_call_graph(modules)
-    closure = transitive_effects(graph)
+
+    def extract(misses: Sequence[int]) -> List[ModuleSummary]:
+        reanalyzed.extend(items[i].module for i in misses)
+        return [
+            extract_module(it.module, it.display_path, it.source, tree=it.tree)
+            for it in (items[i] for i in misses)
+        ]
+
+    summaries: List[ModuleSummary] = cached_batch(
+        GRAPH_CACHE_FN_ID,
+        [
+            {
+                "module": it.module,
+                "source_sha256": hashlib.sha256(
+                    it.source.encode("utf-8")
+                ).hexdigest(),
+            }
+            for it in items
+        ],
+        extract,
+        fingerprint=code_fingerprint(_symbols_module),
+    )
+    graph = build_call_graph({s.module: s for s in summaries})
     return ProjectAnalysis(
         graph=graph,
-        closure=closure,
-        cache_hits=hits,
-        cache_misses=misses,
+        closure=transitive_effects(graph),
+        cache_hits=len(items) - len(reanalyzed),
+        cache_misses=len(reanalyzed),
         reanalyzed=tuple(reanalyzed),
     )
 

@@ -37,10 +37,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..suppressions import SuppressionIndex
-from .lattice import WAIVER_RULES, Effect, effect_from_tag
+from .lattice import WAIVER_RULES, Effect
 
 __all__ = [
     "ArgRef",
@@ -51,10 +51,6 @@ __all__ = [
     "ModuleSummary",
     "extract_module",
 ]
-
-#: Bump when the summary schema or the effect tables change: part of
-#: every cache key, so stale summaries are orphaned, never mis-read.
-SUMMARY_SCHEMA_VERSION = 1
 
 # ----------------------------------------------------------------------
 # effect pattern tables
@@ -168,13 +164,6 @@ class ArgRef:
     kind: str  # "lambda" | "name" | "dotted" | "methodref" | "str" | "other"
     text: str = ""
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "text": self.text}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ArgRef":
-        return cls(kind=data["kind"], text=data["text"])
-
 
 @dataclass(frozen=True)
 class CallRef:
@@ -186,25 +175,6 @@ class CallRef:
     recv_ctor: Optional[Tuple[str, ...]] = None
     args: Tuple[ArgRef, ...] = ()
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "parts": list(self.parts),
-            "line": self.line,
-            "recv_ctor": list(self.recv_ctor) if self.recv_ctor else None,
-            "args": [a.to_dict() for a in self.args],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CallRef":
-        return cls(
-            kind=data["kind"],
-            parts=tuple(data["parts"]),
-            line=data["line"],
-            recv_ctor=tuple(data["recv_ctor"]) if data["recv_ctor"] else None,
-            args=tuple(ArgRef.from_dict(a) for a in data["args"]),
-        )
-
 
 @dataclass(frozen=True)
 class EffectOrigin:
@@ -214,23 +184,6 @@ class EffectOrigin:
     line: int
     detail: str
     waived: bool = False
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "effect": self.effect.value,
-            "line": self.line,
-            "detail": self.detail,
-            "waived": self.waived,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "EffectOrigin":
-        return cls(
-            effect=effect_from_tag(data["effect"]),
-            line=data["line"],
-            detail=data["detail"],
-            waived=data["waived"],
-        )
 
 
 @dataclass
@@ -247,33 +200,6 @@ class FunctionInfo:
     effects: Tuple[EffectOrigin, ...] = ()
     calls: Tuple[CallRef, ...] = ()
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "qname": self.qname,
-            "name": self.name,
-            "module": self.module,
-            "line": self.line,
-            "kind": self.kind,
-            "params": list(self.params),
-            "decorators": [d.to_dict() for d in self.decorators],
-            "effects": [e.to_dict() for e in self.effects],
-            "calls": [c.to_dict() for c in self.calls],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FunctionInfo":
-        return cls(
-            qname=data["qname"],
-            name=data["name"],
-            module=data["module"],
-            line=data["line"],
-            kind=data["kind"],
-            params=tuple(data["params"]),
-            decorators=tuple(CallRef.from_dict(d) for d in data["decorators"]),
-            effects=tuple(EffectOrigin.from_dict(e) for e in data["effects"]),
-            calls=tuple(CallRef.from_dict(c) for c in data["calls"]),
-        )
-
 
 @dataclass
 class ClassInfo:
@@ -288,31 +214,6 @@ class ClassInfo:
     attr_ctors: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     is_dataclass: bool = False
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "qname": self.qname,
-            "name": self.name,
-            "module": self.module,
-            "line": self.line,
-            "bases": [list(b) for b in self.bases],
-            "methods": dict(self.methods),
-            "attr_ctors": {k: list(v) for k, v in self.attr_ctors.items()},
-            "is_dataclass": self.is_dataclass,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ClassInfo":
-        return cls(
-            qname=data["qname"],
-            name=data["name"],
-            module=data["module"],
-            line=data["line"],
-            bases=tuple(tuple(b) for b in data["bases"]),
-            methods=dict(data["methods"]),
-            attr_ctors={k: tuple(v) for k, v in data["attr_ctors"].items()},
-            is_dataclass=data["is_dataclass"],
-        )
-
 
 @dataclass
 class ModuleSummary:
@@ -324,33 +225,6 @@ class ModuleSummary:
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
     assigns: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": SUMMARY_SCHEMA_VERSION,
-            "module": self.module,
-            "path": self.path,
-            "imports": dict(self.imports),
-            "functions": {k: f.to_dict() for k, f in self.functions.items()},
-            "classes": {k: c.to_dict() for k, c in self.classes.items()},
-            "assigns": {k: list(v) for k, v in self.assigns.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ModuleSummary":
-        return cls(
-            module=data["module"],
-            path=data["path"],
-            imports=dict(data["imports"]),
-            functions={
-                k: FunctionInfo.from_dict(f)
-                for k, f in data["functions"].items()
-            },
-            classes={
-                k: ClassInfo.from_dict(c) for k, c in data["classes"].items()
-            },
-            assigns={k: tuple(v) for k, v in data["assigns"].items()},
-        )
 
 
 # ----------------------------------------------------------------------

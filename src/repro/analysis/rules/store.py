@@ -8,7 +8,10 @@ choke point (:func:`repro.store.active_store`). Code that writes into
 a store's ``objects/`` layout directly can publish partial entries
 that readers then decode; code that reads ``REPRO_STORE_DIR`` itself
 forks the activation logic (and silently diverges from explicit
-``use_store`` handles). Both belong in :mod:`repro.store`.
+``use_store`` handles); code that calls ``record_cache_event`` itself
+forks the memo protocol's hit/miss accounting
+(:func:`repro.store.lookup` is its one recorder). All belong in
+:mod:`repro.store`.
 """
 
 from __future__ import annotations
@@ -94,15 +97,16 @@ class StoreDisciplineRule(Rule):
     """STORE001 — store access goes through ``repro.store``."""
 
     rule_id = "STORE001"
-    title = "result-store layout and activation accessed only via repro.store"
+    title = "result-store layout, activation and events only via repro.store"
     rationale = (
         "Writing into a store's objects/ layout directly publishes "
         "partial entries that break the atomic-rename contract readers "
         "rely on; reading REPRO_STORE_DIR outside repro.store forks the "
         "activation logic, so explicit use_store handles and the "
-        "environment can disagree about whether caching is on. Both "
-        "must go through the repro.store API (ResultStore.put, "
-        "active_store/resolve_store)."
+        "environment can disagree about whether caching is on; cache "
+        "events recorded elsewhere fork the memo protocol's accounting. "
+        "All go through the repro.store API (ResultStore.put, "
+        "active_store/resolve_store, lookup)."
     )
 
     def check(self, ctx: FileContext) -> List[Finding]:
@@ -127,6 +131,19 @@ class StoreDisciplineRule(Rule):
                             f"direct {func.attr}() into the store layout "
                             "bypasses the atomic publish; use "
                             "ResultStore.put/delete/gc",
+                        )
+                    )
+                elif (
+                    getattr(func, "id", getattr(func, "attr", None))
+                    == "record_cache_event"
+                ):
+                    findings.append(
+                        ctx.finding(
+                            node,
+                            self.rule_id,
+                            "record_cache_event() outside repro.store "
+                            "forks the memo protocol; use "
+                            "repro.store.lookup/cached_batch",
                         )
                     )
                 elif _reads_store_env(node):

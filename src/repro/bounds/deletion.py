@@ -8,8 +8,9 @@ the i.i.d. deletion channel, where each input symbol is independently
 deleted with probability ``p_d``:
 
 * :func:`gallager_lower_bound` — the classic achievability bound
-  ``C >= 1 - H(p_d)`` (binary), from sequential-decoding arguments of
-  the Gallager/Zigangirov school (ref [12]).
+  ``C >= 1 - H(p_d)`` (binary, ``p_d <= 1/2``; 0 above), from
+  sequential-decoding arguments of the Gallager/Zigangirov school
+  (ref [12]).
 * :func:`deletion_block_transition_stack` / :func:`block_bound_sweep`
   — exact finite-block computation in the style of Vvedenskaya &
   Dobrushin (1968) over a whole ``p_d`` grid: build the full
@@ -52,14 +53,19 @@ BLOCK_BOUND_BATCH_FN_ID = "deletion_block_bound_batch"
 
 
 def gallager_lower_bound(deletion_prob: float) -> float:
-    """Gallager's achievability bound ``max(0, 1 - H(p_d))`` bits/symbol.
+    """Gallager's achievability bound ``1 - H(p_d)`` bits/symbol for
+    ``p_d <= 1/2``, and 0 above.
 
     Derived from random convolutional codes with sequential decoding
     over the binary deletion channel; loose for small ``p_d`` but the
-    standard quick reference point.
+    standard quick reference point. ``1 - H(p_d)`` rises again past
+    ``p_d = 1/2`` (to 1 at ``p_d = 1``), where it is no bound at all and
+    would exceed the erasure upper bound ``1 - p_d``.
     """
     if not 0.0 <= deletion_prob <= 1.0:
         raise ValueError("deletion_prob must be in [0, 1]")
+    if deletion_prob > 0.5:
+        return 0.0
     return max(0.0, 1.0 - float(binary_entropy(deletion_prob)))
 
 

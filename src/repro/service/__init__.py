@@ -41,7 +41,6 @@ from .shedding import (
     cached_lookup,
     coarse_bound_value,
     resolve_degraded,
-    store_answer,
 )
 from .workers import solve_query, solve_query_batch
 
@@ -64,7 +63,6 @@ __all__ = [
     "LadderOutcome",
     "SHED_LADDER_SOLVER",
     "cached_lookup",
-    "store_answer",
     "coarse_bound_value",
     "resolve_degraded",
     "solve_query",

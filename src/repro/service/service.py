@@ -70,6 +70,7 @@ from ..simulation.pool import (
     WorkerCrashedError,
     WorkerHungError,
 )
+from ..store import publish
 from .breaker import CircuitBreaker
 from .policy import RetryPolicy
 from .query import (
@@ -86,7 +87,6 @@ from .shedding import (
     ShedLevel,
     cached_lookup,
     resolve_degraded,
-    store_answer,
 )
 from .workers import solve_query_batch
 
@@ -393,7 +393,7 @@ class CapacityService:
                 query, key, existing, t0, coalesced=True
             )
 
-        hit = cached_lookup(query)
+        hit = cached_lookup(key)
         if hit is not None:
             return self._finish(
                 QueryResult(
@@ -494,7 +494,7 @@ class CapacityService:
         attempts: int,
         error: Optional[str],
     ) -> QueryResult:
-        outcome = resolve_degraded(query, try_cache=try_cache)
+        outcome = resolve_degraded(query, key, try_cache=try_cache)
         if outcome.source == "store":
             status = QueryStatus.CACHED
         elif _coarse_is_exact(query, outcome.source):
@@ -646,7 +646,7 @@ class CapacityService:
         # ladder. Queries are never lost.
         self.stats.fallback_batches += 1
         for pending in batch:
-            outcome = resolve_degraded(pending.query, try_cache=True)
+            outcome = resolve_degraded(pending.query, pending.key, try_cache=True)
             exact = _coarse_is_exact(pending.query, outcome.source)
             self._resolve_pending(
                 pending,
@@ -690,7 +690,9 @@ class CapacityService:
                 value = {
                     str(k): float(v) for k, v in entry["value"].items()
                 }
-                store_answer(pending.query, value)
+                # Only solver answers are shared: degraded rungs must
+                # never poison the cache.
+                publish(QUERY_FN_ID, pending.key, value)
                 solved = _Solved(
                     status=QueryStatus.OK,
                     value=value,

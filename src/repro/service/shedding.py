@@ -31,9 +31,8 @@ from typing import Dict, Optional
 
 from ..core.capacity import erasure_upper_bound
 from ..numerics import SolverStatus, record_status
-from ..store import active_store
-from ..store.memo import record_cache_event
-from .query import QUERY_FN_ID, CapacityQuery, query_key
+from ..store import lookup
+from .query import QUERY_FN_ID, CapacityQuery
 
 __all__ = [
     "ShedLevel",
@@ -41,7 +40,6 @@ __all__ = [
     "LadderOutcome",
     "SHED_LADDER_SOLVER",
     "cached_lookup",
-    "store_answer",
     "coarse_bound_value",
     "resolve_degraded",
 ]
@@ -106,40 +104,18 @@ class LadderOutcome:
     source: str
 
 
-def cached_lookup(query: CapacityQuery) -> Optional[Dict[str, float]]:
-    """The stored answer for *query*, or ``None``.
+def cached_lookup(key: str) -> Optional[Dict[str, float]]:
+    """The stored answer under query key *key*, or ``None``.
 
-    Consults the active result store (:mod:`repro.store`) under the
-    query's canonical key and records a hit/miss cache event; with no
-    store active this is a cheap ``None``.
+    Consults the active result store (:mod:`repro.store`) through
+    :func:`repro.store.lookup`, which records the hit/miss cache event;
+    with no store active this is a cheap ``None``. *key* is the
+    :func:`repro.service.query_key` the caller already computed.
     """
-    store = active_store()
-    if store is None:
-        return None
-    found = store.fetch(query_key(query))
+    found = lookup(QUERY_FN_ID, key)
     if found is None:
-        record_cache_event(QUERY_FN_ID, "miss")
         return None
-    value, _entry = found
-    record_cache_event(QUERY_FN_ID, "hit")
-    return {str(k): float(v) for k, v in value.items()}
-
-
-def store_answer(query: CapacityQuery, value: Dict[str, float]) -> None:
-    """Persist a full-fidelity answer under *query*'s canonical key.
-
-    Best-effort: with no active store, or on any store write error,
-    the answer simply isn't shared — the cache trades time, never
-    correctness. Only ``OK``-status (solver) answers are stored;
-    degraded rungs must never poison the cache.
-    """
-    store = active_store()
-    if store is None:
-        return
-    try:
-        store.put(key=query_key(query), value=value, fn_id=QUERY_FN_ID)
-    except Exception:  # noqa: BLE001 — best-effort write
-        pass
+    return {str(k): float(v) for k, v in found[0].items()}
 
 
 def coarse_bound_value(query: CapacityQuery) -> Dict[str, float]:
@@ -154,9 +130,10 @@ def coarse_bound_value(query: CapacityQuery) -> Dict[str, float]:
 
 
 def resolve_degraded(
-    query: CapacityQuery, *, try_cache: bool = True
+    query: CapacityQuery, key: str, *, try_cache: bool = True
 ) -> LadderOutcome:
-    """Walk the degraded rungs for *query*: cache, then coarse bound.
+    """Walk the degraded rungs for *query* (stored under *key*): cache,
+    then coarse bound.
 
     ``try_cache=False`` (the ``COARSE`` shed level, where even a store
     read is too much queueing) jumps straight to the bound. The chosen
@@ -165,7 +142,7 @@ def resolve_degraded(
     answer — a fleet-level signal of how degraded the service's answers
     currently are.
     """
-    hit = cached_lookup(query) if try_cache else None
+    hit = cached_lookup(key) if try_cache else None
     if hit is not None:
         outcome = LadderOutcome(SolverStatus.CONVERGED, hit, "store")
     else:

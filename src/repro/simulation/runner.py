@@ -61,20 +61,14 @@ from typing import (
 import numpy as np
 
 from .._version import PACKAGE_VERSION
-from ..numerics import (
-    collect_solver_statuses,
-    collect_stage_timings,
-    record_stage_seconds,
-    stage,
-)
+from ..numerics import collect_solver_statuses, collect_stage_timings, stage
 from ..store import (
-    SerializationError,
-    StoreError,
     UnsupportedParameterError,
     active_store,
     callable_fingerprint,
     canonical_key,
-    record_cache_event,
+    lookup,
+    publish,
 )
 from .pool import SupervisedPool
 from .rng import RngFactory
@@ -710,22 +704,12 @@ class ExperimentRunner:
         cache and run normally. Checkpoints still govern resuming one
         *interrupted* run; the store shares *finished* runs.
         """
-        store = active_store()
         store_key: Optional[str] = None
-        if store is not None:
+        if active_store() is not None:
             store_key = self._store_key(trial, label)
-            if store_key is None:
-                record_cache_event(RUNNER_FN_ID, "bypass")
-            else:
-                found = store.fetch(store_key)
-                if found is not None:
-                    cached, entry = found
-                    record_cache_event(RUNNER_FN_ID, "hit")
-                    record_stage_seconds(
-                        "store:saved_seconds", entry.compute_seconds
-                    )
-                    return RunResult.from_dict(cached)
-                record_cache_event(RUNNER_FN_ID, "miss")
+            cached = lookup(RUNNER_FN_ID, store_key)
+            if cached is not None:
+                return RunResult.from_dict(cached[0])
 
         # Wall-clock budgeting is the runner's job — the one sanctioned
         # use of real time in src/.
@@ -829,22 +813,13 @@ class ExperimentRunner:
             pool_restarts=self._pool_restarts,
         )
         if (
-            store is not None
-            and store_key is not None
+            store_key is not None
             and not budget_exhausted
             and not permanently_failed
         ):
             # Only complete runs are shareable: a truncated or partially
             # failed aggregate must not masquerade as the full result.
-            try:
-                store.put(
-                    store_key,
-                    result.to_dict(),
-                    fn_id=RUNNER_FN_ID,
-                    compute_seconds=elapsed,
-                )
-            except (OSError, SerializationError, StoreError):
-                pass  # best-effort write; the computed result stands
+            publish(RUNNER_FN_ID, store_key, result.to_dict(), compute_seconds=elapsed)
         return result
 
     def sweep(

@@ -20,9 +20,12 @@ Pieces:
 * :mod:`.result_store` — :class:`ResultStore`: atomic-rename writes
   (idempotent under concurrent writers, no locks), per-entry
   provenance manifests, ``gc``/``verify``/``stats`` maintenance;
-* :mod:`.memo` — :func:`cached_solve` and the active-store registry
-  (explicit handles or ``REPRO_STORE_DIR``), with hit/miss/bypass
-  events recorded through :mod:`repro.numerics.telemetry`
+* :mod:`.memo` — the memo protocol every store consumer speaks
+  (:func:`lookup` reads, :func:`publish` writes, :func:`cached_batch`
+  and :func:`cached_solve` are built on them) and the active-store
+  registry (explicit handles or ``REPRO_STORE_DIR``), with
+  hit/miss/bypass events recorded through
+  :mod:`repro.numerics.telemetry`
   (:func:`repro.numerics.collect_store_events`).
 
 Caching is opt-in and observability-neutral: with no active store the
@@ -45,6 +48,8 @@ from .memo import (
     active_store,
     cached_batch,
     cached_solve,
+    lookup,
+    publish,
     record_cache_event,
     resolve_store,
     set_active_store,
@@ -68,6 +73,8 @@ __all__ = [
     "active_store",
     "cached_batch",
     "cached_solve",
+    "lookup",
+    "publish",
     "record_cache_event",
     "resolve_store",
     "set_active_store",

@@ -1,19 +1,22 @@
-"""Memoization layer: ``@cached_solve`` and the active-store registry.
+"""Memoization layer: the memo protocol and the active-store registry.
 
 Caching is strictly opt-in. A solve consults the store only when one is
 *active*: either a handle installed with :func:`use_store` /
 :func:`set_active_store`, or — for whole processes (CLI runs, worker
 pools) — the ``REPRO_STORE_DIR`` environment variable. With no active
-store every decorated function is a plain pass-through, which is what
-keeps the default path (and the test suite, which scrubs the
-environment variable) bit-identical to an uncached build.
+store every cache is a plain pass-through, which is what keeps the
+default path (and the test suite, which scrubs the environment
+variable) bit-identical to an uncached build.
 
-Every consultation is counted as a **hit** (entry found and decoded),
-**miss** (computed and written), or **bypass** (store active but the
-call is uncacheable — e.g. a parameter outside the canonical key
-vocabulary). Events stream into any open
-:func:`repro.numerics.collect_store_events` collector, the same
-collector stack that gathers solver statuses and stage timings
+Every store consumer speaks one protocol: :func:`lookup` is the only
+read path and :func:`publish` the only (best-effort) write path.
+:func:`cached_batch` is built on the two, and :func:`cached_solve` is a
+one-item :func:`cached_batch`. Every consultation is counted as a
+**hit** (entry found and decoded), **miss** (computed and written), or
+**bypass** (store active but the call is uncacheable — e.g. a
+parameter outside the canonical key vocabulary). Events stream into
+any open :func:`repro.numerics.collect_store_events` collector, the
+same collector stack that gathers solver statuses and stage timings
 (:mod:`repro.numerics.telemetry`).
 """
 
@@ -24,7 +27,7 @@ import os
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..numerics import record_cache_event, record_stage_seconds
 from .keys import UnsupportedParameterError, canonical_key, code_fingerprint
@@ -36,8 +39,10 @@ __all__ = [
     "set_active_store",
     "use_store",
     "resolve_store",
-    "cached_solve",
+    "lookup",
+    "publish",
     "cached_batch",
+    "cached_solve",
     "record_cache_event",
 ]
 
@@ -106,7 +111,156 @@ def resolve_store(directory: Optional[Union[str, Path]] = None) -> ResultStore:
 
 
 # ----------------------------------------------------------------------
-# the decorator
+# the memo protocol: one read path, one write path
+
+def lookup(
+    fn_id: str,
+    key: Optional[str],
+    *,
+    on_hit: Optional[Callable[[Any], None]] = None,
+) -> Optional[Tuple[Any]]:
+    """Read *key* from the active store: ``(value,)`` on a hit, else ``None``.
+
+    The only read path, and the only place cache events are recorded:
+    a hit records ``<fn_id>:hit``, credits the entry's
+    ``compute_seconds`` to ``store:saved_seconds`` and calls *on_hit*
+    (status replay); a miss (or corrupt entry) records ``<fn_id>:miss``;
+    a ``None`` *key* (uncacheable call) records ``<fn_id>:bypass``.
+    Records nothing with no active store. The 1-tuple keeps a stored
+    ``None`` distinguishable from a miss.
+    """
+    store = active_store()
+    if store is None:
+        return None
+    if key is None:
+        record_cache_event(fn_id, "bypass")
+        return None
+    found = store.fetch(key)
+    if found is None:
+        record_cache_event(fn_id, "miss")
+        return None
+    value, entry = found
+    record_cache_event(fn_id, "hit")
+    record_stage_seconds("store:saved_seconds", entry.compute_seconds)
+    if on_hit is not None:
+        on_hit(value)
+    return (value,)
+
+
+def publish(
+    fn_id: str,
+    key: str,
+    value: Any,
+    *,
+    fingerprint: str = "",
+    compute_seconds: float = 0.0,
+) -> None:
+    """Best-effort write of *value* under *key* to the active store.
+
+    The only write path. It swallows exactly what
+    :meth:`ResultStore.put` raises — the computed value stands whether
+    or not it is shared. *compute_seconds* is provenance (what a future
+    hit saves), never an input to any computation.
+    """
+    store = active_store()
+    if store is None:
+        return
+    try:
+        store.put(
+            key,
+            value,
+            fn_id=fn_id,
+            code_fingerprint=fingerprint,
+            compute_seconds=compute_seconds,
+        )
+    except (OSError, SerializationError, StoreError):
+        pass
+
+
+def cached_batch(
+    fn_id: str,
+    params_list: Sequence[Dict[str, Any]],
+    solve_misses: Callable[[List[int]], Sequence[Any]],
+    *,
+    fingerprint: str = "",
+    on_hit: Optional[Callable[[Any], None]] = None,
+) -> List[Any]:
+    """Memoize a *batched* solve: per-item store entries, one kernel call.
+
+    Each item in *params_list* gets its own canonical key under *fn_id*
+    (so warm sweeps answer point-by-point from the store, and a re-run
+    with two new grid points solves exactly those two), but all misses
+    of one call are handed to *solve_misses* together — which is what
+    lets a sweep run them through a single batched kernel invocation
+    instead of N scalar solves.
+
+    Parameters
+    ----------
+    fn_id:
+        Stable identifier (key namespace + counter names). Use a
+        distinct id per (computation, numeric path): batched kernels
+        may differ from their scalar oracles in the last ulp, so their
+        entries must never masquerade as the scalar function's.
+    params_list:
+        One canonical-key parameter mapping per item. Include
+        everything the numeric result depends on — tolerances and block
+        lengths. An item outside the key vocabulary bypasses the store.
+    solve_misses:
+        Called once with the sorted list of indices whose entries were
+        not found (skipped entirely when everything hit); must return
+        one result per index, in order.
+    fingerprint:
+        Code fingerprint salt for the keys (pass
+        :func:`repro.store.code_fingerprint` of the underlying solve).
+    on_hit:
+        Called with each decoded result on a hit — status replay, so a
+        warm sweep surfaces the same solver health as the cold one.
+
+    Returns the full result list in item order. With no active store
+    this is a pass-through: one ``solve_misses(range(n))`` call and no
+    events, bit-identical to the uncached sweep.
+    """
+    n = len(params_list)
+    if active_store() is None:
+        return list(solve_misses(list(range(n))))
+    keys: List[Optional[str]] = []
+    results: List[Any] = [None] * n
+    misses: List[int] = []
+    for i, params in enumerate(params_list):
+        try:
+            keys.append(canonical_key(fn_id, params, code_fingerprint=fingerprint))
+        except UnsupportedParameterError:
+            keys.append(None)
+        found = lookup(fn_id, keys[i], on_hit=on_hit)
+        if found is None:
+            misses.append(i)
+        else:
+            (results[i],) = found
+    if not misses:
+        return results
+    # Solve cost is provenance for the manifests, split evenly across
+    # the batch's misses; never an input to any computation.
+    t0 = time.perf_counter()  # repro: noqa[DET001]
+    solved = list(solve_misses(misses))
+    seconds = time.perf_counter() - t0  # repro: noqa[DET001]
+    if len(solved) != len(misses):
+        raise ValueError(
+            f"solve_misses returned {len(solved)} results "
+            f"for {len(misses)} misses"
+        )
+    for i, value in zip(misses, solved):
+        results[i] = value
+        key = keys[i]
+        if key is not None:
+            publish(
+                fn_id,
+                key,
+                value,
+                fingerprint=fingerprint,
+                compute_seconds=seconds / len(misses),
+            )
+    return results
+
 
 def cached_solve(
     fn_id: str,
@@ -114,7 +268,9 @@ def cached_solve(
     instance_attrs: Optional[Sequence[str]] = None,
     on_hit: Optional[Callable[[Any], None]] = None,
 ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
-    """Memoize an expensive solve through the active result store.
+    """Memoize an expensive solve through the active result store: a
+    one-item :func:`cached_batch` over the call's arguments, salted
+    with the function's source fingerprint.
 
     Parameters
     ----------
@@ -140,159 +296,29 @@ def cached_solve(
     def decorate(fn: Callable[..., Any]) -> Callable[..., Any]:
         @functools.wraps(fn)
         def wrapper(*args: Any, **kwargs: Any) -> Any:
-            store = active_store()
-            if store is None:
+            if active_store() is None:
                 return fn(*args, **kwargs)
             try:
+                fingerprint = code_fingerprint(fn)
+                params: Dict[str, Any] = {"args": list(args), "kwargs": kwargs}
                 if instance_attrs is not None:
-                    self_obj = args[0]
-                    params: Dict[str, Any] = {
-                        "self": {
-                            name: getattr(self_obj, name)
-                            for name in instance_attrs
-                        },
-                        "args": list(args[1:]),
-                        "kwargs": kwargs,
+                    params["self"] = {
+                        name: getattr(args[0], name) for name in instance_attrs
                     }
-                else:
-                    params = {"args": list(args), "kwargs": kwargs}
-                key = canonical_key(
-                    fn_id, params, code_fingerprint=code_fingerprint(fn)
-                )
+                    params["args"] = list(args[1:])
             except (UnsupportedParameterError, IndexError):
-                record_cache_event(fn_id, "bypass")
+                lookup(fn_id, None)  # records the bypass
                 return fn(*args, **kwargs)
-            found = store.fetch(key)
-            if found is not None:
-                value, entry = found
-                record_cache_event(fn_id, "hit")
-                record_stage_seconds(
-                    "store:saved_seconds", entry.compute_seconds
-                )
-                if on_hit is not None:
-                    on_hit(value)
-                return value
-            record_cache_event(fn_id, "miss")
-            # Solve cost is provenance for the manifest (wall-time a
-            # future hit saves), never an input to any computation.
-            t0 = time.perf_counter()  # repro: noqa[DET001]
-            result = fn(*args, **kwargs)
-            seconds = time.perf_counter() - t0  # repro: noqa[DET001]
-            try:
-                store.put(
-                    key,
-                    result,
-                    fn_id=fn_id,
-                    code_fingerprint=code_fingerprint(fn),
-                    compute_seconds=seconds,
-                )
-            except (OSError, SerializationError, UnsupportedParameterError, StoreError):
-                pass  # best-effort write; the computed result stands
+            (result,) = cached_batch(
+                fn_id,
+                [params],
+                lambda _misses: [fn(*args, **kwargs)],
+                fingerprint=fingerprint,
+                on_hit=on_hit,
+            )
             return result
 
         wrapper.cache_fn_id = fn_id  # type: ignore[attr-defined]
         return wrapper
 
     return decorate
-
-
-def cached_batch(
-    fn_id: str,
-    params_list: Sequence[Dict[str, Any]],
-    solve_misses: Callable[[List[int]], Sequence[Any]],
-    *,
-    fingerprint: str = "",
-    on_hit: Optional[Callable[[Any], None]] = None,
-) -> List[Any]:
-    """Memoize a *batched* solve: per-item store entries, one kernel call.
-
-    The batched sweep counterpart of :func:`cached_solve`. Each item in
-    *params_list* gets its own canonical key under *fn_id* (so warm
-    sweeps answer point-by-point from the store, and a re-run with two
-    new grid points solves exactly those two), but all misses of one
-    call are handed to *solve_misses* together — which is what lets the
-    sweep run them through a single batched kernel invocation instead
-    of N scalar solves.
-
-    Parameters
-    ----------
-    fn_id:
-        Stable identifier (key namespace + counter names). Use a
-        distinct id per (computation, numeric path): batched kernels
-        may differ from their scalar oracles in the last ulp, so their
-        entries must never masquerade as the scalar function's.
-    params_list:
-        One canonical-key parameter mapping per item. Include
-        everything the numeric result depends on — tolerances and block
-        lengths.
-    solve_misses:
-        Called once with the sorted list of indices whose entries were
-        not found (skipped entirely when everything hit); must return
-        one result per index, in order.
-    fingerprint:
-        Code fingerprint salt for the keys (pass
-        :func:`repro.store.code_fingerprint` of the underlying solve).
-    on_hit:
-        Called with each decoded result on a hit — status replay, so a
-        warm sweep surfaces the same solver health as the cold one.
-
-    Returns the full result list in item order. With no active store
-    this is a pass-through: one ``solve_misses(range(n))`` call and no
-    counters, bit-identical to the uncached sweep.
-    """
-    n = len(params_list)
-    store = active_store()
-    if store is None:
-        return list(solve_misses(list(range(n))))
-    results: List[Any] = [None] * n
-    misses: List[int] = []
-    keys: List[Optional[str]] = [None] * n
-    for i, params in enumerate(params_list):
-        try:
-            keys[i] = canonical_key(
-                fn_id, params, code_fingerprint=fingerprint
-            )
-        except UnsupportedParameterError:
-            record_cache_event(fn_id, "bypass")
-            misses.append(i)
-            continue
-        found = store.fetch(keys[i])
-        if found is not None:
-            value, entry = found
-            record_cache_event(fn_id, "hit")
-            record_stage_seconds("store:saved_seconds", entry.compute_seconds)
-            if on_hit is not None:
-                on_hit(value)
-            results[i] = value
-        else:
-            record_cache_event(fn_id, "miss")
-            misses.append(i)
-    if not misses:
-        return results
-    t0 = time.perf_counter()  # repro: noqa[DET001]
-    solved = list(solve_misses(misses))
-    seconds = time.perf_counter() - t0  # repro: noqa[DET001]
-    if len(solved) != len(misses):
-        raise ValueError(
-            f"solve_misses returned {len(solved)} results "
-            f"for {len(misses)} misses"
-        )
-    # Attribute the batch's wall-time evenly across its misses — the
-    # per-entry compute_seconds is provenance (what a future hit
-    # saves), never an input to any computation.
-    per_item = seconds / len(misses)
-    for i, value in zip(misses, solved):
-        results[i] = value
-        if keys[i] is None:
-            continue
-        try:
-            store.put(
-                keys[i],
-                value,
-                fn_id=fn_id,
-                code_fingerprint=fingerprint,
-                compute_seconds=per_item,
-            )
-        except (OSError, SerializationError, UnsupportedParameterError, StoreError):
-            pass  # best-effort write; the computed result stands
-    return results

@@ -27,6 +27,7 @@ poisons a computation — and are reported explicitly by
 from __future__ import annotations
 
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -162,26 +163,32 @@ class ResultStore:
     def fetch(self, key: str) -> Optional[Tuple[Any, StoreEntry]]:
         """Decode entry *key* as ``(value, manifest)``.
 
-        Returns ``None`` on a miss *or* on any corruption — a damaged
-        entry must degrade to a recompute, never to an exception in the
-        middle of a solve. A successful read bumps the entry's mtime so
-        size-budget GC evicts least-recently-used entries first.
+        Returns ``None`` on a miss *or* on any corruption — a payload
+        whose hash no longer matches its manifest included — so a
+        damaged entry degrades to a recompute, never to an exception
+        (or a foreign value) in the middle of a solve. A successful
+        read bumps the entry's mtime so size-budget GC evicts
+        least-recently-used entries first.
         """
         entry_dir = self.path_for(key)
         try:
             manifest = json.loads(
                 (entry_dir / MANIFEST_NAME).read_text(encoding="utf-8")
             )
-            payload = json.loads(
-                (entry_dir / PAYLOAD_NAME).read_text(encoding="utf-8")
-            )
+            hashes = manifest["hashes"]
+            raw = (entry_dir / PAYLOAD_NAME).read_bytes()
+            if hashlib.sha256(raw).hexdigest() != hashes[PAYLOAD_NAME]:
+                return None
+            payload = json.loads(raw.decode("utf-8"))
             arrays: Dict[str, np.ndarray] = {}
-            arrays_path = entry_dir / ARRAYS_NAME
-            if arrays_path.exists():
-                with np.load(arrays_path) as npz:
+            if ARRAYS_NAME in hashes:
+                raw = (entry_dir / ARRAYS_NAME).read_bytes()
+                if hashlib.sha256(raw).hexdigest() != hashes[ARRAYS_NAME]:
+                    return None
+                with np.load(io.BytesIO(raw)) as npz:
                     arrays = {name: npz[name] for name in npz.files}
             value = decode_value(payload, arrays)
-        except (OSError, ValueError, KeyError, SerializationError):
+        except (OSError, ValueError, KeyError, TypeError, SerializationError):
             return None
         try:
             os.utime(entry_dir / MANIFEST_NAME)

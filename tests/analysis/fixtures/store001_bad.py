@@ -1,7 +1,9 @@
-"""Fixture: store-layout writes and activation reads outside repro.store."""
+"""Fixture: store-layout writes, activation reads and cache events
+outside repro.store."""
 
 import os
 
+from repro.numerics import record_cache_event
 from repro.store import ResultStore
 
 store = ResultStore("/tmp/cache")
@@ -17,3 +19,7 @@ def fork_activation() -> str:
     root = os.environ["REPRO_STORE_DIR"]
     fallback = os.environ.get("REPRO_STORE_DIR", "")
     return os.getenv("REPRO_STORE_DIR", root or fallback)
+
+
+def fork_accounting() -> None:
+    record_cache_event("my_solver", "hit")  # bypasses the memo protocol

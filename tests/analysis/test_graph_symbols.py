@@ -1,8 +1,10 @@
 """Unit tests for per-module extraction (:mod:`repro.analysis.graph.symbols`)."""
 
+import json
 import textwrap
 
-from repro.analysis.graph import Effect, ModuleSummary, extract_module
+from repro.analysis.graph import Effect, extract_module
+from repro.store import decode_value, encode_value
 
 
 def _extract(source, module="m", path="m.py"):
@@ -321,5 +323,7 @@ def test_summary_json_round_trip():
             return x
         """
     )
-    restored = ModuleSummary.from_dict(s.to_dict())
+    # Summaries are cached through the store's generic dataclass codec.
+    payload, arrays = encode_value(s)
+    restored = decode_value(json.loads(json.dumps(payload)), arrays)
     assert restored == s

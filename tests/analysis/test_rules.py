@@ -24,7 +24,7 @@ BAD_CASES = [
     ("PROB001", "prob001_bad.py", 4),
     ("PROB002", "prob002_bad.py", 1),
     ("NUM001", "num001_bad.py", 4),
-    ("STORE001", "store001_bad.py", 6),
+    ("STORE001", "store001_bad.py", 7),
     ("SVC001", "svc001_bad.py", 3),
     ("EST001", "est001_bad.py", 3),
 ]

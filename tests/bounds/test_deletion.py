@@ -19,7 +19,7 @@ class TestGallager:
     def test_endpoints(self):
         assert gallager_lower_bound(0.0) == 1.0
         assert gallager_lower_bound(0.5) == 0.0
-        assert gallager_lower_bound(1.0) == 1.0  # clamped H(1)=0 artifact
+        assert gallager_lower_bound(1.0) == 0.0  # no bound past p_d = 1/2
 
     def test_known_value(self):
         assert gallager_lower_bound(0.1) == pytest.approx(0.531, abs=1e-3)
@@ -151,3 +151,12 @@ class TestBracket:
         assert row.best_lower == pytest.approx(
             max(row.gallager_lower, row.block_lower)
         )
+
+    def test_lower_never_exceeds_upper_up_to_pd_099(self):
+        """Regression: ``1 - H(p_d)`` rises again past ``p_d = 1/2``, so
+        the bracket used to report e.g. lower 0.531 > upper 0.1 at
+        ``p_d = 0.9``."""
+        grid = [round(0.05 * k, 2) for k in range(20)] + [0.99]
+        for row in capacity_bracket_sweep(grid, block_length=4):
+            assert row.gallager_lower <= row.erasure_upper + 1e-12, row
+            assert row.best_lower <= row.erasure_upper + 1e-12, row

@@ -5,6 +5,7 @@ import pytest
 from repro.core.capacity import erasure_upper_bound
 from repro.numerics import collect_solver_statuses
 from repro.service import (
+    QUERY_FN_ID,
     SHED_LADDER_SOLVER,
     AdmissionController,
     ShedLevel,
@@ -13,9 +14,8 @@ from repro.service import (
     normalize_query,
     query_key,
     resolve_degraded,
-    store_answer,
 )
-from repro.store import ResultStore, use_store
+from repro.store import ResultStore, publish, use_store
 
 
 def _query(**overrides):
@@ -28,6 +28,10 @@ def _query(**overrides):
     }
     raw.update(overrides)
     return normalize_query(raw)
+
+
+def _publish_answer(query, value):
+    publish(QUERY_FN_ID, query_key(query), value)
 
 
 # ----------------------------------------------------------------------
@@ -78,28 +82,28 @@ def test_coarse_bound_is_the_erasure_bound():
 
 
 def test_cached_lookup_without_a_store_is_none():
-    assert cached_lookup(_query()) is None
+    assert cached_lookup(query_key(_query())) is None
 
 
 def test_store_roundtrip_through_the_ladder(tmp_path):
     query = _query()
     with use_store(ResultStore(tmp_path)):
-        assert cached_lookup(query) is None
-        store_answer(query, {"corrected_capacity": 3.2, "feedback_lower": 2.9})
-        assert cached_lookup(query) == {
+        assert cached_lookup(query_key(query)) is None
+        _publish_answer(query, {"corrected_capacity": 3.2, "feedback_lower": 2.9})
+        assert cached_lookup(query_key(query)) == {
             "corrected_capacity": 3.2,
             "feedback_lower": 2.9,
         }
         # A semantically different query misses.
-        assert cached_lookup(_query(deletion=0.3)) is None
+        assert cached_lookup(query_key(_query(deletion=0.3))) is None
 
 
 def test_resolve_degraded_prefers_the_cache(tmp_path):
     query = _query()
     with use_store(ResultStore(tmp_path)):
-        store_answer(query, {"corrected_capacity": 3.2, "feedback_lower": 2.9})
+        _publish_answer(query, {"corrected_capacity": 3.2, "feedback_lower": 2.9})
         with collect_solver_statuses() as statuses:
-            outcome = resolve_degraded(query)
+            outcome = resolve_degraded(query, query_key(query))
     assert outcome.source == "store"
     assert outcome.value == {
         "corrected_capacity": 3.2,
@@ -111,14 +115,14 @@ def test_resolve_degraded_prefers_the_cache(tmp_path):
 def test_resolve_degraded_falls_back_to_the_coarse_bound(tmp_path):
     query = _query()
     with collect_solver_statuses() as statuses:
-        outcome = resolve_degraded(query)  # no store: nothing cached
+        outcome = resolve_degraded(query, query_key(query))  # no store: nothing cached
     assert outcome.source == "coarse_bound"
     assert outcome.value == coarse_bound_value(query)
     assert statuses == {f"{SHED_LADDER_SOLVER}:stalled": 1}
 
     with use_store(ResultStore(tmp_path)):
         with collect_solver_statuses() as statuses:
-            outcome = resolve_degraded(query)  # store miss
+            outcome = resolve_degraded(query, query_key(query))  # store miss
     assert outcome.source == "coarse_bound"
     assert statuses == {f"{SHED_LADDER_SOLVER}:stalled": 1}
 
@@ -126,19 +130,19 @@ def test_resolve_degraded_falls_back_to_the_coarse_bound(tmp_path):
 def test_resolve_degraded_can_skip_the_cache(tmp_path):
     query = _query()
     with use_store(ResultStore(tmp_path)):
-        store_answer(query, {"corrected_capacity": 3.2, "feedback_lower": 2.9})
+        _publish_answer(query, {"corrected_capacity": 3.2, "feedback_lower": 2.9})
         with collect_solver_statuses() as statuses:
-            outcome = resolve_degraded(query, try_cache=False)
+            outcome = resolve_degraded(query, query_key(query), try_cache=False)
     assert outcome.source == "coarse_bound"
     assert statuses == {f"{SHED_LADDER_SOLVER}:stalled": 1}
 
 
 def test_store_answer_without_a_store_is_a_noop():
-    store_answer(_query(), {"upper": 1.0})  # must not raise
+    _publish_answer(_query(), {"upper": 1.0})  # must not raise
 
 
 def test_query_key_is_the_store_key(tmp_path):
     query = _query()
     with use_store(ResultStore(tmp_path)) as store:
-        store_answer(query, {"upper": 1.0})
+        _publish_answer(query, {"upper": 1.0})
         assert store.fetch(query_key(query)) is not None

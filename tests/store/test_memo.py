@@ -1,13 +1,18 @@
 """Memoization semantics: opt-in activation, cache events, invalidation."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.infotheory.blahut_arimoto import blahut_arimoto
-from repro.numerics import collect_store_events
+from repro.numerics import collect_stage_timings, collect_store_events
 from repro.store import (
     ResultStore,
     cached_solve,
+    lookup,
+    publish,
+    result_store,
     set_active_store,
     use_store,
 )
@@ -188,3 +193,137 @@ def test_real_solver_hits_are_bit_identical(store):
     np.testing.assert_array_equal(
         hit.input_distribution, cold.input_distribution
     )
+
+
+# ----------------------------------------------------------------------
+# the protocol: lookup / publish
+
+KEY = "ab" * 32
+
+
+def test_lookup_without_a_store_is_none_and_silent():
+    with collect_store_events() as events, collect_stage_timings() as timings:
+        assert lookup("memo_nostore", KEY) is None
+        assert lookup("memo_nostore", None) is None
+        publish("memo_nostore", KEY, 1.0)  # no-op, must not raise
+    assert events == {}
+    assert timings == {}
+
+
+def test_lookup_records_hit_miss_and_bypass(store):
+    seen = []
+    with use_store(store), collect_store_events() as events:
+        assert lookup("memo_proto", KEY) is None
+        publish("memo_proto", KEY, {"v": 2.0}, compute_seconds=1.5)
+        with collect_stage_timings() as timings:
+            assert lookup("memo_proto", KEY, on_hit=seen.append) == ({"v": 2.0},)
+        assert lookup("memo_proto", None) is None
+    assert events == {
+        "memo_proto:miss": 1,
+        "memo_proto:hit": 1,
+        "memo_proto:bypass": 1,
+    }
+    assert timings == {"store:saved_seconds": 1.5}
+    assert seen == [{"v": 2.0}]
+
+
+def test_a_stored_none_is_a_hit(store):
+    calls = []
+
+    @cached_solve("memo_none")
+    def solve(x):
+        calls.append(x)
+        return None
+
+    with use_store(store), collect_store_events() as events:
+        publish("memo_none_raw", KEY, None)
+        assert lookup("memo_none_raw", KEY) == (None,)
+        assert solve(1) is None
+        assert solve(1) is None
+    assert calls == [1]
+    assert events == {
+        "memo_none_raw:hit": 1,
+        "memo_none:miss": 1,
+        "memo_none:hit": 1,
+    }
+
+
+def _fail_rename(*args, **kwargs):
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize(
+    "failure",
+    ["oserror", "serialization", "store"],
+)
+def test_publish_swallows_what_put_raises(store, monkeypatch, failure):
+    key, value = KEY, {"v": 1.0}
+    if failure == "oserror":
+        monkeypatch.setattr(result_store.os, "rename", _fail_rename)
+    elif failure == "serialization":
+        value = {"v": object()}  # outside the payload vocabulary
+    else:
+        key = "not-a-hex-key"  # rejected by ResultStore.path_for
+    with use_store(store):
+        publish("memo_failing", key, value)
+    assert store.keys() == []
+
+
+def test_service_and_graph_hits_record_saved_seconds(store):
+    from repro.analysis.graph import analyze_source_root
+    from repro.service import QUERY_FN_ID, cached_lookup
+
+    fixture = Path(__file__).parents[1] / "analysis" / "fixtures" / "graph_clock"
+    with use_store(store):
+        publish(QUERY_FN_ID, KEY, {"upper": 1.0})
+        with collect_stage_timings() as timings:
+            assert cached_lookup(KEY) == {"upper": 1.0}
+        assert "store:saved_seconds" in timings
+        analyze_source_root(fixture / "src")
+        with collect_stage_timings() as timings:
+            warm = analyze_source_root(fixture / "src")
+    assert warm.cache_misses == 0
+    assert timings["store:saved_seconds"] > 0.0
+
+
+@pytest.mark.parametrize(
+    "corruption",
+    [
+        "broken",
+        '{"tampered": 1}',
+        '{"__repro__": "dataclass", "fields": {"bogus": 1}, '
+        '"cls": "repro.analysis.graph.symbols:ModuleSummary"}',
+    ],
+)
+def test_corrupt_graph_entry_is_reextracted(store, corruption):
+    from repro.analysis.graph import analyze_source_root
+
+    fixture = Path(__file__).parents[1] / "analysis" / "fixtures" / "graph_clock"
+    with use_store(store):
+        cold = analyze_source_root(fixture / "src")
+        for key in store.keys():
+            (store.path_for(key) / "payload.json").write_text(corruption)
+        warm = analyze_source_root(fixture / "src")
+    assert warm.cache_hits == 0
+    assert warm.reanalyzed == cold.reanalyzed
+    assert warm.closure == cold.closure
+
+
+def test_service_keys_each_query_once(store, monkeypatch):
+    from repro.service import query, serve_queries
+
+    calls = []
+    real = query.canonical_key
+
+    def counting_key(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(query, "canonical_key", counting_key)
+    raws = [
+        {"kind": "erasure", "deletion": d, "insertion": 0.0, "bits_per_symbol": 2}
+        for d in (0.1, 0.2, 0.1)
+    ]
+    with use_store(store):
+        serve_queries(raws, workers=1)
+    assert len(calls) == len(raws)

@@ -117,6 +117,20 @@ def test_corrupt_payload_reads_as_miss(store):
     assert store.get(key, default="recompute") == "recompute"
 
 
+def test_tampered_but_decodable_entry_reads_as_miss(store):
+    """A payload or array file whose hash no longer matches the
+    manifest is a miss, even when it still decodes."""
+    edited, swapped = key_for(7), key_for(8)
+    for key in (edited, swapped):
+        store.put(key, {"v": 1.0, "arr": np.ones(2)}, fn_id="toy")
+    payload = store.path_for(edited) / "payload.json"
+    payload.write_text(payload.read_text().replace("1.0", "2.0"))
+    with open(store.path_for(swapped) / "arrays.npz", "wb") as fh:
+        np.savez(fh, a0=np.zeros(2))
+    assert store.fetch(edited) is None
+    assert store.fetch(swapped) is None
+
+
 def test_verify_reports_each_corruption(store):
     clean, flipped, missing, undecodable = (key_for(i) for i in range(4))
     for key in (clean, flipped, missing, undecodable):
