@@ -9,12 +9,15 @@ budget, with the truncated tail folded into an uninformative overflow
 column (keeping the lower-bound direction honest). At ``p_i = 0`` the
 table is the deletion table of :mod:`repro.bounds.deletion`; at
 ``p_d = 0`` it is the insertion-only channel, whose truncated mass is
-the NegativeBinomial(n, 1 - p_i) tail beyond the budget.
-Blahut-Arimoto on the table then gives the finite-block information,
-and Dobrushin's boundary correction a true capacity lower bound for
-the joint channel — the quantity the Theorem-1 erasure bound
-upper-bounds. Every table and bound is built over a ``(P_d, P_i)``
-grid; a single point is a one-element grid.
+the NegativeBinomial(n, 1 - p_i) tail beyond the budget. Every output
+length's block comes from one DP pass over the output prefix tree: the
+DP state after ``j`` output bits depends only on those bits, so depth
+``j`` of the tree is the length-``j`` block. Blahut-Arimoto on the
+table then gives the finite-block information, and Dobrushin's
+boundary correction a true capacity lower bound for the joint channel
+— the quantity the Theorem-1 erasure bound upper-bounds. Every table
+and bound is built over a ``(P_d, P_i)`` grid; a single point is a
+one-element grid.
 """
 
 from __future__ import annotations
@@ -52,53 +55,53 @@ def _strings_of_length(m: int) -> np.ndarray:
     return ((codes[:, None] >> np.arange(m - 1, -1, -1)[None, :]) & 1).astype(np.int8)
 
 
-def _pair_probabilities_stack(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    deletion_probs: np.ndarray,
-    insertion_probs: np.ndarray,
-) -> np.ndarray:
-    """Exact ``P(y|x)`` for all pairs via the two-index DP, vectorized
-    over a leading ``(k,)`` parameter axis.
+def _prefix_tree_blocks(
+    xs: np.ndarray, pd: np.ndarray, pi: np.ndarray, depth: int
+) -> List[np.ndarray]:
+    """Exact ``P(y|x)`` blocks of every output length ``0..depth`` from
+    one DP pass over the output prefix tree, vectorized over the ``(k,)``
+    ``(P_d, P_i)`` axis. Returns the ``(k, num_x, 2^m)`` block per ``m``.
 
     ``f(i, j)`` = probability of having consumed ``i`` input bits and
-    emitted the first ``j`` output bits. Insertions are only possible
-    while input remains (the channel stops once the queue is empty).
-    All ``(P_d, P_i)`` grid points share the same match structure
-    (which depends only on ``xs``/``ys``), so the per-point
-    probabilities enter the recursion purely as ``(k, 1, 1)``
-    broadcasts — one DP pass prices every grid point at once. Returns
-    shape ``(k, num_x, num_y)``.
+    emitted the first ``j`` output bits; ``P(y|x) = f(n, |y|)``. Depth
+    ``j`` holds the ``2^j`` prefixes in counting order (child ``2c + b``
+    extends parent ``c`` by bit ``b``), and the insertion and match
+    terms, which read only the parent, broadcast over a trailing bit
+    axis. Each entry takes the same float operations, in the same
+    order, as in a separate DP per output length. Insertions are only
+    possible while input remains (the channel stops once the queue is
+    empty).
     """
     num_x, n = xs.shape
-    num_y, m = ys.shape
-    pd = np.asarray(deletion_probs, dtype=float)[:, None, None]
-    pi = np.asarray(insertion_probs, dtype=float)[:, None, None]
     k = pd.shape[0]
-    pt = 1.0 - pd - pi
+    pd = pd[:, None, None]
+    pi = pi[:, None, None]
     half_ins = pi / 2.0
-
-    f_prev_j = np.zeros((n + 1, k, num_x, num_y))  # f(., j-1)
-    f_cur_j = np.zeros((n + 1, k, num_x, num_y))  # f(., j)
-    # j = 0 column: only deletions can have consumed inputs.
-    f_cur_j[0] = 1.0
-    for i in range(1, n + 1):
-        f_cur_j[i] = f_cur_j[i - 1] * pd
-    for j in range(1, m + 1):
-        f_prev_j, f_cur_j = f_cur_j, np.zeros_like(f_cur_j)
-        yj = ys[:, j - 1][None, :]
+    # (1 - p_d - p_i) * [x_i == b], shape (k, num_x, 1, 2) per position i.
+    pt = (1.0 - pd - pi)[..., None]
+    pt_match = [
+        pt * (xs[:, i, None, None] == np.arange(2)).astype(float)[None]
+        for i in range(n)
+    ]
+    # Depth 0 (the empty output): only deletions can have consumed inputs.
+    f = [np.ones((k, num_x, 1))]
+    for _ in range(n):
+        f.append(f[-1] * pd)
+    blocks = [f[n]]
+    for j in range(1, depth + 1):
+        parents, f = f, []
         for i in range(0, n + 1):
-            acc = np.zeros((k, num_x, num_y))
+            acc = np.zeros((k, num_x, 1 << (j - 1), 2))
             if i < n:
-                # Insertion emitting y_j, input untouched.
-                acc += half_ins * f_prev_j[i]
+                # Insertion emitting the child's last bit, input untouched.
+                acc += (half_ins * parents[i])[..., None]
             if i > 0:
-                match = (xs[:, i - 1][:, None] == yj).astype(float)[None]
-                acc += pt * match * f_prev_j[i - 1]
-                # Deletion consumes input i without emitting: same j.
-                acc += pd * f_cur_j[i - 1]
-            f_cur_j[i] = acc
-    return f_cur_j[n]
+                acc += pt_match[i - 1] * parents[i - 1][..., None]
+                # Deletion consumes input i without emitting: same depth.
+                acc += pd[..., None] * f[i - 1].reshape(acc.shape)
+            f.append(acc.reshape(k, num_x, 1 << j))
+        blocks.append(f[n])
+    return blocks
 
 
 def indel_block_transition_stack(
@@ -110,9 +113,10 @@ def indel_block_transition_stack(
     """Truncated block tables for a whole ``(P_d, P_i)`` grid as a stack.
 
     Every grid point at the same ``(n, max_extra)`` shares the output
-    alphabet and column layout, so the stack builder runs each output
-    length's DP once (vectorized over the parameter axis via
-    :func:`_pair_probabilities_stack`) and stacks the results into the
+    alphabet and column layout, so one DP pass over the output prefix
+    tree, vectorized over the grid (:func:`_prefix_tree_blocks`),
+    yields every output length's block. They are stacked, with the
+    truncated tail as an overflow column, into the
     ``(k, 2^n, num_outputs + 1)`` array the batched kernel consumes.
     Returns ``(stack, output_groups, max_tail_mass_per_point)``.
     """
@@ -130,13 +134,8 @@ def indel_block_transition_stack(
             raise ValueError("P_d + P_i must not exceed 1")
     pds = np.array([pd for pd, _ in points])
     pis = np.array([pi for _, pi in points])
-    xs = _strings_of_length(n)
-    blocks = []
-    groups = []
-    for m in range(0, n + max_extra + 1):
-        ys = _strings_of_length(m)
-        groups.append(ys)
-        blocks.append(_pair_probabilities_stack(xs, ys, pds, pis))
+    blocks = _prefix_tree_blocks(_strings_of_length(n), pds, pis, n + max_extra)
+    groups = [_strings_of_length(m) for m in range(n + max_extra + 1)]
     transition = np.concatenate(blocks, axis=2)
     row_sums = transition.sum(axis=2)
     overflow = np.clip(1.0 - row_sums, 0.0, 1.0)[:, :, None]

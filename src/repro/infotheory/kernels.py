@@ -62,21 +62,27 @@ _SEVERITY = (
 )
 
 
-def _divergence_step(
-    p: np.ndarray, w: np.ndarray, log_w: np.ndarray
-) -> np.ndarray:
+def _neg_entropy(w: np.ndarray) -> np.ndarray:
+    """``h(k, x) = sum_y W log2 W`` (minus each row's entropy) for a
+    ``(k, nx, ny)`` stack; structural zeros contribute nothing. Constant
+    across a solve, so the kernels compute it once."""
+    return np.einsum("kxy,kxy->kx", w, masked_log2(w))
+
+
+def _divergence_step(p: np.ndarray, w: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Per-input divergence for every channel in a stack.
 
-    ``q_k = p_k @ W_k`` then ``d(k, x) = sum_y W (log_w - log2 q)`` for
-    ``p`` of shape ``(k, nx)`` and ``w`` / ``log_w`` of shape
-    ``(k, nx, ny)`` — the O(k * nx * ny) inner loop of both kernels.
-    ``log2 q`` is floored via :func:`repro.numerics.safe_log2` so an
-    underflowed output symbol gives a large-but-finite divergence
-    instead of ``inf``.
+    ``q_k = p_k @ W_k`` then ``d(k, x) = h(k, x) - sum_y W log2 q`` for
+    ``p`` / ``h`` of shape ``(k, nx)`` (``h`` from :func:`_neg_entropy`)
+    and ``w`` of shape ``(k, nx, ny)`` — two batched matrix-vector
+    products, the O(k * nx * ny) inner loop of both kernels. ``log2 q``
+    is floored via :func:`repro.numerics.safe_log2` so an underflowed
+    output symbol gives a large-but-finite divergence instead of
+    ``inf``.
     """
-    q = np.einsum("kx,kxy->ky", p, w)
+    q = np.matmul(p[:, None, :], w)[:, 0, :]
     log_q = safe_log2(q)
-    return np.einsum("kxy,kxy->kx", w, log_w - log_q[:, None, :])
+    return h - np.matmul(w, log_q[:, :, None])[:, :, 0]
 
 
 def validate_transition_stack(transitions: np.ndarray) -> np.ndarray:
@@ -288,7 +294,7 @@ def blahut_arimoto_batch(
     w = validate_transition_stack(transitions)
     k, nx, _ny = w.shape
     p = _initial_stack(initial_input, k, nx)
-    log_w = masked_log2(w)
+    h = _neg_entropy(w)
 
     statuses = [SolverStatus.MAX_ITER] * k
     iterations = np.zeros(k, dtype=np.int64)
@@ -309,7 +315,7 @@ def blahut_arimoto_batch(
     with stage("solver"):
         while True:
             it += 1
-            d = _divergence_step(p, w, log_w)
+            d = _divergence_step(p, w, h)
             capacity = np.einsum("kx,kx->k", p, d)
             gap = np.max(d, axis=1) - capacity
             tail.append(float(gap.max()))
@@ -361,7 +367,7 @@ def blahut_arimoto_batch(
                 if done.all():
                     break
                 keep = ~done
-                idx, w, log_w, p, d = idx[keep], w[keep], log_w[keep], p[keep], d[keep]
+                idx, w, h, p, d = idx[keep], w[keep], h[keep], p[keep], d[keep]
                 best_gap = best_gap[keep]
                 best_iteration = best_iteration[keep]
                 best_capacity = best_capacity[keep]
@@ -414,15 +420,16 @@ def penalized_blahut_arimoto_batch(
     transitions: np.ndarray,
     penalties: np.ndarray,
     *,
-    log_w: Optional[np.ndarray] = None,
     tol: float = 1e-11,
     max_iter: int = 5000,
 ) -> PenalizedBABatchResult:
     """Maximize ``I(p, W_k) - p · penalties_k`` per channel in a stack.
 
     The Lagrangian (cost-constrained) Blahut-Arimoto inner step of
-    Dinkelbach's method, batched. Converged channels freeze while the
-    rest iterate, exactly like :func:`blahut_arimoto_batch`.
+    Dinkelbach's method, batched. It takes the same precomputed-entropy
+    step as :func:`blahut_arimoto_batch`, and a channel whose duality
+    gap meets ``tol`` (or that reaches ``max_iter``) drops out of the
+    working arrays while the rest iterate.
 
     Parameters
     ----------
@@ -432,9 +439,6 @@ def penalized_blahut_arimoto_batch(
     penalties:
         Per-input penalties, shape ``(k, nx)`` (or ``(nx,)`` for a
         1-stack) — ``lambda * tau`` in the timed-DMC solve.
-    log_w:
-        Optional precomputed :func:`repro.numerics.masked_log2` of the
-        stack; constant across an outer loop, so callers hoist it.
     """
     w = np.asarray(transitions, dtype=float)
     if w.ndim == 2:
@@ -445,31 +449,30 @@ def penalized_blahut_arimoto_batch(
         pen = pen[None, :]
     if pen.shape != (k, nx):
         raise ValueError("penalties must have shape (k, nx)")
-    if log_w is None:
-        log_w = masked_log2(w)
-    elif log_w.ndim == 2:
-        log_w = log_w[None, :, :]
+    h = _neg_entropy(w)
 
-    p = np.full((k, nx), 1.0 / nx)
+    out_p = np.empty((k, nx))
     converged = np.zeros(k, dtype=bool)
     iterations = np.zeros(k, dtype=np.int64)
-    active = np.ones(k, dtype=bool)
-    while active.any():
-        idx = np.nonzero(active)[0]
-        pa = p[idx]
-        d = _divergence_step(pa, w[idx], log_w[idx]) - pen[idx]
-        value = np.einsum("kx,kx->k", pa, d)
+    # Row j of the working arrays belongs to channel idx[j].
+    idx = np.arange(k)
+    p = np.full((k, nx), 1.0 / nx)
+    it = 0
+    while idx.size:
+        it += 1
+        d = _divergence_step(p, w, h) - pen
+        value = np.einsum("kx,kx->k", p, d)
         gap = d.max(axis=1) - value
-        iterations[idx] += 1
-        done = gap < tol
-        converged[idx[done]] = True
-        active[idx[done]] = False
-        capped = ~done & (iterations[idx] >= max_iter)
-        active[idx[capped]] = False
-        cont = ~done & ~capped
-        if cont.any():
-            ci = idx[cont]
-            p[ci] = normalized_exp2(safe_log2(pa[cont]) + d[cont], axis=-1)
+        conv = gap < tol
+        done = conv | (it >= max_iter)
+        if done.any():
+            t = idx[done]
+            out_p[t] = p[done]
+            converged[t] = conv[done]
+            iterations[t] = it
+            keep = ~done
+            idx, w, h, pen, p, d = idx[keep], w[keep], h[keep], pen[keep], p[keep], d[keep]
+        p = normalized_exp2(safe_log2(p) + d, axis=-1)
     return PenalizedBABatchResult(
-        input_distribution=p, converged=converged, iterations=iterations
+        input_distribution=out_p, converged=converged, iterations=iterations
     )

@@ -30,7 +30,6 @@ from ..numerics import (
     IterationGuard,
     SolverDiagnostics,
     SolverStatus,
-    masked_log2,
     record_status,
     stage,
 )
@@ -88,7 +87,6 @@ class TimedDMCResult:
 def _penalized_blahut_arimoto(
     w: np.ndarray,
     penalties: np.ndarray,
-    log_w: np.ndarray,
     *,
     tol: float = 1e-11,
     max_iter: int = 5000,
@@ -103,7 +101,6 @@ def _penalized_blahut_arimoto(
     result = penalized_blahut_arimoto_batch(
         w[None, :, :],
         penalties[None, :],
-        log_w=log_w[None, :, :],
         tol=tol,
         max_iter=max_iter,
     )
@@ -165,7 +162,6 @@ def timed_dmc_capacity(
 
     lam = 0.0
     p = np.full(w.shape[0], 1.0 / w.shape[0])
-    log_w = masked_log2(w)
     guard = IterationGuard(
         "timed_dmc", max_iter=max_outer, tol=tol, stall_window=20
     )
@@ -174,7 +170,7 @@ def timed_dmc_capacity(
     with stage("solver"):
         while status is None:
             p, inner_ok = _penalized_blahut_arimoto(
-                w, lam * tau, log_w, max_iter=inner_max_iter
+                w, lam * tau, max_iter=inner_max_iter
             )
             if not inner_ok:
                 unconverged_inner += 1

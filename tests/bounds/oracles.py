@@ -4,11 +4,14 @@
 the straightforward one-point constructions the stacks must reproduce:
 bitwise for the deletion table, to 1e-15 for the indel DP. A vectorized
 weight or a reordered DP sum that drifts by an ulp shows up here first.
+The indel stack builder's prefix-tree DP is also held bitwise to the
+grid-stacked DP that runs a separate ``(i, j)`` DP per output
+length (:func:`indel_block_transition_stack_per_length`).
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -79,6 +82,74 @@ def indel_pair_probabilities(
                 acc += pd * f_cur_j[i - 1]
             f_cur_j[i] = acc
     return f_cur_j[n]
+
+
+def indel_pair_probabilities_stack(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    deletion_probs: np.ndarray,
+    insertion_probs: np.ndarray,
+) -> np.ndarray:
+    """:func:`indel_pair_probabilities` vectorized over a leading
+    ``(k,)`` parameter axis: one ``(i, j)`` DP per output length.
+
+    All ``(P_d, P_i)`` points share the match structure (which depends
+    only on ``xs``/``ys``), so the per-point probabilities enter the
+    recursion as ``(k, 1, 1)`` broadcasts. Returns shape
+    ``(k, num_x, num_y)``.
+    """
+    num_x, n = xs.shape
+    num_y, m = ys.shape
+    pd = np.asarray(deletion_probs, dtype=float)[:, None, None]
+    pi = np.asarray(insertion_probs, dtype=float)[:, None, None]
+    k = pd.shape[0]
+    pt = 1.0 - pd - pi
+    half_ins = pi / 2.0
+
+    f_prev_j = np.zeros((n + 1, k, num_x, num_y))  # f(., j-1)
+    f_cur_j = np.zeros((n + 1, k, num_x, num_y))  # f(., j)
+    # j = 0 column: only deletions can have consumed inputs.
+    f_cur_j[0] = 1.0
+    for i in range(1, n + 1):
+        f_cur_j[i] = f_cur_j[i - 1] * pd
+    for j in range(1, m + 1):
+        f_prev_j, f_cur_j = f_cur_j, np.zeros_like(f_cur_j)
+        yj = ys[:, j - 1][None, :]
+        for i in range(0, n + 1):
+            acc = np.zeros((k, num_x, num_y))
+            if i < n:
+                # Insertion emitting y_j, input untouched.
+                acc += half_ins * f_prev_j[i]
+            if i > 0:
+                match = (xs[:, i - 1][:, None] == yj).astype(float)[None]
+                acc += pt * match * f_prev_j[i - 1]
+                # Deletion consumes input i without emitting: same j.
+                acc += pd * f_cur_j[i - 1]
+            f_cur_j[i] = acc
+    return f_cur_j[n]
+
+
+def indel_block_transition_stack_per_length(
+    n: int, grid: Sequence[Tuple[float, float]], *, max_extra: int
+) -> Tuple[np.ndarray, List[np.ndarray], np.ndarray]:
+    """The indel stack built with a separate DP per output length.
+
+    The stack builder's shape and overflow handling, with each length
+    ``0..n + max_extra`` priced by :func:`indel_pair_probabilities_stack`.
+    Returns ``(stack, output_groups, max_tail_mass_per_point)``.
+    """
+    pds = np.array([pd for pd, _ in grid], dtype=float)
+    pis = np.array([pi for _, pi in grid], dtype=float)
+    xs = binary_strings(n)
+    groups = [binary_strings(m) for m in range(n + max_extra + 1)]
+    transition = np.concatenate(
+        [indel_pair_probabilities_stack(xs, ys, pds, pis) for ys in groups],
+        axis=2,
+    )
+    row_sums = transition.sum(axis=2)
+    overflow = np.clip(1.0 - row_sums, 0.0, 1.0)[:, :, None]
+    transition = np.concatenate([transition, overflow], axis=2)
+    return transition, groups, overflow.max(axis=(1, 2))
 
 
 def indel_block_transition(

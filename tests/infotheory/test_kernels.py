@@ -22,8 +22,9 @@ from repro.infotheory import (
     penalized_blahut_arimoto_batch,
     validate_transition_stack,
 )
-from repro.infotheory.kernels import BATCH_SOLVER, _divergence_step
+from repro.infotheory.kernels import BATCH_SOLVER, _divergence_step, _neg_entropy
 from repro.numerics import (
+    LOG_FLOOR,
     SolverStatus,
     collect_solver_statuses,
     masked_log2,
@@ -76,6 +77,18 @@ def assert_batch_matches_scalar(
     return batch
 
 
+def _reference_divergence(p, w):
+    """``sum_y W (log2 W - log2 q)`` one channel at a time."""
+    log_w = masked_log2(w)
+    out = np.empty(p.shape)
+    for i in range(w.shape[0]):
+        q = p[i] @ w[i]
+        out[i] = np.einsum(
+            "xy,xy->x", w[i], log_w[i] - safe_log2(q)[None, :]
+        )
+    return out
+
+
 class TestDivergenceStep:
     def test_matches_scalar_divergence(self):
         rng = np.random.default_rng(3)
@@ -84,15 +97,30 @@ class TestDivergenceStep:
         w /= w.sum(axis=2, keepdims=True)
         p = rng.random((k, nx))
         p /= p.sum(axis=1, keepdims=True)
-        log_w = masked_log2(w)
-        d = _divergence_step(p, w, log_w)
+        d = _divergence_step(p, w, _neg_entropy(w))
         assert d.shape == (k, nx)
-        for i in range(k):
-            q = p[i] @ w[i]
-            expected = np.einsum(
-                "xy,xy->x", w[i], log_w[i] - safe_log2(q)[None, :]
-            )
-            np.testing.assert_allclose(d[i], expected, atol=1e-13)
+        np.testing.assert_allclose(d, _reference_divergence(p, w), atol=1e-13)
+
+    def test_structural_zeros_contribute_nothing(self):
+        w = random_stack(5, 4, 6, seed=7, zero_fraction=0.5)
+        assert np.any(w == 0)
+        p = np.full((5, 4), 0.25)
+        h = _neg_entropy(w)
+        assert np.all(np.isfinite(h))
+        d = _divergence_step(p, w, h)
+        np.testing.assert_allclose(d, _reference_divergence(p, w), atol=1e-13)
+
+    def test_underflowed_output_stays_finite(self):
+        # Output 1 is reachable only from input 1, which carries no
+        # mass, so q(1) = 1e-310 * 1 falls below LOG_FLOOR and its log
+        # is floored: input 1's divergence is large but finite.
+        w = np.array([[[1.0, 0.0], [0.0, 1.0]]])
+        p = np.array([[1.0 - 1e-310, 1e-310]])
+        assert (p[0] @ w[0])[1] < LOG_FLOOR
+        d = _divergence_step(p, w, _neg_entropy(w))
+        assert np.all(np.isfinite(d))
+        assert d[0, 1] == pytest.approx(-np.log2(LOG_FLOOR))
+        np.testing.assert_allclose(d, _reference_divergence(p, w), atol=1e-13)
 
 
 class TestBatchScalarParity:
