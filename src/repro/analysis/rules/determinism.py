@@ -15,13 +15,9 @@ from typing import List, Optional
 
 from ..base import FileContext, Rule, register
 from ..findings import Finding
+from ..graph.symbols import _DATETIME_FUNCS, _TIME_FUNCS
 
 __all__ = ["WallClockRule"]
-
-_TIME_FUNCS = frozenset(
-    {"time", "monotonic", "perf_counter", "process_time", "monotonic_ns", "time_ns"}
-)
-_DATETIME_FUNCS = frozenset({"now", "utcnow", "today"})
 
 
 def _wall_clock_call(func: ast.AST) -> Optional[str]:

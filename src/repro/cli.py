@@ -36,6 +36,7 @@ from .core.estimation import CapacityEstimator
 from .core.events import ChannelParameters
 from .core.theorems import THEOREMS, capacity_bracket
 from .experiments.registry import EXPERIMENTS, run_all, run_experiment
+from .experiments.registry import runner_kwargs as _runner_kwargs
 from .service.query import SAMPLER_NAMES
 
 __all__ = ["main", "build_parser"]
@@ -364,16 +365,6 @@ def _cmd_run(
             print(result.summary())
             print()
     return 1 if failures else 0
-
-
-def _runner_kwargs(experiment: str, **kwargs) -> dict:
-    """Keep only the kwargs the experiment's ``run`` signature accepts
-    (``seed``/``workers`` are meaningless to the deterministic tables)."""
-    runner = EXPERIMENTS[experiment.upper()]
-    names = runner.__code__.co_varnames[
-        : runner.__code__.co_argcount + runner.__code__.co_kwonlyargcount
-    ]
-    return {k: v for k, v in kwargs.items() if k in names}
 
 
 def _cmd_estimate(pd: float, pi: float, bits: int, physical: Optional[float]) -> int:

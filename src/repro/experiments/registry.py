@@ -29,7 +29,7 @@ from . import (  # noqa: I001 — experiment-number order, not alphabetical
 )
 from .tables import ExperimentResult
 
-__all__ = ["EXPERIMENTS", "run_experiment", "run_all"]
+__all__ = ["EXPERIMENTS", "run_experiment", "run_all", "runner_kwargs"]
 
 EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     "E1": e1_erasure_bound.run,
@@ -63,26 +63,23 @@ def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
     return EXPERIMENTS[key](**kwargs)
 
 
+def runner_kwargs(experiment_id: str, **kwargs) -> Dict:
+    """Keep only the kwargs experiment *experiment_id*'s runner accepts
+    (``seed``/``workers`` are meaningless to the deterministic tables).
+
+    Reads the runner's ``__code__``, the one attribute a wrapped
+    registry entry is guaranteed to carry."""
+    code = EXPERIMENTS[experiment_id.upper()].__code__
+    names = code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
+    return {k: v for k, v in kwargs.items() if k in names}
+
+
 def run_all(**kwargs) -> List[ExperimentResult]:
     """Run every experiment in order; kwargs are passed only where the
     runner accepts them (``seed`` is universal for the stochastic ones;
     ``workers`` fans Monte-Carlo replications over processes for the
     experiments that accept it, without changing any result)."""
-    results = []
-    def _order(k: str) -> int:
-        return int(k[1:])
-
-    for key in sorted(EXPERIMENTS, key=_order):
-        runner = EXPERIMENTS[key]
-        accepted = {}
-        co_names = runner.__code__.co_varnames[: runner.__code__.co_argcount] + (
-            runner.__code__.co_varnames[
-                runner.__code__.co_argcount : runner.__code__.co_argcount
-                + runner.__code__.co_kwonlyargcount
-            ]
-        )
-        for name, value in kwargs.items():
-            if name in co_names:
-                accepted[name] = value
-        results.append(runner(**accepted))
-    return results
+    return [
+        EXPERIMENTS[key](**runner_kwargs(key, **kwargs))
+        for key in sorted(EXPERIMENTS, key=lambda k: int(k[1:]))
+    ]

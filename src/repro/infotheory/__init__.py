@@ -31,9 +31,7 @@ from .channels import (
 from .dmc import DiscreteMemorylessChannel
 from .kernels import (
     BatchedBAResult,
-    PenalizedBABatchResult,
     blahut_arimoto_batch,
-    penalized_blahut_arimoto_batch,
     validate_transition_stack,
 )
 from .entropy import (
@@ -71,9 +69,7 @@ __all__ = [
     "channel_capacity",
     "DiscreteMemorylessChannel",
     "BatchedBAResult",
-    "PenalizedBABatchResult",
     "blahut_arimoto_batch",
-    "penalized_blahut_arimoto_batch",
     "validate_transition_stack",
     "binary_entropy",
     "binary_entropy_derivative",

@@ -5,12 +5,15 @@ iteration. It runs over a ``(k, nx, ny)`` **stack** of transition
 matrices with one extra leading einsum axis, so a k-channel sweep (the
 E9 deletion grid, the indel grids, a service batch) costs one
 vectorized loop; the scalar :func:`repro.infotheory.blahut_arimoto` is
-a one-stack call, and :func:`repro.infotheory.blahut_arimoto_guarded`
-runs its damped rungs as sub-stack calls. Channels that reach a
+a one-stack call, :func:`repro.infotheory.blahut_arimoto_guarded`
+runs its damped rungs as sub-stack calls, and the timed-DMC Dinkelbach
+loop (:func:`repro.timing.timed_dmc_capacity`) calls it with per-input
+``penalties`` for its Lagrangian inner step. Channels that reach a
 terminal status drop out of the working arrays while stragglers
 iterate. The guard mirrors :class:`repro.numerics.IterationGuard`
 (aborted / converged / diverged / stalled / max-iter, in that order,
-with best-so-far fallback). The test suite keeps the original scalar
+with best-so-far fallback), with the lower bound ``I(p_t)`` as its
+stall-window progress figure. The test suite keeps the original scalar
 loop as the reference oracle and holds this kernel to 1e-12 against it
 per channel.
 """
@@ -36,18 +39,17 @@ __all__ = [
     "BATCH_SOLVER",
     "BlahutArimotoResult",
     "BatchedBAResult",
-    "PenalizedBABatchResult",
     "validate_transition_stack",
     "blahut_arimoto_batch",
-    "penalized_blahut_arimoto_batch",
 ]
 
 #: Solver name batched runs report under (status collector + diagnostics).
 BATCH_SOLVER = "blahut_arimoto_batch"
 
-#: Guard settings of every Blahut-Arimoto solve: iterations without a
-#: new best gap before a channel is ``stalled``, and the growth over
-#: its best gap that makes it ``diverged``.
+#: Guard settings of every Blahut-Arimoto solve: iterations with
+#: neither a new best gap nor a rise in the lower bound before a
+#: channel is ``stalled``, and the growth over its best gap that makes
+#: it ``diverged``.
 STALL_WINDOW = 200
 DIVERGENCE_FACTOR = 1e6
 
@@ -65,7 +67,7 @@ _SEVERITY = (
 def _neg_entropy(w: np.ndarray) -> np.ndarray:
     """``h(k, x) = sum_y W log2 W`` (minus each row's entropy) for a
     ``(k, nx, ny)`` stack; structural zeros contribute nothing. Constant
-    across a solve, so the kernels compute it once."""
+    across a solve, so the kernel computes it once."""
     return np.einsum("kxy,kxy->kx", w, masked_log2(w))
 
 
@@ -75,7 +77,7 @@ def _divergence_step(p: np.ndarray, w: np.ndarray, h: np.ndarray) -> np.ndarray:
     ``q_k = p_k @ W_k`` then ``d(k, x) = h(k, x) - sum_y W log2 q`` for
     ``p`` / ``h`` of shape ``(k, nx)`` (``h`` from :func:`_neg_entropy`)
     and ``w`` of shape ``(k, nx, ny)`` — two batched matrix-vector
-    products, the O(k * nx * ny) inner loop of both kernels. ``log2 q``
+    products, the O(k * nx * ny) inner loop of the kernel. ``log2 q``
     is floored via :func:`repro.numerics.safe_log2` so an underflowed
     output symbol gives a large-but-finite divergence instead of
     ``inf``.
@@ -259,11 +261,20 @@ def blahut_arimoto_batch(
     max_iter: int = 10_000,
     initial_input: Optional[np.ndarray] = None,
     damping: float = 0.0,
+    penalties: Optional[np.ndarray] = None,
 ) -> BatchedBAResult:
     """Blahut-Arimoto over a ``(k, nx, ny)`` stack of channels at once.
 
     Each channel ends exactly as if solved alone; its stack-mates only
     share the loop. Records no solver status.
+
+    With *penalties* the same loop maximizes ``I(p, W_k) - p . pen_k``
+    per channel (the Lagrangian inner step of Dinkelbach's method in
+    :func:`repro.timing.timed_dmc_capacity`): the penalty is subtracted
+    from each input's divergence before the gap, the guard and the
+    multiplicative update. ``capacity`` is then the penalized value
+    floored at 0; a caller that needs the (possibly negative) objective
+    or ``I(p, W)`` computes it from ``input_distribution``.
 
     Parameters
     ----------
@@ -284,6 +295,9 @@ def blahut_arimoto_batch(
     damping:
         Weight kept on the previous iterate (``0`` = plain update); the
         degradation ladder uses it to settle oscillating iterates.
+    penalties:
+        Per-input penalties: one ``(nx,)`` row for the stack or a
+        ``(k, nx)`` array (default none).
     """
     if not 0.0 <= damping < 1.0:
         raise ValueError("damping must be in [0, 1)")
@@ -295,6 +309,13 @@ def blahut_arimoto_batch(
     k, nx, _ny = w.shape
     p = _initial_stack(initial_input, k, nx)
     h = _neg_entropy(w)
+    # Zero penalties subtract exactly nothing, so the plain solve takes
+    # the same code path bit for bit.
+    pen = np.zeros((k, nx)) if penalties is None else np.asarray(penalties, float)
+    if pen.shape == (nx,):
+        pen = np.broadcast_to(pen, (k, nx))
+    if pen.shape != (k, nx):
+        raise ValueError("penalties must have shape (k, nx) or (nx,)")
 
     statuses = [SolverStatus.MAX_ITER] * k
     iterations = np.zeros(k, dtype=np.int64)
@@ -307,7 +328,8 @@ def blahut_arimoto_batch(
     # together, so they share one iteration count.
     idx = np.arange(k)
     best_gap = np.full(k, np.inf)
-    best_iteration = np.zeros(k, dtype=np.int64)
+    best_lower = np.full(k, -np.inf)
+    progress_iteration = np.zeros(k, dtype=np.int64)
     best_capacity = np.zeros(k)
     best_p = np.empty_like(p)  # a row is written before it is read
     it = 0
@@ -315,23 +337,28 @@ def blahut_arimoto_batch(
     with stage("solver"):
         while True:
             it += 1
-            d = _divergence_step(p, w, h)
+            d = _divergence_step(p, w, h) - pen
             capacity = np.einsum("kx,kx->k", p, d)
             gap = np.max(d, axis=1) - capacity
             tail.append(float(gap.max()))
 
-            # Classification order mirrors IterationGuard.update:
-            # non-finite -> aborted; best-so-far bookkeeping; gap <= tol
-            # -> converged; divergence vs. best; stall window; max_iter.
+            # Classification order mirrors IterationGuard.update with
+            # progress = the lower bound: non-finite -> aborted;
+            # best-so-far bookkeeping; gap <= tol -> converged;
+            # divergence vs. best; stall window; max_iter.
             finite = np.isfinite(gap)
             improved = finite & (gap < best_gap)
+            # The gap is not monotone (it can climb out of a kink while
+            # the iterate still improves), but BA raises the lower bound,
+            # so a rise in either one restarts the stall window.
+            rose = capacity > best_lower
+            best_lower = np.where(rose, capacity, best_lower)
+            progress_iteration[improved | rose] = it
             if improved.all():
                 # The common case; these arrays are fresh every sweep.
                 best_gap, best_capacity, best_p = gap, capacity, p
-                best_iteration.fill(it)
             elif improved.any():
                 best_gap[improved] = gap[improved]
-                best_iteration[improved] = it
                 best_capacity[improved] = capacity[improved]
                 best_p[improved] = p[improved]
             conv = finite & (gap <= tol)
@@ -343,7 +370,7 @@ def blahut_arimoto_batch(
                 div = lagging & (
                     gap > DIVERGENCE_FACTOR * np.maximum(best_gap, 1e-30)
                 )
-                stall = lagging & ~div & (it - best_iteration >= STALL_WINDOW)
+                stall = lagging & ~div & (it - progress_iteration >= STALL_WINDOW)
                 done = done | div | stall
             if it >= max_iter:
                 done[:] = True
@@ -369,9 +396,11 @@ def blahut_arimoto_batch(
                 keep = ~done
                 idx, w, h, p, d = idx[keep], w[keep], h[keep], p[keep], d[keep]
                 best_gap = best_gap[keep]
-                best_iteration = best_iteration[keep]
+                best_lower = best_lower[keep]
+                progress_iteration = progress_iteration[keep]
                 best_capacity = best_capacity[keep]
                 best_p = best_p[keep]
+                pen = pen[keep]
             # Multiplicative update p(x) <- p(x) 2^{D(W(.|x)||q)}, as a
             # stabilized base-2 softmax.
             p_next = normalized_exp2(safe_log2(p) + d, axis=-1)
@@ -391,88 +420,4 @@ def blahut_arimoto_batch(
         gap=out_gap,
         statuses=final,
         diagnostics=_stack_diagnostics(final, iterations, out_gap, tail),
-    )
-
-
-@dataclass(frozen=True)
-class PenalizedBABatchResult:
-    """Outcome of the batched penalized (cost-constrained) BA inner solve.
-
-    Attributes
-    ----------
-    input_distribution:
-        Maximizing inputs per channel, shape ``(k, nx)``.
-    converged:
-        Whether each channel's duality gap met ``tol`` before the
-        iteration cap, shape ``(k,)``. An unconverged inner solve is
-        precisely what would otherwise silently contaminate an outer
-        Dinkelbach residual — callers must surface it.
-    iterations:
-        Iterations each channel ran, shape ``(k,)``.
-    """
-
-    input_distribution: np.ndarray
-    converged: np.ndarray
-    iterations: np.ndarray
-
-
-def penalized_blahut_arimoto_batch(
-    transitions: np.ndarray,
-    penalties: np.ndarray,
-    *,
-    tol: float = 1e-11,
-    max_iter: int = 5000,
-) -> PenalizedBABatchResult:
-    """Maximize ``I(p, W_k) - p · penalties_k`` per channel in a stack.
-
-    The Lagrangian (cost-constrained) Blahut-Arimoto inner step of
-    Dinkelbach's method, batched. It takes the same precomputed-entropy
-    step as :func:`blahut_arimoto_batch`, and a channel whose duality
-    gap meets ``tol`` (or that reaches ``max_iter``) drops out of the
-    working arrays while the rest iterate.
-
-    Parameters
-    ----------
-    transitions:
-        Stack ``(k, nx, ny)``; a single matrix is promoted to a 1-stack.
-        Assumed pre-validated (the outer solver owns admission checks).
-    penalties:
-        Per-input penalties, shape ``(k, nx)`` (or ``(nx,)`` for a
-        1-stack) — ``lambda * tau`` in the timed-DMC solve.
-    """
-    w = np.asarray(transitions, dtype=float)
-    if w.ndim == 2:
-        w = w[None, :, :]
-    k, nx, _ny = w.shape
-    pen = np.asarray(penalties, dtype=float)
-    if pen.shape == (nx,):
-        pen = pen[None, :]
-    if pen.shape != (k, nx):
-        raise ValueError("penalties must have shape (k, nx)")
-    h = _neg_entropy(w)
-
-    out_p = np.empty((k, nx))
-    converged = np.zeros(k, dtype=bool)
-    iterations = np.zeros(k, dtype=np.int64)
-    # Row j of the working arrays belongs to channel idx[j].
-    idx = np.arange(k)
-    p = np.full((k, nx), 1.0 / nx)
-    it = 0
-    while idx.size:
-        it += 1
-        d = _divergence_step(p, w, h) - pen
-        value = np.einsum("kx,kx->k", p, d)
-        gap = d.max(axis=1) - value
-        conv = gap < tol
-        done = conv | (it >= max_iter)
-        if done.any():
-            t = idx[done]
-            out_p[t] = p[done]
-            converged[t] = conv[done]
-            iterations[t] = it
-            keep = ~done
-            idx, w, h, pen, p, d = idx[keep], w[keep], h[keep], pen[keep], p[keep], d[keep]
-        p = normalized_exp2(safe_log2(p) + d, axis=-1)
-    return PenalizedBABatchResult(
-        input_distribution=out_p, converged=converged, iterations=iterations
     )

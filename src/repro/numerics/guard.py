@@ -127,8 +127,10 @@ class IterationGuard:
     tol:
         Convergence threshold on the residual.
     stall_window:
-        Iterations without a new best residual before declaring a
-        stall. ``None`` disables stall detection.
+        Iterations without progress before declaring a stall: no new
+        best residual and, when the solver reports one, no rise in its
+        ``progress`` figure (see :meth:`update`). ``None`` disables
+        stall detection.
     divergence_factor:
         Residual growing beyond ``divergence_factor * best_residual``
         (after the best is established) is a divergence. ``None``
@@ -167,18 +169,24 @@ class IterationGuard:
         self.best_residual = float("inf")
         self.best_iteration = 0
         self.best_value: Any = None
+        self._best_progress = -float("inf")
+        self._progress_iteration = 0
         self._tail: Deque[float] = deque(maxlen=tail_length)
 
     # ------------------------------------------------------------------
     def update(
-        self, residual: float, value: Any = None
+        self, residual: float, value: Any = None, progress: Optional[float] = None
     ) -> Optional[SolverStatus]:
         """Record one iteration; return a terminal status or ``None``.
 
         *residual* is the solver's convergence measure (duality gap,
         parameter delta, unsatisfied-check count...). *value* is the
         current iterate; when the residual is finite and a new best, it
-        is retained as :attr:`best_value`.
+        is retained as :attr:`best_value`. *progress* is an optional
+        figure the solver raises monotonically (Blahut-Arimoto's lower
+        bound ``I(p_t)``): a new maximum of it restarts the stall
+        window, so a residual that climbs out of a kink while the
+        iterate still improves is not a stall.
         """
         self.iterations += 1
         residual = float(residual)
@@ -190,6 +198,9 @@ class IterationGuard:
             self.best_iteration = self.iterations
             if value is not None:
                 self.best_value = value
+        if progress is not None and progress > self._best_progress:
+            self._best_progress = float(progress)
+            self._progress_iteration = self.iterations
         if residual <= self.tol:
             if value is not None:
                 self.best_value = value
@@ -202,7 +213,9 @@ class IterationGuard:
             return self._finish(SolverStatus.DIVERGED)
         if (
             self.stall_window is not None
-            and self.iterations - self.best_iteration >= self.stall_window
+            and self.iterations
+            - max(self.best_iteration, self._progress_iteration)
+            >= self.stall_window
         ):
             return self._finish(SolverStatus.STALLED)
         if self.iterations >= self.max_iter:

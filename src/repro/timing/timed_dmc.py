@@ -10,9 +10,9 @@ The fractional program is solved with Dinkelbach's method: for a rate
 guess ``lambda`` maximize ``F(p) = I(p, W) - lambda T(p)`` (a concave
 program solved by a penalized Blahut-Arimoto iteration), then update
 ``lambda = I/T`` at the maximizer; ``lambda`` converges monotonically to
-the capacity. The inner penalized solve is the batched kernel
-:func:`repro.infotheory.kernels.penalized_blahut_arimoto_batch` on a
-1-stack. Cross-checks in the test suite:
+the capacity. The inner penalized solve is the package's one
+Blahut-Arimoto loop, :func:`repro.infotheory.blahut_arimoto_batch`, on a
+1-stack with ``penalties = lambda * tau``. Cross-checks in the test suite:
 the timed Z-channel and Shannon's noiseless channels with non-uniform
 durations both drop out as special cases.
 """
@@ -20,28 +20,30 @@ durations both drop out as special cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..infotheory.entropy import mutual_information
-from ..infotheory.kernels import penalized_blahut_arimoto_batch
+from ..infotheory.kernels import blahut_arimoto_batch, validate_transition_stack
 from ..numerics import (
     IterationGuard,
     SolverDiagnostics,
     SolverStatus,
     record_status,
-    stage,
 )
 from ..store import cached_solve
 
 __all__ = ["TimedDMCResult", "timed_dmc_capacity"]
 
 #: Status collector name for the inner penalized-BA solves; only
-#: *unconverged* inner solves are recorded (an exhausted inner
-#: iteration budget contaminates the outer Dinkelbach residual and
-#: must be visible, not silent).
+#: *unconverged* inner solves are recorded, under the kernel's terminal
+#: status (an unconverged inner solve contaminates the outer Dinkelbach
+#: residual and must be visible, not silent).
 INNER_SOLVER = "timed_dmc_inner"
+
+#: Duality-gap tolerance of each inner penalized solve.
+INNER_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -63,12 +65,12 @@ class TimedDMCResult:
     status:
         Terminal :class:`repro.numerics.SolverStatus` of the outer
         Dinkelbach loop.
-    inner_converged:
-        ``False`` when any inner penalized Blahut-Arimoto solve
-        exhausted its iteration budget — the outer residual (and hence
-        ``status``) was then computed from an unconverged maximizer
-        and the capacity may be less accurate than ``status``
-        suggests.
+    inner_statuses:
+        Terminal kernel status of every inner penalized Blahut-Arimoto
+        solve that did not converge, in solve order (empty when all
+        converged). The outer residual (and hence ``status``) was then
+        computed from an unconverged maximizer, and the capacity may be
+        less accurate than ``status`` suggests.
     diagnostics:
         Outer-guard trace (:class:`repro.numerics.SolverDiagnostics`);
         its notes record the count of unconverged inner solves.
@@ -80,39 +82,21 @@ class TimedDMCResult:
     bits_per_symbol: float
     iterations: int
     status: SolverStatus = SolverStatus.CONVERGED
-    inner_converged: bool = True
+    inner_statuses: Tuple[SolverStatus, ...] = ()
     diagnostics: Optional[SolverDiagnostics] = None
 
-
-def _penalized_blahut_arimoto(
-    w: np.ndarray,
-    penalties: np.ndarray,
-    *,
-    tol: float = 1e-11,
-    max_iter: int = 5000,
-) -> Tuple[np.ndarray, bool]:
-    """Maximize ``I(p, W) - sum_x p(x) penalties[x]`` over ``p``.
-
-    Thin 1-stack wrapper over the batched penalized kernel. Returns the
-    maximizer and whether the duality gap met *tol* before the
-    iteration cap; an unconverged inner iterate is reported, never
-    silently returned as if optimal.
-    """
-    result = penalized_blahut_arimoto_batch(
-        w[None, :, :],
-        penalties[None, :],
-        tol=tol,
-        max_iter=max_iter,
-    )
-    return result.input_distribution[0], bool(result.converged[0])
+    @property
+    def inner_converged(self) -> bool:
+        """Whether every inner penalized solve converged."""
+        return not self.inner_statuses
 
 
 def _replay_timed_status(result: TimedDMCResult) -> None:
-    """Report the stored Dinkelbach status on a cache hit (warm runs
-    surface the same solver health as the cold solve)."""
+    """Report the stored statuses on a cache hit (warm runs surface the
+    same solver health as the cold solve)."""
+    for inner in result.inner_statuses:
+        record_status(INNER_SOLVER, inner)
     record_status("timed_dmc", result.status)
-    if not result.inner_converged:
-        record_status(INNER_SOLVER, SolverStatus.MAX_ITER)
 
 
 @cached_solve("timed_dmc", on_hit=_replay_timed_status)
@@ -132,11 +116,9 @@ def timed_dmc_capacity(
     Parameters
     ----------
     transition:
-        Row-stochastic ``P(y|x)`` of shape ``(nx, ny)``. Must be
-        finite; non-finite entries are rejected explicitly (the same
-        admission check as :func:`repro.infotheory.blahut_arimoto`)
-        rather than left to trip the row-sum check with a confusing
-        "rows must be distributions" error.
+        Row-stochastic ``P(y|x)`` of shape ``(nx, ny)``, admitted by
+        :func:`repro.infotheory.validate_transition_stack` (finite,
+        non-negative, rows summing to 1).
     durations:
         Positive per-input occupation times, length ``nx``.
     tol, max_outer:
@@ -144,17 +126,15 @@ def timed_dmc_capacity(
         Dinkelbach loop.
     inner_max_iter:
         Iteration cap of each inner penalized Blahut-Arimoto solve.
-        Exhausting it does not abort the outer loop, but is surfaced
-        through ``inner_converged`` and the diagnostics notes.
+        An inner solve that ends unconverged does not abort the outer
+        loop, but is surfaced through ``inner_statuses`` and the
+        diagnostics notes.
     """
     w = np.asarray(transition, dtype=float)
     tau = np.asarray(durations, dtype=float)
     if w.ndim != 2:
         raise ValueError("transition must be a 2-D matrix")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("transition matrix contains non-finite entries")
-    if np.any(w < 0) or not np.allclose(w.sum(axis=1), 1.0, atol=1e-9):
-        raise ValueError("transition rows must be distributions")
+    stack = validate_transition_stack(w)
     if tau.shape != (w.shape[0],):
         raise ValueError("durations must match the input alphabet")
     if np.any(tau <= 0):
@@ -166,28 +146,30 @@ def timed_dmc_capacity(
         "timed_dmc", max_iter=max_outer, tol=tol, stall_window=20
     )
     status: Optional[SolverStatus] = None
-    unconverged_inner = 0
-    with stage("solver"):
-        while status is None:
-            p, inner_ok = _penalized_blahut_arimoto(
-                w, lam * tau, max_iter=inner_max_iter
-            )
-            if not inner_ok:
-                unconverged_inner += 1
-                record_status(INNER_SOLVER, SolverStatus.MAX_ITER)
-            info = mutual_information(p, w)
-            mean_t = float(p @ tau)
-            new_lam = info / mean_t
-            status = guard.update(abs(new_lam - lam), value=(new_lam, p))
-            lam = new_lam
+    inner_statuses: List[SolverStatus] = []
+    # No stage("solver") here: the kernel times its own loop, and a
+    # nested stage of the same name would count those seconds twice.
+    while status is None:
+        inner = blahut_arimoto_batch(
+            stack, tol=INNER_TOL, max_iter=inner_max_iter, penalties=lam * tau
+        )
+        p = inner.input_distribution[0]
+        if not inner.converged[0]:
+            inner_statuses.append(inner.statuses[0])
+            record_status(INNER_SOLVER, inner.statuses[0])
+        info = mutual_information(p, w)
+        mean_t = float(p @ tau)
+        new_lam = info / mean_t
+        status = guard.update(abs(new_lam - lam), value=(new_lam, p))
+        lam = new_lam
     if status is not SolverStatus.CONVERGED and guard.best_value is not None:
         lam, p = guard.best_value
     if not np.isfinite(lam):
         lam, p = 0.0, np.full(w.shape[0], 1.0 / w.shape[0])
     record_status("timed_dmc", status)
     notes = (
-        (f"unconverged_inner_solves={unconverged_inner}",)
-        if unconverged_inner
+        (f"unconverged_inner_solves={len(inner_statuses)}",)
+        if inner_statuses
         else ()
     )
     info = mutual_information(p, w)
@@ -199,6 +181,6 @@ def timed_dmc_capacity(
         bits_per_symbol=info,
         iterations=guard.iterations,
         status=status,
-        inner_converged=unconverged_inner == 0,
+        inner_statuses=tuple(inner_statuses),
         diagnostics=guard.diagnostics(notes=notes),
     )

@@ -64,6 +64,23 @@ def test_graph_waivers_are_exempt():
     assert all(f.rule_id != "LINT001" for f in findings)
 
 
+def test_waived_ns_and_thread_clocks_are_used_suppressions():
+    # The graph pass tags these clocks and honours noqa[DET001] at
+    # them, so DET001 must flag them too or LINT001 calls the waiver
+    # unused.
+    findings = _lint(
+        """
+        import time
+
+        def budget():
+            a = time.perf_counter_ns()  # repro: noqa[DET001]
+            b = time.thread_time()  # repro: noqa[DET001]
+            return a, b
+        """
+    )
+    assert findings == []
+
+
 def test_filtered_run_has_no_evidence():
     # A --rule run that never executed PROB001 cannot call its
     # directives unused.

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import UnknownRuleError, all_rule_ids, get_rules, lint_file
+from repro.analysis.graph import Effect, extract_module
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -21,6 +22,7 @@ BAD_CASES = [
     ("RNG003", "rng003_bad.py", 2),
     ("RNG004", "rng004_bad.py", 4),
     ("DET001", "det001_bad.py", 3),
+    ("DET001", "det001_clocks.py", 4),
     ("PROB001", "prob001_bad.py", 4),
     ("PROB002", "prob002_bad.py", 1),
     ("NUM001", "num001_bad.py", 4),
@@ -63,6 +65,25 @@ def test_rule_filter_excludes_other_rules(rule_id, fixture, expected):
     """Linting a bad fixture under a *different* rule finds nothing."""
     other = "DET001" if rule_id != "DET001" else "RNG001"
     assert lint_file(FIXTURES / fixture, rule_ids=[other]) == []
+
+
+def test_det001_flags_every_clock_the_extractor_tags():
+    """DET001 and the graph extractor read one clock table: each call
+    the extractor tags CLOCK is a DET001 finding on the same line, so a
+    ``noqa[DET001]`` waiver there is never an unused suppression."""
+    path = FIXTURES / "det001_clocks.py"
+    findings = lint_file(path, rule_ids=["DET001"])
+    flagged = {f.message.split()[2] for f in findings}
+    assert {"time.perf_counter_ns()", "time.thread_time()"} <= flagged
+    summary = extract_module(
+        "det001_clocks", str(path), path.read_text(encoding="utf-8")
+    )
+    tagged = {
+        origin.line
+        for origin in summary.functions["det001_clocks.stamps"].effects
+        if origin.effect is Effect.CLOCK
+    }
+    assert tagged == {f.line for f in findings}
 
 
 def test_findings_are_sorted_and_formatted():

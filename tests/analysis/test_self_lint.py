@@ -44,12 +44,23 @@ def test_repository_is_graph_clean(summary_store):
 
 
 def test_batched_kernels_read_no_environment(summary_store):
-    """The batched kernels have one numeric path: nothing they reach
-    reads an environment variable, so no ambient setting can change
-    their answers."""
+    """The batched kernel has one numeric path: nothing it reaches reads
+    an environment variable, so no ambient setting can change its
+    answers."""
     root = find_project_root()
     assert root is not None, "cannot locate the repository root"
     closure = analyze_source_root(root / "src").closure
-    for name in ("blahut_arimoto_batch", "penalized_blahut_arimoto_batch"):
-        effects = closure[f"repro.infotheory.kernels.{name}"]
-        assert Effect.ENV not in effects, name
+    effects = closure["repro.infotheory.kernels.blahut_arimoto_batch"]
+    assert Effect.ENV not in effects
+
+
+def test_one_blahut_arimoto_loop(summary_store):
+    """The Blahut-Arimoto step has one caller, the one loop: every
+    capacity solve (scalar, guarded, block bound, timed DMC) goes
+    through ``blahut_arimoto_batch``."""
+    root = find_project_root()
+    assert root is not None, "cannot locate the repository root"
+    graph = analyze_source_root(root / "src").graph
+    assert graph.callers_of("repro.infotheory.kernels._divergence_step") == [
+        "repro.infotheory.kernels.blahut_arimoto_batch"
+    ]

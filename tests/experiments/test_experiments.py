@@ -1,5 +1,9 @@
 """Experiments E1-E9: each runs (with small parameters) and passes."""
 
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -137,6 +141,34 @@ class TestIndividualExperiments:
             assert row["ok"]
 
 
+#: ``run_all(seed=1)`` as JSON, the record every refactor must keep.
+GOLDEN_RUN_ALL = Path(__file__).resolve().parents[1] / "golden" / "run_all.json"
+
+#: Relative tolerance on float cells of the golden run.
+GOLDEN_RTOL = 1e-12
+
+
+def assert_matches_golden(got, want, where="run_all"):
+    """Floats within ``GOLDEN_RTOL`` relative (NaN equals NaN); every
+    other cell, key and length exactly."""
+    if isinstance(want, float):
+        assert isinstance(got, float), (where, got, want)
+        if math.isnan(want):
+            assert math.isnan(got), (where, got, want)
+        else:
+            assert math.isclose(got, want, rel_tol=GOLDEN_RTOL), (where, got, want)
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), (where, got)
+        for key in want:
+            assert_matches_golden(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), (where, got)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches_golden(g, w, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, (where, got, want)
+
+
 class TestRunAll:
     @pytest.mark.slow
     def test_run_all_passes(self):
@@ -145,3 +177,20 @@ class TestRunAll:
         for r in results:
             assert isinstance(r, ExperimentResult)
             assert r.passed, r.summary()
+        got = json.loads(json.dumps([r.to_dict() for r in results]))
+        want = json.loads(GOLDEN_RUN_ALL.read_text(encoding="utf-8"))
+        assert_matches_golden(got, want)
+
+    def test_golden_comparison_is_strict(self):
+        want = {"a": [1.0, float("nan"), "x", True]}
+        assert_matches_golden({"a": [1.0 + 1e-13, float("nan"), "x", True]}, want)
+        for bad in (
+            {"a": [1.0 + 1e-9, float("nan"), "x", True]},
+            {"a": [1.0, 0.0, "x", True]},
+            {"a": [1.0, float("nan"), "y", True]},
+            {"a": [1.0, float("nan"), "x", 1]},
+            {"a": [1.0, float("nan"), "x"]},
+            {"b": [1.0, float("nan"), "x", True]},
+        ):
+            with pytest.raises(AssertionError):
+                assert_matches_golden(bad, want)

@@ -8,16 +8,21 @@ as the parity reference, and the per-channel degradation ladder over it
 (the package's rungs, retried one scalar solve at a time).
 The kernel must match the loop to 1e-12 per channel, with the same
 iteration count and terminal status.
+
+It also keeps the unguarded penalized loop the timed-DMC inner solve
+ran before it became a ``penalties`` call of the kernel: it stops on
+``gap < tol`` or the iteration cap, and returns the last iterate.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from repro.infotheory import BlahutArimotoResult
+from repro.infotheory.kernels import _divergence_step, _neg_entropy
 from repro.numerics import (
     IterationGuard,
     SolverStatus,
@@ -119,7 +124,7 @@ def reference_blahut_arimoto(
             capacity = float(p @ d)  # lower bound: I(p, W)
             upper = float(d.max())  # upper bound on C
             gap = upper - capacity
-            status = guard.update(gap, value=(capacity, p))
+            status = guard.update(gap, value=(capacity, p), progress=capacity)
             if status is not None:
                 break
             # Multiplicative update p_{t+1}(x) ∝ p_t(x) 2^{D(W(.|x)||q)},
@@ -188,3 +193,64 @@ def reference_blahut_arimoto_guarded(
         )
     record_status("blahut_arimoto", chosen.status)
     return chosen
+
+
+@dataclass(frozen=True)
+class PenalizedReference:
+    """Per-channel outcome of :func:`reference_penalized_blahut_arimoto`:
+    arrays over the stack axis, ``gap`` being each channel's last gap."""
+
+    input_distribution: np.ndarray
+    converged: np.ndarray
+    iterations: np.ndarray
+    gap: np.ndarray
+
+
+def reference_penalized_blahut_arimoto(
+    transitions: np.ndarray,
+    penalties: np.ndarray,
+    *,
+    tol: float = 1e-11,
+    max_iter: int = 5000,
+) -> PenalizedReference:
+    """Maximize ``I(p, W_k) - p . penalties_k`` per channel of a
+    ``(k, nx, ny)`` stack with no guard: a channel stops when its
+    duality gap is below *tol* or at *max_iter*, keeping its last
+    iterate. Same precomputed-entropy step as the kernel."""
+    w = np.asarray(transitions, dtype=float)
+    k, nx, _ny = w.shape
+    pen = np.asarray(penalties, dtype=float)
+    h = _neg_entropy(w)
+
+    out_p = np.empty((k, nx))
+    out_gap = np.empty(k)
+    converged = np.zeros(k, dtype=bool)
+    iterations = np.zeros(k, dtype=np.int64)
+    # Row j of the working arrays belongs to channel idx[j].
+    idx = np.arange(k)
+    p = np.full((k, nx), 1.0 / nx)
+    it = 0
+    while idx.size:
+        it += 1
+        d = _divergence_step(p, w, h) - pen
+        value = np.einsum("kx,kx->k", p, d)
+        gap = d.max(axis=1) - value
+        conv = gap < tol
+        done = conv | (it >= max_iter)
+        if done.any():
+            t = idx[done]
+            out_p[t] = p[done]
+            out_gap[t] = gap[done]
+            converged[t] = conv[done]
+            iterations[t] = it
+            keep = ~done
+            idx, w, h, pen, p, d = (
+                idx[keep], w[keep], h[keep], pen[keep], p[keep], d[keep]
+            )
+        p = normalized_exp2(safe_log2(p) + d, axis=-1)
+    return PenalizedReference(
+        input_distribution=out_p,
+        converged=converged,
+        iterations=iterations,
+        gap=out_gap,
+    )

@@ -7,7 +7,9 @@ capacity, same input distribution, same iteration count and terminal
 status per channel — while iterating a whole ``(k, nx, ny)`` stack at
 once. These tests hold it to that over randomized and generated stacks
 (structural zeros, near-deterministic rows, erasure rows at P_d -> 1,
-damping, shared and per-channel starting points).
+damping, shared and per-channel starting points), and hold its
+``penalties`` input to the unguarded penalized loop it replaced
+(:func:`tests.infotheory.oracles.reference_penalized_blahut_arimoto`).
 """
 
 import numpy as np
@@ -19,9 +21,9 @@ from repro.infotheory import (
     BatchedBAResult,
     blahut_arimoto,
     blahut_arimoto_batch,
-    penalized_blahut_arimoto_batch,
     validate_transition_stack,
 )
+from repro.infotheory.entropy import mutual_information
 from repro.infotheory.kernels import BATCH_SOLVER, _divergence_step, _neg_entropy
 from repro.numerics import (
     LOG_FLOOR,
@@ -31,7 +33,7 @@ from repro.numerics import (
     safe_log2,
 )
 
-from .oracles import reference_blahut_arimoto
+from .oracles import reference_blahut_arimoto, reference_penalized_blahut_arimoto
 
 PARITY = 1e-12
 
@@ -317,10 +319,12 @@ class TestBatchSemantics:
 
 
 class TestPenalizedBatch:
+    """The kernel's ``penalties`` input: the timed-DMC Lagrangian step."""
+
     def test_zero_penalty_recovers_capacity_input(self):
         stack = random_stack(4, 3, 5, seed=43)
-        result = penalized_blahut_arimoto_batch(
-            stack, np.zeros((4, 3)), tol=1e-11
+        result = blahut_arimoto_batch(
+            stack, penalties=np.zeros((4, 3)), tol=1e-11, max_iter=5000
         )
         assert result.converged.all()
         reference = blahut_arimoto_batch(stack, tol=1e-11)
@@ -331,9 +335,13 @@ class TestPenalizedBatch:
 
     def test_penalty_shifts_mass_off_expensive_inputs(self):
         stack = random_stack(1, 3, 4, seed=47)
-        free = penalized_blahut_arimoto_batch(stack, np.zeros((1, 3)))
+        free = blahut_arimoto_batch(
+            stack, penalties=np.zeros((1, 3)), tol=1e-11, max_iter=5000
+        )
         pen = np.array([[5.0, 0.0, 0.0]])
-        taxed = penalized_blahut_arimoto_batch(stack, pen)
+        taxed = blahut_arimoto_batch(
+            stack, penalties=pen, tol=1e-11, max_iter=5000
+        )
         assert (
             taxed.input_distribution[0, 0] < free.input_distribution[0, 0]
         )
@@ -343,8 +351,8 @@ class TestPenalizedBatch:
         # so when a channel runs out of iterations, not return a stale
         # iterate as if it had converged.
         stack = random_stack(3, 4, 6, seed=53)
-        result = penalized_blahut_arimoto_batch(
-            stack, np.zeros((3, 4)), tol=1e-14, max_iter=2
+        result = blahut_arimoto_batch(
+            stack, penalties=np.zeros((3, 4)), tol=1e-14, max_iter=2
         )
         assert not result.converged.any()
         assert np.all(result.iterations == 2)
@@ -357,8 +365,8 @@ class TestPenalizedBatch:
         easy = np.eye(3)[None]
         hard = random_stack(1, 3, 3, seed=59)
         stack = np.concatenate([easy, hard])
-        result = penalized_blahut_arimoto_batch(
-            stack, np.zeros((2, 3)), tol=1e-11, max_iter=4
+        result = blahut_arimoto_batch(
+            stack, penalties=np.zeros((2, 3)), tol=1e-11, max_iter=4
         )
         assert bool(result.converged[0])
         assert not bool(result.converged[1])
@@ -367,4 +375,83 @@ class TestPenalizedBatch:
     def test_bad_penalty_shape_rejected(self):
         stack = random_stack(2, 3, 3, seed=61)
         with pytest.raises(ValueError, match="penalties"):
-            penalized_blahut_arimoto_batch(stack, np.zeros((2, 4)))
+            blahut_arimoto_batch(stack, penalties=np.zeros((2, 4)))
+
+
+@st.composite
+def penalized_problems(draw):
+    """A generated stack with per-input penalties in [0, 5]."""
+    stack = draw(channel_stacks())
+    k, nx, _ny = stack.shape
+    scale = draw(st.sampled_from([0.0, 0.1, 1.0, 5.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return stack, scale * np.random.default_rng(seed).random((k, nx))
+
+
+def penalized_objective(p, w, pen):
+    """``I(p, W) - p . pen`` through the entropy module, not the kernel."""
+    return mutual_information(p, w) - float(p @ pen)
+
+
+class TestPenalizedOracleParity:
+    """The kernel with ``penalties`` against the unguarded penalized
+    loop it replaced. Where that loop converges the kernel ends on the
+    same iterate at the same step. Elsewhere the kernel's gap is no
+    worse than the loop's last one, and its answer is certified: the
+    loop's objective lies within the kernel's reported gap of the
+    kernel's own."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(problem=penalized_problems())
+    def test_kernel_matches_penalized_oracle(self, problem):
+        stack, pen = problem
+        oracle = reference_penalized_blahut_arimoto(
+            stack, pen, tol=1e-11, max_iter=500
+        )
+        kernel = blahut_arimoto_batch(
+            stack, penalties=pen, tol=1e-11, max_iter=500
+        )
+        for i in range(stack.shape[0]):
+            p = kernel.input_distribution[i]
+            if oracle.converged[i]:
+                np.testing.assert_array_equal(p, oracle.input_distribution[i])
+                assert kernel.iterations[i] == oracle.iterations[i]
+                assert bool(kernel.converged[i])
+                continue
+            assert kernel.gap[i] <= oracle.gap[i]
+            # The optimum is at most the kernel's value plus its gap,
+            # and the loop's value is at most the optimum.
+            reached = penalized_objective(p, stack[i], pen[i])
+            assert penalized_objective(
+                oracle.input_distribution[i], stack[i], pen[i]
+            ) <= reached + kernel.gap[i] + 1e-12
+            assert np.all(p >= 0.0)
+            assert abs(p.sum() - 1.0) < 1e-12
+
+    def test_gap_kink_does_not_stop_the_kernel(self):
+        # The gap of this Lagrangian solve rises out of a kink at step
+        # ~146 and stays above its early best for more than
+        # STALL_WINDOW iterations, while the lower bound keeps rising.
+        # The kernel must run on and converge where the loop does.
+        w = np.array([[0.34, 0.66], [0.53, 0.47], [0.36, 0.64]])
+        pen = np.array([0.09, 0.01, 0.09])
+        oracle = reference_penalized_blahut_arimoto(
+            w[None], pen[None], tol=1e-11, max_iter=5000
+        )
+        kernel = blahut_arimoto_batch(
+            w, penalties=pen, tol=1e-11, max_iter=5000
+        )
+        assert bool(oracle.converged[0]) and oracle.iterations[0] == 1786
+        assert kernel.statuses == (SolverStatus.CONVERGED,)
+        assert kernel.iterations[0] == 1786
+        np.testing.assert_array_equal(
+            kernel.input_distribution, oracle.input_distribution
+        )
+
+    def test_float_floor_still_stalls(self):
+        # Below float resolution neither bound can move: a tolerance no
+        # iterate can meet still ends stalled, long before max_iter.
+        stack = random_stack(6, 3, 4, seed=3)
+        result = blahut_arimoto_batch(stack[:1], tol=1e-18, max_iter=20_000)
+        assert result.statuses == (SolverStatus.STALLED,)
+        assert result.iterations[0] < 2_000

@@ -85,7 +85,7 @@ def test_store_disabled_sweep_is_unaffected(tmp_path):
 @pytest.mark.parametrize(
     "block_length, deletion_prob",
     [
-        (4, 0.8),  # ends stalled after every rung
+        (4, 0.8),  # no rung converges (ends max_iter)
         (3, 0.95),  # the plain solve diverges, a damped rung converges
     ],
 )

@@ -1,5 +1,7 @@
 """General timed-DMC capacity (Dinkelbach + penalized Blahut-Arimoto)."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,12 @@ from repro.infotheory.channels import (
     bsc_capacity,
     z_channel,
 )
+from repro.infotheory.entropy import mutual_information
 from repro.infotheory.noiseless import noiseless_capacity_per_second
-from repro.timing.timed_dmc import timed_dmc_capacity
+from repro.numerics import IterationGuard, SolverStatus
+from repro.timing.timed_dmc import INNER_TOL, timed_dmc_capacity
 from repro.timing.timed_z import timed_z_capacity
+from tests.infotheory.oracles import reference_penalized_blahut_arimoto
 
 
 class TestSpecialCases:
@@ -130,3 +135,98 @@ class TestInnerConvergenceSurfacing:
         assert statuses[f"{INNER_SOLVER}:max_iter"] >= 1
         # The answer is still finite and sane — degraded, not garbage.
         assert np.isfinite(r.capacity) and r.capacity >= 0.0
+
+
+class TestKernelInnerSolve:
+    """The inner penalized solve is a ``penalties`` call of the one
+    Blahut-Arimoto kernel."""
+
+    def test_solver_stage_is_not_double_counted(self):
+        from repro.numerics import collect_stage_timings
+
+        w = z_channel(0.2).transition_matrix
+        with collect_stage_timings() as totals:
+            start = time.perf_counter()
+            timed_dmc_capacity(w, np.array([1.0, 2.0]))
+            wall = time.perf_counter() - start
+        assert 0.0 < totals["solver"] <= wall
+
+    def test_warm_store_replays_every_inner_status(self, tmp_path):
+        from repro.numerics import collect_solver_statuses
+        from repro.store import ResultStore, use_store
+        from repro.timing.timed_dmc import INNER_SOLVER
+
+        w = z_channel(0.2).transition_matrix
+        tau = np.array([1.0, 2.0])
+        with use_store(ResultStore(tmp_path / "store")):
+            with collect_solver_statuses() as cold:
+                r = timed_dmc_capacity(w, tau, inner_max_iter=2)
+            with collect_solver_statuses() as warm:
+                timed_dmc_capacity(w, tau, inner_max_iter=2)
+        assert len(r.inner_statuses) > 1
+        assert cold[f"{INNER_SOLVER}:max_iter"] == len(r.inner_statuses)
+        assert dict(warm) == dict(cold)
+
+
+def random_timed_dmcs(seed, count):
+    """Random timed DMCs, 2-5 inputs and outputs, cycling through three
+    regimes: structural zeros, near-deterministic rows, dense rows."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        nx, ny = rng.integers(2, 6), rng.integers(2, 6)
+        w = rng.random((nx, ny))
+        if i % 3 == 0:
+            w[rng.random((nx, ny)) < 0.4] = 0
+            w[:, 0] += 1e-3
+        if i % 3 == 1:
+            w *= 1e-6
+            w[np.arange(nx), rng.integers(0, ny, nx)] = 1.0
+        w /= w.sum(axis=1, keepdims=True)
+        yield w, 1.0 + 4 * rng.random(nx)
+
+
+def reference_timed_dmc(w, tau, *, tol=1e-10, max_outer=100, inner_max_iter=5000):
+    """``timed_dmc_capacity``'s Dinkelbach loop over the unguarded
+    penalized loop: ``(capacity, p, every inner solve converged)``."""
+    lam = 0.0
+    guard = IterationGuard("timed_dmc", max_iter=max_outer, tol=tol, stall_window=20)
+    status = None
+    inner_converged = True
+    while status is None:
+        inner = reference_penalized_blahut_arimoto(
+            w[None], (lam * tau)[None], tol=INNER_TOL, max_iter=inner_max_iter
+        )
+        p = inner.input_distribution[0]
+        inner_converged &= bool(inner.converged[0])
+        new_lam = mutual_information(p, w) / float(p @ tau)
+        status = guard.update(abs(new_lam - lam), value=(new_lam, p))
+        lam = new_lam
+    if status is not SolverStatus.CONVERGED:
+        lam, p = guard.best_value
+    return lam, p, inner_converged
+
+
+class TestOracleParity:
+    """The kernel-backed solve against the same Dinkelbach loop over the
+    unguarded penalized loop it replaced. Draws 87 and 284 of
+    ``random_timed_dmcs(7, 300)`` have inner solves whose duality gap
+    climbs out of a kink for longer than the kernel's stall window."""
+
+    @pytest.mark.parametrize("draw", (41, 87, 125, 203))
+    def test_bitwise_equal_where_inner_solves_converge(self, draw):
+        w, tau = list(random_timed_dmcs(7, draw + 1))[draw]
+        capacity, p, inner_converged = reference_timed_dmc(w, tau)
+        result = timed_dmc_capacity(w, tau)
+        assert inner_converged and result.inner_converged
+        assert result.capacity == capacity
+        np.testing.assert_array_equal(result.input_distribution, p)
+
+    def test_gap_kink_runs_to_the_inner_budget(self):
+        # The loop's inner solves end at max_iter; the kernel's must not
+        # stop early as stalled on an early best-gap iterate.
+        w, tau = list(random_timed_dmcs(7, 285))[284]
+        capacity, _p, inner_converged = reference_timed_dmc(w, tau)
+        result = timed_dmc_capacity(w, tau)
+        assert not inner_converged
+        assert set(result.inner_statuses) == {SolverStatus.MAX_ITER}
+        assert abs(result.capacity - capacity) <= 1e-9
