@@ -25,16 +25,12 @@ from .core import (
     CapacityReport,
     ChannelEvent,
     ChannelParameters,
-    DeletionChannel,
     DeletionInsertionChannel,
-    ErasureChannelView,
-    InsertionChannel,
     TransmissionRecord,
     capacity_bracket,
     converted_capacity,
     convergence_ratio,
     erasure_upper_bound,
-    estimate_from_events,
     feedback_lower_bound,
     theorem1_upper_bound,
     theorem3_feedback_capacity,
@@ -44,7 +40,6 @@ from .infotheory import (
     DiscreteMemorylessChannel,
     binary_entropy,
     blahut_arimoto,
-    channel_capacity,
     mutual_information,
 )
 
@@ -58,16 +53,12 @@ __all__ = [
     "CapacityReport",
     "ChannelEvent",
     "ChannelParameters",
-    "DeletionChannel",
     "DeletionInsertionChannel",
-    "ErasureChannelView",
-    "InsertionChannel",
     "TransmissionRecord",
     "capacity_bracket",
     "converted_capacity",
     "convergence_ratio",
     "erasure_upper_bound",
-    "estimate_from_events",
     "feedback_lower_bound",
     "theorem1_upper_bound",
     "theorem3_feedback_capacity",
@@ -75,7 +66,6 @@ __all__ = [
     "DiscreteMemorylessChannel",
     "binary_entropy",
     "blahut_arimoto",
-    "channel_capacity",
     "mutual_information",
     "__version__",
 ]

@@ -45,10 +45,8 @@ from .base import (
 from .findings import Finding, format_json, format_sarif, format_text
 from .runner import (
     find_project_root,
-    lint_file,
     lint_paths,
     lint_project,
-    lint_source,
     parse_count,
     reset_parse_count,
 )
@@ -69,10 +67,8 @@ __all__ = [
     "format_sarif",
     "format_text",
     "find_project_root",
-    "lint_file",
     "lint_paths",
     "lint_project",
-    "lint_source",
     "parse_count",
     "reset_parse_count",
     "SuppressionIndex",

@@ -26,7 +26,7 @@ from .effects import (
 # EffectSet (a typing alias, no docstring) stays importable from
 # .lattice but is not re-exported here: the public-API test requires
 # every __all__ callable to carry a docstring.
-from .lattice import EMPTY_EFFECTS, TOP, Effect
+from .lattice import EMPTY_EFFECTS, Effect
 from .project import (
     ModuleInput,
     ProjectAnalysis,
@@ -58,7 +58,6 @@ __all__ = [
     "ModuleSummary",
     "ProjectAnalysis",
     "Submission",
-    "TOP",
     "WitnessStep",
     "analyze_project",
     "analyze_source_root",

@@ -6,7 +6,7 @@ own unwaived direct origins, :attr:`Effect.UNKNOWN` for every call edge
 the linker could not resolve, and the transitive sets of its callees.
 Because join is set union and the lattice is finite, iteration
 terminates even on cyclic graphs (mutual recursion) — each round can
-only grow a set, and each set is bounded by :data:`TOP`.
+only grow a set, and each set is bounded by the set of all effects.
 
 Witnesses make findings actionable: :func:`witness_chain` runs a BFS
 from a root function to the *nearest* function carrying an unwaived

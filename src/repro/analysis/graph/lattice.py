@@ -1,8 +1,8 @@
 """The effect lattice: what a function may do besides compute.
 
 Effect sets form a powerset lattice over :class:`Effect` — the join is
-set union, bottom is the empty set (a pure function), and
-:data:`TOP` is every effect at once. The transitive-closure pass in
+set union, bottom is the empty set (a pure function), and the top is
+every effect at once. The transitive-closure pass in
 :mod:`.effects` is a monotone fixpoint over this lattice, so cyclic
 call graphs (mutual recursion) converge in finitely many rounds.
 
@@ -24,7 +24,6 @@ __all__ = [
     "Effect",
     "EffectSet",
     "EMPTY_EFFECTS",
-    "TOP",
     "WAIVER_RULES",
     "effect_from_tag",
 ]
@@ -63,8 +62,6 @@ EffectSet = FrozenSet[Effect]
 
 EMPTY_EFFECTS: EffectSet = frozenset()
 
-#: The lattice top: every effect at once.
-TOP: EffectSet = frozenset(Effect)
 
 #: File-local rule ids whose ``# repro: noqa[...]`` directive on an
 #: effect's origin line *waives* that origin from graph propagation.

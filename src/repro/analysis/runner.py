@@ -27,8 +27,6 @@ from .findings import Finding
 from .suppressions import SuppressionIndex
 
 __all__ = [
-    "lint_source",
-    "lint_file",
     "lint_paths",
     "lint_project",
     "find_project_root",
@@ -173,34 +171,6 @@ def _lint_runs(
         )
     )
     return findings
-
-
-def lint_source(
-    source: str,
-    *,
-    path: str = "<string>",
-    module: Optional[str] = None,
-    rule_ids: Optional[Sequence[str]] = None,
-) -> List[Finding]:
-    """Lint a source string with the file-scoped (and meta) rules.
-
-    Findings on lines carrying a matching ``# repro: noqa[RULE]``
-    directive are dropped. Raises :class:`repro.analysis.base.
-    UnknownRuleError` for unknown ids in *rule_ids*.
-    """
-    run = _run_for_source(source, path=path, module=module)
-    return sorted(_lint_runs([run], get_rules(rule_ids)))
-
-
-def lint_file(
-    path: PathLike,
-    *,
-    root: Optional[Path] = None,
-    rule_ids: Optional[Sequence[str]] = None,
-) -> List[Finding]:
-    """Lint one Python file (file-scoped and meta rules only)."""
-    run = _run_for_file(Path(path), root)
-    return sorted(_lint_runs([run], get_rules(rule_ids)))
 
 
 def _iter_python_files(paths: Iterable[PathLike]) -> Iterator[Path]:

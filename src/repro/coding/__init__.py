@@ -1,22 +1,19 @@
 """Coding over deletion-insertion channels without feedback.
 
 The paper's Section 4.1 references: Zigangirov sequential decoding
-(ref [12]), Davey-MacKay watermark codes (ref [13]), marker codes, and
-Varshamov-Tenengolts single-deletion codes — plus the supporting
-machinery (convolutional codes, drift forward-backward, LDPC,
-interleavers).
+(ref [12]), Davey-MacKay watermark codes (ref [13]) and marker codes —
+plus the supporting machinery (convolutional codes, drift
+forward-backward, LDPC).
 """
 
 from .alignment import AlignmentResult, MLAlignmentDecoder
 from .convolutional import NASA_CC_GENERATORS, ConvolutionalCode
 from .forward_backward import DriftChannelModel, DriftDecodeResult
 from .identification import ChannelEstimate, estimate_channel_parameters
-from .interleaver import BlockInterleaver, RandomInterleaver
 from .iterative import IterativeDecodeResult, IterativeWatermarkCode
-from .ldpc import LDPCCode, make_peg_parity_check, make_regular_parity_check
+from .ldpc import LDPCCode, make_peg_parity_check
 from .marker import MarkerCode, MarkerDecodeResult
 from .stack_decoder import StackDecodeResult, StackDecoder
-from .vt import VTCode, is_vt_codeword, vt_codewords, vt_syndrome
 from .watermark import SparseCodebook, WatermarkCode, WatermarkDecodeResult
 
 __all__ = [
@@ -28,21 +25,14 @@ __all__ = [
     "DriftDecodeResult",
     "ChannelEstimate",
     "estimate_channel_parameters",
-    "BlockInterleaver",
-    "RandomInterleaver",
     "IterativeDecodeResult",
     "IterativeWatermarkCode",
     "LDPCCode",
     "make_peg_parity_check",
-    "make_regular_parity_check",
     "MarkerCode",
     "MarkerDecodeResult",
     "StackDecodeResult",
     "StackDecoder",
-    "VTCode",
-    "is_vt_codeword",
-    "vt_codewords",
-    "vt_syndrome",
     "SparseCodebook",
     "WatermarkCode",
     "WatermarkDecodeResult",

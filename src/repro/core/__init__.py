@@ -9,7 +9,6 @@ and degradation analysis.
 from .capacity import (
     alpha,
     converted_capacity,
-    converted_capacity_large_n,
     converted_insertion_fraction,
     convergence_ratio,
     convergence_ratio_limit,
@@ -20,24 +19,11 @@ from .capacity import (
     feedback_lower_bound_exact,
     feedback_time_coefficient,
 )
-from .composition import (
-    compose_parameters,
-    composite_erasure_bound,
-    composition_is_degrading,
-)
-from .channels import (
-    ERASURE,
-    DeletionChannel,
-    DeletionInsertionChannel,
-    ErasureChannelView,
-    InsertionChannel,
-    TransmissionRecord,
-)
+from .channels import ERASURE, DeletionInsertionChannel, TransmissionRecord
 from .design import (
     WidthDesign,
     optimal_symbol_width,
     symbol_time,
-    symbol_width_rate,
     width_sweep,
 )
 from .degradation import (
@@ -47,12 +33,7 @@ from .degradation import (
     relative_degradation_lower,
     relative_degradation_upper,
 )
-from .estimation import CapacityEstimator, CapacityReport, estimate_from_events
-from .noisy import (
-    noisy_converted_capacity,
-    noisy_converted_error_probability,
-    noisy_feedback_lower_bound,
-)
+from .estimation import CapacityEstimator, CapacityReport
 from .events import (
     ChannelEvent,
     ChannelParameters,
@@ -63,7 +44,6 @@ from .events import (
 from .theorems import (
     THEOREMS,
     TheoremStatement,
-    asymptotic_gap,
     capacity_bracket,
     theorem1_upper_bound,
     theorem2_feedback_upper_bound,
@@ -75,7 +55,6 @@ from .theorems import (
 __all__ = [
     "alpha",
     "converted_capacity",
-    "converted_capacity_large_n",
     "converted_insertion_fraction",
     "convergence_ratio",
     "convergence_ratio_limit",
@@ -85,19 +64,12 @@ __all__ = [
     "feedback_lower_bound",
     "feedback_lower_bound_exact",
     "feedback_time_coefficient",
-    "compose_parameters",
-    "composite_erasure_bound",
-    "composition_is_degrading",
     "ERASURE",
-    "DeletionChannel",
     "DeletionInsertionChannel",
-    "ErasureChannelView",
-    "InsertionChannel",
     "TransmissionRecord",
     "WidthDesign",
     "optimal_symbol_width",
     "symbol_time",
-    "symbol_width_rate",
     "width_sweep",
     "DegradationFit",
     "degradation_series",
@@ -106,10 +78,6 @@ __all__ = [
     "relative_degradation_upper",
     "CapacityEstimator",
     "CapacityReport",
-    "estimate_from_events",
-    "noisy_converted_capacity",
-    "noisy_converted_error_probability",
-    "noisy_feedback_lower_bound",
     "ChannelEvent",
     "ChannelParameters",
     "empirical_parameters",
@@ -117,7 +85,6 @@ __all__ = [
     "sample_events",
     "THEOREMS",
     "TheoremStatement",
-    "asymptotic_gap",
     "capacity_bracket",
     "theorem1_upper_bound",
     "theorem2_feedback_upper_bound",

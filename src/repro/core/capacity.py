@@ -27,7 +27,6 @@ __all__ = [
     "erasure_upper_bound",
     "erasure_bound_profile",
     "converted_capacity",
-    "converted_capacity_large_n",
     "converted_insertion_fraction",
     "feedback_lower_bound",
     "feedback_lower_bound_exact",
@@ -101,19 +100,6 @@ def converted_capacity(bits_per_symbol: int, insertion_prob: float) -> float:
     _check_n(bits_per_symbol)
     _check_prob("insertion_prob", insertion_prob)
     return converted_channel_capacity(bits_per_symbol, insertion_prob)
-
-
-def converted_capacity_large_n(bits_per_symbol: int, insertion_prob: float) -> float:
-    """Large-N approximation (paper eq. 5'): ``N (1 - P_i) - H(P_i)``.
-
-    Used by the paper to argue the asymptotic convergence in eqs. (6)-(7);
-    accurate to ``O(2^{-N})`` relative to :func:`converted_capacity`.
-    """
-    _check_n(bits_per_symbol)
-    _check_prob("insertion_prob", insertion_prob)
-    return bits_per_symbol * (1.0 - insertion_prob) - float(
-        binary_entropy(insertion_prob)
-    )
 
 
 def feedback_time_coefficient(deletion_prob: float, insertion_prob: float) -> float:

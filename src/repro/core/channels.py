@@ -1,17 +1,16 @@
-"""Non-synchronous channel simulators.
+"""Non-synchronous channel simulator.
 
 The deletion-insertion channel of Wang & Lee Definition 1 (Figure 2),
-its deletion-only and insertion-only specializations, and the matched
-erasure channels of Theorems 1 and 4 (same drop-outs/insertions, but the
-receiver learns their *locations*). All simulators operate on arrays of
-symbol indices drawn from an alphabet of ``2**bits_per_symbol`` values
-and report a :class:`TransmissionRecord` carrying enough ground truth to
-compute empirical information rates.
+which also yields the matched erasure channel of Theorems 1 and 4 (same
+drop-outs/insertions, but the receiver learns their *locations*). The
+simulator operates on arrays of symbol indices drawn from an alphabet of
+``2**bits_per_symbol`` values and reports a :class:`TransmissionRecord`
+carrying enough ground truth to compute empirical information rates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -21,14 +20,11 @@ from .events import ChannelEvent, ChannelParameters, sample_events
 __all__ = [
     "TransmissionRecord",
     "DeletionInsertionChannel",
-    "DeletionChannel",
-    "InsertionChannel",
-    "ErasureChannelView",
     "ERASURE",
 ]
 
-#: Sentinel marking an erased position in an :class:`ErasureChannelView`
-#: output stream. Chosen negative so it can never collide with a symbol.
+#: Sentinel marking an erased position in a matched-erasure output
+#: stream. Chosen negative so it can never collide with a symbol.
 ERASURE = -1
 
 
@@ -214,84 +210,3 @@ class DeletionInsertionChannel:
             ),
             sent_consumed=qpos,
         )
-
-
-class DeletionChannel(DeletionInsertionChannel):
-    """Deletion-only channel: ``P_i = 0`` (Theorems 2 and 3)."""
-
-    def __init__(
-        self,
-        deletion_prob: float,
-        *,
-        bits_per_symbol: int = 1,
-        substitution_prob: float = 0.0,
-        reveal_locations: bool = False,
-    ) -> None:
-        params = ChannelParameters.from_rates(
-            deletion=deletion_prob, insertion=0.0, substitution=substitution_prob
-        )
-        super().__init__(
-            params,
-            bits_per_symbol=bits_per_symbol,
-            reveal_locations=reveal_locations,
-        )
-
-
-class InsertionChannel(DeletionInsertionChannel):
-    """Insertion-only channel: ``P_d = 0``."""
-
-    def __init__(
-        self,
-        insertion_prob: float,
-        *,
-        bits_per_symbol: int = 1,
-        substitution_prob: float = 0.0,
-        reveal_locations: bool = False,
-    ) -> None:
-        params = ChannelParameters.from_rates(
-            deletion=0.0, insertion=insertion_prob, substitution=substitution_prob
-        )
-        super().__init__(
-            params,
-            bits_per_symbol=bits_per_symbol,
-            reveal_locations=reveal_locations,
-        )
-
-
-@dataclass
-class ErasureChannelView:
-    """The matched (extended) erasure channel of Theorems 1 and 4.
-
-    Wraps a :class:`DeletionInsertionChannel` and exposes only the
-    genie-aided view: the receiver sees transmitted symbols in place and
-    an :data:`ERASURE` mark where each deletion happened; inserted
-    symbols are identified and discarded. By construction it experiences
-    the *same* randomness as the underlying non-synchronous channel —
-    the paper's argument that its capacity upper-bounds the
-    deletion-insertion capacity.
-    """
-
-    channel: DeletionInsertionChannel = field()
-
-    def __post_init__(self) -> None:
-        if not self.channel.reveal_locations:
-            raise ValueError(
-                "underlying channel must be built with reveal_locations=True"
-            )
-
-    def transmit(
-        self,
-        symbols: np.ndarray,
-        rng: np.random.Generator,
-        *,
-        max_uses: Optional[int] = None,
-    ) -> np.ndarray:
-        """Return the erasure-marked stream (symbols and ERASURE marks)."""
-        record = self.channel.transmit(symbols, rng, max_uses=max_uses)
-        assert record.erasure_view is not None
-        return record.erasure_view
-
-    @property
-    def capacity(self) -> float:
-        """Closed-form capacity ``N (1 - P_d)`` bits per use (eq. 1)."""
-        return self.channel.bits_per_symbol * (1.0 - self.channel.params.deletion)

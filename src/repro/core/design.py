@@ -29,7 +29,6 @@ from .capacity import feedback_lower_bound_exact
 __all__ = [
     "WidthDesign",
     "symbol_time",
-    "symbol_width_rate",
     "width_sweep",
     "optimal_symbol_width",
 ]
@@ -67,27 +66,6 @@ def symbol_time(
         return bits_per_symbol * time_unit + sync_overhead
     # timing: 2^N equiprobable delays 1..2^N time units -> mean delay.
     return time_unit * (2**bits_per_symbol + 1) / 2.0 + sync_overhead
-
-
-def symbol_width_rate(
-    bits_per_symbol: int,
-    deletion_prob: float,
-    insertion_prob: float,
-    *,
-    cost_model: str = "serial",
-    time_unit: float = 1.0,
-    sync_overhead: float = 0.0,
-) -> float:
-    """Physical rate ``R(N)`` in bits per time unit."""
-    rate = feedback_lower_bound_exact(
-        bits_per_symbol, deletion_prob, insertion_prob
-    )
-    return rate / symbol_time(
-        bits_per_symbol,
-        cost_model=cost_model,
-        time_unit=time_unit,
-        sync_overhead=sync_overhead,
-    )
 
 
 def width_sweep(

@@ -25,7 +25,7 @@ from .capacity import (
 )
 from .events import ChannelParameters, empirical_parameters
 
-__all__ = ["CapacityReport", "CapacityEstimator", "estimate_from_events"]
+__all__ = ["CapacityReport", "CapacityEstimator"]
 
 
 @dataclass(frozen=True)
@@ -162,16 +162,3 @@ class CapacityEstimator:
     def time_coefficient(self, params: ChannelParameters) -> float:
         """The eq. (2) sender-slot coefficient ``(1-P_d)/(1-P_i)``."""
         return feedback_time_coefficient(params.deletion, params.insertion)
-
-
-def estimate_from_events(
-    events: Iterable[int],
-    *,
-    bits_per_symbol: int = 1,
-    physical_capacity: Optional[float] = None,
-) -> CapacityReport:
-    """One-shot convenience wrapper around :class:`CapacityEstimator`."""
-    estimator = CapacityEstimator(
-        bits_per_symbol, physical_capacity=physical_capacity
-    )
-    return estimator.estimate_from_events(events)

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
 from .capacity import (
-    convergence_ratio,
     deletion_feedback_capacity,
     erasure_upper_bound,
     feedback_lower_bound,
@@ -39,7 +38,6 @@ __all__ = [
     "theorem4_feedback_upper_bound",
     "theorem5_feedback_lower_bound",
     "capacity_bracket",
-    "asymptotic_gap",
 ]
 
 
@@ -127,15 +125,6 @@ def capacity_bracket(
         bits_per_symbol, deletion_prob, insertion_prob
     )
     return lower, upper
-
-
-def asymptotic_gap(bits_per_symbol: int, prob: float) -> float:
-    """``1 - C_lower/C_upper`` at ``P_i = P_d = prob`` (eqs. 6-7).
-
-    Tends to 0 as ``bits_per_symbol`` grows — the convergence claim the
-    paper closes Section 4.2.1 with.
-    """
-    return 1.0 - convergence_ratio(bits_per_symbol, prob)
 
 
 THEOREMS: Dict[int, TheoremStatement] = {

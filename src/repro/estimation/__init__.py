@@ -19,8 +19,6 @@ cached entry points.
 """
 
 from .knn import (
-    ksg_mutual_information,
-    ksg_mutual_information_reference,
     mixed_mi_contributions,
     mixed_mutual_information,
     mixed_mutual_information_reference,
@@ -34,16 +32,12 @@ from .optimize import (
 from .samplers import (
     ChannelSampler,
     DMCSampler,
-    PacketGapSampler,
     SchedulerTimingSampler,
-    TimedDMCSampler,
     bsc_sampler,
     mary_sampler,
 )
 
 __all__ = [
-    "ksg_mutual_information",
-    "ksg_mutual_information_reference",
     "mixed_mi_contributions",
     "mixed_mutual_information",
     "mixed_mutual_information_reference",
@@ -53,9 +47,7 @@ __all__ = [
     "project_to_simplex",
     "ChannelSampler",
     "DMCSampler",
-    "PacketGapSampler",
     "SchedulerTimingSampler",
-    "TimedDMCSampler",
     "bsc_sampler",
     "mary_sampler",
 ]

@@ -1,16 +1,12 @@
-"""Kraskov (KSG) k-nearest-neighbour mutual-information estimators.
+"""Kraskov (KSG) k-nearest-neighbour mutual-information estimator.
 
-Two estimators:
-
-* :func:`ksg_mutual_information` — the KSG "algorithm 1" estimator of
-  Kraskov, Stögbauer & Grassberger (Phys. Rev. E 69, 066138; arXiv:
-  cond-mat/0305641) for two continuous vectors, using the Chebyshev
-  (max-norm) metric in the joint space;
-* :func:`mixed_mutual_information` — the discrete/continuous variant
-  (Ross, PLoS ONE 9(2):e87357): the input is a discrete symbol, the
-  output an arbitrary continuous vector. Neighbour distances are taken
-  inside each symbol class; the neighbour *count* at that radius is
-  taken over the pooled outputs.
+:func:`mixed_mutual_information` is Ross's discrete/continuous variant
+(PLoS ONE 9(2):e87357) of the Kraskov, Stögbauer & Grassberger
+estimator (Phys. Rev. E 69, 066138; arXiv:cond-mat/0305641): the input
+is a discrete symbol, the output an arbitrary continuous vector, and the
+metric is Chebyshev (max-norm). Neighbour distances are taken inside
+each symbol class; the neighbour *count* at that radius is taken over
+the pooled outputs.
 
 Neighbour searches run on ``scipy.spatial.cKDTree``, except for the
 mixed estimator on 1-D outputs (every sampler in
@@ -20,7 +16,7 @@ symbol class and pooled counts from ``searchsorted`` on the sorted
 outputs, with each run's edges settled by the exact ``|y_i - y_j| <=
 r_i`` test the oracle applies.
 
-Both estimators break ties with a deterministic jitter drawn from the
+The estimator breaks ties with a deterministic jitter drawn from the
 caller's RNG stream (:func:`tie_break_jitter`): replays under the same
 seed are bit-identical, and purely discrete outputs (a DMC's symbols)
 become valid inputs — the jitter turns exact ties into a random local
@@ -30,10 +26,11 @@ ratios the estimator needs.
 Counting conventions matter at the half-bit level and are pinned by the
 property suite (``tests/estimation/test_knn.py``): radii come from the
 k-th neighbour *excluding* the query point, and ball counts likewise
-exclude the query point. The naive O(n²) reference implementations
-(`*_reference`) share the exact arithmetic — including the jitter — so
-the sorted and tree paths are gated by bit-identity, the same
-scalar-oracle pattern the vectorized lattice kernels use.
+exclude the query point. The naive O(n²) reference implementation
+(:func:`mixed_mutual_information_reference`) shares the exact
+arithmetic — including the jitter — so the sorted and tree paths are
+gated by bit-identity, the same scalar-oracle pattern the vectorized
+lattice kernels use.
 
 All ``cKDTree`` construction in the repository lives in this module:
 lint rule EST001 keeps every other kNN query behind these guarded,
@@ -50,8 +47,6 @@ from scipy.special import digamma
 
 __all__ = [
     "tie_break_jitter",
-    "ksg_mutual_information",
-    "ksg_mutual_information_reference",
     "mixed_mutual_information",
     "mixed_mi_contributions",
     "mixed_mutual_information_reference",
@@ -101,96 +96,6 @@ def _validate_k(k: int, n: int) -> None:
         raise ValueError(
             f"need more than k+1 = {k + 1} samples, got {n}"
         )
-
-
-# ----------------------------------------------------------------------
-# KSG algorithm 1: continuous-continuous
-
-
-def ksg_mutual_information(
-    x: np.ndarray,
-    y: np.ndarray,
-    *,
-    k: int = 4,
-    rng: np.random.Generator,
-) -> float:
-    """KSG1 estimate of ``I(X; Y)`` in bits from paired samples.
-
-    ``x`` and ``y`` are ``(n,)`` or ``(n, d)`` arrays of paired draws.
-    The joint space uses the Chebyshev metric, so the k-th neighbour
-    radius factors into per-marginal strict-inequality ball counts
-    exactly as KSG1 requires:
-
-        I = psi(k) + psi(n) - < psi(n_x + 1) + psi(n_y + 1) >
-
-    with ``n_x``/``n_y`` the strictly-within-radius marginal counts
-    excluding the point itself.
-    """
-    xj = tie_break_jitter(x, rng)
-    yj = tie_break_jitter(y, rng)
-    n = xj.shape[0]
-    if yj.shape[0] != n:
-        raise ValueError("x and y must hold the same number of samples")
-    _validate_k(k, n)
-    joint = np.hstack([xj, yj])
-    tree = cKDTree(joint)
-    # k+1 neighbours: the query point itself is always the nearest.
-    dist, _ = tree.query(joint, k=k + 1, p=np.inf)
-    radius = dist[:, -1]
-    # Strict inequality: shrink the radius by one ulp so the marginal
-    # balls exclude the k-th joint neighbour (which attains the radius
-    # in one of the marginals).
-    strict = np.nextafter(radius, 0.0)
-    cx = cKDTree(xj).query_ball_point(
-        xj, strict, p=np.inf, return_length=True
-    )
-    cy = cKDTree(yj).query_ball_point(
-        yj, strict, p=np.inf, return_length=True
-    )
-    # cx/cy include the query point: count_excluding_self + 1, which is
-    # exactly the "+1" the KSG1 formula asks for.
-    value = (
-        digamma(k)
-        + digamma(n)
-        - float(np.mean(digamma(cx) + digamma(cy)))
-    )
-    return float(value / _LN2)
-
-
-def ksg_mutual_information_reference(
-    x: np.ndarray,
-    y: np.ndarray,
-    *,
-    k: int = 4,
-    rng: np.random.Generator,
-) -> float:
-    """Naive O(n²) KSG1 — the bit-identical correctness oracle.
-
-    Shares the jitter draws and digamma arithmetic with
-    :func:`ksg_mutual_information`; only the neighbour search differs
-    (full pairwise Chebyshev distance scans instead of a cKDTree).
-    """
-    xj = tie_break_jitter(x, rng)
-    yj = tie_break_jitter(y, rng)
-    n = xj.shape[0]
-    if yj.shape[0] != n:
-        raise ValueError("x and y must hold the same number of samples")
-    _validate_k(k, n)
-    dx = np.max(np.abs(xj[:, None, :] - xj[None, :, :]), axis=2)
-    dy = np.max(np.abs(yj[:, None, :] - yj[None, :, :]), axis=2)
-    joint = np.maximum(dx, dy)
-    # k-th neighbour excluding self == (k+1)-th smallest including the
-    # zero self-distance on the diagonal.
-    radius = np.sort(joint, axis=1)[:, k]
-    strict = np.nextafter(radius, 0.0)
-    cx = np.count_nonzero(dx <= strict[:, None], axis=1)
-    cy = np.count_nonzero(dy <= strict[:, None], axis=1)
-    value = (
-        digamma(k)
-        + digamma(n)
-        - float(np.mean(digamma(cx) + digamma(cy)))
-    )
-    return float(value / _LN2)
 
 
 # ----------------------------------------------------------------------

@@ -6,20 +6,14 @@ the contract between the two worlds: given an array of input symbols
 and an RNG, produce the channel's observable output for each symbol.
 Adapters here wrap the repository's existing channel models:
 
-* :class:`DMCSampler` / :class:`TimedDMCSampler` — enumerable DMCs
-  (optionally with per-input symbol durations, the
-  :func:`repro.timing.timed_dmc_capacity` setting), used by experiment
-  E17 to cross-validate the sample path against Blahut–Arimoto ground
-  truth;
+* :class:`DMCSampler` — enumerable DMCs, used by experiment E17 to
+  cross-validate the sample path against Blahut–Arimoto ground truth;
 * :class:`SchedulerTimingSampler` — the §3.1 uniprocessor
   burst-length timing channel of
-  :func:`repro.os_model.simulate_timing_channel`: the output is the
+  :class:`repro.os_model.TimingChannelConfig`: the output is the
   preemption-stretched gap the receiver observes, a channel with a
   countably infinite output alphabet that no enumerable estimator in
-  the repo can touch;
-* :class:`PacketGapSampler` — the network packet-timing channel of
-  :func:`repro.network.transmit_flow`: outputs are receiver-side
-  inter-arrival gaps, with lost packets surfacing as merged gaps.
+  the repo can touch.
 
 Samplers are frozen dataclasses built from plain tuples, so they feed
 directly into :func:`repro.store.canonical_key` — the sampler value
@@ -33,9 +27,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from ..core.events import ChannelEvent
 from ..infotheory.probability import validate_probability
-from ..network.packet_channel import PacketFlowConfig, transmit_flow
 from ..os_model.timing_channel import TimingChannelConfig
 
 try:  # Python 3.9 compatibility: Protocol with runtime_checkable
@@ -50,9 +42,7 @@ except ImportError:  # pragma: no cover - 3.9+ always has these
 __all__ = [
     "ChannelSampler",
     "DMCSampler",
-    "TimedDMCSampler",
     "SchedulerTimingSampler",
-    "PacketGapSampler",
     "bsc_sampler",
     "mary_sampler",
 ]
@@ -144,63 +134,20 @@ class DMCSampler:
 
 
 @dataclass(frozen=True)
-class TimedDMCSampler:
-    """A :class:`DMCSampler` whose inputs occupy the channel unequally.
-
-    The durations turn the estimation objective into bits per time
-    unit — the :func:`repro.timing.timed_dmc_capacity` fractional
-    program, solved here from samples instead of the matrix.
-    """
-
-    transition: Tuple[Tuple[float, ...], ...]
-    durations: Tuple[float, ...]
-
-    def __init__(
-        self,
-        transition: Sequence[Sequence[float]],
-        durations: Sequence[float],
-    ) -> None:
-        rows = _coerce_rows(transition)
-        taus = tuple(float(t) for t in durations)
-        if len(taus) != len(rows):
-            raise ValueError("durations must match the input alphabet")
-        if any(not np.isfinite(t) or t <= 0 for t in taus):
-            raise ValueError("durations must be positive and finite")
-        object.__setattr__(self, "transition", rows)
-        object.__setattr__(self, "durations", taus)
-
-    @property
-    def num_symbols(self) -> int:
-        return len(self.transition)
-
-    def transition_matrix(self) -> np.ndarray:
-        return np.asarray(self.transition, dtype=float)
-
-    def symbol_durations(self) -> np.ndarray:
-        return np.asarray(self.durations, dtype=float)
-
-    def sample(
-        self, symbols: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        return DMCSampler(self.transition).sample(symbols, rng)
-
-
-@dataclass(frozen=True)
 class SchedulerTimingSampler:
     """The uniprocessor burst-length timing channel, §3.1 substrate.
 
     Input symbol ``s`` holds the CPU for ``burst_durations[s]`` quanta;
     the observable is the gap the receiver counts, stretched by a
     negative-binomial number of stolen quanta (probability
-    ``preempt_prob`` per quantum) — the exact noise process of
-    :func:`repro.os_model.simulate_timing_channel`, exposed symbol by
-    symbol. The output alphabet is countably infinite, so this channel
-    has no transition matrix to hand Blahut–Arimoto: the kNN path is
-    the first estimator in the repo that can price it.
+    ``preempt_prob`` per quantum), exposed symbol by symbol. The output
+    alphabet is countably infinite, so this channel has no transition
+    matrix to hand Blahut–Arimoto: the kNN path is the first estimator
+    in the repo that can price it.
 
-    ``symbol_durations`` accounts time the way the simulator's quanta
-    counter does: the *expected* stretched gap ``hold / (1 - q)`` plus
-    the receiver's own sampling quantum.
+    ``symbol_durations`` counts time in quanta: the *expected*
+    stretched gap ``hold / (1 - q)`` plus the receiver's own sampling
+    quantum.
     """
 
     burst_durations: Tuple[int, ...]
@@ -209,8 +156,7 @@ class SchedulerTimingSampler:
     def __init__(
         self, burst_durations: Sequence[int], preempt_prob: float = 0.0
     ) -> None:
-        # Reuse the simulator's config validation so sampler and
-        # simulator can never disagree about what is a legal channel.
+        # TimingChannelConfig owns the validation of a legal channel.
         config = TimingChannelConfig(burst_durations, preempt_prob)
         object.__setattr__(self, "burst_durations", config.durations)
         object.__setattr__(self, "preempt_prob", config.preempt_prob)
@@ -236,90 +182,6 @@ class SchedulerTimingSampler:
         else:
             stretch = np.zeros_like(holds)
         return (holds + stretch).astype(float)
-
-
-@dataclass(frozen=True)
-class PacketGapSampler:
-    """The network packet-timing channel, receiver's-eye view.
-
-    Sends the requested symbols as one flow through
-    :func:`repro.network.transmit_flow` and reads back, for each sent
-    symbol, the inter-arrival gap the receiver attributes to it. A
-    lost packet merges gaps: the deleted symbol (and any run of
-    deleted predecessors) maps to the long merged gap that absorbed
-    it — which is exactly the observable the receiver has.
-
-    Duplicates inject extra gaps whose position in the arrival order
-    cannot be attributed to a sent symbol without ground truth, so the
-    per-symbol alignment is only exact for ``duplicate_prob == 0``
-    (the same caveat experiment E13 records for its event labels).
-    Keep duplicates off for capacity estimation.
-    """
-
-    gap_durations: Tuple[float, ...]
-    loss_prob: float = 0.0
-    jitter_std: float = 0.0
-
-    def __init__(
-        self,
-        gap_durations: Sequence[float],
-        loss_prob: float = 0.0,
-        jitter_std: float = 0.0,
-    ) -> None:
-        config = PacketFlowConfig(
-            gap_durations, loss_prob=loss_prob, jitter_std=jitter_std
-        )
-        object.__setattr__(self, "gap_durations", config.gap_durations)
-        object.__setattr__(self, "loss_prob", config.loss_prob)
-        object.__setattr__(self, "jitter_std", config.jitter_std)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        validate_probability(self.loss_prob, "loss_prob")
-
-    @property
-    def num_symbols(self) -> int:
-        return len(self.gap_durations)
-
-    def flow_config(self) -> PacketFlowConfig:
-        """The equivalent :class:`repro.network.PacketFlowConfig`."""
-        return PacketFlowConfig(
-            self.gap_durations,
-            loss_prob=self.loss_prob,
-            duplicate_prob=0.0,
-            jitter_std=self.jitter_std,
-        )
-
-    def symbol_durations(self) -> np.ndarray:
-        return np.asarray(self.gap_durations, dtype=float)
-
-    def sample(
-        self, symbols: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        record = transmit_flow(symbols, self.flow_config(), rng)
-        events = record.events[: symbols.size]
-        gaps = record.observed_gaps
-        out = np.empty(symbols.size, dtype=float)
-        pending = []  # deleted symbols awaiting their merged gap
-        obs = 0
-        for k in range(symbols.size):
-            if events[k] == int(ChannelEvent.DELETION):
-                pending.append(k)
-                continue
-            gap = float(gaps[obs])
-            obs += 1
-            out[k] = gap
-            for j in pending:
-                out[j] = gap
-            pending.clear()
-        if pending:
-            # Trailing deletions: the flow simply ends early; the
-            # receiver's best observable is the final gap (0 when the
-            # whole flow vanished).
-            tail = float(gaps[-1]) if gaps.size else 0.0
-            for j in pending:
-                out[j] = tail
-        return out
 
 
 def bsc_sampler(crossover: float) -> DMCSampler:

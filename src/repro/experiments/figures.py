@@ -18,7 +18,7 @@ from ..core.capacity import convergence_ratio, feedback_lower_bound_exact
 __all__ = ["FIGURES", "render_figure", "ascii_plot", "convergence_figure", "rate_figure"]
 
 _FIG1 = r"""
-Figure 1 — synchronization using two variables (repro.sync.variables)
+Figure 1 — synchronization using two variables (repro.os_model.covert)
 
    SENDER                                      RECEIVER
      |  writes symbol -> [ shared register ]      |

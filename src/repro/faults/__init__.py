@@ -13,7 +13,6 @@ from .injector import (
     FaultedMeasurement,
     FaultInjector,
     FaultLog,
-    active_injector,
     run_under_faults,
 )
 from .models import (
@@ -24,11 +23,10 @@ from .models import (
     GilbertElliottModel,
     IIDEventModel,
 )
-from .process import KillWorkerOnce, in_worker_process, kill_current_worker
+from .process import in_worker_process, kill_current_worker
 from .scenarios import (
     SCENARIOS,
     FaultScenario,
-    build_injector,
     get_scenario,
     list_scenarios,
     register_scenario,
@@ -39,7 +37,6 @@ from .service_faults import (
     TransientWorkerError,
     apply_worker_faults,
     get_service_scenario,
-    list_service_scenarios,
 )
 
 __all__ = [
@@ -52,21 +49,17 @@ __all__ = [
     "FaultLog",
     "FaultInjector",
     "FaultedMeasurement",
-    "active_injector",
     "run_under_faults",
     "FaultScenario",
     "SCENARIOS",
     "register_scenario",
     "get_scenario",
     "list_scenarios",
-    "build_injector",
     "in_worker_process",
     "kill_current_worker",
-    "KillWorkerOnce",
     "TransientWorkerError",
     "ServiceFaultPlan",
     "SERVICE_SCENARIOS",
     "get_service_scenario",
-    "list_service_scenarios",
     "apply_worker_faults",
 ]

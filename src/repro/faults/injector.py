@@ -53,20 +53,8 @@ __all__ = [
     "FaultLog",
     "FaultInjector",
     "FaultedMeasurement",
-    "active_injector",
     "run_under_faults",
 ]
-
-def active_injector() -> Optional["FaultInjector"]:
-    """The :class:`FaultInjector` currently installed, if any.
-
-    Hardened protocols call this at the top of ``run`` to learn whether
-    feedback-path faults apply; ``None`` means the perfect-feedback
-    semantics of the paper. The registry itself lives in
-    :mod:`repro.core.events` so the sync layer can consult it without
-    importing this package.
-    """
-    return active_fault_injector()
 
 
 @dataclass
@@ -132,8 +120,8 @@ class FaultInjector:
         """Install this injector for the duration of a ``with`` block.
 
         Installs the forward-path event hook and registers the injector
-        for :func:`active_injector`. Nesting restores the previous
-        injector on exit.
+        as the active one the hardened feedback protocols consult.
+        Nesting restores the previous injector on exit.
         """
         previous_hook = set_event_sampler_hook(
             self._sample_events_hook if self.event_model is not None else None

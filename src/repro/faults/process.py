@@ -1,13 +1,12 @@
 """Process-level fault injection: killing worker processes on purpose.
 
-The chaos tests for the supervised worker pool
-(:class:`repro.simulation.pool.SupervisedPool`) need a fault that a
-Python-level ``raise`` cannot model: a worker process dying abruptly
-(``SIGKILL``), which poisons a bare ``ProcessPoolExecutor`` with
-``BrokenProcessPool``. :class:`KillWorkerOnce` wraps any picklable
-trial callable and kills the executing worker exactly once per marker
-file — and only when actually running inside a worker process, so the
-serial baseline of a bit-identity comparison is never harmed.
+Supervised worker pools (:class:`repro.simulation.pool.SupervisedPool`)
+must survive a fault that a Python-level ``raise`` cannot model: a
+worker process dying abruptly (``SIGKILL``), which poisons a bare
+``ProcessPoolExecutor`` with ``BrokenProcessPool``.
+:func:`kill_current_worker` is that fault, and it fires only inside a
+worker process, so the serial baseline of a bit-identity comparison is
+never harmed.
 """
 
 from __future__ import annotations
@@ -15,15 +14,10 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
-from dataclasses import dataclass
-from typing import Callable, Dict
-
-import numpy as np
 
 __all__ = [
     "in_worker_process",
     "kill_current_worker",
-    "KillWorkerOnce",
 ]
 
 
@@ -49,38 +43,3 @@ def kill_current_worker() -> None:
             "kill_current_worker() refused: not inside a worker process"
         )
     os.kill(os.getpid(), signal.SIGKILL)
-
-
-@dataclass(frozen=True)
-class KillWorkerOnce:
-    """Picklable trial wrapper that SIGKILLs its worker exactly once.
-
-    The first invocation (across *all* worker processes) atomically
-    creates *marker* via ``open(..., "x")`` and kills its own process
-    mid-replication; every other invocation — including the retry of
-    the killed replication — runs *trial* unchanged. Run serially
-    (``workers=1``) the kill is skipped entirely, so the same wrapper
-    is safe on both sides of a serial-vs-parallel bit-identity check.
-
-    Parameters
-    ----------
-    trial:
-        The underlying trial callable (must be picklable itself).
-    marker:
-        Path used as the at-most-once latch; also the test's evidence
-        that the kill actually fired.
-    """
-
-    trial: Callable[[np.random.Generator], Dict[str, float]]
-    marker: str
-
-    def __call__(self, rng: np.random.Generator) -> Dict[str, float]:
-        if in_worker_process():
-            try:
-                with open(self.marker, "x", encoding="utf-8") as fh:
-                    fh.write(str(os.getpid()))
-            except FileExistsError:
-                pass  # someone already died for this marker
-            else:
-                kill_current_worker()
-        return self.trial(rng)

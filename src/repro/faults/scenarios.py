@@ -31,7 +31,6 @@ __all__ = [
     "register_scenario",
     "get_scenario",
     "list_scenarios",
-    "build_injector",
 ]
 
 
@@ -194,10 +193,3 @@ def get_scenario(name: str) -> FaultScenario:
 def list_scenarios() -> List[FaultScenario]:
     """All registered scenarios, sorted by name."""
     return [SCENARIOS[k] for k in sorted(SCENARIOS)]
-
-
-def build_injector(
-    name: str, params: ChannelParameters, *, seed: int = 0
-) -> FaultInjector:
-    """Shorthand: ``get_scenario(name).build(params, seed=seed)``."""
-    return get_scenario(name).build(params, seed=seed)

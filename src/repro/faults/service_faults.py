@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "ServiceFaultPlan",
     "SERVICE_SCENARIOS",
     "get_service_scenario",
-    "list_service_scenarios",
     "apply_worker_faults",
 ]
 
@@ -122,11 +121,6 @@ def get_service_scenario(name: str) -> ServiceFaultPlan:
             f"unknown service fault scenario {name!r}; available: "
             f"{', '.join(sorted(SERVICE_SCENARIOS))}"
         ) from None
-
-
-def list_service_scenarios() -> List[str]:
-    """Sorted names of the registered service fault scenarios."""
-    return sorted(SERVICE_SCENARIOS)
 
 
 def apply_worker_faults(plan: ServiceFaultPlan, rng: np.random.Generator) -> None:

@@ -4,22 +4,19 @@ Entropy/mutual-information primitives, a generic discrete memoryless
 channel class with a Blahut-Arimoto capacity solver (plus the batched
 stack-of-channels kernels in :mod:`.kernels`), factories for the
 standard channels used by the paper (erasure, Z, M-ary symmetric,
-converted channel), Markov-chain utilities, and Shannon's noiseless
-channel with non-uniform symbol durations.
+converted channel), and Shannon's noiseless channel with non-uniform
+symbol durations.
 """
 
 from .blahut_arimoto import (
     BlahutArimotoResult,
     blahut_arimoto,
     blahut_arimoto_guarded,
-    channel_capacity,
 )
 from .channels import (
     bec_capacity,
     binary_erasure_channel,
     binary_symmetric_channel,
-    bsc_capacity,
-    converted_channel,
     converted_channel_capacity,
     m_ary_erasure_capacity,
     m_ary_erasure_channel,
@@ -36,58 +33,28 @@ from .kernels import (
 )
 from .entropy import (
     binary_entropy,
-    binary_entropy_derivative,
-    conditional_entropy,
-    cross_entropy,
-    entropy,
-    inverse_binary_entropy,
-    joint_entropy,
-    kl_divergence,
     mutual_information,
     mutual_information_from_joint,
-    normalize_distribution,
     validate_distribution,
 )
-from .markov import (
-    entropy_rate,
-    is_irreducible,
-    simulate_chain,
-    stationary_distribution,
-    validate_stochastic_matrix,
-)
-from .noiseless import (
-    characteristic_root,
-    noiseless_capacity_per_second,
-    uniform_duration_capacity,
-)
+from .noiseless import characteristic_root, noiseless_capacity_per_second
 from .probability import PROB_ATOL, is_one, is_zero, validate_probability
 
 __all__ = [
     "BlahutArimotoResult",
     "blahut_arimoto",
     "blahut_arimoto_guarded",
-    "channel_capacity",
     "DiscreteMemorylessChannel",
     "BatchedBAResult",
     "blahut_arimoto_batch",
     "validate_transition_stack",
     "binary_entropy",
-    "binary_entropy_derivative",
-    "conditional_entropy",
-    "cross_entropy",
-    "entropy",
-    "inverse_binary_entropy",
-    "joint_entropy",
-    "kl_divergence",
     "mutual_information",
     "mutual_information_from_joint",
-    "normalize_distribution",
     "validate_distribution",
     "bec_capacity",
     "binary_erasure_channel",
     "binary_symmetric_channel",
-    "bsc_capacity",
-    "converted_channel",
     "converted_channel_capacity",
     "m_ary_erasure_capacity",
     "m_ary_erasure_channel",
@@ -95,14 +62,8 @@ __all__ = [
     "m_ary_symmetric_channel",
     "z_channel",
     "z_channel_capacity",
-    "entropy_rate",
-    "is_irreducible",
-    "simulate_chain",
-    "stationary_distribution",
-    "validate_stochastic_matrix",
     "characteristic_root",
     "noiseless_capacity_per_second",
-    "uniform_duration_capacity",
     "PROB_ATOL",
     "is_zero",
     "is_one",

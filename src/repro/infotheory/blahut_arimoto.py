@@ -38,7 +38,6 @@ __all__ = [
     "BlahutArimotoResult",
     "blahut_arimoto",
     "blahut_arimoto_guarded",
-    "channel_capacity",
 ]
 
 
@@ -166,8 +165,3 @@ def blahut_arimoto_guarded(
     )
     _record_guarded_statuses(results)
     return results
-
-
-def channel_capacity(transition: np.ndarray, *, tol: float = 1e-10) -> float:
-    """Convenience wrapper returning only the capacity in bits/use."""
-    return blahut_arimoto(transition, tol=tol).capacity

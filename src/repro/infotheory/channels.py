@@ -23,7 +23,6 @@ from .probability import is_zero
 
 __all__ = [
     "binary_symmetric_channel",
-    "bsc_capacity",
     "binary_erasure_channel",
     "bec_capacity",
     "m_ary_erasure_channel",
@@ -32,7 +31,6 @@ __all__ = [
     "z_channel_capacity",
     "m_ary_symmetric_channel",
     "m_ary_symmetric_capacity",
-    "converted_channel",
     "converted_channel_capacity",
 ]
 
@@ -43,13 +41,6 @@ def binary_symmetric_channel(p: float) -> DiscreteMemorylessChannel:
         raise ValueError("crossover probability must be in [0, 1]")
     w = np.array([[1 - p, p], [p, 1 - p]])
     return DiscreteMemorylessChannel(w, input_labels=["0", "1"], output_labels=["0", "1"])
-
-
-def bsc_capacity(p: float) -> float:
-    """Closed-form BSC capacity ``1 - H(p)`` bits/use."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("crossover probability must be in [0, 1]")
-    return 1.0 - float(binary_entropy(p))
 
 
 def binary_erasure_channel(epsilon: float) -> DiscreteMemorylessChannel:
@@ -150,31 +141,6 @@ def m_ary_symmetric_capacity(m: int, error_prob: float) -> float:
     e = error_prob
     log_m1 = math.log2(m - 1) if m > 2 else 0.0
     return float(math.log2(m) - binary_entropy(e) - e * log_m1)
-
-
-def converted_channel(bits_per_symbol: int, insertion_prob: float) -> DiscreteMemorylessChannel:
-    """The converted channel of Wang & Lee Appendix A (Figure 5).
-
-    After the counter protocol removes deletions (by resending) and
-    re-aligns insertions (by skipping), each received position carries
-    either the genuine message symbol or a uniformly random inserted
-    symbol. With insertion probability ``p_i`` per received position the
-    result is an M-ary symmetric DMC, M = 2^N, with
-
-        P(y|x) = 1 - p_i (2^N - 1)/2^N   if y = x
-        P(y|x) = p_i / 2^N               if y != x
-
-    i.e. total error probability ``alpha * p_i`` with
-    ``alpha = (2^N - 1)/2^N`` (eq. 4 of the paper).
-    """
-    n = bits_per_symbol
-    if n < 1:
-        raise ValueError("bits_per_symbol must be >= 1")
-    if not 0.0 <= insertion_prob <= 1.0:
-        raise ValueError("insertion probability must be in [0, 1]")
-    m = 2**n
-    alpha = (m - 1) / m
-    return m_ary_symmetric_channel(m, alpha * insertion_prob)
 
 
 def converted_channel_capacity(bits_per_symbol: int, insertion_prob: float) -> float:

@@ -16,20 +16,10 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .probability import is_one, is_zero
-
 __all__ = [
     "binary_entropy",
-    "binary_entropy_derivative",
-    "inverse_binary_entropy",
-    "entropy",
-    "cross_entropy",
-    "kl_divergence",
-    "joint_entropy",
-    "conditional_entropy",
     "mutual_information",
     "mutual_information_from_joint",
-    "normalize_distribution",
     "validate_distribution",
 ]
 
@@ -70,15 +60,6 @@ def validate_distribution(p: ArrayLike, *, atol: float = 1e-9) -> np.ndarray:
     return arr
 
 
-def normalize_distribution(p: ArrayLike) -> np.ndarray:
-    """Rescale non-negative weights *p* into a probability distribution."""
-    arr = _as_prob_array(p)
-    total = float(arr.sum())
-    if total <= 0:
-        raise ValueError("cannot normalize an all-zero weight vector")
-    return arr / total
-
-
 def binary_entropy(p: ArrayLike) -> Union[float, np.ndarray]:
     """Binary entropy function ``H(p) = -p log2 p - (1-p) log2 (1-p)``.
 
@@ -93,104 +74,6 @@ def binary_entropy(p: ArrayLike) -> Union[float, np.ndarray]:
     if np.isscalar(p) or (isinstance(p, np.ndarray) and p.ndim == 0):
         return float(h)
     return h
-
-
-def binary_entropy_derivative(p: float) -> float:
-    """Derivative ``H'(p) = log2((1-p)/p)`` for ``p`` in (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("derivative of H is defined only on (0, 1)")
-    return float(np.log2((1.0 - p) / p))
-
-
-def inverse_binary_entropy(h: float, *, branch: str = "lower") -> float:
-    """Invert the binary entropy function on one of its two branches.
-
-    Parameters
-    ----------
-    h:
-        Entropy value in [0, 1].
-    branch:
-        ``"lower"`` returns the root in [0, 1/2]; ``"upper"`` the root in
-        [1/2, 1].
-    """
-    if not 0.0 <= h <= 1.0:
-        raise ValueError(f"entropy value must be in [0, 1], got {h}")
-    if branch not in ("lower", "upper"):
-        raise ValueError("branch must be 'lower' or 'upper'")
-    if is_zero(h):
-        return 0.0 if branch == "lower" else 1.0
-    if is_one(h):
-        return 0.5
-    lo, hi = (0.0, 0.5) if branch == "lower" else (0.5, 1.0)
-    # Bisection: H is monotone on each branch and continuous.
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = binary_entropy(mid)
-        if branch == "lower":
-            if val < h:
-                lo = mid
-            else:
-                hi = mid
-        else:
-            if val > h:
-                lo = mid
-            else:
-                hi = mid
-    return 0.5 * (lo + hi)
-
-
-def entropy(p: ArrayLike) -> float:
-    """Shannon entropy ``H(X) = -sum p_i log2 p_i`` in bits."""
-    arr = validate_distribution(p)
-    return float(-_xlogx(arr).sum())
-
-
-def cross_entropy(p: ArrayLike, q: ArrayLike) -> float:
-    """Cross entropy ``-sum p_i log2 q_i``; infinite if q=0 where p>0."""
-    parr = validate_distribution(p)
-    qarr = validate_distribution(q)
-    if parr.shape != qarr.shape:
-        raise ValueError("p and q must have the same shape")
-    mask = parr > 0
-    if np.any(qarr[mask] == 0):
-        return float("inf")
-    return float(-(parr[mask] * np.log2(qarr[mask])).sum())
-
-
-def kl_divergence(p: ArrayLike, q: ArrayLike) -> float:
-    """Kullback-Leibler divergence ``D(p || q)`` in bits."""
-    parr = validate_distribution(p)
-    qarr = validate_distribution(q)
-    if parr.shape != qarr.shape:
-        raise ValueError("p and q must have the same shape")
-    mask = parr > 0
-    if np.any(qarr[mask] == 0):
-        return float("inf")
-    return float((parr[mask] * np.log2(parr[mask] / qarr[mask])).sum())
-
-
-def joint_entropy(joint: ArrayLike) -> float:
-    """Entropy of a joint distribution given as a 2-D array ``P(x, y)``."""
-    arr = _as_prob_array(joint)
-    if not np.isclose(arr.sum(), 1.0, atol=1e-9):
-        raise ValueError("joint distribution must sum to 1")
-    return float(-_xlogx(arr).sum())
-
-
-def conditional_entropy(joint: ArrayLike) -> float:
-    """Conditional entropy ``H(Y|X)`` from a joint array ``P(x, y)``.
-
-    Rows index X, columns index Y.
-    """
-    arr = _as_prob_array(joint)
-    if arr.ndim != 2:
-        raise ValueError("joint must be a 2-D array P(x, y)")
-    if not np.isclose(arr.sum(), 1.0, atol=1e-9):
-        raise ValueError("joint distribution must sum to 1")
-    px = arr.sum(axis=1)
-    h_joint = float(-_xlogx(arr).sum())
-    h_x = float(-_xlogx(px).sum())
-    return h_joint - h_x
 
 
 def mutual_information_from_joint(joint: ArrayLike) -> float:

@@ -27,7 +27,6 @@ from ..numerics import expand_bracket, guarded_brentq
 __all__ = [
     "characteristic_root",
     "noiseless_capacity_per_second",
-    "uniform_duration_capacity",
 ]
 
 
@@ -69,17 +68,3 @@ def characteristic_root(durations: Sequence[float], *, tol: float = 1e-12) -> fl
 def noiseless_capacity_per_second(durations: Sequence[float]) -> float:
     """Capacity ``log2(X0)`` in bits per time unit (Shannon 1948)."""
     return float(np.log2(characteristic_root(durations)))
-
-
-def uniform_duration_capacity(num_symbols: int, duration: float = 1.0) -> float:
-    """Capacity when all *num_symbols* symbols take the same *duration*.
-
-    Equals ``log2(num_symbols) / duration`` — the familiar "bits per
-    symbol over seconds per symbol" formula, and a useful sanity check
-    for :func:`noiseless_capacity_per_second`.
-    """
-    if num_symbols < 1:
-        raise ValueError("need at least one symbol")
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    return float(np.log2(num_symbols)) / duration

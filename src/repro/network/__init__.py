@@ -11,7 +11,6 @@ should be read from jitter-only configurations.
 from .packet_channel import (
     FlowRecord,
     PacketFlowConfig,
-    decode_gaps,
     measured_parameters,
     transmit_flow,
 )
@@ -19,7 +18,6 @@ from .packet_channel import (
 __all__ = [
     "FlowRecord",
     "PacketFlowConfig",
-    "decode_gaps",
     "measured_parameters",
     "transmit_flow",
 ]

@@ -34,7 +34,6 @@ __all__ = [
     "PacketFlowConfig",
     "FlowRecord",
     "transmit_flow",
-    "decode_gaps",
     "measured_parameters",
 ]
 
@@ -210,18 +209,6 @@ def transmit_flow(
         events=np.asarray(events, dtype=np.int64),
         duration=float(arrivals_arr[-1] - arrivals_arr[0]) if arrivals_arr.size else 0.0,
     )
-
-
-def decode_gaps(
-    gaps: Sequence[float], config: PacketFlowConfig
-) -> np.ndarray:
-    """Nearest-duration hard decoding of a gap sequence."""
-    arr = np.asarray(gaps, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("gaps must be 1-D")
-    if np.any(arr < 0):
-        raise ValueError("gaps must be non-negative")
-    return _nearest_symbol(arr, np.asarray(config.gap_durations))
 
 
 def measured_parameters(record: FlowRecord) -> ChannelParameters:

@@ -6,7 +6,7 @@ probabilities. This package is the shared substrate that keeps the
 solvers honest there:
 
 * :mod:`.safeops` — log-domain primitives (``safe_log2``,
-  ``logsumexp2``, ``normalized_exp2``) replacing per-solver
+  ``normalized_exp2``) replacing per-solver
   ``np.log(np.maximum(x, 1e-300))`` patterns (lint rule NUM001);
 * :mod:`.guard` — :class:`IterationGuard` with NaN/divergence/stall
   detection, the :class:`SolverStatus` taxonomy
@@ -34,9 +34,7 @@ from .bracketing import (
 from .guard import IterationGuard, SolverDiagnostics, SolverStatus
 from .safeops import (
     LOG_FLOOR,
-    logsumexp2,
     masked_log2,
-    normalized_exp,
     normalized_exp2,
     safe_log,
     safe_log2,
@@ -56,8 +54,6 @@ __all__ = [
     "safe_log",
     "safe_log2",
     "masked_log2",
-    "logsumexp2",
-    "normalized_exp",
     "normalized_exp2",
     "SolverStatus",
     "SolverDiagnostics",

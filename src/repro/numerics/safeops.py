@@ -6,15 +6,15 @@ underflow (forward-backward likelihoods over long frames). The ad-hoc
 idiom ``np.log(np.maximum(x, 1e-300))`` was scattered across the
 solvers with inconsistent floors; these helpers centralize it so the
 floor is one auditable constant, the guarded call sites are lintable
-(rule NUM001), and log-domain accumulation (``logsumexp2``,
-``normalized_exp2``) is shared instead of re-derived per solver.
+(rule NUM001), and log-domain normalization (``normalized_exp2``)
+is shared instead of re-derived per solver.
 
 All functions accept scalars or arrays and preserve shape.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -23,8 +23,6 @@ __all__ = [
     "safe_log",
     "safe_log2",
     "masked_log2",
-    "logsumexp2",
-    "normalized_exp",
     "normalized_exp2",
 ]
 
@@ -84,30 +82,6 @@ def masked_log2(x: ArrayLike, *, floor: float = LOG_FLOOR) -> np.ndarray:
     return np.where(arr > 0, np.log2(_floored(arr, floor, "masked_log2")), 0.0)
 
 
-def logsumexp2(
-    a: ArrayLike, *, axis: Optional[int] = None
-) -> Union[float, np.ndarray]:
-    """``log2(sum(2**a))`` computed without overflow (max-shifted).
-
-    Entries of ``-inf`` (exactly-zero mass) are handled: an all-``-inf``
-    reduction returns ``-inf`` rather than ``nan``.
-    """
-    arr = np.asarray(a, dtype=float)
-    if arr.size == 0:
-        raise ValueError("logsumexp2 of an empty array")
-    hi = np.max(arr, axis=axis, keepdims=True)
-    # An all--inf slice would produce -inf - -inf = nan; shift by 0 there.
-    shift = np.where(np.isfinite(hi), hi, 0.0)
-    total = np.sum(np.exp2(arr - shift), axis=axis, keepdims=True)
-    with np.errstate(divide="ignore"):
-        # log2(0) for an all--inf slice is replaced by -inf just below.
-        out = shift + np.log2(total)
-    out = np.where(np.isfinite(hi), out, hi)
-    if axis is None:
-        return float(out.reshape(()))
-    return np.squeeze(out, axis=axis)
-
-
 def _normalized(shifted: np.ndarray, axis: int) -> np.ndarray:
     total = shifted.sum(axis=axis, keepdims=True)
     # All-zero mass (every logit -inf, or exp underflowed): fall back to
@@ -128,15 +102,3 @@ def normalized_exp2(logits: ArrayLike, *, axis: int = -1) -> np.ndarray:
     hi = np.max(arr, axis=axis, keepdims=True)
     shift = np.where(np.isfinite(hi), hi, 0.0)
     return _normalized(np.exp2(arr - shift), axis)
-
-
-def normalized_exp(logits: ArrayLike, *, axis: int = -1) -> np.ndarray:
-    """Natural-base softmax: ``exp(logits)`` normalized to sum to 1.
-
-    Same stabilization and all-``-inf`` fallback as
-    :func:`normalized_exp2`.
-    """
-    arr = np.asarray(logits, dtype=float)
-    hi = np.max(arr, axis=axis, keepdims=True)
-    shift = np.where(np.isfinite(hi), hi, 0.0)
-    return _normalized(np.exp(arr - shift), axis)

@@ -23,21 +23,15 @@ from .kernel import KernelTrace, SharedRegister, UniprocessorKernel
 from .measurement import (
     ChannelMeasurement,
     classify_trace,
-    measure_scheduler,
     run_oblivious_channel,
 )
 from .mls import MLSPolicy, SecurityLevel, Subject, exploit_with_legal_feedback
 from .process import IdleProcess, Process
-from .timing_channel import (
-    TimingChannelConfig,
-    TimingChannelRun,
-    simulate_timing_channel,
-)
+from .timing_channel import TimingChannelConfig
 from .scheduler import (
     FuzzyTimeScheduler,
     LotteryScheduler,
     MultilevelFeedbackScheduler,
-    PriorityScheduler,
     RandomScheduler,
     RoundRobinScheduler,
     Scheduler,
@@ -61,7 +55,6 @@ __all__ = [
     "UniprocessorKernel",
     "ChannelMeasurement",
     "classify_trace",
-    "measure_scheduler",
     "run_oblivious_channel",
     "MLSPolicy",
     "SecurityLevel",
@@ -70,12 +63,9 @@ __all__ = [
     "IdleProcess",
     "Process",
     "TimingChannelConfig",
-    "TimingChannelRun",
-    "simulate_timing_channel",
     "FuzzyTimeScheduler",
     "LotteryScheduler",
     "MultilevelFeedbackScheduler",
-    "PriorityScheduler",
     "RandomScheduler",
     "RoundRobinScheduler",
     "Scheduler",

@@ -10,7 +10,7 @@ parameters into :class:`repro.core.estimation.CapacityEstimator`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "classify_trace",
     "ChannelMeasurement",
     "run_oblivious_channel",
-    "measure_scheduler",
 ]
 
 
@@ -176,20 +175,3 @@ def run_oblivious_channel(
         symbols_offered=sender.position,
         symbols_received=len(receiver.samples),
     )
-
-
-def measure_scheduler(
-    scheduler: Scheduler,
-    rng: np.random.Generator,
-    **kwargs,
-) -> Dict[str, float]:
-    """Flat metric dict for the experiment runner (E7)."""
-    m = run_oblivious_channel(scheduler, rng, **kwargs)
-    return {
-        "deletion": m.params.deletion,
-        "insertion": m.params.insertion,
-        "corrected_capacity": m.report.corrected_capacity,
-        "corrected_per_quantum": m.corrected_capacity_per_quantum,
-        "achievable_per_quantum": m.achievable_per_quantum,
-        "degradation": m.report.degradation,
-    }

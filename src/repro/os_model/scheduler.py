@@ -22,7 +22,6 @@ __all__ = [
     "RoundRobinScheduler",
     "RandomScheduler",
     "LotteryScheduler",
-    "PriorityScheduler",
     "FuzzyTimeScheduler",
     "StrideScheduler",
     "MultilevelFeedbackScheduler",
@@ -96,27 +95,6 @@ class LotteryScheduler(Scheduler):
         tickets = np.asarray([p.tickets for p in ready], dtype=float)
         probs = tickets / tickets.sum()
         return ready[int(rng.choice(len(ready), p=probs))]
-
-
-class PriorityScheduler(Scheduler):
-    """Strict priority with round-robin among the top priority class."""
-
-    name = "priority"
-
-    def __init__(self) -> None:
-        self._rr = 0
-
-    def select(self, ready: Sequence[Process], rng: np.random.Generator) -> Process:
-        if not ready:
-            raise ValueError("no ready processes")
-        top = max(p.priority for p in ready)
-        candidates = [p for p in ready if p.priority == top]
-        proc = candidates[self._rr % len(candidates)]
-        self._rr += 1
-        return proc
-
-    def reset(self) -> None:
-        self._rr = 0
 
 
 class FuzzyTimeScheduler(Scheduler):

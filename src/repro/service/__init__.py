@@ -18,7 +18,7 @@ Every submitted query terminates in exactly one :class:`QueryStatus` —
 chaos. See ``docs/service.md`` for architecture and tuning.
 """
 
-from .breaker import BreakerOpenError, BreakerState, CircuitBreaker
+from .breaker import BreakerState, CircuitBreaker
 from .loadtest import LoadTestReport, generate_trace, run_load_test
 from .policy import RetryPolicy
 from .query import (
@@ -56,7 +56,6 @@ __all__ = [
     "query_key",
     "RetryPolicy",
     "BreakerState",
-    "BreakerOpenError",
     "CircuitBreaker",
     "ShedLevel",
     "AdmissionController",

@@ -18,7 +18,7 @@ import enum
 import time
 from typing import Callable, Dict, Optional
 
-__all__ = ["BreakerState", "BreakerOpenError", "CircuitBreaker"]
+__all__ = ["BreakerState", "CircuitBreaker"]
 
 
 class BreakerState(str, enum.Enum):
@@ -27,10 +27,6 @@ class BreakerState(str, enum.Enum):
     CLOSED = "closed"
     OPEN = "open"
     HALF_OPEN = "half_open"
-
-
-class BreakerOpenError(RuntimeError):
-    """Dispatch refused because the breaker is open."""
 
 
 class CircuitBreaker:

@@ -1,7 +1,6 @@
 """Monte-Carlo simulation framework: seeded RNG streams, statistics,
 empirical mutual information, and an experiment runner."""
 
-from .convergence import SequentialResult, run_until_precise
 from .mutual_information import (
     joint_histogram,
     miller_madow_correction,
@@ -23,16 +22,9 @@ from .runner import (
     TrialSummary,
     sweep_checkpoint_label,
 )
-from .stats import (
-    ConfidenceInterval,
-    RunningStats,
-    mean_confidence_interval,
-    wilson_interval,
-)
+from .stats import ConfidenceInterval, mean_confidence_interval
 
 __all__ = [
-    "SequentialResult",
-    "run_until_precise",
     "joint_histogram",
     "miller_madow_correction",
     "per_position_mutual_information",
@@ -50,7 +42,5 @@ __all__ = [
     "TrialSummary",
     "sweep_checkpoint_label",
     "ConfidenceInterval",
-    "RunningStats",
     "mean_confidence_interval",
-    "wilson_interval",
 ]

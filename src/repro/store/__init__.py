@@ -52,7 +52,6 @@ from .memo import (
     publish,
     record_cache_event,
     resolve_store,
-    set_active_store,
     use_store,
 )
 from .result_store import (
@@ -77,7 +76,6 @@ __all__ = [
     "publish",
     "record_cache_event",
     "resolve_store",
-    "set_active_store",
     "use_store",
     "ResultStore",
     "StoreEntry",

@@ -1,8 +1,8 @@
 """Memoization layer: the memo protocol and the active-store registry.
 
 Caching is strictly opt-in. A solve consults the store only when one is
-*active*: either a handle installed with :func:`use_store` /
-:func:`set_active_store`, or — for whole processes (CLI runs, worker
+*active*: either a handle installed with :func:`use_store`, or — for
+whole processes (CLI runs, worker
 pools) — the ``REPRO_STORE_DIR`` environment variable. With no active
 store every cache is a plain pass-through, which is what keeps the
 default path (and the test suite, which scrubs the environment
@@ -36,7 +36,6 @@ from .serialization import SerializationError
 
 __all__ = [
     "active_store",
-    "set_active_store",
     "use_store",
     "resolve_store",
     "lookup",
@@ -53,10 +52,9 @@ _ENV_STORES: Dict[str, ResultStore] = {}
 def active_store() -> Optional[ResultStore]:
     """The store cached solves consult, or ``None`` (caching off).
 
-    Resolution order: the innermost :func:`use_store` /
-    :func:`set_active_store` handle (an explicit ``None`` disables
-    caching even under the environment variable), then
-    ``REPRO_STORE_DIR``.
+    Resolution order: the innermost :func:`use_store` handle (an
+    explicit ``None`` disables caching even under the environment
+    variable), then ``REPRO_STORE_DIR``.
     """
     if _ACTIVE:
         return _ACTIVE[-1]
@@ -71,17 +69,6 @@ def active_store() -> Optional[ResultStore]:
             return None  # unusable directory: caching silently off
         _ENV_STORES[env_dir] = store
     return store
-
-
-def set_active_store(store: Optional[ResultStore]) -> None:
-    """Install *store* as the process-wide active store.
-
-    Replaces any previous explicit handle; ``None`` pins caching off
-    regardless of ``REPRO_STORE_DIR``. Prefer the scoped
-    :func:`use_store` in tests.
-    """
-    _ACTIVE.clear()
-    _ACTIVE.append(store)
 
 
 @contextmanager

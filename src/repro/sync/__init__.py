@@ -18,17 +18,14 @@ from .feedback import CounterProtocol, ResendProtocol
 from .imperfect_feedback import (
     AlternatingBitProtocol,
     BlockAckProtocol,
-    block_ack_rate,
     lossy_feedback_capacity,
 )
-from .noisy import NoisyCounterProtocol
 from .harness import (
     ProtocolMeasurement,
     measure_protocol,
     substitution_error_capacity,
 )
 from .protocols import ProtocolRun, RetryPolicy, SynchronizationProtocol
-from .variables import HandshakeResult, HandshakeSimulator, SyncVariable
 
 __all__ = [
     "AdaptiveCovertSession",
@@ -43,16 +40,11 @@ __all__ = [
     "ResendProtocol",
     "AlternatingBitProtocol",
     "BlockAckProtocol",
-    "block_ack_rate",
     "lossy_feedback_capacity",
-    "NoisyCounterProtocol",
     "ProtocolMeasurement",
     "measure_protocol",
     "substitution_error_capacity",
     "ProtocolRun",
     "RetryPolicy",
     "SynchronizationProtocol",
-    "HandshakeResult",
-    "HandshakeSimulator",
-    "SyncVariable",
 ]

@@ -1,32 +1,19 @@
 """Traditional (synchronous-model) covert-channel capacity estimators.
 
-Millen's finite-state noiseless channels, Moskowitz & Miller's Simple
-Timing Channels, and the Moskowitz-Greenwald-Kang timed Z-channel — the
+Millen's finite-state noiseless channels and the timed DMC (a discrete
+memoryless channel whose inputs take unequal time, of which the
+Moskowitz-Greenwald-Kang timed Z-channel is a special case) — the
 prior-work estimators whose outputs the paper's ``(1 - P_d)`` correction
 adjusts for non-synchronous effects.
 """
 
 from .fsm import FiniteStateChannel, Transition, fsm_capacity
-from .stc import SimpleTimingChannel, stc_capacity, stc_capacity_bounds
 from .timed_dmc import TimedDMCResult, timed_dmc_capacity
-from .timed_z import (
-    TimedZChannel,
-    timed_z_capacity,
-    timed_z_information_rate,
-    timed_z_optimality_residual,
-)
 
 __all__ = [
     "FiniteStateChannel",
     "Transition",
     "fsm_capacity",
-    "SimpleTimingChannel",
-    "stc_capacity",
-    "stc_capacity_bounds",
     "TimedDMCResult",
     "timed_dmc_capacity",
-    "TimedZChannel",
-    "timed_z_capacity",
-    "timed_z_information_rate",
-    "timed_z_optimality_residual",
 ]

@@ -1,8 +1,8 @@
 """Capacity of a general DMC with input-dependent symbol durations.
 
-Generalizes the timed Z-channel: any discrete memoryless channel whose
-input ``x`` occupies the channel for ``tau(x)`` time units has capacity
-(bits per time unit)
+Generalizes the Moskowitz-Greenwald-Kang timed Z-channel: any discrete
+memoryless channel whose input ``x`` occupies the channel for ``tau(x)``
+time units has capacity (bits per time unit)
 
     C = max_p I(p, W) / T(p),      T(p) = sum_x p(x) tau(x).
 

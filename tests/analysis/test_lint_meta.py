@@ -2,7 +2,7 @@
 
 import textwrap
 
-from repro.analysis import lint_source
+from tests.analysis.lint_helpers import lint_source
 
 
 def _lint(source, **kwargs):

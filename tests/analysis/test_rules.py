@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import UnknownRuleError, all_rule_ids, get_rules, lint_file
+from repro.analysis import UnknownRuleError, all_rule_ids, get_rules
 from repro.analysis.graph import Effect, extract_module
+from tests.analysis.lint_helpers import lint_file
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

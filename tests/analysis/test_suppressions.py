@@ -1,6 +1,7 @@
 """Suppression directive semantics: ``# repro: noqa[RULE,...]``."""
 
-from repro.analysis import SuppressionIndex, lint_source
+from repro.analysis import SuppressionIndex
+from tests.analysis.lint_helpers import lint_source
 
 VIOLATION = "flag = p == 0.0\n"
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coding.interleaver import BlockInterleaver, RandomInterleaver
+from tests.coding.interleaver import BlockInterleaver, RandomInterleaver
 
 
 class TestBlockInterleaver:

@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.coding.ldpc import (
-    LDPCCode,
-    make_peg_parity_check,
-    make_regular_parity_check,
-)
+from repro.coding.ldpc import LDPCCode, make_peg_parity_check
+from tests.coding.ldpc import make_regular_parity_check
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coding.vt import VTCode, is_vt_codeword, vt_codewords, vt_syndrome
+from tests.coding.vt import VTCode, is_vt_codeword, vt_codewords, vt_syndrome
 
 
 class TestSyndrome:

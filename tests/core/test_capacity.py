@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.core.capacity import (
     alpha,
     converted_capacity,
-    converted_capacity_large_n,
     converted_insertion_fraction,
     convergence_ratio,
     convergence_ratio_limit,
@@ -70,15 +69,20 @@ class TestTimeCoefficient:
 
 class TestConvertedCapacity:
     def test_large_n_approximation_converges(self):
+        # For large N, C_conv -> N (1 - P_i) - H(P_i).
         exact = converted_capacity(16, 0.1)
-        approx = converted_capacity_large_n(16, 0.1)
+        approx = 16 * (1 - 0.1) - binary_entropy(0.1)
         assert exact == pytest.approx(approx, abs=1e-3)
 
     def test_large_n_form(self):
-        n, pi = 8, 0.2
-        assert converted_capacity_large_n(n, pi) == pytest.approx(
-            n * (1 - pi) - binary_entropy(pi)
-        )
+        # C_conv - (N (1 - P_i) - H(P_i)) shrinks as N grows.
+        pi = 0.2
+        gaps = [
+            abs(converted_capacity(n, pi) - (n * (1 - pi) - binary_entropy(pi)))
+            for n in (2, 4, 8, 16)
+        ]
+        assert gaps == sorted(gaps, reverse=True)
+        assert gaps[-1] < 1e-3
 
     def test_insertion_fraction(self):
         assert converted_insertion_fraction(0.2, 0.1) == pytest.approx(0.125)

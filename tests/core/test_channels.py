@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.capacity import erasure_upper_bound
 from repro.core.channels import (
     ERASURE,
-    DeletionChannel,
     DeletionInsertionChannel,
-    ErasureChannelView,
-    InsertionChannel,
 )
 from repro.core.events import ChannelEvent, ChannelParameters
 
@@ -121,23 +119,29 @@ class TestDeletionInsertionChannel:
 
 class TestSpecializations:
     def test_deletion_channel_no_insertions(self, rng):
-        chan = DeletionChannel(0.3, bits_per_symbol=2)
+        chan = DeletionInsertionChannel(
+            ChannelParameters.from_rates(deletion=0.3, insertion=0.0),
+            bits_per_symbol=2,
+        )
         rec = chan.transmit(rng.integers(0, 4, 5000), rng)
         assert rec.num_insertions == 0
         assert len(rec.received) == 5000 - rec.num_deletions
 
     def test_insertion_channel_no_deletions(self, rng):
-        chan = InsertionChannel(0.3, bits_per_symbol=2)
+        chan = DeletionInsertionChannel(
+            ChannelParameters.from_rates(deletion=0.0, insertion=0.3),
+            bits_per_symbol=2,
+        )
         rec = chan.transmit(rng.integers(0, 4, 5000), rng)
         assert rec.num_deletions == 0
         assert len(rec.received) == 5000 + rec.num_insertions
 
 
 class TestErasureView:
-    def test_requires_reveal_locations(self):
+    def test_requires_reveal_locations(self, rng):
+        # The matched erasure view needs the genie's locations.
         chan = DeletionInsertionChannel(ChannelParameters.from_rates(0.1, 0.1))
-        with pytest.raises(ValueError):
-            ErasureChannelView(chan)
+        assert chan.transmit(rng.integers(0, 2, 100), rng).erasure_view is None
 
     def test_view_structure(self, rng):
         chan = DeletionInsertionChannel(
@@ -155,18 +159,28 @@ class TestErasureView:
         # Non-erased positions are exactly the original symbols.
         assert np.array_equal(view[~erased], msg[: view.size][~erased])
 
-    def test_capacity_property(self):
+    def test_capacity_property(self, rng):
+        # The matched erasure channel delivers N bits on each non-erased
+        # position: N (1 - P_d) bits per use (eq. 1). With no insertions
+        # every use consumes one input symbol.
         chan = DeletionInsertionChannel(
-            ChannelParameters.from_rates(0.25, 0.15),
+            ChannelParameters.from_rates(0.25, 0.0),
             bits_per_symbol=4,
             reveal_locations=True,
         )
-        assert ErasureChannelView(chan).capacity == pytest.approx(3.0)
+        view = chan.transmit(rng.integers(0, 16, 20_000), rng).erasure_view
+        delivered = float(np.mean(view != ERASURE))
+        assert 4 * delivered == pytest.approx(
+            erasure_upper_bound(4, 0.25), abs=0.05
+        )
+        assert erasure_upper_bound(4, 0.25) == pytest.approx(3.0)
 
     def test_transmit_wrapper(self, rng):
+        # With no insertions every sent symbol is consumed, so the view
+        # has one entry per sent symbol.
         chan = DeletionInsertionChannel(
             ChannelParameters.from_rates(0.2, 0.0),
             reveal_locations=True,
         )
-        view = ErasureChannelView(chan).transmit(rng.integers(0, 2, 1000), rng)
+        view = chan.transmit(rng.integers(0, 2, 1000), rng).erasure_view
         assert view.size == 1000

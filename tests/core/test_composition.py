@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.channels import DeletionInsertionChannel
-from repro.core.composition import (
+from repro.core.events import ChannelEvent, ChannelParameters
+from tests.core.composition import (
     compose_parameters,
     composite_erasure_bound,
     composition_is_degrading,
 )
-from repro.core.events import ChannelEvent, ChannelParameters
 
 
 class TestComposeParameters:

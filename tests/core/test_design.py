@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.core.capacity import feedback_lower_bound_exact
 from repro.core.design import (
     optimal_symbol_width,
     symbol_time,
-    symbol_width_rate,
     width_sweep,
 )
 
@@ -61,7 +61,9 @@ class TestRates:
         assert heavy.bits_per_symbol >= lean.bits_per_symbol
 
     def test_rate_function_matches_sweep(self):
-        r = symbol_width_rate(3, 0.1, 0.05, cost_model="timing")
+        r = feedback_lower_bound_exact(3, 0.1, 0.05) / symbol_time(
+            3, cost_model="timing"
+        )
         sweep = width_sweep(0.1, 0.05, max_bits=3, cost_model="timing")
         assert r == pytest.approx(sweep[-1].rate_per_time)
 

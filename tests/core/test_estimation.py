@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.estimation import (
-    CapacityEstimator,
-    CapacityReport,
-    estimate_from_events,
-)
+from repro.core.estimation import CapacityEstimator, CapacityReport
 from repro.core.events import ChannelEvent, ChannelParameters, sample_events
 
 
@@ -69,7 +65,7 @@ class TestFromEvents:
     def test_estimate_from_sampled_events(self, rng):
         params = ChannelParameters.from_rates(0.3, 0.1)
         events = sample_events(params, 200_000, rng)
-        report = estimate_from_events(events, bits_per_symbol=2)
+        report = CapacityEstimator(2).estimate_from_events(events)
         assert report.params.deletion == pytest.approx(0.3, abs=0.01)
         assert report.corrected_capacity == pytest.approx(2 * 0.7, abs=0.02)
 
@@ -77,11 +73,13 @@ class TestFromEvents:
         events = [int(ChannelEvent.TRANSMISSION)] * 7 + [
             int(ChannelEvent.DELETION)
         ] * 3
-        report = estimate_from_events(events, physical_capacity=50.0)
+        report = CapacityEstimator(
+            physical_capacity=50.0
+        ).estimate_from_events(events)
         assert report.corrected_physical == pytest.approx(35.0)
 
     def test_report_is_frozen(self):
-        report = estimate_from_events(
+        report = CapacityEstimator().estimate_from_events(
             [int(ChannelEvent.TRANSMISSION)] * 10
         )
         assert isinstance(report, CapacityReport)
@@ -95,33 +93,35 @@ class TestDegenerateStreams:
 
     def test_empty_stream_raises_value_error(self):
         with pytest.raises(ValueError, match="empty stream"):
-            estimate_from_events([])
+            CapacityEstimator().estimate_from_events([])
 
     def test_empty_ndarray_stream_raises(self):
         with pytest.raises(ValueError, match="empty stream"):
-            estimate_from_events(np.array([], dtype=np.int64))
+            CapacityEstimator().estimate_from_events(np.array([], dtype=np.int64))
 
     def test_unknown_event_codes_are_named_not_masked(self):
         # A stream of out-of-vocabulary codes used to count as zero
         # events of every kind and be reported as "empty"; it must
         # name the offending code instead.
         with pytest.raises(ValueError, match="invalid event code 9"):
-            estimate_from_events([9, 9, 9])
+            CapacityEstimator().estimate_from_events([9, 9, 9])
 
     def test_mixed_invalid_code_rejected(self):
         events = [int(ChannelEvent.TRANSMISSION)] * 10 + [-2]
         with pytest.raises(ValueError, match="invalid event code"):
-            estimate_from_events(events)
+            CapacityEstimator().estimate_from_events(events)
 
     def test_nan_event_codes_rejected(self):
         with pytest.raises(ValueError, match="invalid event code"):
-            estimate_from_events(np.array([2.0, np.nan, 2.0]))
+            CapacityEstimator().estimate_from_events(np.array([2.0, np.nan, 2.0]))
 
     def test_valid_stream_report_is_finite(self):
         events = [int(ChannelEvent.TRANSMISSION)] * 8 + [
             int(ChannelEvent.DELETION)
         ] * 2
-        report = estimate_from_events(events, physical_capacity=10.0)
+        report = CapacityEstimator(
+            physical_capacity=10.0
+        ).estimate_from_events(events)
         assert report.params.deletion == pytest.approx(0.2)
         assert np.isfinite(report.corrected_capacity)
         assert report.corrected_physical == pytest.approx(8.0)

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from repro.core.capacity import feedback_lower_bound_exact
 from repro.core.events import ChannelParameters
-from repro.core.noisy import (
+from repro.infotheory.channels import m_ary_symmetric_capacity
+from tests.core.noisy import (
     noisy_converted_capacity,
     noisy_converted_error_probability,
     noisy_feedback_lower_bound,
 )
-from repro.infotheory.channels import m_ary_symmetric_capacity
-from repro.sync.noisy import NoisyCounterProtocol
+from tests.sync.noisy import NoisyCounterProtocol
 
 
 class TestClosedForms:

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.core.capacity import convergence_ratio
 from repro.core.theorems import (
     THEOREMS,
-    asymptotic_gap,
     capacity_bracket,
     theorem1_upper_bound,
     theorem2_feedback_upper_bound,
@@ -67,9 +67,10 @@ class TestBracket:
         assert lower == pytest.approx(upper)
 
     def test_asymptotic_gap_decreases(self):
-        gaps = [asymptotic_gap(n, 0.1) for n in (1, 2, 4, 8, 16)]
+        # 1 - C_lower/C_upper at P_i = P_d (eqs. 6-7) tends to 0.
+        gaps = [1.0 - convergence_ratio(n, 0.1) for n in (1, 2, 4, 8, 16)]
         assert gaps == sorted(gaps, reverse=True)
         assert gaps[-1] < 0.05
 
     def test_asymptotic_gap_nonnegative(self):
-        assert asymptotic_gap(1, 0.4) >= 0.0
+        assert 1.0 - convergence_ratio(1, 0.4) >= 0.0

@@ -1,6 +1,6 @@
-"""Property suite for the Kraskov kNN MI estimators.
+"""Property suite for the Kraskov kNN MI estimator.
 
-Anchors the estimators on channels with closed-form mutual
+Anchors the mixed estimator on channels with closed-form mutual
 information — independence (MI = 0), noiseless M-ary (MI = log2 M),
 the binary symmetric channel (MI = 1 - h(p)) — across sample sizes,
 and pins the fast paths (sorted arrays for 1-D outputs, cKDTree
@@ -21,8 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.estimation import (
-    ksg_mutual_information,
-    ksg_mutual_information_reference,
     mixed_mi_contributions,
     mixed_mutual_information,
     mixed_mutual_information_reference,
@@ -102,27 +100,6 @@ class TestMixedEstimatorAnchors:
         assert float(np.mean(xi)) == mi
 
 
-class TestKsg1Anchors:
-    def test_independent_gaussians_give_zero(self):
-        factory = RngFactory(11)
-        u = factory.fresh("u").normal(size=1500)
-        v = factory.fresh("v").normal(size=1500)
-        mi = ksg_mutual_information(u, v, k=4, rng=factory.fresh("j"))
-        assert abs(mi) < 0.05
-
-    @pytest.mark.parametrize("rho", [0.5, 0.9])
-    def test_correlated_gaussians_track_closed_form(self, rho):
-        # I(X;Y) = -0.5 log2(1 - rho^2) for a bivariate Gaussian.
-        factory = RngFactory(int(rho * 100))
-        n = 3000
-        u = factory.fresh("u").normal(size=n)
-        w = factory.fresh("w").normal(size=n)
-        v = rho * u + np.sqrt(1 - rho**2) * w
-        truth = -0.5 * np.log2(1 - rho**2)
-        mi = ksg_mutual_information(u, v, k=4, rng=factory.fresh("j"))
-        assert mi == pytest.approx(truth, abs=0.1)
-
-
 class TestOracleParity:
     """The fast paths — sorted (1-D) and tree (d > 1) — must match the
     O(n^2) scans bit-for-bit."""
@@ -188,16 +165,6 @@ class TestOracleParity:
             return_contributions=True,
         )
         assert np.array_equal(fast, slow)
-
-    def test_ksg1_matches_reference(self):
-        factory = RngFactory(44)
-        u = factory.fresh("u").normal(size=400)
-        v = u + 0.7 * factory.fresh("v").normal(size=400)
-        fast = ksg_mutual_information(u, v, k=3, rng=factory.fresh("j"))
-        slow = ksg_mutual_information_reference(
-            u, v, k=3, rng=factory.fresh("j")
-        )
-        assert fast == slow
 
 
 class TestDeterminismAndJitter:
@@ -269,6 +236,6 @@ class TestValidation:
     def test_too_few_samples_for_k_rejected(self):
         rng = RngFactory(1).fresh("j")
         with pytest.raises(ValueError, match="need more than"):
-            ksg_mutual_information(
-                np.arange(4.0), np.arange(4.0), k=4, rng=rng
+            mixed_mutual_information(
+                np.array([0, 1] * 2), np.arange(4.0), k=4, rng=rng
             )

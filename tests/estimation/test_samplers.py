@@ -6,13 +6,12 @@ import pytest
 from repro.estimation import (
     ChannelSampler,
     DMCSampler,
-    PacketGapSampler,
     SchedulerTimingSampler,
-    TimedDMCSampler,
     bsc_sampler,
     mary_sampler,
 )
 from repro.simulation.rng import RngFactory
+from tests.estimation.samplers import PacketGapSampler, TimedDMCSampler
 
 ALL_SAMPLERS = [
     bsc_sampler(0.1),

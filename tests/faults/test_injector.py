@@ -9,7 +9,6 @@ from repro.core.events import active_fault_injector
 from repro.faults.injector import (
     FaultInjector,
     FaultLog,
-    active_injector,
     run_under_faults,
 )
 from repro.faults.models import FeedbackFaultModel, IIDEventModel
@@ -35,7 +34,6 @@ class TestFaultLog:
 
 class TestActivation:
     def test_no_injector_by_default(self):
-        assert active_injector() is None
         assert active_fault_injector() is None
 
     def test_hook_reroutes_sample_events(self, rng):
@@ -43,11 +41,11 @@ class TestActivation:
         model — here a much heavier channel than the one requested."""
         injector = FaultInjector(IIDEventModel(HEAVY), seed=3)
         with injector.active():
-            assert active_injector() is injector
+            assert active_fault_injector() is injector
             events = sample_events(PARAMS, 50_000, rng)
         assert np.mean(events == 0) == pytest.approx(0.6, abs=0.02)
         assert injector.log.get("faulted_uses") == 50_000
-        assert active_injector() is None  # uninstalled on exit
+        assert active_fault_injector() is None  # uninstalled on exit
 
     def test_no_event_model_leaves_forward_path_alone(self, rng):
         injector = FaultInjector(feedback=FeedbackFaultModel(ack_loss_prob=0.5))
@@ -61,9 +59,9 @@ class TestActivation:
         inner = FaultInjector(IIDEventModel(PARAMS), seed=2)
         with outer.active():
             with inner.active():
-                assert active_injector() is inner
-            assert active_injector() is outer
-        assert active_injector() is None
+                assert active_fault_injector() is inner
+            assert active_fault_injector() is outer
+        assert active_fault_injector() is None
 
 
 class TestFaultStreams:

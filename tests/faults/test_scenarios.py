@@ -12,7 +12,6 @@ from repro.faults.models import (
 from repro.faults.scenarios import (
     SCENARIOS,
     FaultScenario,
-    build_injector,
     get_scenario,
     list_scenarios,
     register_scenario,
@@ -59,7 +58,7 @@ def test_every_scenario_builds():
 
 
 def test_build_injector_shorthand():
-    a = build_injector("lossy_ack", PARAMS, seed=5)
+    a = get_scenario("lossy_ack").build(PARAMS, seed=5)
     assert a.feedback.ack_loss_prob == pytest.approx(0.2)
     assert isinstance(a.event_model, IIDEventModel)
 

@@ -12,6 +12,10 @@ iteration count and terminal status.
 It also keeps the unguarded penalized loop the timed-DMC inner solve
 ran before it became a ``penalties`` call of the kernel: it stops on
 ``gap < tol`` or the iteration cap, and returns the last iterate.
+
+:func:`converted_channel` builds the transition matrix of the paper's
+converted channel, the input the Theorem 5 closed form ``C_conv`` is
+checked against by Blahut-Arimoto.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.infotheory import BlahutArimotoResult
+from repro.infotheory import BlahutArimotoResult, m_ary_symmetric_channel
 from repro.infotheory.kernels import _divergence_step, _neg_entropy
 from repro.numerics import (
     IterationGuard,
@@ -254,3 +258,16 @@ def reference_penalized_blahut_arimoto(
         iterations=iterations,
         gap=out_gap,
     )
+
+
+def converted_channel(bits_per_symbol: int, insertion_prob: float):
+    """The converted channel of Wang & Lee Appendix A (Figure 5).
+
+    After the counter protocol removes deletions (by resending) and
+    re-aligns insertions (by skipping), each received position carries
+    either the genuine message symbol or a uniformly random inserted
+    symbol: an M-ary symmetric DMC, M = 2^N, with total error
+    probability ``alpha * p_i``, ``alpha = (2^N - 1)/2^N`` (eq. 4).
+    """
+    m = 2**bits_per_symbol
+    return m_ary_symmetric_channel(m, (m - 1) / m * insertion_prob)

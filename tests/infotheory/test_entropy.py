@@ -7,6 +7,11 @@ from hypothesis import strategies as st
 
 from repro.infotheory.entropy import (
     binary_entropy,
+    mutual_information,
+    mutual_information_from_joint,
+    validate_distribution,
+)
+from tests.infotheory.entropy import (
     binary_entropy_derivative,
     conditional_entropy,
     cross_entropy,
@@ -14,10 +19,7 @@ from repro.infotheory.entropy import (
     inverse_binary_entropy,
     joint_entropy,
     kl_divergence,
-    mutual_information,
-    mutual_information_from_joint,
     normalize_distribution,
-    validate_distribution,
 )
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.infotheory.entropy import binary_entropy
-from repro.infotheory.markov import (
+from tests.infotheory.markov import (
     entropy_rate,
     is_irreducible,
     simulate_chain,

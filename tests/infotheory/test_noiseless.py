@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from repro.infotheory.noiseless import (
     characteristic_root,
     noiseless_capacity_per_second,
-    uniform_duration_capacity,
 )
+from tests.infotheory.noiseless import uniform_duration_capacity
 
 
 class TestCharacteristicRoot:

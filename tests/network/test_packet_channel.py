@@ -7,10 +7,10 @@ from repro.core.events import ChannelEvent
 from repro.network.packet_channel import (
     FlowRecord,
     PacketFlowConfig,
-    decode_gaps,
     measured_parameters,
     transmit_flow,
 )
+from tests.network.packet_channel import decode_gaps
 
 
 class TestConfig:

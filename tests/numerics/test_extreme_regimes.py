@@ -14,11 +14,11 @@ from repro.infotheory import (
     binary_erasure_channel,
     blahut_arimoto,
     blahut_arimoto_guarded,
-    converted_channel,
     z_channel,
     z_channel_capacity,
 )
 from repro.numerics import SolverStatus, collect_solver_statuses
+from tests.infotheory.oracles import converted_channel
 
 pytestmark = pytest.mark.stress
 

@@ -5,13 +5,12 @@ import pytest
 
 from repro.numerics import (
     LOG_FLOOR,
-    logsumexp2,
     masked_log2,
-    normalized_exp,
     normalized_exp2,
     safe_log,
     safe_log2,
 )
+from tests.numerics.safeops import logsumexp2, normalized_exp
 
 
 class TestSafeLog:

@@ -8,10 +8,10 @@ from repro.os_model.process import IdleProcess, Process
 from repro.os_model.scheduler import (
     FuzzyTimeScheduler,
     LotteryScheduler,
-    PriorityScheduler,
     RandomScheduler,
     RoundRobinScheduler,
 )
+from tests.os_model.scheduler import PriorityScheduler
 
 
 class CountingProcess(Process):

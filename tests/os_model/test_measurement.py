@@ -5,17 +5,14 @@ import pytest
 
 from repro.core.events import ChannelEvent
 from repro.os_model.kernel import KernelTrace
-from repro.os_model.measurement import (
-    classify_trace,
-    measure_scheduler,
-    run_oblivious_channel,
-)
+from repro.os_model.measurement import classify_trace, run_oblivious_channel
 from repro.os_model.process import IdleProcess
 from repro.os_model.scheduler import (
     FuzzyTimeScheduler,
     RandomScheduler,
     RoundRobinScheduler,
 )
+from tests.os_model.measurement import measure_scheduler
 
 
 def make_trace(annotations):

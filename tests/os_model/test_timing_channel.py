@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.os_model.timing_channel import (
-    TimingChannelConfig,
-    simulate_timing_channel,
-)
+from repro.os_model.timing_channel import TimingChannelConfig
+from tests.os_model.timing_channel import simulate_timing_channel
 
 
 class TestConfig:

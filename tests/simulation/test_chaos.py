@@ -10,10 +10,42 @@ bit-identical to one that never crashed.
 """
 
 import functools
+import os
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Dict
 
-from repro.faults import KillWorkerOnce
+import numpy as np
+
+from repro.faults import in_worker_process, kill_current_worker
 from repro.simulation import ExperimentRunner
+
+
+@dataclass(frozen=True)
+class KillWorkerOnce:
+    """Picklable trial wrapper that SIGKILLs its worker exactly once.
+
+    The first invocation (across *all* worker processes) atomically
+    creates *marker* via ``open(..., "x")`` and kills its own process
+    mid-replication; every other invocation — including the retry of
+    the killed replication — runs *trial* unchanged. Run serially
+    (``workers=1``) the kill is skipped entirely, so the same wrapper
+    is safe on both sides of a serial-vs-parallel bit-identity check.
+    """
+
+    trial: Callable[[np.random.Generator], Dict[str, float]]
+    marker: str
+
+    def __call__(self, rng: np.random.Generator) -> Dict[str, float]:
+        if in_worker_process():
+            try:
+                with open(self.marker, "x", encoding="utf-8") as fh:
+                    fh.write(str(os.getpid()))
+            except FileExistsError:
+                pass  # someone already died for this marker
+            else:
+                kill_current_worker()
+        return self.trial(rng)
 
 
 def chaos_trial(rng):

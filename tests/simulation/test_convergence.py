@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.simulation.convergence import run_until_precise
+from tests.simulation.convergence import run_until_precise
 
 
 class TestRunUntilPrecise:

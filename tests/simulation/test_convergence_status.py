@@ -4,7 +4,7 @@ solver-status view of a run (satellite of the guarded-numerics PR)."""
 import pytest
 
 from repro.numerics import SolverStatus, collect_solver_statuses
-from repro.simulation.convergence import run_until_precise
+from tests.simulation.convergence import run_until_precise
 
 
 def alternating_trial():

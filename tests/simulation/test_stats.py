@@ -1,14 +1,16 @@
 """Statistical helpers."""
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.simulation.stats import (
-    ConfidenceInterval,
-    RunningStats,
-    mean_confidence_interval,
-    wilson_interval,
-)
+from repro.simulation.stats import mean_confidence_interval
+from tests.simulation.stats import RunningStats, wilson_interval
+
+#: Confidence levels on the grid: the runner's default (0.95) plus the
+#: levels a caller is likely to pass.
+CONFIDENCES = (0.5, 0.8, 0.9, 0.95, 0.99, 0.999)
 
 
 class TestMeanCI:
@@ -88,3 +90,31 @@ class TestRunningStats:
         rs.push(1.0)
         with pytest.raises(ValueError):
             _ = rs.variance
+
+
+class TestStudentQuantile:
+    """The t quantile comes from ``scipy.special.stdtrit``, which
+    ``scipy.stats.t.ppf`` wraps: the swap must not move a single bit."""
+
+    def test_stdtrit_equals_stats_t_ppf_on_grid(self):
+        from scipy import stats
+        from scipy.special import stdtrit
+
+        df = np.arange(1, 10_000, dtype=float)
+        for confidence in CONFIDENCES:
+            q = 0.5 + confidence / 2.0
+            assert np.array_equal(stdtrit(df, q), stats.t.ppf(q, df=df))
+
+    def test_interval_matches_stats_formula_bitwise(self, rng):
+        # The runner calls mean_confidence_interval once per metric with
+        # one sample per replication: df = replications - 1.
+        from scipy import stats
+
+        for confidence in CONFIDENCES:
+            for n in range(2, 200):
+                samples = rng.normal(0.3, 2.0, n)
+                ci = mean_confidence_interval(samples, confidence=confidence)
+                mean = float(samples.mean())
+                sem = float(samples.std(ddof=1) / math.sqrt(n))
+                t = float(stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
+                assert (ci.lower, ci.upper) == (mean - t * sem, mean + t * sem)

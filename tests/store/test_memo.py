@@ -13,7 +13,6 @@ from repro.store import (
     lookup,
     publish,
     result_store,
-    set_active_store,
     use_store,
 )
 
@@ -109,8 +108,12 @@ def test_explicit_none_pins_caching_off(store, monkeypatch, tmp_path):
 
 
 def test_set_active_store_installs_process_wide_handle(store):
+    # An explicit handle left on the active stack (no ``with`` block)
+    # serves every later solve in the process.
+    from repro.store import memo
+
     solve, calls = make_counting_solver("memo_setactive")
-    set_active_store(store)
+    memo._ACTIVE.append(store)
     solve(9.0)
     solve(9.0)
     assert calls == [9.0]

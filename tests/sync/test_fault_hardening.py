@@ -12,7 +12,7 @@ import pytest
 from repro.core.events import ChannelParameters
 from repro.faults.injector import FaultInjector
 from repro.faults.models import FeedbackFaultModel, IIDEventModel
-from repro.faults.scenarios import build_injector
+from repro.faults.scenarios import get_scenario
 from repro.sync.feedback import CounterProtocol, ResendProtocol
 from repro.sync.protocols import RetryPolicy
 
@@ -138,7 +138,7 @@ class TestCounterHardened:
             CounterProtocol(DEL_INS, resync_cost_slots=-1)
 
     def test_desync_recovery_engages(self, rng):
-        injector = build_injector("counter_desync", DEL_INS, seed=4)
+        injector = get_scenario("counter_desync").build(DEL_INS, seed=4)
         proto = CounterProtocol(DEL_INS, bits_per_symbol=2)
         msg = rng.integers(0, 4, 20_000)
         injector.reset()
@@ -156,7 +156,7 @@ class TestCounterHardened:
         happen while the counters disagree."""
 
         def misaligned(interval):
-            injector = build_injector("counter_desync", DEL_INS, seed=4)
+            injector = get_scenario("counter_desync").build(DEL_INS, seed=4)
             proto = CounterProtocol(
                 DEL_INS, bits_per_symbol=2, resync_interval=interval
             )
@@ -169,7 +169,7 @@ class TestCounterHardened:
         assert misaligned(64) < misaligned(2048)
 
     def test_resync_costs_sender_slots(self, rng):
-        injector = build_injector("counter_desync", DEL_INS, seed=4)
+        injector = get_scenario("counter_desync").build(DEL_INS, seed=4)
         proto = CounterProtocol(
             DEL_INS, bits_per_symbol=2, resync_interval=256, resync_cost_slots=10
         )
@@ -202,7 +202,7 @@ class TestDefaultPathRegression:
         proto = CounterProtocol(DEL_INS, bits_per_symbol=2)
         msg = np.random.default_rng(0).integers(0, 4, 8000)
         plain = proto.run(msg, np.random.default_rng(1))
-        injector = build_injector("baseline", DEL_INS, seed=0)
+        injector = get_scenario("baseline").build(DEL_INS, seed=0)
         injector.reset()
         with injector.active():
             faulted = proto.run(msg, np.random.default_rng(1))

@@ -143,7 +143,8 @@ class TestProtocol:
 
 
 class TestBlockAck:
-    from repro.sync.imperfect_feedback import BlockAckProtocol, block_ack_rate
+    from repro.sync.imperfect_feedback import BlockAckProtocol
+    from tests.sync.imperfect_feedback import block_ack_rate
 
     def test_rejects_bad_params(self):
         from repro.sync.imperfect_feedback import BlockAckProtocol
@@ -202,7 +203,7 @@ class TestBlockAck:
         assert rates[0] < rates[1] < rates[2] + 0.02
 
     def test_closed_form_monotone(self):
-        from repro.sync.imperfect_feedback import block_ack_rate
+        from tests.sync.imperfect_feedback import block_ack_rate
 
         vals = [block_ack_rate(1, 0.2, 0.4, b) for b in (1, 4, 16, 64)]
         assert vals == sorted(vals)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sync.variables import HandshakeSimulator, SyncVariable
+from tests.sync.variables import HandshakeSimulator, SyncVariable
 
 
 class TestSyncVariable:

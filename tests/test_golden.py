@@ -17,11 +17,11 @@ from repro.core.capacity import (
     feedback_lower_bound,
     feedback_lower_bound_exact,
 )
-from repro.core.noisy import noisy_feedback_lower_bound
 from repro.infotheory.channels import z_channel_capacity
 from repro.infotheory.noiseless import noiseless_capacity_per_second
-from repro.timing.stc import stc_capacity
-from repro.timing.timed_z import timed_z_capacity
+from tests.core.noisy import noisy_feedback_lower_bound
+from tests.timing.stc import stc_capacity
+from tests.timing.timed_z import timed_z_capacity
 
 
 GOLDEN = [

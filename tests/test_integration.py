@@ -19,7 +19,8 @@ from repro.os_model import (
     run_oblivious_channel,
 )
 from repro.sync import CounterProtocol, ResendProtocol, measure_protocol
-from repro.timing import fsm_capacity, stc_capacity
+from repro.timing import fsm_capacity
+from tests.timing.stc import stc_capacity
 
 
 class TestEstimationPipeline:
@@ -126,7 +127,7 @@ class TestCompositionAcrossDomains:
     composition law predicts the end-to-end statistics."""
 
     def test_scheduler_then_network_composite(self, rng):
-        from repro.core.composition import compose_parameters
+        from tests.core.composition import compose_parameters
         from repro.network.packet_channel import (
             PacketFlowConfig,
             measured_parameters,
@@ -156,7 +157,7 @@ class TestCompositionAcrossDomains:
         )
         assert survival == pytest.approx(s1 * s2, rel=1e-9)
         # The composite erasure bound is below each stage's.
-        from repro.core.composition import composition_is_degrading
+        from tests.core.composition import composition_is_degrading
 
         assert composition_is_degrading(
             1,

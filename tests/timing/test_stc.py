@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.timing.stc import SimpleTimingChannel, stc_capacity, stc_capacity_bounds
+from tests.timing.stc import SimpleTimingChannel, stc_capacity, stc_capacity_bounds
 
 
 class TestSTC:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.infotheory.channels import z_channel_capacity
 from repro.infotheory.noiseless import noiseless_capacity_per_second
-from repro.timing.timed_z import (
+from tests.timing.timed_z import (
     TimedZChannel,
     timed_z_capacity,
     timed_z_information_rate,
