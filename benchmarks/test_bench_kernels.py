@@ -9,7 +9,6 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 from repro.bounds.deletion import block_bound_sweep
 from repro.coding.forward_backward import DriftChannelModel

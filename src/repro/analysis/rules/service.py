@@ -12,7 +12,7 @@ which is exactly the latency collapse the service exists to prevent.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Set
+from typing import List, Set
 
 from ..base import FileContext, Rule, register
 from ..findings import Finding

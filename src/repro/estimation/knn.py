@@ -39,7 +39,7 @@ cached entry points.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy.spatial import cKDTree

@@ -36,7 +36,6 @@ import numpy as np
 from ..core.capacity import erasure_upper_bound
 from ..core.events import (
     ChannelParameters,
-    active_fault_injector,
     set_active_fault_injector,
     set_event_sampler_hook,
 )

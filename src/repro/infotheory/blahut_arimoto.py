@@ -9,7 +9,8 @@ workhorse used to cross-check every closed-form capacity in this package
 Both entry points call the one guarded iteration,
 :func:`repro.infotheory.kernels.blahut_arimoto_batch`, which ends an
 extreme-regime solve (``P_d -> 1``, near-degenerate rows) with an honest
-:class:`repro.numerics.SolverStatus` and its best-so-far estimate.
+:class:`repro.numerics.SolverStatus` and a certified bracket
+``[capacity, capacity + gap]``.
 :func:`blahut_arimoto` solves one channel; :func:`blahut_arimoto_guarded`
 adds the degradation ladder (damped updates, relaxed tolerance) over a
 whole stack, for callers that must always get a finite answer.
@@ -63,10 +64,9 @@ def blahut_arimoto(
     Returns
     -------
     BlahutArimotoResult
-        The capacity estimate is guaranteed to be within ``gap`` bits of
-        the true capacity when ``converged`` is True; otherwise
-        ``status`` says how the solve ended and the estimate is the
-        best (finite) iterate seen.
+        The true capacity lies in ``[capacity, capacity + gap]`` on
+        every status; ``converged`` means ``gap <= tol``, and otherwise
+        ``status`` says how the solve ended.
     """
     w = np.asarray(transition, dtype=float)
     if w.ndim != 2:

@@ -10,12 +10,19 @@ runs its damped rungs as sub-stack calls, and the timed-DMC Dinkelbach
 loop (:func:`repro.timing.timed_dmc_capacity`) calls it with per-input
 ``penalties`` for its Lagrangian inner step. Channels that reach a
 terminal status drop out of the working arrays while stragglers
-iterate. The guard mirrors :class:`repro.numerics.IterationGuard`
-(aborted / converged / diverged / stalled / max-iter, in that order,
-with best-so-far fallback), with the lower bound ``I(p_t)`` as its
-stall-window progress figure. The test suite keeps the original scalar
-loop as the reference oracle and holds this kernel to 1e-12 against it
-per channel.
+iterate.
+
+Each iteration gives both ends of a bracket on the capacity: the
+mutual information ``I(p_t)`` of the iterate is a lower end and
+``max_x D(W(.|x) || q_t)`` an upper end, for any ``p_t``. The kernel
+keeps the running pair [max_t I(p_t), min_t max_x D_t] per channel; its
+width never rises, so it is the one stop rule (converged at width
+<= tol, stalled when neither end moved for ``STALL_WINDOW``
+iterations, aborted on a non-finite iterate, else ``max_iter``) and
+every exit reports the best lower end, its iterate and the width. The
+test suite keeps a scalar loop under :class:`repro.numerics.IterationGuard`
+as the reference oracle and holds this kernel to 1e-12 against it per
+channel.
 """
 
 from __future__ import annotations
@@ -46,12 +53,9 @@ __all__ = [
 #: Solver name batched runs report under (status collector + diagnostics).
 BATCH_SOLVER = "blahut_arimoto_batch"
 
-#: Guard settings of every Blahut-Arimoto solve: iterations with
-#: neither a new best gap nor a rise in the lower bound before a
-#: channel is ``stalled``, and the growth over its best gap that makes
-#: it ``diverged``.
+#: Iterations in which neither end of a channel's bracket moves before
+#: it is ``stalled``.
 STALL_WINDOW = 200
-DIVERGENCE_FACTOR = 1e6
 
 #: Severity order used to summarize a stack's statuses into one
 #: diagnostics status (worst wins; CONVERGED only if unanimous).
@@ -59,7 +63,6 @@ _SEVERITY = (
     SolverStatus.CONVERGED,
     SolverStatus.MAX_ITER,
     SolverStatus.STALLED,
-    SolverStatus.DIVERGED,
     SolverStatus.ABORTED,
 )
 
@@ -142,19 +145,22 @@ class BlahutArimotoResult:
     Attributes
     ----------
     capacity:
-        Channel capacity estimate in bits per channel use. On a
-        non-``converged`` status this is the best-so-far (finite)
-        estimate, accurate to within ``gap`` bits.
+        Channel capacity estimate in bits per channel use: the best
+        lower end ``max_t I(p_t)`` the solve reached, whatever its
+        status.
     input_distribution:
-        Capacity-achieving input distribution found by the algorithm.
+        The iterate that reached ``capacity``.
     iterations:
         Number of iterations performed.
     converged:
         Whether the duality-gap stopping criterion was met
         (equivalent to ``status is SolverStatus.CONVERGED``).
     gap:
-        Final upper-bound minus lower-bound gap on the capacity
-        (the best observed gap when not converged).
+        Width of the running bracket ``min_t max_x D_t - max_t I(p_t)``,
+        never below the rounding of its ends. The capacity lies in
+        ``[capacity, capacity + gap]``, up to that rounding, on every
+        status: ``capacity + gap`` is a certified upper end (for a
+        penalized solve, of the penalized objective).
     status:
         Terminal :class:`repro.numerics.SolverStatus` of the solve.
     diagnostics:
@@ -180,17 +186,17 @@ class BatchedBAResult:
     Attributes
     ----------
     capacity:
-        Capacity estimates, shape ``(k,)`` (best-so-far for channels
-        with a non-``converged`` status, as in the scalar solver).
+        Best lower ends ``max_t I(p_t)``, shape ``(k,)``.
     input_distribution:
-        Capacity-achieving inputs, shape ``(k, nx)``.
+        The iterates that reached them, shape ``(k, nx)``.
     iterations:
         Iterations each channel ran before freezing, shape ``(k,)``.
     converged:
         ``status == CONVERGED`` per channel, shape ``(k,)``.
     gap:
-        Final duality gap per channel (best observed gap when not
-        converged), shape ``(k,)``.
+        Running bracket width per channel, shape ``(k,)``:
+        ``capacity + gap`` is a certified upper end on every status, as
+        in :class:`BlahutArimotoResult`.
     statuses:
         Terminal :class:`repro.numerics.SolverStatus` per channel.
     diagnostics:
@@ -271,8 +277,8 @@ def blahut_arimoto_batch(
     With *penalties* the same loop maximizes ``I(p, W_k) - p . pen_k``
     per channel (the Lagrangian inner step of Dinkelbach's method in
     :func:`repro.timing.timed_dmc_capacity`): the penalty is subtracted
-    from each input's divergence before the gap, the guard and the
-    multiplicative update. ``capacity`` is then the penalized value
+    from each input's divergence before both ends of the bracket and
+    the multiplicative update. ``capacity`` is then the penalized value
     floored at 0; a caller that needs the (possibly negative) objective
     or ``I(p, W)`` computes it from ``input_distribution``.
 
@@ -283,8 +289,8 @@ def blahut_arimoto_batch(
         a 1-stack. All channels share the alphabet shape (pad
         heterogeneous sweeps before stacking).
     tol:
-        Stopping threshold on the duality gap
-        ``max_x D(W(.|x) || q) - I``, which sandwiches the capacity.
+        Stopping threshold on the running bracket width
+        ``min_t max_x D(W(.|x) || q_t) - max_t I(p_t)``.
     max_iter:
         Iteration cap.
     initial_input:
@@ -325,81 +331,70 @@ def blahut_arimoto_batch(
     tail: Deque[float] = deque(maxlen=8)
     # Working state of the active channels only: row j of every array
     # below belongs to channel idx[j]. All active channels started
-    # together, so they share one iteration count.
+    # together, so they share one iteration count. Per channel the
+    # state is the running certificate: the best lower end with its
+    # iterate, the best upper end, and the last iteration either moved.
     idx = np.arange(k)
-    best_gap = np.full(k, np.inf)
     best_lower = np.full(k, -np.inf)
-    progress_iteration = np.zeros(k, dtype=np.int64)
-    best_capacity = np.zeros(k)
-    best_p = np.empty_like(p)  # a row is written before it is read
+    best_p = p  # p is only ever rebound, so best_p may share it
+    best_upper = np.full(k, np.inf)
+    moved = np.zeros(k, dtype=np.int64)
     it = 0
 
     with stage("solver"):
         while True:
             it += 1
             d = _divergence_step(p, w, h) - pen
-            capacity = np.einsum("kx,kx->k", p, d)
-            gap = np.max(d, axis=1) - capacity
+            lower = np.einsum("kx,kx->k", p, d)
+            upper = np.max(d, axis=1)
+            rose = lower > best_lower
+            fell = upper < best_upper
+            if rose.all():
+                # The common case; these arrays are fresh every sweep.
+                best_lower, best_p = lower, p
+            elif rose.any():
+                best_lower[rose] = lower[rose]
+                best_p[rose] = p[rose]
+            best_upper = np.where(fell, upper, best_upper)
+            moved[rose | fell] = it
+            # [best_lower, best_upper] brackets the optimum whatever the
+            # iterate, so its width never rises. It is kept above the
+            # rounding of the ends it subtracts, so a tol below float
+            # resolution stalls instead of "converging" on rounding.
+            gap = np.maximum(best_upper - best_lower, np.spacing(np.abs(best_upper)))
             tail.append(float(gap.max()))
 
-            # Classification order mirrors IterationGuard.update with
-            # progress = the lower bound: non-finite -> aborted;
-            # best-so-far bookkeeping; gap <= tol -> converged;
-            # divergence vs. best; stall window; max_iter.
-            finite = np.isfinite(gap)
-            improved = finite & (gap < best_gap)
-            # The gap is not monotone (it can climb out of a kink while
-            # the iterate still improves), but BA raises the lower bound,
-            # so a rise in either one restarts the stall window.
-            rose = capacity > best_lower
-            best_lower = np.where(rose, capacity, best_lower)
-            progress_iteration[improved | rose] = it
-            if improved.all():
-                # The common case; these arrays are fresh every sweep.
-                best_gap, best_capacity, best_p = gap, capacity, p
-            elif improved.any():
-                best_gap[improved] = gap[improved]
-                best_capacity[improved] = capacity[improved]
-                best_p[improved] = p[improved]
+            # A non-finite iterate (any non-finite divergence reaches the
+            # lower end) aborts; else gap <= tol converges; else neither
+            # end moving for STALL_WINDOW iterations stalls.
+            finite = np.isfinite(lower)
             conv = finite & (gap <= tol)
             done = ~finite | conv
-            # Only a channel whose finite best gap did not just improve
-            # can diverge or stall.
-            div = stall = lagging = ~(done | improved)
-            if lagging.any():
-                div = lagging & (
-                    gap > DIVERGENCE_FACTOR * np.maximum(best_gap, 1e-30)
-                )
-                stall = lagging & ~div & (it - progress_iteration >= STALL_WINDOW)
-                done = done | div | stall
+            stall = ~done & (moved <= it - STALL_WINDOW)
+            done = done | stall
             if it >= max_iter:
                 done[:] = True
             if done.any():
                 for status, mask in (
                     (SolverStatus.ABORTED, ~finite),
                     (SolverStatus.CONVERGED, conv),
-                    (SolverStatus.DIVERGED, div),
                     (SolverStatus.STALLED, stall),
                 ):
                     for channel in idx[mask]:
                         statuses[channel] = status
-                # Honest fallback: a non-converged channel reports its
-                # best finite iterate (if any), not its last one.
+                # Every exit reports the certificate: the best lower
+                # end, the iterate that reached it, and the bracket width.
                 t = idx[done]
-                fb = (~conv & np.isfinite(best_gap))[done]
-                out_capacity[t] = np.where(fb, best_capacity[done], capacity[done])
-                out_gap[t] = np.where(fb, best_gap[done], gap[done])
-                out_p[t] = np.where(fb[:, None], best_p[done], p[done])
+                out_capacity[t] = best_lower[done]
+                out_gap[t] = gap[done]
+                out_p[t] = best_p[done]
                 iterations[t] = it
                 if done.all():
                     break
                 keep = ~done
                 idx, w, h, p, d = idx[keep], w[keep], h[keep], p[keep], d[keep]
-                best_gap = best_gap[keep]
-                best_lower = best_lower[keep]
-                progress_iteration = progress_iteration[keep]
-                best_capacity = best_capacity[keep]
-                best_p = best_p[keep]
+                best_lower, best_p = best_lower[keep], best_p[keep]
+                best_upper, moved = best_upper[keep], moved[keep]
                 pen = pen[keep]
             # Multiplicative update p(x) <- p(x) 2^{D(W(.|x)||q)}, as a
             # stabilized base-2 softmax.

@@ -1,13 +1,16 @@
 """Iteration guards: NaN/divergence/stall detection for iterative solvers.
 
-An :class:`IterationGuard` wraps the inner loop of an iterative solver
-(Blahut-Arimoto, Dinkelbach, belief propagation, sequential Monte
-Carlo). The solver reports a residual each iteration; the guard
-classifies the trajectory into a :class:`SolverStatus`, keeps the
-best-so-far iterate, and assembles :class:`SolverDiagnostics` — so a
-solve that stalls in an extreme channel regime returns an honest
-partial answer instead of spinning, NaN-poisoning, or crashing an
-experiment campaign hours in.
+An :class:`IterationGuard` wraps the loop of an iterative solver
+(the timed-DMC Dinkelbach loop, the sample-capacity optimizer, the
+iterative watermark decoder). The solver reports a residual each
+iteration; the guard classifies the trajectory into a
+:class:`SolverStatus`, keeps the best-so-far iterate, and assembles
+:class:`SolverDiagnostics` — so a solve that stalls in an extreme
+channel regime returns an honest partial answer instead of spinning,
+NaN-poisoning, or crashing an experiment campaign hours in. The
+Blahut-Arimoto kernel (:mod:`repro.infotheory.kernels`) applies the
+same taxonomy to a whole channel stack at once, with its running
+bound bracket as the residual.
 
 Guarded solvers report their terminal status through
 :func:`repro.numerics.record_status` (:mod:`.telemetry`), so the
@@ -127,10 +130,8 @@ class IterationGuard:
     tol:
         Convergence threshold on the residual.
     stall_window:
-        Iterations without progress before declaring a stall: no new
-        best residual and, when the solver reports one, no rise in its
-        ``progress`` figure (see :meth:`update`). ``None`` disables
-        stall detection.
+        Iterations without a new best residual before declaring a
+        stall. ``None`` disables stall detection.
     divergence_factor:
         Residual growing beyond ``divergence_factor * best_residual``
         (after the best is established) is a divergence. ``None``
@@ -169,24 +170,19 @@ class IterationGuard:
         self.best_residual = float("inf")
         self.best_iteration = 0
         self.best_value: Any = None
-        self._best_progress = -float("inf")
-        self._progress_iteration = 0
         self._tail: Deque[float] = deque(maxlen=tail_length)
 
     # ------------------------------------------------------------------
-    def update(
-        self, residual: float, value: Any = None, progress: Optional[float] = None
-    ) -> Optional[SolverStatus]:
+    def update(self, residual: float, value: Any = None) -> Optional[SolverStatus]:
         """Record one iteration; return a terminal status or ``None``.
 
         *residual* is the solver's convergence measure (duality gap,
         parameter delta, unsatisfied-check count...). *value* is the
         current iterate; when the residual is finite and a new best, it
-        is retained as :attr:`best_value`. *progress* is an optional
-        figure the solver raises monotonically (Blahut-Arimoto's lower
-        bound ``I(p_t)``): a new maximum of it restarts the stall
-        window, so a residual that climbs out of a kink while the
-        iterate still improves is not a stall.
+        is retained as :attr:`best_value`. A solver whose raw residual
+        is not monotone can pass a running one instead (the width of a
+        running bound bracket, say), so that every new best is a step
+        of progress and the stall window means what it says.
         """
         self.iterations += 1
         residual = float(residual)
@@ -198,9 +194,6 @@ class IterationGuard:
             self.best_iteration = self.iterations
             if value is not None:
                 self.best_value = value
-        if progress is not None and progress > self._best_progress:
-            self._best_progress = float(progress)
-            self._progress_iteration = self.iterations
         if residual <= self.tol:
             if value is not None:
                 self.best_value = value
@@ -213,9 +206,7 @@ class IterationGuard:
             return self._finish(SolverStatus.DIVERGED)
         if (
             self.stall_window is not None
-            and self.iterations
-            - max(self.best_iteration, self._progress_iteration)
-            >= self.stall_window
+            and self.iterations - self.best_iteration >= self.stall_window
         ):
             return self._finish(SolverStatus.STALLED)
         if self.iterations >= self.max_iter:

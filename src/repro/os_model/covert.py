@@ -40,10 +40,9 @@ class ObliviousSender(Process):
         message: np.ndarray,
         *,
         name: str = "sender",
-        priority: int = 0,
         tickets: int = 1,
     ) -> None:
-        super().__init__(pid, name, priority=priority, tickets=tickets)
+        super().__init__(pid, name, tickets=tickets)
         self.message = np.asarray(message, dtype=np.int64)
         if self.message.ndim != 1:
             raise ValueError("message must be 1-D")
@@ -69,10 +68,9 @@ class ObliviousReceiver(Process):
         pid: int,
         *,
         name: str = "receiver",
-        priority: int = 0,
         tickets: int = 1,
     ) -> None:
-        super().__init__(pid, name, priority=priority, tickets=tickets)
+        super().__init__(pid, name, tickets=tickets)
         self.samples: List[int] = []
 
     def step(self, kernel: UniprocessorKernel) -> None:
@@ -96,10 +94,9 @@ class HandshakeSender(Process):
         message: np.ndarray,
         *,
         name: str = "hs-sender",
-        priority: int = 0,
         tickets: int = 1,
     ) -> None:
-        super().__init__(pid, name, priority=priority, tickets=tickets)
+        super().__init__(pid, name, tickets=tickets)
         self.message = np.asarray(message, dtype=np.int64)
         if self.message.ndim != 1:
             raise ValueError("message must be 1-D")
@@ -133,10 +130,9 @@ class HandshakeReceiver(Process):
         pid: int,
         *,
         name: str = "hs-receiver",
-        priority: int = 0,
         tickets: int = 1,
     ) -> None:
-        super().__init__(pid, name, priority=priority, tickets=tickets)
+        super().__init__(pid, name, tickets=tickets)
         self.samples: List[int] = []
         self._seen_ready = 0
         self.waits = 0

@@ -22,8 +22,6 @@ class Process(abc.ABC):
         Unique process id.
     name:
         Human-readable label.
-    priority:
-        Larger runs first under priority scheduling.
     tickets:
         Share weight under lottery scheduling.
     """
@@ -33,7 +31,6 @@ class Process(abc.ABC):
         pid: int,
         name: str = "",
         *,
-        priority: int = 0,
         tickets: int = 1,
     ) -> None:
         if pid < 0:
@@ -42,7 +39,6 @@ class Process(abc.ABC):
             raise ValueError("tickets must be >= 1")
         self.pid = pid
         self.name = name or f"proc-{pid}"
-        self.priority = priority
         self.tickets = tickets
         self.quanta_run = 0
 

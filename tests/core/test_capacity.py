@@ -1,6 +1,5 @@
 """Closed-form capacity expressions (paper equations 1-7)."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

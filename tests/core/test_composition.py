@@ -1,10 +1,9 @@
 """Composition laws for deletion-insertion stages."""
 
-import numpy as np
 import pytest
 
 from repro.core.channels import DeletionInsertionChannel
-from repro.core.events import ChannelEvent, ChannelParameters
+from repro.core.events import ChannelParameters
 from tests.core.composition import (
     compose_parameters,
     composite_erasure_bound,

@@ -1,6 +1,5 @@
 """ChannelParameters and event-stream utilities (Definition 1)."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

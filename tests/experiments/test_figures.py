@@ -1,6 +1,5 @@
 """Figure renderings and ASCII plots."""
 
-import numpy as np
 import pytest
 
 from repro.experiments.figures import (

@@ -2,12 +2,13 @@
 
 ``repro.infotheory`` has one Blahut-Arimoto loop, the batched
 :func:`repro.infotheory.blahut_arimoto_batch`; the scalar solver and
-the degradation ladder are calls of it. This module keeps the original
+the degradation ladder are calls of it. This module keeps a
 one-channel ``while`` loop under an :class:`repro.numerics.IterationGuard`
-as the parity reference, and the per-channel degradation ladder over it
-(the package's rungs, retried one scalar solve at a time).
-The kernel must match the loop to 1e-12 per channel, with the same
-iteration count and terminal status.
+as the parity reference, stopped by the same running bracket as the
+kernel, and the per-channel degradation ladder over it (the package's
+rungs, retried one scalar solve at a time). The kernel must match the
+loop to 1e-12 per channel, with the same iteration count and terminal
+status.
 
 It also keeps the unguarded penalized loop the timed-DMC inner solve
 ran before it became a ``penalties`` call of the kernel: it stops on
@@ -30,7 +31,6 @@ from repro.infotheory.kernels import _divergence_step, _neg_entropy
 from repro.numerics import (
     IterationGuard,
     SolverStatus,
-    masked_log2,
     normalized_exp2,
     record_status,
     safe_log2,
@@ -52,8 +52,19 @@ def reference_blahut_arimoto(
     max_iter: int = 10_000,
     initial_input: Optional[np.ndarray] = None,
     damping: float = 0.0,
+    penalties: Optional[np.ndarray] = None,
 ) -> BlahutArimotoResult:
     """Compute DMC capacity via the scalar Blahut-Arimoto iteration.
+
+    Each iterate ``p_t`` gives a lower end ``I(p_t)`` and an upper end
+    ``max_x D(W(.|x) || q_t)`` on the capacity. The loop keeps the
+    running pair [max_t I(p_t), min_t max_x D_t] and feeds its width to
+    an :class:`repro.numerics.IterationGuard` as the residual: the
+    width never rises, and it falls exactly when an end moves, so the
+    guard's stall window restarts on every move, as the kernel's does.
+    (Once the width sits on its float floor, ends can still move by an
+    ulp while the width cannot; there the kernel runs on and this loop
+    stalls. The parity tests stop far above that floor.)
 
     Parameters
     ----------
@@ -62,8 +73,7 @@ def reference_blahut_arimoto(
         finite; non-finite entries are rejected explicitly rather than
         left to trip the row-sum check.
     tol:
-        Stopping threshold on the duality gap
-        ``max_x D(W(.|x) || q) - I`` which sandwiches the true capacity.
+        Stopping threshold on the running bracket's width.
     max_iter:
         Iteration cap.
     initial_input:
@@ -76,14 +86,16 @@ def reference_blahut_arimoto(
         (``0`` = plain BA update). Used by the degradation ladder to
         settle oscillating iterates; slows nominal convergence, so the
         default is off.
+    penalties:
+        Optional per-input penalties, shape ``(nx,)``: the loop then
+        maximizes ``I(p, W) - p . penalties``, subtracting them from
+        each input's divergence.
 
     Returns
     -------
     BlahutArimotoResult
-        The capacity estimate is guaranteed to be within ``gap`` bits of
-        the true capacity when ``converged`` is True; otherwise
-        ``status`` says how the solve ended and the estimate is the
-        best (finite) iterate seen.
+        The best lower end (floored at 0), the iterate that reached it,
+        and the bracket width as ``gap``, on every status.
     """
     w = np.asarray(transition, dtype=float)
     if w.ndim != 2:
@@ -97,6 +109,7 @@ def reference_blahut_arimoto(
     if not 0.0 <= damping < 1.0:
         raise ValueError("damping must be in [0, 1)")
     nx = w.shape[0]
+    pen = np.zeros(nx) if penalties is None else np.asarray(penalties, float)
 
     if initial_input is None:
         p = np.full(nx, 1.0 / nx)
@@ -111,24 +124,31 @@ def reference_blahut_arimoto(
             # strictly positive start point passes through untouched.
             p = (p + 1e-12) / (p + 1e-12).sum()
 
-    log_w = masked_log2(w)
-
+    # The kernel's own step: which iterate holds the best lower end is
+    # decided at rounding level, so the oracle must round the same way.
+    h = _neg_entropy(w[None])
     guard = IterationGuard(
-        "blahut_arimoto", max_iter=max_iter, tol=tol, stall_window=200
+        "blahut_arimoto",
+        max_iter=max_iter,
+        tol=tol,
+        stall_window=200,
+        divergence_factor=None,
     )
-    capacity = 0.0
-    gap = float("inf")
+    lower, upper, best_p = -np.inf, np.inf, p
+    gap = np.inf
     status: Optional[SolverStatus] = None
     with stage("solver"):
         while status is None:
-            q = p @ w  # output distribution, shape (ny,)
-            # D(W(.|x) || q) for each x, in bits.
-            log_q = safe_log2(q)
-            d = np.einsum("xy,xy->x", w, log_w - log_q[None, :])
-            capacity = float(p @ d)  # lower bound: I(p, W)
-            upper = float(d.max())  # upper bound on C
-            gap = upper - capacity
-            status = guard.update(gap, value=(capacity, p), progress=capacity)
+            # D(W(.|x) || q) - pen(x) for each x, in bits.
+            d = _divergence_step(p[None], w[None], h)[0] - pen
+            value = float(np.einsum("x,x->", p, d))  # I(p, W) - p . pen
+            if value > lower:
+                lower, best_p = value, p
+            upper = min(upper, float(d.max()))
+            # Never below the rounding of the ends it subtracts.
+            gap = max(upper - lower, float(np.spacing(abs(upper))))
+            # A non-finite iterate aborts the solve.
+            status = guard.update(gap if np.isfinite(value) else np.inf)
             if status is not None:
                 break
             # Multiplicative update p_{t+1}(x) ∝ p_t(x) 2^{D(W(.|x)||q)},
@@ -138,16 +158,12 @@ def reference_blahut_arimoto(
                 p_next = (1.0 - damping) * p_next + damping * p
             p = p_next
 
-    if status is not SolverStatus.CONVERGED and guard.best_value is not None:
-        # Honest fallback: report the best finite iterate, not the last.
-        capacity, p = guard.best_value
-        gap = guard.best_residual
-    if not np.isfinite(capacity):
-        capacity, gap = 0.0, float("inf")
+    if not np.isfinite(lower):
+        lower, gap = 0.0, float("inf")
 
     return BlahutArimotoResult(
-        capacity=max(0.0, capacity),
-        input_distribution=p,
+        capacity=max(0.0, lower),
+        input_distribution=best_p,
         iterations=guard.iterations,
         converged=status is SolverStatus.CONVERGED,
         gap=gap,
@@ -164,8 +180,8 @@ def reference_blahut_arimoto_guarded(
     initial_input: Optional[np.ndarray] = None,
 ) -> BlahutArimotoResult:
     """One channel through the degradation ladder, one scalar solve per
-    rung: the first converged attempt, otherwise the lowest best gap
-    (ties to the earlier attempt), with ``diagnostics.retries`` set and
+    rung: the first converged attempt, otherwise the lowest gap (ties
+    to the earlier attempt), with ``diagnostics.retries`` set and
     the chosen status recorded once."""
 
     def solve(damping: float = 0.0, tol_scale: float = 1.0) -> BlahutArimotoResult:
@@ -177,10 +193,6 @@ def reference_blahut_arimoto_guarded(
             damping=damping,
         )
 
-    def rank(attempt: BlahutArimotoResult) -> float:
-        best = attempt.diagnostics.best_residual
-        return float(best) if np.isfinite(best) else float("inf")
-
     attempts = [solve()]
     for rung in DEGRADE_LADDER:
         if attempts[-1].status is SolverStatus.CONVERGED:
@@ -188,7 +200,7 @@ def reference_blahut_arimoto_guarded(
         attempts.append(solve(**rung))
     chosen = next(
         (a for a in attempts if a.status is SolverStatus.CONVERGED),
-        min(attempts, key=rank),
+        min(attempts, key=lambda attempt: attempt.gap),
     )
     if len(attempts) > 1:
         chosen = replace(

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.infotheory.blahut_arimoto import blahut_arimoto
 from repro.infotheory.channels import (
     bec_capacity,
-    binary_erasure_channel,
     binary_symmetric_channel,
     converted_channel_capacity,
     m_ary_erasure_capacity,

@@ -6,7 +6,6 @@ import pytest
 
 from repro.numerics import (
     BracketingError,
-    SolverStatus,
     collect_solver_statuses,
     expand_bracket,
     guarded_brentq,

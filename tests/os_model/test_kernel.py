@@ -11,7 +11,6 @@ from repro.os_model.scheduler import (
     RandomScheduler,
     RoundRobinScheduler,
 )
-from tests.os_model.scheduler import PriorityScheduler
 
 
 class CountingProcess(Process):
@@ -110,24 +109,6 @@ class TestSchedulers:
         share = np.asarray(trace.schedule).mean()
         assert share == pytest.approx(0.25, abs=0.02)
 
-    def test_priority_preempts(self):
-        procs = [
-            CountingProcess(0, priority=0),
-            CountingProcess(1, priority=5),
-        ]
-        kernel = UniprocessorKernel(procs, PriorityScheduler())
-        trace = kernel.run(100, np.random.default_rng(0))
-        assert all(pid == 1 for pid in trace.schedule)
-
-    def test_priority_round_robins_within_class(self):
-        procs = [
-            CountingProcess(0, priority=1),
-            CountingProcess(1, priority=1),
-        ]
-        kernel = UniprocessorKernel(procs, PriorityScheduler())
-        trace = kernel.run(10, np.random.default_rng(0))
-        assert trace.schedule == [0, 1] * 5
-
     def test_fuzzy_time_repeats_processes(self):
         sched = self._run(FuzzyTimeScheduler(0.5), quanta=20_000)
         repeats = (sched[1:] == sched[:-1]).mean()
@@ -144,7 +125,6 @@ class TestSchedulers:
             RoundRobinScheduler(),
             RandomScheduler(),
             LotteryScheduler(),
-            PriorityScheduler(),
             FuzzyTimeScheduler(),
         ):
             with pytest.raises(ValueError):

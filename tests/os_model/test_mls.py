@@ -1,6 +1,5 @@
 """MLS policy model and the §4.3 feedback-path exploit."""
 
-import numpy as np
 import pytest
 
 from repro.core.events import ChannelParameters

@@ -1,6 +1,5 @@
 """Sequential (precision-targeted) Monte-Carlo."""
 
-import numpy as np
 import pytest
 
 from tests.simulation.convergence import run_until_precise

@@ -4,7 +4,6 @@ and checkpoint/resume determinism."""
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.simulation.runner import (

@@ -190,8 +190,6 @@ class TestStoreCommands:
     def test_store_verify_clean_and_corrupt(self, populated_dir, capsys):
         assert main(["store", "verify", "--dir", populated_dir]) == 0
         assert "all entries verify" in capsys.readouterr().out
-        from pathlib import Path
-
         from repro.store import ResultStore
 
         store = ResultStore(populated_dir)

@@ -1,6 +1,5 @@
 """Cross-module integration tests: the paper's end-to-end stories."""
 
-import numpy as np
 import pytest
 
 from repro import (

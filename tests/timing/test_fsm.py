@@ -1,6 +1,5 @@
 """Millen finite-state noiseless covert channels."""
 
-import numpy as np
 import pytest
 
 from repro.infotheory.noiseless import noiseless_capacity_per_second

@@ -1,6 +1,5 @@
 """Simple Timing Channels (Moskowitz & Miller 1994)."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -1,6 +1,5 @@
 """Timed Z-channel (Moskowitz, Greenwald & Kang 1996)."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
