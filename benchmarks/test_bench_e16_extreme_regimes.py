@@ -3,9 +3,9 @@ the guarded numerics layer (see ``repro.numerics``).
 
 Besides regenerating the E16 table, this file pins the nominal-path
 cost of guarding: the Blahut-Arimoto iteration counts on well-behaved
-channels must match the pre-guard implementation exactly, so the
-IterationGuard provably adds no extra iterations where nothing goes
-wrong.
+channels are pinned exactly, and none may exceed the pre-guard
+implementation's, so neither the guard nor the safeguarded step adds
+iterations where nothing goes wrong.
 """
 
 import numpy as np
@@ -18,13 +18,13 @@ from repro.infotheory import (
     z_channel,
 )
 
-# Iteration counts recorded on the unguarded implementation (tol=1e-10,
-# uniform start). The guard must terminate these nominal solves on the
-# same iteration.
+# ``(channel, iterations, pre-guard iterations)`` at tol=1e-10 from the
+# uniform start: the count of the safeguarded over-relaxed step, and
+# the one recorded on the unguarded plain-step implementation.
 _NOMINAL_ITERATIONS = (
-    (binary_symmetric_channel(0.1), 1),
-    (z_channel(0.3), 26),
-    (m_ary_symmetric_channel(4, 0.15), 1),
+    (binary_symmetric_channel(0.1), 1, 1),
+    (z_channel(0.3), 17, 26),
+    (m_ary_symmetric_channel(4, 0.15), 1, 1),
 )
 
 
@@ -33,10 +33,12 @@ def test_bench_e16(benchmark, report):
 
 
 def test_guarding_adds_no_nominal_iterations():
-    """Nominal solves converge on the exact pre-guard iteration."""
-    for channel, expected in _NOMINAL_ITERATIONS:
+    """Nominal solves converge on their pinned iteration, never later
+    than the pre-guard one."""
+    for channel, expected, pre_guard in _NOMINAL_ITERATIONS:
         result = blahut_arimoto(channel.transition_matrix, tol=1e-10)
         assert result.converged
         assert result.status.ok
         assert result.iterations == expected
+        assert result.iterations <= pre_guard
         assert np.isfinite(result.capacity)

@@ -4,15 +4,15 @@
 :func:`repro.infotheory.blahut_arimoto_batch`; the scalar solver and
 the degradation ladder are calls of it. This module keeps a
 one-channel ``while`` loop under an :class:`repro.numerics.IterationGuard`
-as the parity reference, stopped by the same running bracket as the
-kernel, and the per-channel degradation ladder over it (the package's
-rungs, retried one scalar solve at a time). The kernel must match the
-loop to 1e-12 per channel, with the same iteration count and terminal
-status.
+as the parity reference, with the kernel's safeguarded over-relaxed
+step and stopped by the same running bracket, and the per-channel
+degradation ladder over it (the package's rungs, retried one scalar
+solve at a time). The kernel must match the loop to 1e-12 per channel,
+with the same iteration count and terminal status.
 
-It also keeps the unguarded penalized loop the timed-DMC inner solve
-ran before it became a ``penalties`` call of the kernel: it stops on
-``gap < tol`` or the iteration cap, and returns the last iterate.
+It also keeps a plain-step (``mu = 1``), unguarded penalized loop as
+the reference for plain Blahut-Arimoto: it stops on ``gap < tol`` or
+the iteration cap, and returns the last iterate.
 
 :func:`converted_channel` builds the transition matrix of the paper's
 converted channel, the input the Theorem 5 closed form ``C_conv`` is
@@ -27,7 +27,12 @@ from typing import Optional
 import numpy as np
 
 from repro.infotheory import BlahutArimotoResult, m_ary_symmetric_channel
-from repro.infotheory.kernels import _divergence_step, _neg_entropy
+from repro.infotheory.kernels import (
+    STEP_GROWTH,
+    STEP_MAX,
+    _divergence_step,
+    _neg_entropy,
+)
 from repro.numerics import (
     IterationGuard,
     SolverStatus,
@@ -56,6 +61,12 @@ def reference_blahut_arimoto(
 ) -> BlahutArimotoResult:
     """Compute DMC capacity via the scalar Blahut-Arimoto iteration.
 
+    The step is the kernel's: ``p_{t+1} ∝ p_acc · 2^{mu d_acc}`` from
+    the last accepted iterate, ``mu`` growing by ``STEP_GROWTH`` per
+    accepted step up to ``STEP_MAX``; an over-relaxed iterate whose own
+    gap ``max_x d - p . d`` exceeds the accepted one's is undone and
+    redone with ``mu = 1``.
+
     Each iterate ``p_t`` gives a lower end ``I(p_t)`` and an upper end
     ``max_x D(W(.|x) || q_t)`` on the capacity. The loop keeps the
     running pair [max_t I(p_t), min_t max_x D_t] and feeds its width to
@@ -82,8 +93,8 @@ def reference_blahut_arimoto(
         so a start point containing exact zeros is smoothed slightly; a
         strictly positive start point is used exactly as given.
     damping:
-        Convex-combination weight kept on the previous iterate
-        (``0`` = plain BA update). Used by the degradation ladder to
+        Convex-combination weight kept on the iterate the step starts
+        from (``0`` = undamped update). Used by the degradation ladder to
         settle oscillating iterates; slows nominal convergence, so the
         default is off.
     penalties:
@@ -136,6 +147,11 @@ def reference_blahut_arimoto(
     )
     lower, upper, best_p = -np.inf, np.inf, p
     gap = np.inf
+    # The safeguarded step: the last accepted iterate, its divergences
+    # and its own gap, and the step size that made the current iterate.
+    # An infinite acc_gap marks the current iterate as a plain step,
+    # always accepted; the start point counts as one.
+    acc_p, acc_d, acc_gap, mu = p, None, np.inf, 1.0
     status: Optional[SolverStatus] = None
     with stage("solver"):
         while status is None:
@@ -151,11 +167,20 @@ def reference_blahut_arimoto(
             status = guard.update(gap if np.isfinite(value) else np.inf)
             if status is not None:
                 break
-            # Multiplicative update p_{t+1}(x) ∝ p_t(x) 2^{D(W(.|x)||q)},
-            # computed as a stabilized base-2 softmax.
-            p_next = normalized_exp2(safe_log2(p) + d)
+            # Accept an iterate whose own gap is no larger than the last
+            # accepted one's; a rejected one is redone from that iterate
+            # as a plain step.
+            own_gap = float(d.max()) - value
+            if own_gap <= acc_gap:
+                acc_p, acc_d, acc_gap = p, d, own_gap
+                mu = min(mu * STEP_GROWTH, STEP_MAX)
+            else:
+                acc_gap, mu = np.inf, 1.0
+            # p_{t+1}(x) ∝ p_acc(x) 2^{mu D(W(.|x)||q_acc)}, computed as a
+            # stabilized base-2 softmax.
+            p_next = normalized_exp2(safe_log2(acc_p) + mu * acc_d)
             if damping > 0.0:
-                p_next = (1.0 - damping) * p_next + damping * p
+                p_next = (1.0 - damping) * p_next + damping * acc_p
             p = p_next
 
     if not np.isfinite(lower):
@@ -230,9 +255,10 @@ def reference_penalized_blahut_arimoto(
     max_iter: int = 5000,
 ) -> PenalizedReference:
     """Maximize ``I(p, W_k) - p . penalties_k`` per channel of a
-    ``(k, nx, ny)`` stack with no guard: a channel stops when its
-    duality gap is below *tol* or at *max_iter*, keeping its last
-    iterate. Same precomputed-entropy step as the kernel."""
+    ``(k, nx, ny)`` stack by plain Blahut-Arimoto steps, with no guard:
+    a channel stops when its duality gap is below *tol* or at
+    *max_iter*, keeping its last iterate. Same precomputed-entropy
+    divergence as the kernel."""
     w = np.asarray(transitions, dtype=float)
     k, nx, _ny = w.shape
     pen = np.asarray(penalties, dtype=float)

@@ -18,9 +18,9 @@ from repro.store import ResultStore, use_store
 from .oracles import reference_blahut_arimoto_guarded
 
 BSC = binary_symmetric_channel(0.1).transition_matrix
-#: Needs the full ladder: the plain and 0.5-damped solves do not
-#: converge, the relaxed 0.9-damped rung does.
-Z_LIMIT = z_channel(1.0 - 1e-6).transition_matrix
+#: Needs the full ladder at ``max_iter=300``: the plain and 0.5-damped
+#: solves do not converge, the relaxed 0.9-damped rung does.
+Z_LIMIT = z_channel(1.0 - 1e-8).transition_matrix
 
 
 class TestInputValidation:
@@ -142,3 +142,25 @@ class TestGuardedLadder:
                 blahut_arimoto_guarded(stack, max_iter=300)
         assert sum(cold.values()) == 2
         assert warm == cold
+
+
+class TestZChannelLimit:
+    """E16's Z-channel rows at ``P_d -> 1``. The plain step ran the
+    whole 10,000-iteration budget on the ladder's first rungs there;
+    the safeguarded step converges on the first rung, to the exact
+    capacity."""
+
+    PDS = (0.999, 1.0 - 1e-6, 1.0 - 1e-9)
+
+    def test_converges_on_the_first_rung(self):
+        rows = [
+            (factory(), exact)
+            for regime, pd, factory, exact in extreme_grid()
+            if regime == "z" and pd in self.PDS
+        ]
+        assert len(rows) == len(self.PDS)
+        results = blahut_arimoto_guarded(np.stack([w for w, _c in rows]))
+        for (_w, exact), result in zip(rows, results):
+            assert result.status is SolverStatus.CONVERGED
+            assert result.diagnostics.retries == 0
+            assert abs(result.capacity - exact) <= 1e-9
