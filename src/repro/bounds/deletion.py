@@ -30,9 +30,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..infotheory.blahut_arimoto import _guarded_stack
 from ..infotheory.entropy import binary_entropy, mutual_information
-from ..infotheory.kernels import BATCH_SOLVER
+from ..infotheory.kernels import BATCH_SOLVER, blahut_arimoto_batch
 from ..numerics import SolverStatus, record_status
 from ..store import cached_batch, code_fingerprint
 
@@ -192,8 +191,9 @@ class BlockBoundResult:
         formal bound).
     status:
         :class:`repro.numerics.SolverStatus` of the inner
-        Blahut-Arimoto solve; a non-``converged`` status means the
-        bound came from the best-so-far iterate.
+        Blahut-Arimoto solve: ``converged`` means its bracket is no
+        wider than the sweep's ``tol``. On every status the bound uses
+        the best lower end the solve reached, so it stays a lower bound.
     """
 
     block_length: int
@@ -214,15 +214,10 @@ def _record_block_status(result: BlockBoundResult) -> None:
 def _solve_block_points(
     n: int, pds: Sequence[float], tol: float
 ) -> List[BlockBoundResult]:
-    """Solve a set of grid points through one degradation ladder.
-
-    Points whose plain batched solve ends non-``converged`` are retried
-    together on the damped rungs of
-    :func:`repro.infotheory.blahut_arimoto_guarded`, so batching never
-    weakens the sweep's worst-case answer quality.
-    """
+    """Solve a set of grid points as one batched Blahut-Arimoto call;
+    each point ends exactly as if solved alone."""
     stack, _groups = deletion_block_transition_stack(n, pds)
-    solved = _guarded_stack(stack, tol=tol)
+    solved = blahut_arimoto_batch(stack, tol=tol).unbatch()
     uniform = np.full(stack.shape[1], 1.0 / stack.shape[1])
     results = []
     for i, ba in enumerate(solved):

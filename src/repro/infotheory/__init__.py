@@ -8,11 +8,7 @@ converted channel), and Shannon's noiseless channel with non-uniform
 symbol durations.
 """
 
-from .blahut_arimoto import (
-    BlahutArimotoResult,
-    blahut_arimoto,
-    blahut_arimoto_guarded,
-)
+from .blahut_arimoto import BlahutArimotoResult, blahut_arimoto
 from .channels import (
     bec_capacity,
     binary_erasure_channel,
@@ -43,7 +39,6 @@ from .probability import PROB_ATOL, is_one, is_zero, validate_probability
 __all__ = [
     "BlahutArimotoResult",
     "blahut_arimoto",
-    "blahut_arimoto_guarded",
     "DiscreteMemorylessChannel",
     "BatchedBAResult",
     "blahut_arimoto_batch",

@@ -5,9 +5,8 @@ iteration. It runs over a ``(k, nx, ny)`` **stack** of transition
 matrices with one extra leading einsum axis, so a k-channel sweep (the
 E9 deletion grid, the indel grids, a service batch) costs one
 vectorized loop; the scalar :func:`repro.infotheory.blahut_arimoto` is
-a one-stack call, :func:`repro.infotheory.blahut_arimoto_guarded`
-runs its damped rungs as sub-stack calls, and the timed-DMC Dinkelbach
-loop (:func:`repro.timing.timed_dmc_capacity`) calls it with per-input
+a one-stack call, and the timed-DMC Dinkelbach loop
+(:func:`repro.timing.timed_dmc_capacity`) calls it with per-input
 ``penalties`` for its Lagrangian inner step. Channels that reach a
 terminal status drop out of the working arrays while stragglers
 iterate.
@@ -188,7 +187,7 @@ class BlahutArimotoResult:
         Terminal :class:`repro.numerics.SolverStatus` of the solve.
     diagnostics:
         Guard trace (:class:`repro.numerics.SolverDiagnostics`) —
-        residual tail, best iteration, degradation retries.
+        residual tail, best iteration.
     """
 
     capacity: float
@@ -289,7 +288,6 @@ def blahut_arimoto_batch(
     tol: float = 1e-10,
     max_iter: int = 10_000,
     initial_input: Optional[np.ndarray] = None,
-    damping: float = 0.0,
     penalties: Optional[np.ndarray] = None,
 ) -> BatchedBAResult:
     """Blahut-Arimoto over a ``(k, nx, ny)`` stack of channels at once.
@@ -321,16 +319,10 @@ def blahut_arimoto_batch(
         or a ``(k, nx)`` array. Rows with exact zeros are smoothed (a
         zero never recovers under the multiplicative update); strictly
         positive rows are used exactly. Never written to.
-    damping:
-        Weight kept on the iterate the step starts from (``0`` = no
-        damping); the degradation ladder uses it to settle oscillating
-        iterates.
     penalties:
         Per-input penalties: one ``(nx,)`` row for the stack or a
         ``(k, nx)`` array (default none).
     """
-    if not 0.0 <= damping < 1.0:
-        raise ValueError("damping must be in [0, 1)")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     if tol < 0:
@@ -448,8 +440,6 @@ def blahut_arimoto_batch(
             # p(x) <- p(x) 2^{mu D(W(.|x)||q)}, as a stabilized base-2
             # softmax; mu = 1 is the plain Blahut-Arimoto step.
             p = normalized_exp2(safe_log2(acc_p) + mu[:, None] * acc_d, axis=-1)
-            if damping > 0.0:
-                p = (1.0 - damping) * p + damping * acc_p
 
     bad = ~np.isfinite(out_capacity)
     out_capacity[bad] = 0.0

@@ -84,11 +84,9 @@ class SolverDiagnostics:
     best_iteration:
         Iteration (1-based) at which ``best_residual`` occurred;
         0 when no finite residual was ever seen.
-    retries:
-        Degradation retries consumed before this attempt was accepted
-        (filled in by :func:`repro.infotheory.blahut_arimoto_guarded`).
     notes:
-        Free-form annotations (e.g. which degradation adjustments ran).
+        Free-form annotations (e.g. a batched solve's per-status channel
+        counts, ``("converged=4",)``).
     """
 
     solver: str
@@ -97,7 +95,6 @@ class SolverDiagnostics:
     residual_tail: Tuple[float, ...]
     best_residual: float
     best_iteration: int
-    retries: int = 0
     notes: Tuple[str, ...] = ()
 
     def describe(self) -> str:
@@ -107,7 +104,7 @@ class SolverDiagnostics:
             f"{self.solver}: {self.status.value} after "
             f"{self.iterations} iterations (best residual "
             f"{self.best_residual:.3g} @ {self.best_iteration}, "
-            f"retries {self.retries}, tail [{tail}])"
+            f"tail [{tail}])"
         )
 
 

@@ -56,7 +56,7 @@ def test_batched_kernels_read_no_environment(summary_store):
 
 def test_one_blahut_arimoto_loop(summary_store):
     """The Blahut-Arimoto step has one caller, the one loop: every
-    capacity solve (scalar, guarded, block bound, timed DMC) goes
+    capacity solve (scalar, E16's grid, block bounds, timed DMC) goes
     through ``blahut_arimoto_batch``."""
     root = find_project_root()
     assert root is not None, "cannot locate the repository root"

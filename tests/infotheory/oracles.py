@@ -1,13 +1,11 @@
 """Scalar reference oracles for the Blahut-Arimoto kernel.
 
 ``repro.infotheory`` has one Blahut-Arimoto loop, the batched
-:func:`repro.infotheory.blahut_arimoto_batch`; the scalar solver and
-the degradation ladder are calls of it. This module keeps a
-one-channel ``while`` loop under an :class:`repro.numerics.IterationGuard`
-as the parity reference, with the kernel's safeguarded over-relaxed
-step and stopped by the same running bracket, and the per-channel
-degradation ladder over it (the package's rungs, retried one scalar
-solve at a time). The kernel must match the loop to 1e-12 per channel,
+:func:`repro.infotheory.blahut_arimoto_batch`; the scalar solver is a
+call of it. This module keeps a one-channel ``while`` loop under an
+:class:`repro.numerics.IterationGuard` as the parity reference, with
+the kernel's safeguarded over-relaxed step and stopped by the same
+running bracket. The kernel must match the loop to 1e-12 per channel,
 with the same iteration count and terminal status.
 
 It also keeps a plain-step (``mu = 1``), unguarded penalized loop as
@@ -21,7 +19,7 @@ checked against by Blahut-Arimoto.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -37,16 +35,8 @@ from repro.numerics import (
     IterationGuard,
     SolverStatus,
     normalized_exp2,
-    record_status,
     safe_log2,
     stage,
-)
-
-#: The rungs ``blahut_arimoto_guarded`` retries a non-converged channel
-#: with: damped updates, then heavy damping and a relaxed tolerance.
-DEGRADE_LADDER = (
-    {"damping": 0.5},
-    {"damping": 0.9, "tol_scale": 1e4},
 )
 
 
@@ -56,7 +46,6 @@ def reference_blahut_arimoto(
     tol: float = 1e-10,
     max_iter: int = 10_000,
     initial_input: Optional[np.ndarray] = None,
-    damping: float = 0.0,
     penalties: Optional[np.ndarray] = None,
 ) -> BlahutArimotoResult:
     """Compute DMC capacity via the scalar Blahut-Arimoto iteration.
@@ -92,11 +81,6 @@ def reference_blahut_arimoto(
         Zero entries can never recover under the multiplicative update,
         so a start point containing exact zeros is smoothed slightly; a
         strictly positive start point is used exactly as given.
-    damping:
-        Convex-combination weight kept on the iterate the step starts
-        from (``0`` = undamped update). Used by the degradation ladder to
-        settle oscillating iterates; slows nominal convergence, so the
-        default is off.
     penalties:
         Optional per-input penalties, shape ``(nx,)``: the loop then
         maximizes ``I(p, W) - p . penalties``, subtracting them from
@@ -117,8 +101,6 @@ def reference_blahut_arimoto(
         raise ValueError("transition probabilities must be non-negative")
     if not np.allclose(w.sum(axis=1), 1.0, atol=1e-9):
         raise ValueError("transition matrix rows must each sum to 1")
-    if not 0.0 <= damping < 1.0:
-        raise ValueError("damping must be in [0, 1)")
     nx = w.shape[0]
     pen = np.zeros(nx) if penalties is None else np.asarray(penalties, float)
 
@@ -178,10 +160,7 @@ def reference_blahut_arimoto(
                 acc_gap, mu = np.inf, 1.0
             # p_{t+1}(x) ∝ p_acc(x) 2^{mu D(W(.|x)||q_acc)}, computed as a
             # stabilized base-2 softmax.
-            p_next = normalized_exp2(safe_log2(acc_p) + mu * acc_d)
-            if damping > 0.0:
-                p_next = (1.0 - damping) * p_next + damping * acc_p
-            p = p_next
+            p = normalized_exp2(safe_log2(acc_p) + mu * acc_d)
 
     if not np.isfinite(lower):
         lower, gap = 0.0, float("inf")
@@ -195,45 +174,6 @@ def reference_blahut_arimoto(
         status=status,
         diagnostics=guard.diagnostics(),
     )
-
-
-def reference_blahut_arimoto_guarded(
-    transition: np.ndarray,
-    *,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-    initial_input: Optional[np.ndarray] = None,
-) -> BlahutArimotoResult:
-    """One channel through the degradation ladder, one scalar solve per
-    rung: the first converged attempt, otherwise the lowest gap (ties
-    to the earlier attempt), with ``diagnostics.retries`` set and
-    the chosen status recorded once."""
-
-    def solve(damping: float = 0.0, tol_scale: float = 1.0) -> BlahutArimotoResult:
-        return reference_blahut_arimoto(
-            transition,
-            tol=tol * tol_scale,
-            max_iter=max_iter,
-            initial_input=initial_input,
-            damping=damping,
-        )
-
-    attempts = [solve()]
-    for rung in DEGRADE_LADDER:
-        if attempts[-1].status is SolverStatus.CONVERGED:
-            break
-        attempts.append(solve(**rung))
-    chosen = next(
-        (a for a in attempts if a.status is SolverStatus.CONVERGED),
-        min(attempts, key=lambda attempt: attempt.gap),
-    )
-    if len(attempts) > 1:
-        chosen = replace(
-            chosen,
-            diagnostics=replace(chosen.diagnostics, retries=len(attempts) - 1),
-        )
-    record_status("blahut_arimoto", chosen.status)
-    return chosen
 
 
 @dataclass(frozen=True)

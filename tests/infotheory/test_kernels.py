@@ -7,7 +7,7 @@ capacity, same input distribution, same iteration count and terminal
 status per channel — while iterating a whole ``(k, nx, ny)`` stack at
 once. These tests hold it to that over randomized and generated stacks
 (structural zeros, near-deterministic rows, erasure rows at P_d -> 1,
-damping, shared and per-channel starting points), hold its
+shared and per-channel starting points), hold its
 ``penalties`` input to the same oracle and to the plain-step
 penalized loop
 (:func:`tests.infotheory.oracles.reference_penalized_blahut_arimoto`),
@@ -61,16 +61,10 @@ def random_stack(
     return w / w.sum(axis=2, keepdims=True)
 
 
-def assert_batch_matches_scalar(
-    stack, *, tol=1e-10, max_iter=10_000, damping=0.0
-):
-    batch = blahut_arimoto_batch(
-        stack, tol=tol, max_iter=max_iter, damping=damping
-    )
+def assert_batch_matches_scalar(stack, *, tol=1e-10, max_iter=10_000):
+    batch = blahut_arimoto_batch(stack, tol=tol, max_iter=max_iter)
     for i in range(stack.shape[0]):
-        scalar = reference_blahut_arimoto(
-            stack[i], tol=tol, max_iter=max_iter, damping=damping
-        )
+        scalar = reference_blahut_arimoto(stack[i], tol=tol, max_iter=max_iter)
         assert abs(batch.capacity[i] - scalar.capacity) < PARITY
         assert np.max(
             np.abs(batch.input_distribution[i] - scalar.input_distribution)
@@ -161,11 +155,6 @@ class TestBatchScalarParity:
         batch = assert_batch_matches_scalar(stack)
         assert batch.iterations[0] < batch.iterations[1]
 
-    @pytest.mark.parametrize("damping", [0.5, 0.9])
-    def test_damped_updates(self, damping):
-        stack = random_stack(3, 3, 4, seed=19, zero_fraction=0.2)
-        assert_batch_matches_scalar(stack, damping=damping)
-
 
 def _erasure_rows(rng, k, nx, ny):
     """Channels whose rows keep one symbol with prob 1 - P_d and erase
@@ -202,20 +191,13 @@ def channel_stacks(draw):
 
 
 class TestGeneratedParity:
-    """Generated stacks, every damping rung the ladder uses: each
-    channel matches the scalar oracle in capacity, distribution, gap,
-    iteration count and status."""
+    """Generated stacks: each channel matches the scalar oracle in
+    capacity, distribution, gap, iteration count and status."""
 
     @settings(max_examples=60, derandomize=True, deadline=None)
-    @given(
-        stack=channel_stacks(),
-        damping=st.sampled_from([0.0, 0.5, 0.9]),
-        tol=st.sampled_from([1e-10, 1e-6]),
-    )
-    def test_kernel_matches_scalar_oracle(self, stack, damping, tol):
-        assert_batch_matches_scalar(
-            stack, tol=tol, max_iter=500, damping=damping
-        )
+    @given(stack=channel_stacks(), tol=st.sampled_from([1e-10, 1e-6]))
+    def test_kernel_matches_scalar_oracle(self, stack, tol):
+        assert_batch_matches_scalar(stack, tol=tol, max_iter=500)
 
 
 class TestBatchSemantics:
@@ -261,8 +243,9 @@ class TestBatchSemantics:
 
     def test_scalar_solver_is_a_one_stack_call(self):
         w = random_stack(1, 3, 4, seed=71)[0]
-        scalar = blahut_arimoto(w, damping=0.5)
-        [part] = blahut_arimoto_batch(w[None], damping=0.5).unbatch()
+        p0 = np.array([0.2, 0.3, 0.5])
+        scalar = blahut_arimoto(w, initial_input=p0)
+        [part] = blahut_arimoto_batch(w[None], initial_input=p0).unbatch()
         assert scalar.capacity == part.capacity
         np.testing.assert_array_equal(
             scalar.input_distribution, part.input_distribution
@@ -280,8 +263,6 @@ class TestBatchSemantics:
 
     def test_guard_arguments_validated(self):
         w = random_stack(1, 2, 2, seed=83)
-        with pytest.raises(ValueError, match="damping"):
-            blahut_arimoto_batch(w, damping=1.0)
         with pytest.raises(ValueError, match="max_iter"):
             blahut_arimoto_batch(w, max_iter=0)
         with pytest.raises(ValueError, match="tol"):
@@ -490,27 +471,26 @@ class TestRunningCertificate:
     ``[value, value + gap]``, where ``value`` is the objective
     ``I(p, W) - p . pen`` of the reported iterate, on every status.
     The optimum is bracketed by a tol-1e-14 solve of the same channel,
-    itself certified the same way. The 60 draws end 95 channels
-    converged, 52 max_iter and 16 stalled."""
+    itself certified the same way, and a channel is converged exactly
+    when its gap is within tol. The 60 draws end 56 channels converged,
+    70 max_iter and 14 stalled."""
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(
         problem=penalized_problems(),
-        damping=st.sampled_from([0.0, 0.5, 0.9]),
         max_iter=st.sampled_from([1, 5, 50, 2000]),
         tol=st.sampled_from([1e-6, 1e-10, 1e-18]),
     )
-    def test_every_status_brackets_the_optimum(
-        self, problem, damping, max_iter, tol
-    ):
+    def test_every_status_brackets_the_optimum(self, problem, max_iter, tol):
         stack, pen = problem
         kernel = blahut_arimoto_batch(
-            stack, penalties=pen, tol=tol, max_iter=max_iter, damping=damping
+            stack, penalties=pen, tol=tol, max_iter=max_iter
         )
         tight = blahut_arimoto_batch(
             stack, penalties=pen, tol=1e-14, max_iter=2000
         )
         for i in range(stack.shape[0]):
+            assert bool(kernel.converged[i]) == (kernel.gap[i] <= tol)
             value = penalized_objective(
                 kernel.input_distribution[i], stack[i], pen[i]
             )

@@ -9,11 +9,12 @@ return *finite* estimates with *honest* statuses; none may raise.
 import numpy as np
 import pytest
 
+from repro.experiments import run_experiment
+from repro.experiments.e16_extreme_regimes import extreme_grid
 from repro.infotheory import (
     bec_capacity,
     binary_erasure_channel,
     blahut_arimoto,
-    blahut_arimoto_guarded,
     z_channel,
     z_channel_capacity,
 )
@@ -39,7 +40,7 @@ class TestDeletionLimit:
     @pytest.mark.parametrize("pd", EXTREME_PD)
     def test_erasure_channel_near_pd_one(self, pd):
         w = binary_erasure_channel(pd).transition_matrix
-        [result] = blahut_arimoto_guarded(w)
+        result = blahut_arimoto(w)
         assert_honest(result)
         if result.converged:
             tolerance = max(1e-8, 10.0 * result.gap)
@@ -47,7 +48,7 @@ class TestDeletionLimit:
 
     @pytest.mark.parametrize("pd", EXTREME_PD)
     def test_z_channel_near_pd_one(self, pd):
-        [result] = blahut_arimoto_guarded(z_channel(pd).transition_matrix)
+        result = blahut_arimoto(z_channel(pd).transition_matrix)
         assert_honest(result)
         # The capacity-achieving input mass vanishes as pd -> 1; the
         # solve may honestly report max_iter, but the best-so-far
@@ -55,9 +56,7 @@ class TestDeletionLimit:
         assert abs(result.capacity - z_channel_capacity(pd)) <= 1e-6
 
     def test_exact_pd_one_is_zero_capacity(self):
-        [result] = blahut_arimoto_guarded(
-            binary_erasure_channel(1.0).transition_matrix
-        )
+        result = blahut_arimoto(binary_erasure_channel(1.0).transition_matrix)
         assert_honest(result)
         assert result.capacity == pytest.approx(0.0, abs=1e-9)
 
@@ -72,7 +71,7 @@ class TestInsertionPlusDeletionLimit:
         pi = (1.0 - pd) / 2.0 - 1e-9
         keep = 1.0 - pd - pi
         w = np.array([[keep, pi, pd], [pi, keep, pd]])
-        [result] = blahut_arimoto_guarded(w)
+        result = blahut_arimoto(w)
         assert_honest(result)
         assert result.capacity <= 1e-6
 
@@ -80,7 +79,7 @@ class TestInsertionPlusDeletionLimit:
         # insertion_prob = 1 drives the converted M-ary channel to the
         # uniform (zero-capacity) table.
         w = converted_channel(2, 1.0).transition_matrix
-        [result] = blahut_arimoto_guarded(w)
+        result = blahut_arimoto(w)
         assert_honest(result)
         assert result.capacity == pytest.approx(0.0, abs=1e-9)
 
@@ -88,7 +87,7 @@ class TestInsertionPlusDeletionLimit:
 class TestDegenerateTables:
     def test_one_column_channel(self):
         # Every input maps to the same output: capacity exactly 0.
-        [result] = blahut_arimoto_guarded(np.ones((4, 1)))
+        result = blahut_arimoto(np.ones((4, 1)))
         assert_honest(result)
         assert result.status is SolverStatus.CONVERGED
         assert result.capacity == pytest.approx(0.0, abs=1e-12)
@@ -96,15 +95,15 @@ class TestDegenerateTables:
     def test_duplicate_row_channel(self):
         # Two indistinguishable inputs; capacity of the merged channel.
         w = np.array([[0.9, 0.1], [0.9, 0.1], [0.1, 0.9]])
-        [result] = blahut_arimoto_guarded(w)
+        result = blahut_arimoto(w)
         assert_honest(result)
         assert result.converged
 
 
 class TestHonestPartialAnswers:
     def test_truncated_run_is_finite_with_honest_status(self):
-        # Starve the plain (unguarded-ladder) solver of iterations: the
-        # status must say so and the best-so-far estimate stays finite.
+        # Starve the solver of iterations: the status must say so and
+        # the best-so-far estimate stays finite.
         result = blahut_arimoto(z_channel(0.999).transition_matrix, max_iter=20)
         assert np.isfinite(result.capacity)
         assert not result.converged
@@ -116,16 +115,13 @@ class TestHonestPartialAnswers:
         assert result.diagnostics.iterations == result.iterations
 
     def test_statuses_surface_through_collector(self):
-        grid = [
-            binary_erasure_channel(pd).transition_matrix for pd in EXTREME_PD
-        ] + [np.ones((3, 1))]
+        # E16 records one blahut_arimoto status per grid channel.
         with collect_solver_statuses() as counts:
-            for w in grid:
-                [result] = blahut_arimoto_guarded(w)
-                assert np.isfinite(result.capacity)
+            result = run_experiment("E16")
+        assert all(np.isfinite(row["BA C"]) for row in result.rows)
         recorded = sum(
             count
             for key, count in counts.items()
             if key.startswith("blahut_arimoto:")
         )
-        assert recorded == len(grid)
+        assert recorded == len(extreme_grid())

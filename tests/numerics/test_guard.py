@@ -109,7 +109,6 @@ class TestDiagnostics:
         assert diag.iterations == 5
         assert diag.residual_tail == (2.0, 1.0, 1e-7)  # tail_length trims
         assert diag.best_iteration == 5
-        assert diag.retries == 0
         assert diag.notes == ("retry 1",)
         text = diag.describe()
         assert "mysolver" in text

@@ -3,7 +3,7 @@
 
 import numpy as np
 
-from repro.infotheory import binary_symmetric_channel, blahut_arimoto_guarded
+from repro.bounds.deletion import block_bound_sweep
 from repro.numerics import SolverStatus, record_status
 from repro.simulation.runner import ExperimentRunner
 
@@ -24,15 +24,13 @@ class TestSolverStatusSurface:
         }
 
     def test_real_guarded_solver_statuses_surface(self):
-        w = binary_symmetric_channel(0.1).transition_matrix
-
         def trial(rng):
-            [ba] = blahut_arimoto_guarded(w)
-            return {"capacity": ba.capacity}
+            [point] = block_bound_sweep([0.1], block_length=3)
+            return {"information": point.max_block_information}
 
         result = ExperimentRunner(replications=3).run(trial)
-        assert result.solver_statuses == {"blahut_arimoto:converged": 3}
-        assert result["capacity"].mean > 0.5
+        assert result.solver_statuses == {"blahut_arimoto_batch:converged": 3}
+        assert result["information"].mean > 1.0
 
     def test_failed_execution_contributes_no_counts(self):
         calls = []

@@ -23,10 +23,7 @@ from repro.bounds.deletion import block_bound_sweep
 from repro.bounds.indel import indel_block_bound_sweep
 from repro.coding.forward_backward import DriftChannelModel
 from repro.estimation import bsc_sampler, estimate_sample_capacity
-from repro.infotheory.blahut_arimoto import (
-    blahut_arimoto,
-    blahut_arimoto_guarded,
-)
+from repro.infotheory.blahut_arimoto import blahut_arimoto
 from repro.numerics import collect_solver_statuses, collect_store_events
 from repro.service import serve_queries
 from repro.simulation.runner import ExperimentRunner
@@ -43,15 +40,10 @@ GRAPH_FIXTURE_SRC = (
 )
 
 BSC = np.array([[0.9, 0.1], [0.1, 0.9]])
-Z = np.array([[1.0, 0.0], [0.3, 0.7]])
 
 
 def _blahut_arimoto():
     return blahut_arimoto(BSC)
-
-
-def _blahut_arimoto_guarded():
-    return blahut_arimoto_guarded(np.stack([BSC, Z]))
 
 
 def _timed_dmc():
@@ -114,7 +106,6 @@ def _graph():
 #: fn_id -> (cached computation, entries it consults per call)
 ROWS = {
     "blahut_arimoto": (_blahut_arimoto, 1),
-    "blahut_arimoto_guarded": (_blahut_arimoto_guarded, 1),
     "timed_dmc": (_timed_dmc, 1),
     "deletion_block_bound_batch": (_deletion_sweep, 2),
     "indel_block_bound_batch": (_indel_sweep, 2),
