@@ -106,7 +106,7 @@ def run(
     # Part 2: the scheduler timing channel, where BA cannot run. The
     # noiseless point anchors against the closed-form timed capacity
     # of the burst alphabet (a degenerate deterministic "DMC" over
-    # gap values, solved by the Dinkelbach program).
+    # gap values, solved as capacity per unit cost).
     noiseless = timed_dmc_capacity(
         np.eye(len(_BURSTS)),
         np.asarray(_BURSTS, dtype=float) + 1.0,

@@ -5,10 +5,9 @@ iteration. It runs over a ``(k, nx, ny)`` **stack** of transition
 matrices with one extra leading einsum axis, so a k-channel sweep (the
 E9 deletion grid, the indel grids, a service batch) costs one
 vectorized loop; the scalar :func:`repro.infotheory.blahut_arimoto` is
-a one-stack call, and the timed-DMC Dinkelbach loop
-(:func:`repro.timing.timed_dmc_capacity`) calls it with per-input
-``penalties`` for its Lagrangian inner step. Channels that reach a
-terminal status drop out of the working arrays while stragglers
+a one-stack call, and :func:`repro.timing.timed_dmc_capacity` is a
+one-stack call with per-input symbol ``durations``. Channels that reach
+a terminal status drop out of the working arrays while stragglers
 iterate.
 
 Each iteration gives both ends of a bracket on the capacity: the
@@ -36,6 +35,16 @@ iterate costs one divergence evaluation, and both of its ends still
 enter the running bracket, since they bound the capacity for any
 ``p``.
 
+With symbol durations ``tau`` the same loop maximizes the rate per unit
+cost ``I(p) / T(p)``, ``T(p) = p . tau``. Its bracket is the dual of
+capacity per unit cost (Verdu, IEEE Trans. IT 1990): ``I(p_t) / T(p_t)``
+is a lower end, and ``max_x d_t(x) / tau_x`` an upper end for any
+``p_t`` (the mediant inequality). The step shifts the divergences by
+``L* tau``, ``L*`` being the channel's running best lower end:
+``p_{t+1} ∝ p_t 2^{mu (d_t - L* tau)}``. With unit durations the shift
+is a constant that the normalization removes, and without ``durations``
+no ``tau`` term is evaluated at all.
+
 The test suite keeps a scalar loop with the same step under
 :class:`repro.numerics.IterationGuard` as the reference oracle and
 holds this kernel to 1e-12 against it per channel.
@@ -43,14 +52,12 @@ holds this kernel to 1e-12 against it per channel.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..numerics import (
-    SolverDiagnostics,
     SolverStatus,
     masked_log2,
     normalized_exp2,
@@ -66,7 +73,7 @@ __all__ = [
     "blahut_arimoto_batch",
 ]
 
-#: Solver name batched runs report under (status collector + diagnostics).
+#: Solver name batched runs report under in the status collector.
 BATCH_SOLVER = "blahut_arimoto_batch"
 
 #: Iterations in which neither end of a channel's bracket moves before
@@ -78,16 +85,6 @@ STEP_GROWTH = 1.25
 
 #: Largest step size; keeps ``mu * d`` finite.
 STEP_MAX = 1e6
-
-#: Severity order used to summarize a stack's statuses into one
-#: diagnostics status (worst wins; CONVERGED only if unanimous).
-_SEVERITY = (
-    SolverStatus.CONVERGED,
-    SolverStatus.MAX_ITER,
-    SolverStatus.STALLED,
-    SolverStatus.ABORTED,
-)
-
 
 def _neg_entropy(w: np.ndarray) -> np.ndarray:
     """``h(k, x) = sum_y W log2 W`` (minus each row's entropy) for a
@@ -182,12 +179,9 @@ class BlahutArimotoResult:
         never below the rounding of its ends. The capacity lies in
         ``[capacity, capacity + gap]``, up to that rounding, on every
         status: ``capacity + gap`` is a certified upper end (for a
-        penalized solve, of the penalized objective).
+        penalized or timed solve, of that objective).
     status:
         Terminal :class:`repro.numerics.SolverStatus` of the solve.
-    diagnostics:
-        Guard trace (:class:`repro.numerics.SolverDiagnostics`) —
-        residual tail, best iteration.
     """
 
     capacity: float
@@ -196,7 +190,6 @@ class BlahutArimotoResult:
     converged: bool
     gap: float
     status: SolverStatus = SolverStatus.CONVERGED
-    diagnostics: Optional[SolverDiagnostics] = None
 
 
 @dataclass(frozen=True)
@@ -221,10 +214,6 @@ class BatchedBAResult:
         in :class:`BlahutArimotoResult`.
     statuses:
         Terminal :class:`repro.numerics.SolverStatus` per channel.
-    diagnostics:
-        Stack-level :class:`repro.numerics.SolverDiagnostics`: worst
-        status, iteration count of the slowest channel, the max-gap
-        trajectory tail, and per-status channel counts in ``notes``.
     """
 
     capacity: np.ndarray
@@ -233,7 +222,6 @@ class BatchedBAResult:
     converged: np.ndarray
     gap: np.ndarray
     statuses: Tuple[SolverStatus, ...]
-    diagnostics: SolverDiagnostics
 
     def __len__(self) -> int:
         return self.capacity.shape[0]
@@ -243,8 +231,7 @@ class BatchedBAResult:
 
         Each entry is what :func:`repro.infotheory.blahut_arimoto`
         returns for that channel alone (capacity, distribution,
-        iterations, status, gap); the shared stack-level diagnostics are
-        attached to every entry.
+        iterations, status, gap).
         """
         return [
             BlahutArimotoResult(
@@ -254,32 +241,19 @@ class BatchedBAResult:
                 converged=bool(self.converged[i]),
                 gap=float(self.gap[i]),
                 status=self.statuses[i],
-                diagnostics=self.diagnostics,
             )
             for i in range(len(self))
         ]
 
 
-def _stack_diagnostics(
-    statuses: Tuple[SolverStatus, ...],
-    iterations: np.ndarray,
-    gap: np.ndarray,
-    tail: Deque[float],
-) -> SolverDiagnostics:
-    """Summarize a stack's per-channel outcomes into one diagnostics."""
-    worst = max(statuses, key=_SEVERITY.index)
-    finite_gaps = gap[np.isfinite(gap)]
-    counts = {s: statuses.count(s) for s in _SEVERITY if s in statuses}
-    notes = tuple(f"{s.value}={n}" for s, n in counts.items())
-    return SolverDiagnostics(
-        solver=BATCH_SOLVER,
-        status=worst,
-        iterations=int(iterations.max()) if iterations.size else 0,
-        residual_tail=tuple(tail),
-        best_residual=float(finite_gaps.max()) if finite_gaps.size else float("inf"),
-        best_iteration=int(iterations.max()) if iterations.size else 0,
-        notes=notes,
-    )
+def _per_input(values: np.ndarray, name: str, k: int, nx: int) -> np.ndarray:
+    """One ``(nx,)`` row broadcast over the stack, or a ``(k, nx)`` array."""
+    arr = np.asarray(values, dtype=float)
+    if arr.shape == (nx,):
+        arr = np.broadcast_to(arr, (k, nx))
+    if arr.shape != (k, nx):
+        raise ValueError(f"{name} must have shape (k, nx) or (nx,)")
+    return arr
 
 
 def blahut_arimoto_batch(
@@ -289,19 +263,19 @@ def blahut_arimoto_batch(
     max_iter: int = 10_000,
     initial_input: Optional[np.ndarray] = None,
     penalties: Optional[np.ndarray] = None,
+    durations: Optional[np.ndarray] = None,
 ) -> BatchedBAResult:
     """Blahut-Arimoto over a ``(k, nx, ny)`` stack of channels at once.
 
     Each channel ends exactly as if solved alone; its stack-mates only
     share the loop. Records no solver status.
 
-    With *penalties* the same loop maximizes ``I(p, W_k) - p . pen_k``
-    per channel (the Lagrangian inner step of Dinkelbach's method in
-    :func:`repro.timing.timed_dmc_capacity`): the penalty is subtracted
-    from each input's divergence before both ends of the bracket and
-    the multiplicative update. ``capacity`` is then the penalized value
-    floored at 0; a caller that needs the (possibly negative) objective
-    or ``I(p, W)`` computes it from ``input_distribution``.
+    The loop maximizes ``(I(p, W_k) - p . pen_k) / (p . tau_k)`` per
+    channel, with no penalties and unit durations by default (plain
+    capacity). The penalty is subtracted from each input's divergence
+    before both ends of the bracket and the multiplicative update.
+    ``capacity`` is the objective's best lower end floored at 0; with
+    *durations* it is in bits per time unit.
 
     Parameters
     ----------
@@ -311,7 +285,8 @@ def blahut_arimoto_batch(
         heterogeneous sweeps before stacking).
     tol:
         Stopping threshold on the running bracket width
-        ``min_t max_x D(W(.|x) || q_t) - max_t I(p_t)``.
+        ``min_t max_x D(W(.|x) || q_t) - max_t I(p_t)`` (each end
+        divided by its durations when given).
     max_iter:
         Iteration cap.
     initial_input:
@@ -322,6 +297,9 @@ def blahut_arimoto_batch(
     penalties:
         Per-input penalties: one ``(nx,)`` row for the stack or a
         ``(k, nx)`` array (default none).
+    durations:
+        Positive, finite per-input symbol durations, shaped like
+        *penalties* (default none: unit cost).
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -333,18 +311,20 @@ def blahut_arimoto_batch(
     h = _neg_entropy(w)
     # Zero penalties subtract exactly nothing, so the plain solve takes
     # the same code path bit for bit.
-    pen = np.zeros((k, nx)) if penalties is None else np.asarray(penalties, float)
-    if pen.shape == (nx,):
-        pen = np.broadcast_to(pen, (k, nx))
-    if pen.shape != (k, nx):
-        raise ValueError("penalties must have shape (k, nx) or (nx,)")
+    pen = _per_input(
+        np.zeros(nx) if penalties is None else penalties, "penalties", k, nx
+    )
+    # Without durations no tau term is evaluated: unit cost is the
+    # plain loop's arithmetic, bit for bit.
+    tau = None if durations is None else _per_input(durations, "durations", k, nx)
+    if tau is not None and not np.all((tau > 0) & np.isfinite(tau)):
+        raise ValueError("durations must be positive and finite")
 
     statuses = [SolverStatus.MAX_ITER] * k
     iterations = np.zeros(k, dtype=np.int64)
     out_capacity = np.zeros(k)
     out_p = np.empty((k, nx))
     out_gap = np.full(k, np.inf)
-    tail: Deque[float] = deque(maxlen=8)
     # Working state of the active channels only: row j of every array
     # below belongs to channel idx[j]. All active channels started
     # together, so they share one iteration count. Per channel the
@@ -371,7 +351,13 @@ def blahut_arimoto_batch(
             it += 1
             d = _divergence_step(p, w, h) - pen
             lower = np.einsum("kx,kx->k", p, d)
-            upper = np.max(d, axis=1)
+            if tau is None:
+                upper = np.max(d, axis=1)
+            else:
+                # Both ends per unit time; the upper end holds for any p
+                # by the mediant inequality.
+                lower = lower / np.einsum("kx,kx->k", p, tau)
+                upper = np.max(d / tau, axis=1)
             rose = lower > best_lower
             fell = upper < best_upper
             if rose.all():
@@ -387,7 +373,6 @@ def blahut_arimoto_batch(
             # rounding of the ends it subtracts, so a tol below float
             # resolution stalls instead of "converging" on rounding.
             gap = np.maximum(best_upper - best_lower, np.spacing(np.abs(best_upper)))
-            tail.append(float(gap.max()))
 
             # An over-relaxed iterate whose own gap exceeds the last
             # accepted one is undone, and the next step from the
@@ -432,14 +417,19 @@ def blahut_arimoto_batch(
                     break
                 keep = ~done
                 idx, w, h, pen = idx[keep], w[keep], h[keep], pen[keep]
+                if tau is not None:
+                    tau = tau[keep]
                 best_lower, best_p = best_lower[keep], best_p[keep]
                 best_upper, moved = best_upper[keep], moved[keep]
                 acc_p, acc_d = acc_p[keep], acc_d[keep]
                 acc_gap, mu = acc_gap[keep], mu[keep]
             # Multiplicative update from the accepted iterate,
             # p(x) <- p(x) 2^{mu D(W(.|x)||q)}, as a stabilized base-2
-            # softmax; mu = 1 is the plain Blahut-Arimoto step.
-            p = normalized_exp2(safe_log2(acc_p) + mu[:, None] * acc_d, axis=-1)
+            # softmax; mu = 1 is the plain Blahut-Arimoto step. With
+            # durations each input's divergence is first charged the
+            # best rate so far for its time, D - L* tau.
+            step = acc_d if tau is None else acc_d - best_lower[:, None] * tau
+            p = normalized_exp2(safe_log2(acc_p) + mu[:, None] * step, axis=-1)
 
     bad = ~np.isfinite(out_capacity)
     out_capacity[bad] = 0.0
@@ -452,5 +442,4 @@ def blahut_arimoto_batch(
         converged=np.array([s is SolverStatus.CONVERGED for s in final]),
         gap=out_gap,
         statuses=final,
-        diagnostics=_stack_diagnostics(final, iterations, out_gap, tail),
     )

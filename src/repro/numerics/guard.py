@@ -1,9 +1,8 @@
 """Iteration guards: NaN/divergence/stall detection for iterative solvers.
 
 An :class:`IterationGuard` wraps the loop of an iterative solver
-(the timed-DMC Dinkelbach loop, the sample-capacity optimizer, the
-iterative watermark decoder). The solver reports a residual each
-iteration; the guard classifies the trajectory into a
+(the sample-capacity optimizer, the iterative watermark decoder). The
+solver reports a residual each iteration; the guard classifies the trajectory into a
 :class:`SolverStatus`, keeps the best-so-far iterate, and assembles
 :class:`SolverDiagnostics` — so a solve that stalls in an extreme
 channel regime returns an honest partial answer instead of spinning,

@@ -1,7 +1,7 @@
 """Content-addressed result store: cross-run caching with provenance.
 
 Every expensive solve in this package — Blahut-Arimoto capacity
-iterations, Dinkelbach timed-DMC solves, finite-block deletion/indel
+iterations, timed-DMC solves, finite-block deletion/indel
 bounds, Davey-MacKay lattice decodes — is a pure function of its
 parameters. This subsystem makes that purity pay: results are stored
 on disk under a canonical content address

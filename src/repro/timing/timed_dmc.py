@@ -6,44 +6,27 @@ time units has capacity (bits per time unit)
 
     C = max_p I(p, W) / T(p),      T(p) = sum_x p(x) tau(x).
 
-The fractional program is solved with Dinkelbach's method: for a rate
-guess ``lambda`` maximize ``F(p) = I(p, W) - lambda T(p)`` (a concave
-program solved by a penalized Blahut-Arimoto iteration), then update
-``lambda = I/T`` at the maximizer; ``lambda`` converges monotonically to
-the capacity. The inner penalized solve is the package's one
+This is capacity per unit cost, solved by the package's one
 Blahut-Arimoto loop, :func:`repro.infotheory.blahut_arimoto_batch`, on a
-1-stack with ``penalties = lambda * tau``. Cross-checks in the test suite:
-the timed Z-channel and Shannon's noiseless channels with non-uniform
-durations both drop out as special cases.
+1-stack with ``durations = tau``. Every iterate brackets the capacity
+between ``I(p_t) / T(p_t)`` and ``max_x D(W(.|x) || q_t) / tau_x``
+(Verdu, IEEE Trans. IT 1990), and the loop stops on the running
+bracket's width. Cross-checks in the test suite: the timed Z-channel
+and Shannon's noiseless channels with non-uniform durations both drop
+out as special cases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..infotheory.entropy import mutual_information
-from ..infotheory.kernels import blahut_arimoto_batch, validate_transition_stack
-from ..numerics import (
-    IterationGuard,
-    SolverDiagnostics,
-    SolverStatus,
-    record_status,
-)
+from ..infotheory.kernels import blahut_arimoto_batch
+from ..numerics import SolverStatus, record_status
 from ..store import cached_solve
 
 __all__ = ["TimedDMCResult", "timed_dmc_capacity"]
-
-#: Status collector name for the inner penalized-BA solves; only
-#: *unconverged* inner solves are recorded, under the kernel's terminal
-#: status (an unconverged inner solve contaminates the outer Dinkelbach
-#: residual and must be visible, not silent).
-INNER_SOLVER = "timed_dmc_inner"
-
-#: Duality-gap tolerance of each inner penalized solve.
-INNER_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -53,27 +36,22 @@ class TimedDMCResult:
     Attributes
     ----------
     capacity:
-        Bits per time unit.
+        Bits per time unit: the best lower end ``max_t I(p_t)/T(p_t)``
+        the solve reached, whatever its status.
     input_distribution:
-        Capacity-achieving input distribution.
+        The iterate that reached ``capacity``.
     mean_time:
         Expected symbol duration under that distribution.
     bits_per_symbol:
-        ``I`` at the optimum (= capacity * mean_time).
+        ``I`` at that distribution (= capacity * mean_time).
     iterations:
-        Dinkelbach outer iterations used.
+        Blahut-Arimoto iterations used.
     status:
-        Terminal :class:`repro.numerics.SolverStatus` of the outer
-        Dinkelbach loop.
-    inner_statuses:
-        Terminal kernel status of every inner penalized Blahut-Arimoto
-        solve that did not converge, in solve order (empty when all
-        converged). The outer residual (and hence ``status``) was then
-        computed from an unconverged maximizer, and the capacity may be
-        less accurate than ``status`` suggests.
-    diagnostics:
-        Outer-guard trace (:class:`repro.numerics.SolverDiagnostics`);
-        its notes record the count of unconverged inner solves.
+        Terminal :class:`repro.numerics.SolverStatus` of the solve.
+    gap:
+        Width of the running bracket: the capacity lies in
+        ``[capacity, capacity + gap]`` on every status, and
+        ``converged`` means ``gap <= tol``.
     """
 
     capacity: float
@@ -81,21 +59,13 @@ class TimedDMCResult:
     mean_time: float
     bits_per_symbol: float
     iterations: int
-    status: SolverStatus = SolverStatus.CONVERGED
-    inner_statuses: Tuple[SolverStatus, ...] = ()
-    diagnostics: Optional[SolverDiagnostics] = None
-
-    @property
-    def inner_converged(self) -> bool:
-        """Whether every inner penalized solve converged."""
-        return not self.inner_statuses
+    status: SolverStatus
+    gap: float
 
 
 def _replay_timed_status(result: TimedDMCResult) -> None:
-    """Report the stored statuses on a cache hit (warm runs surface the
+    """Report the stored status on a cache hit (warm runs surface the
     same solver health as the cold solve)."""
-    for inner in result.inner_statuses:
-        record_status(INNER_SOLVER, inner)
     record_status("timed_dmc", result.status)
 
 
@@ -105,8 +75,7 @@ def timed_dmc_capacity(
     durations: np.ndarray,
     *,
     tol: float = 1e-10,
-    max_outer: int = 100,
-    inner_max_iter: int = 5000,
+    max_iter: int = 10_000,
 ) -> TimedDMCResult:
     """Capacity (bits per time unit) of a DMC with per-input durations.
 
@@ -121,66 +90,27 @@ def timed_dmc_capacity(
         non-negative, rows summing to 1).
     durations:
         Positive per-input occupation times, length ``nx``.
-    tol, max_outer:
-        Convergence tolerance and iteration cap of the outer
-        Dinkelbach loop.
-    inner_max_iter:
-        Iteration cap of each inner penalized Blahut-Arimoto solve.
-        An inner solve that ends unconverged does not abort the outer
-        loop, but is surfaced through ``inner_statuses`` and the
-        diagnostics notes.
+    tol, max_iter:
+        Bracket-width tolerance and iteration cap of the solve.
     """
     w = np.asarray(transition, dtype=float)
     tau = np.asarray(durations, dtype=float)
     if w.ndim != 2:
         raise ValueError("transition must be a 2-D matrix")
-    stack = validate_transition_stack(w)
     if tau.shape != (w.shape[0],):
         raise ValueError("durations must match the input alphabet")
-    if np.any(tau <= 0):
-        raise ValueError("durations must be positive")
-
-    lam = 0.0
-    p = np.full(w.shape[0], 1.0 / w.shape[0])
-    guard = IterationGuard(
-        "timed_dmc", max_iter=max_outer, tol=tol, stall_window=20
-    )
-    status: Optional[SolverStatus] = None
-    inner_statuses: List[SolverStatus] = []
-    # No stage("solver") here: the kernel times its own loop, and a
-    # nested stage of the same name would count those seconds twice.
-    while status is None:
-        inner = blahut_arimoto_batch(
-            stack, tol=INNER_TOL, max_iter=inner_max_iter, penalties=lam * tau
-        )
-        p = inner.input_distribution[0]
-        if not inner.converged[0]:
-            inner_statuses.append(inner.statuses[0])
-            record_status(INNER_SOLVER, inner.statuses[0])
-        info = mutual_information(p, w)
-        mean_t = float(p @ tau)
-        new_lam = info / mean_t
-        status = guard.update(abs(new_lam - lam), value=(new_lam, p))
-        lam = new_lam
-    if status is not SolverStatus.CONVERGED and guard.best_value is not None:
-        lam, p = guard.best_value
-    if not np.isfinite(lam):
-        lam, p = 0.0, np.full(w.shape[0], 1.0 / w.shape[0])
-    record_status("timed_dmc", status)
-    notes = (
-        (f"unconverged_inner_solves={len(inner_statuses)}",)
-        if inner_statuses
-        else ()
-    )
-    info = mutual_information(p, w)
+    [result] = blahut_arimoto_batch(
+        w, tol=tol, max_iter=max_iter, durations=tau
+    ).unbatch()
+    record_status("timed_dmc", result.status)
+    p = result.input_distribution
     mean_t = float(p @ tau)
     return TimedDMCResult(
-        capacity=float(lam),
+        capacity=result.capacity,
         input_distribution=p,
         mean_time=mean_t,
-        bits_per_symbol=info,
-        iterations=guard.iterations,
-        status=status,
-        inner_statuses=tuple(inner_statuses),
-        diagnostics=guard.diagnostics(notes=notes),
+        bits_per_symbol=result.capacity * mean_t,
+        iterations=result.iterations,
+        status=result.status,
+        gap=result.gap,
     )

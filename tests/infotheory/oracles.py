@@ -47,6 +47,7 @@ def reference_blahut_arimoto(
     max_iter: int = 10_000,
     initial_input: Optional[np.ndarray] = None,
     penalties: Optional[np.ndarray] = None,
+    durations: Optional[np.ndarray] = None,
 ) -> BlahutArimotoResult:
     """Compute DMC capacity via the scalar Blahut-Arimoto iteration.
 
@@ -85,6 +86,11 @@ def reference_blahut_arimoto(
         Optional per-input penalties, shape ``(nx,)``: the loop then
         maximizes ``I(p, W) - p . penalties``, subtracting them from
         each input's divergence.
+    durations:
+        Optional positive per-input durations ``tau``, shape ``(nx,)``:
+        the loop then maximizes ``(I(p, W) - p . penalties) / (p . tau)``
+        with the kernel's ends ``value / (p . tau)`` and
+        ``max_x d(x) / tau_x`` and its step shift ``d - L* tau``.
 
     Returns
     -------
@@ -140,9 +146,14 @@ def reference_blahut_arimoto(
             # D(W(.|x) || q) - pen(x) for each x, in bits.
             d = _divergence_step(p[None], w[None], h)[0] - pen
             value = float(np.einsum("x,x->", p, d))  # I(p, W) - p . pen
+            if durations is None:
+                top = float(d.max())
+            else:
+                value = value / float(np.einsum("x,x->", p, durations))
+                top = float((d / durations).max())
             if value > lower:
                 lower, best_p = value, p
-            upper = min(upper, float(d.max()))
+            upper = min(upper, top)
             # Never below the rounding of the ends it subtracts.
             gap = max(upper - lower, float(np.spacing(abs(upper))))
             # A non-finite iterate aborts the solve.
@@ -152,15 +163,17 @@ def reference_blahut_arimoto(
             # Accept an iterate whose own gap is no larger than the last
             # accepted one's; a rejected one is redone from that iterate
             # as a plain step.
-            own_gap = float(d.max()) - value
+            own_gap = top - value
             if own_gap <= acc_gap:
                 acc_p, acc_d, acc_gap = p, d, own_gap
                 mu = min(mu * STEP_GROWTH, STEP_MAX)
             else:
                 acc_gap, mu = np.inf, 1.0
             # p_{t+1}(x) ∝ p_acc(x) 2^{mu D(W(.|x)||q_acc)}, computed as a
-            # stabilized base-2 softmax.
-            p = normalized_exp2(safe_log2(acc_p) + mu * acc_d)
+            # stabilized base-2 softmax; with durations each divergence
+            # is first charged the best rate so far for its time.
+            step = acc_d if durations is None else acc_d - lower * durations
+            p = normalized_exp2(safe_log2(acc_p) + mu * step)
 
     if not np.isfinite(lower):
         lower, gap = 0.0, float("inf")
@@ -172,7 +185,6 @@ def reference_blahut_arimoto(
         converged=status is SolverStatus.CONVERGED,
         gap=gap,
         status=status,
-        diagnostics=guard.diagnostics(),
     )
 
 

@@ -58,12 +58,6 @@ class TestInitialInputPolicy:
             blahut_arimoto(BSC, initial_input=np.array([1.5, -0.5]))
 
 
-class TestDiagnostics:
-    def test_describe_names_the_solver(self):
-        result = blahut_arimoto(BSC)
-        assert "blahut_arimoto" in result.diagnostics.describe()
-
-
 class TestE16Grid:
     def test_stacked_kernel_matches_per_channel_oracle(self):
         """E16's grid, one batched call per shape, against one scalar

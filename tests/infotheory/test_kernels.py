@@ -21,13 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.infotheory import (
-    BatchedBAResult,
     blahut_arimoto,
     blahut_arimoto_batch,
     validate_transition_stack,
 )
 from repro.infotheory.entropy import mutual_information
-from repro.infotheory.kernels import BATCH_SOLVER, _divergence_step, _neg_entropy
+from repro.infotheory.kernels import _divergence_step, _neg_entropy
 from repro.numerics import (
     LOG_FLOOR,
     SolverStatus,
@@ -267,13 +266,6 @@ class TestBatchSemantics:
             blahut_arimoto_batch(w, max_iter=0)
         with pytest.raises(ValueError, match="tol"):
             blahut_arimoto_batch(w, tol=-1.0)
-
-    def test_diagnostics_report_statuses(self):
-        stack = random_stack(4, 3, 3, seed=37)
-        batch = blahut_arimoto_batch(stack)
-        assert isinstance(batch, BatchedBAResult)
-        assert batch.diagnostics.solver == BATCH_SOLVER
-        assert batch.diagnostics.notes == ("converged=4",)
 
     def test_max_iter_exhaustion_reports_honestly(self):
         stack = random_stack(3, 4, 6, seed=41)

@@ -111,8 +111,6 @@ class TestHonestPartialAnswers:
             SolverStatus.MAX_ITER,
             SolverStatus.STALLED,
         )
-        assert result.diagnostics is not None
-        assert result.diagnostics.iterations == result.iterations
 
     def test_statuses_surface_through_collector(self):
         # E16 records one blahut_arimoto status per grid channel.

@@ -1,4 +1,5 @@
-"""General timed-DMC capacity (Dinkelbach + penalized Blahut-Arimoto)."""
+"""General timed-DMC capacity: the Blahut-Arimoto kernel with symbol
+durations, stopped on the cost-per-unit bracket."""
 
 import time
 
@@ -6,10 +7,10 @@ import numpy as np
 import pytest
 
 from repro.infotheory.channels import binary_symmetric_channel, z_channel
-from repro.infotheory.entropy import binary_entropy, mutual_information
+from repro.infotheory.entropy import binary_entropy
 from repro.infotheory.noiseless import noiseless_capacity_per_second
-from repro.numerics import IterationGuard, SolverStatus
-from repro.timing.timed_dmc import INNER_TOL, timed_dmc_capacity
+from repro.numerics import SolverStatus, collect_solver_statuses
+from repro.timing.timed_dmc import timed_dmc_capacity
 from tests.infotheory.oracles import reference_blahut_arimoto
 from tests.timing.timed_z import timed_z_capacity
 
@@ -101,41 +102,25 @@ class TestValidation:
             timed_dmc_capacity(w, np.array([1.0, 0.0]))
 
 
-class TestInnerConvergenceSurfacing:
-    def test_healthy_solve_reports_inner_converged(self):
+class TestStarvedBudget:
+    def test_exhausted_budget_reports_a_certified_bracket(self):
+        # Two iterations cannot certify this channel: the status says
+        # so, and the answer is still a finite bracket on the capacity.
         w = z_channel(0.2).transition_matrix
-        r = timed_dmc_capacity(w, np.array([1.0, 2.0]))
-        assert r.inner_converged is True
-        assert r.diagnostics is not None
-        assert not any(
-            "unconverged_inner" in note for note in r.diagnostics.notes
-        )
-
-    def test_exhausted_inner_budget_is_not_silent(self):
-        # Regression: the inner penalized solve used to hit max_iter
-        # and hand its last iterate to the outer Dinkelbach loop with
-        # no trace. It must now be visible on the result.
-        from repro.numerics import collect_solver_statuses
-        from repro.timing.timed_dmc import INNER_SOLVER
-
-        w = z_channel(0.2).transition_matrix
+        tau = np.array([1.0, 2.0])
         with collect_solver_statuses() as statuses:
-            r = timed_dmc_capacity(
-                w, np.array([1.0, 2.0]), inner_max_iter=2
-            )
-        assert r.inner_converged is False
-        assert any(
-            "unconverged_inner_solves=" in note
-            for note in r.diagnostics.notes
-        )
-        assert statuses[f"{INNER_SOLVER}:max_iter"] >= 1
-        # The answer is still finite and sane — degraded, not garbage.
-        assert np.isfinite(r.capacity) and r.capacity >= 0.0
+            r = timed_dmc_capacity(w, tau, max_iter=2)
+        assert r.status is SolverStatus.MAX_ITER
+        assert dict(statuses) == {"timed_dmc:max_iter": 1}
+        assert np.isfinite(r.gap) and r.gap > 1e-10
+        full = timed_dmc_capacity(w, tau)
+        assert r.capacity <= full.capacity + full.gap
+        assert full.capacity <= r.capacity + r.gap
 
 
 class TestKernelInnerSolve:
-    """The inner penalized solve is a ``penalties`` call of the one
-    Blahut-Arimoto kernel."""
+    """The solve is one ``durations`` call of the one Blahut-Arimoto
+    kernel."""
 
     def test_solver_stage_is_not_double_counted(self):
         from repro.numerics import collect_stage_timings
@@ -147,20 +132,17 @@ class TestKernelInnerSolve:
             wall = time.perf_counter() - start
         assert 0.0 < totals["solver"] <= wall
 
-    def test_warm_store_replays_every_inner_status(self, tmp_path):
-        from repro.numerics import collect_solver_statuses
+    def test_warm_store_replays_the_status(self, tmp_path):
         from repro.store import ResultStore, use_store
-        from repro.timing.timed_dmc import INNER_SOLVER
 
         w = z_channel(0.2).transition_matrix
         tau = np.array([1.0, 2.0])
         with use_store(ResultStore(tmp_path / "store")):
             with collect_solver_statuses() as cold:
-                r = timed_dmc_capacity(w, tau, inner_max_iter=2)
+                timed_dmc_capacity(w, tau, max_iter=2)
             with collect_solver_statuses() as warm:
-                timed_dmc_capacity(w, tau, inner_max_iter=2)
-        assert len(r.inner_statuses) > 1
-        assert cold[f"{INNER_SOLVER}:max_iter"] == len(r.inner_statuses)
+                timed_dmc_capacity(w, tau, max_iter=2)
+        assert dict(cold) == {"timed_dmc:max_iter": 1}
         assert dict(warm) == dict(cold)
 
 
@@ -181,50 +163,73 @@ def random_timed_dmcs(seed, count):
         yield w, 1.0 + 4 * rng.random(nx)
 
 
-def reference_timed_dmc(w, tau, *, tol=1e-10, max_outer=100, inner_max_iter=5000):
-    """``timed_dmc_capacity``'s Dinkelbach loop over the scalar
-    penalized oracle: ``(capacity, p, every inner solve converged)``."""
-    lam = 0.0
-    guard = IterationGuard("timed_dmc", max_iter=max_outer, tol=tol, stall_window=20)
-    status = None
-    inner_converged = True
-    while status is None:
-        inner = reference_blahut_arimoto(
-            w, penalties=lam * tau, tol=INNER_TOL, max_iter=inner_max_iter
-        )
-        p = inner.input_distribution
-        inner_converged &= inner.converged
-        new_lam = mutual_information(p, w) / float(p @ tau)
-        status = guard.update(abs(new_lam - lam), value=(new_lam, p))
-        lam = new_lam
-    if status is not SolverStatus.CONVERGED:
-        lam, p = guard.best_value
-    return lam, p, inner_converged
+DRAWS = list(random_timed_dmcs(7, 300))
+
+
+def assert_matches_oracle(w, tau):
+    """The kernel-backed solve ends on the scalar oracle's iterate,
+    iteration count and status, bit for bit; returns the solve."""
+    oracle = reference_blahut_arimoto(w, durations=tau)
+    result = timed_dmc_capacity(w, tau)
+    assert result.capacity == oracle.capacity
+    np.testing.assert_array_equal(
+        result.input_distribution, oracle.input_distribution
+    )
+    assert (result.iterations, result.status) == (
+        oracle.iterations,
+        oracle.status,
+    )
+    return result
 
 
 class TestOracleParity:
-    """The kernel-backed solve against the same Dinkelbach loop over the
-    scalar penalized oracle. Draw 1 of ``random_timed_dmcs(7, 300)`` has
-    an inner solve whose single-iterate gap reaches its best at step 7
-    and stays above it for the other 4,993 steps of its budget, far
-    longer than the kernel's stall window, while its lower end keeps
-    rising."""
+    """The kernel-backed solve against the scalar oracle given the same
+    durations."""
 
     @pytest.mark.parametrize("draw", (41, 87, 125, 203))
     def test_bitwise_equal_where_inner_solves_converge(self, draw):
-        w, tau = list(random_timed_dmcs(7, draw + 1))[draw]
-        capacity, p, inner_converged = reference_timed_dmc(w, tau)
-        result = timed_dmc_capacity(w, tau)
-        assert inner_converged and result.inner_converged
-        assert result.capacity == capacity
-        np.testing.assert_array_equal(result.input_distribution, p)
+        assert_matches_oracle(*DRAWS[draw])
 
-    def test_gap_kink_runs_to_the_inner_budget(self):
-        # The oracle's inner solves end at max_iter; the kernel's must
-        # not stop early as stalled on an early best-gap iterate.
-        w, tau = list(random_timed_dmcs(7, 2))[1]
-        capacity, _p, inner_converged = reference_timed_dmc(w, tau)
+    def test_gap_kink_draw_is_certified(self):
+        # Draw 1's single-iterate gap reaches an early best and then
+        # rises while the lower end keeps rising. A solve that took that
+        # early best for a stall would stop long before the width
+        # reached tol; this one matches the oracle and is certified.
+        result = assert_matches_oracle(*DRAWS[1])
+        assert result.status is SolverStatus.CONVERGED
+        assert result.gap <= 1e-10
+        assert result.iterations == 50
+
+
+#: C* where a tight solve is slow or cannot close the bracket.
+#: Draw 98: a 95,452-iteration solve (tol 0) stalls at width 7e-15; in
+#: 40-digit mpmath its iterate has I/T = 0.024366197036088 and dual end
+#: max_x D(W_x || q)/tau_x = 0.0243661970360955.
+#: Draw 274: the optimum lies on the face p_3 = 0; a 40-digit mpmath
+#: golden-section search of I/T over each pair of inputs (two outputs,
+#: so two inputs suffice) gives 5.49781183960721e-8.
+PINNED_OPTIMA = {98: 0.02436619703609, 274: 5.49781183960721e-8}
+
+
+class TestTimedCertificate:
+    """Every exit of ``timed_dmc_capacity`` is certified: the capacity
+    C* lies in ``[capacity, capacity + gap]`` on every status, and the
+    solve is converged exactly when ``gap <= tol``. C* is bracketed by a
+    tol-1e-14 solve of the same channel, itself certified the same way,
+    or pinned (``PINNED_OPTIMA``). At the default budget draws 98 and
+    274 end unconverged (max_iter and stalled): their optima sit on or
+    near the boundary of the simplex, where every multiplicative step
+    is slow."""
+
+    @pytest.mark.parametrize("draw", [*range(24), 98, 274])
+    def test_every_status_brackets_the_capacity(self, draw):
+        w, tau = DRAWS[draw]
         result = timed_dmc_capacity(w, tau)
-        assert not inner_converged
-        assert set(result.inner_statuses) == {SolverStatus.MAX_ITER}
-        assert abs(result.capacity - capacity) <= 1e-9
+        assert (result.status is SolverStatus.CONVERGED) == (result.gap <= 1e-10)
+        if draw in PINNED_OPTIMA:
+            low = high = PINNED_OPTIMA[draw]
+        else:
+            tight = timed_dmc_capacity(w, tau, tol=1e-14, max_iter=20_000)
+            low, high = tight.capacity, tight.capacity + tight.gap
+        assert result.capacity <= high + 1e-14
+        assert low <= result.capacity + result.gap + 1e-14
