@@ -19,13 +19,10 @@ import time
 
 import numpy as np
 
-from repro.estimation import (
-    mixed_mutual_information,
-    mixed_mutual_information_reference,
-    tie_break_jitter,
-)
+from repro.estimation import mixed_mutual_information, tie_break_jitter
 from repro.estimation.knn import _mixed_counts_sorted, _mixed_counts_tree
 from repro.simulation.rng import RngFactory
+from tests.estimation.oracles import mixed_mutual_information_reference
 
 #: CI smoke mode: tiny sizes, no speedup thresholds (see ci.yml).
 _SMOKE = os.environ.get("BENCH_SMOKE") == "1"

@@ -17,6 +17,7 @@ from repro.infotheory.blahut_arimoto import blahut_arimoto
 from repro.infotheory.channels import m_ary_symmetric_channel
 from repro.infotheory.kernels import blahut_arimoto_batch
 from repro.sync.feedback import CounterProtocol
+from tests.coding.fb_oracle import decode_reference
 
 #: CI smoke mode: tiny sizes, no speedup thresholds (see ci.yml).
 _SMOKE = os.environ.get("BENCH_SMOKE") == "1"
@@ -78,7 +79,7 @@ def test_bench_drift_decoder_vectorized_vs_scalar(benchmark):
         lambda: model.decode(y, priors), rounds=5, iterations=1
     )
     t0 = time.perf_counter()
-    ref = model.decode_reference(y, priors)
+    ref = decode_reference(model, y, priors)
     scalar_seconds = time.perf_counter() - t0
     np.testing.assert_allclose(
         vec.posteriors, ref.posteriors, atol=1e-12, rtol=0

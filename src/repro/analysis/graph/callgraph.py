@@ -81,7 +81,6 @@ class Submission:
 
     line: int
     api: str
-    callable_ref: ArgRef
     verdict: str = "ok"
     detail: str = ""
 
@@ -100,15 +99,6 @@ class FunctionNode:
     @property
     def qname(self) -> str:
         return self.info.qname
-
-    def callee_names(self) -> List[str]:
-        seen: Set[str] = set()
-        out: List[str] = []
-        for name, _ in self.callees:
-            if name not in seen:
-                seen.add(name)
-                out.append(name)
-        return out
 
 
 @dataclass
@@ -401,9 +391,6 @@ class _Linker:
 
     # -- pool submissions ---------------------------------------------
 
-    def _pool_class(self, dotted: Tuple[str, ...]) -> bool:
-        return bool(dotted) and dotted[-1] in _POOL_CLASSES
-
     def _resolve_receiver_class(
         self, summary: ModuleSummary, ctor: Tuple[str, ...]
     ) -> Optional[str]:
@@ -541,7 +528,6 @@ class _Linker:
             Submission(
                 line=line,
                 api=api,
-                callable_ref=ref,
                 verdict=verdict,
                 detail=detail,
             )

@@ -15,7 +15,6 @@ from typing import List, Sequence
 
 from ..core.capacity import feedback_lower_bound
 from ..infotheory.probability import validate_probability
-from ..numerics import SolverStatus
 from .deletion import (
     block_bound_sweep,
     erasure_upper_bound_binary,
@@ -29,10 +28,9 @@ __all__ = ["BracketRow", "capacity_bracket_sweep"]
 class BracketRow:
     """One row of the E9 bracket table (binary alphabet, N = 1).
 
-    ``solver_status`` is the :class:`repro.numerics.SolverStatus` of
-    the finite-block Blahut-Arimoto solve behind ``block_lower`` — a
-    non-``converged`` row flags a bound built from a best-so-far
-    iterate (the ordering checks still apply).
+    The finite-block solve behind ``block_lower`` reports its
+    :class:`repro.numerics.SolverStatus` through
+    :func:`repro.numerics.record_status`, as every block sweep does.
     """
 
     deletion_prob: float
@@ -41,7 +39,6 @@ class BracketRow:
     best_lower: float
     erasure_upper: float
     feedback_capacity: float
-    solver_status: SolverStatus = SolverStatus.CONVERGED
 
     def __post_init__(self) -> None:
         validate_probability(self.deletion_prob, "deletion_prob")
@@ -84,7 +81,6 @@ def capacity_bracket_sweep(
                 best_lower=max(gallager, block.lower_bound),
                 erasure_upper=erasure_upper_bound_binary(pd),
                 feedback_capacity=feedback_lower_bound(1, pd, 0.0),
-                solver_status=block.status,
             )
         )
     return rows

@@ -30,7 +30,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..infotheory.entropy import binary_entropy, mutual_information
+from ..infotheory.entropy import binary_entropy
 from ..infotheory.kernels import BATCH_SOLVER, blahut_arimoto_batch
 from ..numerics import SolverStatus, record_status
 from ..store import cached_batch, code_fingerprint
@@ -178,17 +178,11 @@ class BlockBoundResult:
     ----------
     block_length:
         ``n``.
-    max_block_information:
-        ``max_{p(x^n)} I(X^n; Y)`` in bits (Blahut-Arimoto).
-    iid_block_information:
-        ``I`` under i.i.d. uniform inputs, in bits.
     lower_bound:
         Dobrushin-corrected capacity lower bound
-        ``(max I_n - log2(n+1)) / n`` bits/symbol.
-    iid_rate:
-        ``iid_block_information / n`` — the rate i.i.d. inputs achieve
-        ignoring the block-boundary penalty (a useful diagnostic, not a
-        formal bound).
+        ``(max I_n - log2(n+1)) / n`` bits/symbol, where
+        ``max I_n = max_{p(x^n)} I(X^n; Y)`` is the Blahut-Arimoto
+        block information in bits.
     status:
         :class:`repro.numerics.SolverStatus` of the inner
         Blahut-Arimoto solve: ``converged`` means its bracket is no
@@ -197,10 +191,7 @@ class BlockBoundResult:
     """
 
     block_length: int
-    max_block_information: float
-    iid_block_information: float
     lower_bound: float
-    iid_rate: float
     status: SolverStatus = SolverStatus.CONVERGED
 
 
@@ -218,18 +209,13 @@ def _solve_block_points(
     each point ends exactly as if solved alone."""
     stack, _groups = deletion_block_transition_stack(n, pds)
     solved = blahut_arimoto_batch(stack, tol=tol).unbatch()
-    uniform = np.full(stack.shape[1], 1.0 / stack.shape[1])
     results = []
-    for i, ba in enumerate(solved):
-        iid_info = mutual_information(uniform, stack[i])
+    for ba in solved:
         lower = max(0.0, (ba.capacity - np.log2(n + 1)) / n)
         results.append(
             BlockBoundResult(
                 block_length=n,
-                max_block_information=ba.capacity,
-                iid_block_information=iid_info,
                 lower_bound=float(lower),
-                iid_rate=iid_info / n,
                 status=ba.status,
             )
         )

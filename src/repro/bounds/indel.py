@@ -28,7 +28,6 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ..core.capacity import erasure_upper_bound
-from ..infotheory.entropy import mutual_information
 from ..infotheory.kernels import BATCH_SOLVER, blahut_arimoto_batch
 from ..infotheory.probability import validate_probability
 from ..numerics import SolverStatus, record_status
@@ -156,20 +155,13 @@ class IndelBlockResult:
     block_length: int
     deletion_prob: float
     insertion_prob: float
-    max_block_information: float
-    iid_block_information: float
     lower_bound: float
     erasure_upper: float
-    truncated_mass: float
     status: SolverStatus = SolverStatus.CONVERGED
 
     def __post_init__(self) -> None:
         validate_probability(self.deletion_prob, "deletion_prob")
         validate_probability(self.insertion_prob, "insertion_prob")
-
-    @property
-    def bracket_width(self) -> float:
-        return self.erasure_upper - self.lower_bound
 
 
 def _record_indel_status(result: IndelBlockResult) -> None:
@@ -186,11 +178,10 @@ def _solve_indel_points(
     tol: float,
 ) -> List[IndelBlockResult]:
     """Solve a set of grid points with one batched kernel invocation."""
-    stack, groups, tails = indel_block_transition_stack(
+    stack, groups, _tails = indel_block_transition_stack(
         n, points, max_extra=max_extra
     )
     batch = blahut_arimoto_batch(stack, tol=tol)
-    uniform = np.full(stack.shape[1], 1.0 / stack.shape[1])
     num_lengths = len(groups) + 1  # possible output lengths + overflow
     results = []
     for i, (pd, pi) in enumerate(points):
@@ -201,11 +192,8 @@ def _solve_indel_points(
                 block_length=n,
                 deletion_prob=pd,
                 insertion_prob=pi,
-                max_block_information=capacity,
-                iid_block_information=mutual_information(uniform, stack[i]),
                 lower_bound=float(lower),
                 erasure_upper=erasure_upper_bound(1, pd),
-                truncated_mass=float(tails[i]),
                 status=batch.statuses[i],
             )
         )

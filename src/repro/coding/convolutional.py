@@ -181,11 +181,3 @@ class ConvolutionalCode:
         if terminated:
             bits = bits[: steps - self.memory]
         return bits
-
-    def decode_hard(self, coded: np.ndarray, *, terminated: bool = True) -> np.ndarray:
-        """Hard-decision Viterbi: 0/1 coded bits to information bits."""
-        coded = np.asarray(coded, dtype=np.int64)
-        if coded.size and not np.all((coded == 0) | (coded == 1)):
-            raise ValueError("coded bits must be 0/1")
-        llrs = 1.0 - 2.0 * coded.astype(float)
-        return self.viterbi_decode(llrs, terminated=terminated)

@@ -26,9 +26,8 @@ masks, and scatter/gather index tables are precomputed as
 ``(max_insertions + 1, window)`` arrays, the forward scatter collapses
 to a single ``np.bincount`` over precomputed flat targets, and the
 backward/posterior passes are gathers from a zero-padded column. The
-pre-vectorization position-by-position loops are retained as
-``decode_reference`` / ``log_likelihood_reference`` — the oracle the
-test suite holds the batched kernel to (agreement to 1e-12).
+pre-vectorization position-by-position loops live beside the tests
+that hold the batched kernel to them (agreement to 1e-12).
 """
 
 from __future__ import annotations
@@ -110,17 +109,6 @@ class DriftChannelModel:
         self.max_insertions = max_insertions
 
     # ------------------------------------------------------------------
-    def _window(self) -> np.ndarray:
-        return np.arange(-self.max_drift, self.max_drift + 1)
-
-    def _emission_probs(
-        self, y: np.ndarray, j_start: int, count: int
-    ) -> float:
-        """Probability that *count* inserted (uniform) bits match
-        ``y[j_start : j_start + count]`` — each uniform bit matches any
-        observed value with probability 1/2."""
-        return 0.5**count
-
     def _validate(
         self, received: np.ndarray, prior_one: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, int, int]:
@@ -363,229 +351,6 @@ class DriftChannelModel:
                 log_total += np.log(total)
                 fwd = nxt / total
             return float(log_total + safe_log(fwd[d_final + dmax]))
-
-    # ------------------------------------------------------------------
-    # Scalar reference implementations (pre-vectorization kernels).
-
-    def decode_reference(
-        self,
-        received: np.ndarray,
-        prior_one: np.ndarray,
-    ) -> DriftDecodeResult:
-        """Position-by-position reference forward-backward.
-
-        The pre-vectorization kernel, kept as the oracle for the
-        batched :meth:`decode`: the test suite asserts posterior and
-        likelihood agreement to 1e-12 on randomized ``(P_d, P_i, P_s)``
-        grids. Prefer :meth:`decode` everywhere else — it is several
-        times faster.
-        """
-        y, priors, n, m = self._validate(received, prior_one)
-
-        dmax = self.max_drift
-        width = 2 * dmax + 1
-        kmax = self.max_insertions
-        ins_coeff = (self.pi * 0.5) ** np.arange(kmax + 1)
-        w_idx = np.arange(width)
-        # Padded copy so gathered indices never wrap; validity masks
-        # zero out the padded reads.
-        y_pad = np.concatenate([y, np.zeros(kmax + 2, dtype=np.int64)])
-
-        def shifted(arr: np.ndarray, shift: int) -> np.ndarray:
-            """``out[w] = arr[w + shift]`` with zero fill."""
-            if shift == 0:
-                return arr
-            out = np.zeros_like(arr)
-            if shift > 0:
-                out[: width - shift] = arr[shift:]
-            else:
-                out[-shift:] = arr[:width + shift]
-            return out
-
-        def emit_probs(jk: np.ndarray, prob1: float) -> np.ndarray:
-            obs = y_pad[np.clip(jk, 0, m + kmax)]
-            return np.where(
-                obs == 1,
-                prob1 * (1 - self.ps) + (1 - prob1) * self.ps,
-                prob1 * self.ps + (1 - prob1) * (1 - self.ps),
-            )
-
-        # Forward pass. F[t, w] = P(y[:t + (w - dmax)] , drift index w
-        # before transmitted bit t), scaled per step. Each step handles
-        # the (deletion, transmission) branches for every insertion
-        # count k at once via window shifts.
-        fwd = np.zeros((n + 1, width))
-        fwd[0, dmax] = 1.0  # zero drift at the start
-        scale = np.zeros(n + 1)
-        for t in range(n):
-            prob1 = float(priors[t])
-            j_vec = t + w_idx - dmax  # next unread output per state
-            reachable = (fwd[t] > 0) & (j_vec >= 0)
-            nxt = np.zeros(width)
-            for k in range(kmax + 1):
-                jk = j_vec + k
-                base_k = np.where(reachable & (jk <= m), fwd[t], 0.0)
-                base_k = base_k * ins_coeff[k]
-                # Deletion: target drift w + (k - 1); scatter = reverse
-                # gather with the opposite shift.
-                nxt += shifted(base_k * self.pd, -(k - 1))
-                # Transmission: target w + k, needs jk < m.
-                tx = np.where(jk < m, base_k * self.pt * emit_probs(jk, prob1), 0.0)
-                nxt += shifted(tx, -k)
-            total = nxt.sum()
-            if not np.isfinite(total) or total <= 0:
-                raise ValueError(
-                    "received stream has zero or non-finite likelihood "
-                    "under the model (drift window too small or "
-                    "parameters inconsistent)"
-                )
-            scale[t + 1] = np.log(total)
-            fwd[t + 1] = nxt / total
-
-        # The frame ends with drift d_final = m - n; require it in
-        # window (otherwise the likelihood of the truncation is zero).
-        d_final = m - n
-        if not -dmax <= d_final <= dmax:
-            raise ValueError(
-                f"final drift {d_final} outside the window +-{dmax}"
-            )
-
-        # Backward pass. B[t, w] = P(y[t + (w-dmax):] | drift w at t):
-        # gather B[t+1] at the branch targets.
-        bwd = np.zeros((n + 1, width))
-        bwd[n, d_final + dmax] = 1.0
-        for t in range(n - 1, -1, -1):
-            prob1 = float(priors[t])
-            j_vec = t + w_idx - dmax
-            valid_state = j_vec >= 0
-            cur = np.zeros(width)
-            b_next = bwd[t + 1]
-            for k in range(kmax + 1):
-                jk = j_vec + k
-                ok_del = valid_state & (jk <= m)
-                cur += np.where(
-                    ok_del,
-                    ins_coeff[k] * self.pd * shifted(b_next, k - 1),
-                    0.0,
-                )
-                ok_tx = valid_state & (jk < m)
-                cur += np.where(
-                    ok_tx,
-                    ins_coeff[k]
-                    * self.pt
-                    * emit_probs(jk, prob1)
-                    * shifted(b_next, k),
-                    0.0,
-                )
-            total = cur.sum()
-            bwd[t] = cur / total if total > 0 else cur
-
-        log_likelihood = float(scale[1:].sum()) + float(
-            safe_log(fwd[n, d_final + dmax])
-        )
-
-        # Posteriors: split each transmission branch by bit value.
-        posteriors = np.empty(n)
-        drift_map = np.empty(n, dtype=np.int64)
-        for t in range(n):
-            prob1 = float(priors[t])
-            j_vec = t + w_idx - dmax
-            reachable = (fwd[t] > 0) & (j_vec >= 0)
-            b_next = bwd[t + 1]
-            num1 = 0.0
-            den = 0.0
-            for k in range(kmax + 1):
-                jk = j_vec + k
-                base_k = np.where(reachable, fwd[t], 0.0) * ins_coeff[k]
-                # Deletion branch: bit unobserved, prior passes through.
-                val = np.where(
-                    jk <= m,
-                    base_k * self.pd * shifted(b_next, k - 1),
-                    0.0,
-                ).sum()
-                den += val
-                num1 += val * prob1
-                # Transmission branch: split the emission by bit value.
-                obs = y_pad[np.clip(jk, 0, m + kmax)]
-                p1 = np.where(obs == 1, 1 - self.ps, self.ps)
-                p0 = np.where(obs == 0, 1 - self.ps, self.ps)
-                common = np.where(
-                    jk < m,
-                    base_k * self.pt * shifted(b_next, k),
-                    0.0,
-                )
-                num1 += (common * prob1 * p1).sum()
-                den += (common * (prob1 * p1 + (1 - prob1) * p0)).sum()
-            posteriors[t] = num1 / den if den > 0 else prob1
-            joint = fwd[t] * bwd[t]
-            drift_map[t] = int(np.argmax(joint)) - dmax
-
-        return DriftDecodeResult(
-            posteriors=posteriors,
-            log_likelihood=log_likelihood,
-            drift_map=drift_map,
-        )
-
-    def log_likelihood_reference(
-        self, received: np.ndarray, prior_one: np.ndarray
-    ) -> float:
-        """Position-by-position reference of :meth:`log_likelihood`
-        (pre-vectorization kernel, kept as the test oracle)."""
-        y, priors, n, m = self._validate(received, prior_one)
-        dmax = self.max_drift
-        d_final = m - n
-        if not -dmax <= d_final <= dmax:
-            raise ValueError(
-                f"final drift {d_final} outside the window +-{dmax}"
-            )
-        width = 2 * dmax + 1
-        kmax = self.max_insertions
-        fwd = np.zeros(width)
-        fwd[dmax] = 1.0
-        log_total = 0.0
-        ins_coeff = (self.pi * 0.5) ** np.arange(kmax + 1)
-        # Pad the received stream so gathered indices never wrap; the
-        # validity masks below zero out the padded reads.
-        y_pad = np.concatenate([y, np.zeros(kmax + 2, dtype=np.int64)])
-        w_idx = np.arange(width)
-        for t in range(n):
-            prob1 = float(priors[t])
-            nxt = np.zeros(width)
-            j_vec = t + w_idx - dmax  # next unread output per state
-            reachable = (fwd > 0) & (j_vec >= 0)
-            for k in range(kmax + 1):
-                jk = j_vec + k
-                base_k = np.where(reachable & (jk <= m), fwd, 0.0) * ins_coeff[k]
-                # Deletion branch: drift shifts by k - 1.
-                shift = k - 1
-                contrib = base_k * self.pd
-                if shift >= 0:
-                    nxt[shift:] += contrib[: width - shift]
-                else:
-                    nxt[:-1] += contrib[1:]
-                # Transmission branch: drift shifts by k; needs jk < m.
-                obs = y_pad[np.clip(jk, 0, m + kmax)]
-                emit = np.where(
-                    obs == 1,
-                    prob1 * (1 - self.ps) + (1 - prob1) * self.ps,
-                    prob1 * self.ps + (1 - prob1) * (1 - self.ps),
-                )
-                tx = np.where(jk < m, base_k * self.pt * emit, 0.0)
-                if k > 0:
-                    nxt[k:] += tx[: width - k]
-                else:
-                    nxt += tx
-            total = nxt.sum()
-            if not np.isfinite(total) or total <= 0:
-                raise ValueError(
-                    "received stream has zero or non-finite likelihood "
-                    "under the model"
-                )
-            log_total += np.log(total)
-            fwd = nxt / total
-        return float(
-            log_total + safe_log(fwd[d_final + dmax])
-        )
 
     # ------------------------------------------------------------------
     def transmit(

@@ -37,14 +37,11 @@ class ChannelEstimate:
         The ML point estimate.
     log_likelihood:
         Total pilot log-likelihood at the estimate.
-    grid_evaluations:
-        Number of likelihood evaluations spent.
     """
 
     insertion_prob: float
     deletion_prob: float
     log_likelihood: float
-    grid_evaluations: int
 
     def __post_init__(self) -> None:
         validate_probability(self.insertion_prob, "insertion_prob")
@@ -116,14 +113,11 @@ def estimate_channel_parameters(
             for x, y in zip(pilots, received)
         )
         max_drift = max(12, worst + 8)
-    evaluations = 0
     # A large finite penalty keeps Nelder-Mead's simplex arithmetic
     # well-defined when a candidate leaves the feasible region.
     penalty = 1e12
 
     def objective(params: np.ndarray) -> float:
-        nonlocal evaluations
-        evaluations += 1
         pi, pd = float(params[0]), float(params[1])
         if not (0.0 <= pi <= 0.45 and 0.0 <= pd <= 0.45):
             return penalty
@@ -155,5 +149,4 @@ def estimate_channel_parameters(
         insertion_prob=pi_hat,
         deletion_prob=pd_hat,
         log_likelihood=float(-result.fun),
-        grid_evaluations=evaluations,
     )

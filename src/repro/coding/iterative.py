@@ -57,13 +57,8 @@ class IterativeDecodeResult:
         Decoded information bits.
     bit_error_rate:
         Against ``true_payload`` when provided.
-    iterations_run:
-        How many inner/outer rounds executed.
     converged:
         Whether the outer code's syndrome check passed (early stop).
-    per_iteration_ber:
-        BER after each round (only when ``true_payload`` is given) —
-        the series experiment E11 reports.
     status:
         Terminal :class:`repro.numerics.SolverStatus` of the outer
         loop; the residual tracked is the syndrome weight, so a loop
@@ -73,9 +68,7 @@ class IterativeDecodeResult:
 
     payload: np.ndarray
     bit_error_rate: Optional[float]
-    iterations_run: int
     converged: bool
-    per_iteration_ber: tuple
     status: SolverStatus = SolverStatus.CONVERGED
 
 
@@ -175,8 +168,7 @@ class IterativeWatermarkCode:
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
         f = self.codebook.mean_density
-        # Coded-bit beliefs start uniform; sparse positions at density f.
-        coded_p1 = np.full(self._coded_padded, 0.5)
+        # Sparse-position beliefs start at the codebook density f.
         pos_sparse1 = np.full(self.frame_length, f)
         truth = (
             np.asarray(true_payload, dtype=np.int64)
@@ -184,7 +176,6 @@ class IterativeWatermarkCode:
             else None
         )
         payload = np.zeros(self.payload_bits, dtype=np.int64)
-        bers = []
         # The residual is the outer code's syndrome weight: zero means
         # the syndrome check passed (the legacy ``converged`` flag).
         guard = IterationGuard(
@@ -211,8 +202,6 @@ class IterativeWatermarkCode:
                 coded_llrs, max_iterations=30
             )
             payload = self.ldpc.extract_message(decoded)
-            if truth is not None:
-                bers.append(float((payload != truth).mean()))
             syndrome_weight = float(self.ldpc.syndrome(decoded).sum())
             status = guard.update(syndrome_weight, value=payload)
             if status is not None:
@@ -235,9 +224,7 @@ class IterativeWatermarkCode:
         return IterativeDecodeResult(
             payload=payload,
             bit_error_rate=ber,
-            iterations_run=guard.iterations,
             converged=status is SolverStatus.CONVERGED,
-            per_iteration_ber=tuple(bers),
             status=status,
         )
 

@@ -37,18 +37,12 @@ class StackDecodeResult:
     ----------
     payload:
         Decoded information bits (without the flush tail).
-    metric:
-        Final Fano metric of the winning path.
-    nodes_expanded:
-        Search effort (tree nodes popped from the stack).
     completed:
         False if the node budget ran out before reaching the end of the
         frame; the best partial path's bits are returned anyway.
     """
 
     payload: np.ndarray
-    metric: float
-    nodes_expanded: int
     completed: bool
 
 
@@ -155,7 +149,7 @@ class StackDecoder:
         # Node: (neg_metric, tiebreak, step, state, out_pos, bits_tuple)
         counter = itertools.count()
         heap = [(-0.0, next(counter), 0, 0, 0, ())]
-        best_partial = (0.0, 0, ())  # (metric, step, bits)
+        best_partial = (0, ())  # (step, bits)
         nodes = 0
         while heap and nodes < self.max_nodes:
             neg_metric, _tb, step, state, j, bits = heapq.heappop(heap)
@@ -174,15 +168,10 @@ class StackDecoder:
                         payload = np.asarray(
                             bits[:num_payload_bits], dtype=np.int64
                         )
-                        return StackDecodeResult(
-                            payload=payload,
-                            metric=metric + float(tail_lp),
-                            nodes_expanded=nodes,
-                            completed=True,
-                        )
+                        return StackDecodeResult(payload=payload, completed=True)
                 continue
-            if step > best_partial[1]:
-                best_partial = (metric, step, bits)
+            if step > best_partial[0]:
+                best_partial = (step, bits)
             drift = j - step * nsym
             if abs(drift) > self.max_drift * nsym:
                 continue
@@ -219,13 +208,8 @@ class StackDecoder:
                     )
 
         # Budget exhausted: return the deepest partial path, zero-padded.
-        _metric, step, bits = best_partial
+        step, bits = best_partial
         payload = np.zeros(num_payload_bits, dtype=np.int64)
         got = min(len(bits), num_payload_bits)
         payload[:got] = bits[:got]
-        return StackDecodeResult(
-            payload=payload,
-            metric=float(_metric),
-            nodes_expanded=nodes,
-            completed=False,
-        )
+        return StackDecodeResult(payload=payload, completed=False)

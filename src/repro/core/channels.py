@@ -34,11 +34,9 @@ class TransmissionRecord:
 
     Attributes
     ----------
-    sent:
-        The symbols offered by the sender, in order.
     received:
         The symbols observed by the receiver, in order. Its length
-        differs from ``len(sent)`` when deletions/insertions occurred.
+        differs from the input's when deletions/insertions occurred.
     events:
         The per-use event stream (:class:`ChannelEvent` codes). The
         stream stops once the input queue is exhausted.
@@ -47,37 +45,16 @@ class TransmissionRecord:
         place, deleted symbols replaced by :data:`ERASURE`, inserted
         symbols removed. Only populated when the channel was built with
         ``reveal_locations=True`` (the Theorem 1/4 genie).
-    sent_consumed:
-        How many input symbols the channel consumed (deleted or
-        transmitted); equals ``len(sent)`` unless ``num_uses`` truncated
-        the run.
     """
 
-    sent: np.ndarray
     received: np.ndarray
     events: np.ndarray
     erasure_view: Optional[np.ndarray] = None
-    sent_consumed: int = 0
 
     @property
     def num_uses(self) -> int:
         """Number of channel uses that occurred."""
         return int(self.events.shape[0])
-
-    @property
-    def num_deletions(self) -> int:
-        return int(np.count_nonzero(self.events == ChannelEvent.DELETION))
-
-    @property
-    def num_insertions(self) -> int:
-        return int(np.count_nonzero(self.events == ChannelEvent.INSERTION))
-
-    @property
-    def num_transmissions(self) -> int:
-        return int(
-            np.count_nonzero(self.events == ChannelEvent.TRANSMISSION)
-            + np.count_nonzero(self.events == ChannelEvent.SUBSTITUTION)
-        )
 
 
 class DeletionInsertionChannel:
@@ -200,7 +177,6 @@ class DeletionInsertionChannel:
                     break
 
         return TransmissionRecord(
-            sent=queue,
             received=np.asarray(received, dtype=np.int64),
             events=np.asarray(events, dtype=np.int64),
             erasure_view=(
@@ -208,5 +184,4 @@ class DeletionInsertionChannel:
                 if erasure_view is not None
                 else None
             ),
-            sent_consumed=qpos,
         )

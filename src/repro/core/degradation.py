@@ -64,7 +64,6 @@ class DegradationFit:
     slope: float
     intercept: float
     r_squared: float
-    max_abs_residual: float
 
 
 def fit_degradation(
@@ -85,7 +84,6 @@ def fit_degradation(
         slope=float(slope),
         intercept=float(intercept),
         r_squared=r2,
-        max_abs_residual=float(np.abs(residuals).max()),
     )
 
 

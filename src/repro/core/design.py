@@ -42,8 +42,6 @@ class WidthDesign:
 
     bits_per_symbol: int
     rate_per_time: float
-    rate_per_slot: float
-    symbol_time: float
 
 
 def symbol_time(
@@ -93,8 +91,6 @@ def width_sweep(
             WidthDesign(
                 bits_per_symbol=n,
                 rate_per_time=per_slot / t,
-                rate_per_slot=per_slot,
-                symbol_time=t,
             )
         )
     return out

@@ -16,14 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
-from .capacity import (
-    erasure_upper_bound,
-    feedback_lower_bound,
-    feedback_time_coefficient,
-)
-from .events import ChannelParameters, empirical_parameters
+from .capacity import erasure_upper_bound, feedback_lower_bound
+from .events import ChannelParameters
 
 __all__ = ["CapacityReport", "CapacityEstimator"]
 
@@ -153,12 +149,3 @@ class CapacityEstimator:
             corrected_physical=corrected_physical,
         )
 
-    def estimate_from_events(self, events: Iterable[int]) -> CapacityReport:
-        """Measure ``(P_d, P_i, P_t, P_s)`` from an event stream, then
-        estimate. This is the full §4.3 workflow against observed system
-        behavior (e.g. a scheduler trace from :mod:`repro.os_model`)."""
-        return self.estimate(empirical_parameters(events))
-
-    def time_coefficient(self, params: ChannelParameters) -> float:
-        """The eq. (2) sender-slot coefficient ``(1-P_d)/(1-P_i)``."""
-        return feedback_time_coefficient(params.deletion, params.insertion)

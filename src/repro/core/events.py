@@ -18,8 +18,6 @@ from typing import Iterable
 
 import numpy as np
 
-from ..infotheory.probability import is_zero
-
 __all__ = [
     "ChannelEvent",
     "ChannelParameters",
@@ -149,16 +147,6 @@ class ChannelParameters:
             transmission=max(0.0, transmission),
             substitution=substitution,
         )
-
-    @property
-    def is_noiseless(self) -> bool:
-        """True when there are no substitution errors (``P_s = 0``)."""
-        return bool(is_zero(self.substitution))
-
-    @property
-    def is_synchronous(self) -> bool:
-        """True when there are neither deletions nor insertions."""
-        return bool(is_zero(self.deletion) and is_zero(self.insertion))
 
     def event_distribution(self) -> np.ndarray:
         """Distribution over the four :class:`ChannelEvent` values.

@@ -21,7 +21,6 @@ cached entry points.
 from .knn import (
     mixed_mi_contributions,
     mixed_mutual_information,
-    mixed_mutual_information_reference,
     tie_break_jitter,
 )
 from .optimize import (
@@ -40,7 +39,6 @@ from .samplers import (
 __all__ = [
     "mixed_mi_contributions",
     "mixed_mutual_information",
-    "mixed_mutual_information_reference",
     "tie_break_jitter",
     "SampleCapacityResult",
     "estimate_sample_capacity",

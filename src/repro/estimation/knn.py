@@ -27,7 +27,7 @@ Counting conventions matter at the half-bit level and are pinned by the
 property suite (``tests/estimation/test_knn.py``): radii come from the
 k-th neighbour *excluding* the query point, and ball counts likewise
 exclude the query point. The naive O(n²) reference implementation
-(:func:`mixed_mutual_information_reference`) shares the exact
+beside the tests (``tests/estimation/oracles.py``) shares the exact
 arithmetic — including the jitter — so the sorted and tree paths are
 gated by bit-identity, the same scalar-oracle pattern the vectorized
 lattice kernels use.
@@ -49,7 +49,6 @@ __all__ = [
     "tie_break_jitter",
     "mixed_mutual_information",
     "mixed_mi_contributions",
-    "mixed_mutual_information_reference",
 ]
 
 #: Relative amplitude of the tie-breaking jitter. Far below any real
@@ -267,44 +266,3 @@ def mixed_mutual_information(
     return float(
         np.mean(mixed_mi_contributions(labels, y, k=k, rng=rng))
     )
-
-
-def mixed_mutual_information_reference(
-    labels: np.ndarray,
-    y: np.ndarray,
-    *,
-    k: int = 8,
-    rng: np.random.Generator,
-    return_contributions: bool = False,
-) -> "float | np.ndarray":
-    """Naive O(n²) mixed estimator — the bit-identical oracle.
-
-    Identical jitter draws and digamma arithmetic to
-    :func:`mixed_mutual_information`; neighbour radii and pooled counts
-    come from full pairwise Chebyshev scans. The benchmark suite holds
-    the fast paths to a >= 5x speedup over this scan at n = 4096.
-    """
-    lab, arr = _validate_mixed_inputs(labels, y)
-    _validate_k(k, lab.size)
-    yj = tie_break_jitter(arr, rng)
-    n = lab.size
-    dist = np.max(np.abs(yj[:, None, :] - yj[None, :, :]), axis=2)
-    class_size = np.empty(n, dtype=float)
-    radius = np.empty(n, dtype=float)
-    for symbol in np.unique(lab):
-        idx = np.flatnonzero(lab == symbol)
-        if idx.size <= k:
-            raise ValueError(
-                f"symbol {int(symbol)} has {idx.size} samples; the mixed "
-                f"estimator needs more than k = {k} per symbol"
-            )
-        sub = dist[np.ix_(idx, idx)]
-        radius[idx] = np.sort(sub, axis=1)[:, k]
-        class_size[idx] = idx.size
-    pooled = (
-        np.count_nonzero(dist <= radius[:, None], axis=1).astype(float) - 1.0
-    )
-    contributions = _mixed_contributions(lab, class_size, pooled, k)
-    if return_contributions:
-        return contributions
-    return float(np.mean(contributions))

@@ -96,13 +96,13 @@ class SampleCapacityResult:
         ``(even, odd)`` MI estimates from the deterministic
         even/odd-index split of the final evaluation's contributions —
         their spread is a direct variance read on the estimate.
-    half_sample_mi:
-        MI re-estimated from the first half of the (shuffled) final
-        sample, or ``nan`` when a symbol class would drop to ``<= k``
-        samples. ``bits_per_symbol - half_sample_mi`` tracks the
-        finite-sample bias trend (kNN MI bias shrinks with ``n``).
     diagnostics:
-        Guard trace; notes carry the bias/variance characterization.
+        Guard trace; notes carry the bias/variance characterization,
+        among them ``half_sample_mi``: MI re-estimated from the first
+        half of the (shuffled) final sample, or ``skipped_small_class``
+        when a symbol class would drop to ``<= k`` samples.
+        ``bits_per_symbol - half_sample_mi`` tracks the finite-sample
+        bias trend (kNN MI bias shrinks with ``n``).
     """
 
     capacity: float
@@ -114,7 +114,6 @@ class SampleCapacityResult:
     iterations: int
     status: SolverStatus = SolverStatus.CONVERGED
     split_estimates: Tuple[float, float] = (float("nan"), float("nan"))
-    half_sample_mi: float = float("nan")
     diagnostics: Optional[SolverDiagnostics] = None
 
     @property
@@ -281,10 +280,8 @@ def _solve_sample_capacity(
             k=k,
             rng=factory.fresh("estimation/half/jitter"),
         )
-        half_mi = float(np.mean(half_xi))
-        half_note = f"half_sample_mi={half_mi:.6f}"
+        half_note = f"half_sample_mi={float(np.mean(half_xi)):.6f}"
     else:
-        half_mi = float("nan")
         half_note = "half_sample_mi=skipped_small_class"
     notes = (
         f"split_even={split_even:.6f}",
@@ -304,7 +301,6 @@ def _solve_sample_capacity(
         iterations=guard.iterations,
         status=status,
         split_estimates=(split_even, split_odd),
-        half_sample_mi=half_mi,
         diagnostics=guard.diagnostics(notes=notes),
     )
 

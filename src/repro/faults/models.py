@@ -62,10 +62,6 @@ class EventStreamModel(abc.ABC):
     def reset(self) -> None:
         """Return the model to its initial state."""
 
-    @abc.abstractmethod
-    def expected_parameters(self) -> ChannelParameters:
-        """Long-run average :class:`ChannelParameters` of the stream."""
-
 
 def _sample_from_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Vectorized categorical draw: one event per row of *probs*."""
@@ -90,9 +86,6 @@ class IIDEventModel(EventStreamModel):
 
     def reset(self) -> None:  # stateless
         pass
-
-    def expected_parameters(self) -> ChannelParameters:
-        return self.params
 
 
 class GilbertElliottModel(EventStreamModel):
@@ -135,24 +128,6 @@ class GilbertElliottModel(EventStreamModel):
     def reset(self) -> None:
         self.state = self.GOOD
         self.bad_uses = 0
-
-    @property
-    def stationary_bad_fraction(self) -> float:
-        """Long-run fraction of uses spent in the bad state."""
-        return self.p_gb / (self.p_gb + self.p_bg)
-
-    def expected_parameters(self) -> ChannelParameters:
-        w = self.stationary_bad_fraction
-        mix = (1.0 - w) * self.good.event_distribution() + w * (
-            self.bad.event_distribution()
-        )
-        transmission = mix[2] + mix[3]
-        return ChannelParameters(
-            deletion=float(mix[0]),
-            insertion=float(mix[1]),
-            transmission=float(transmission),
-            substitution=float(mix[3] / transmission) if transmission else 0.0,
-        )
 
     def _sample_states(self, num_uses: int, rng: np.random.Generator) -> np.ndarray:
         """Advance the state chain *num_uses* steps (per-use draws)."""
@@ -207,24 +182,6 @@ class DriftingParameterModel(EventStreamModel):
 
     def reset(self) -> None:
         self.t = 0
-
-    def expected_parameters(self) -> ChannelParameters:
-        # Long-run behaviour is dominated by the post-ramp plateau.
-        return self.end
-
-    def params_at(self, t: int) -> ChannelParameters:
-        """The interpolated parameter bundle at channel use *t*."""
-        frac = min(1.0, max(0.0, t / self.ramp_uses))
-        mix = (1.0 - frac) * self.start.event_distribution() + frac * (
-            self.end.event_distribution()
-        )
-        transmission = mix[2] + mix[3]
-        return ChannelParameters(
-            deletion=float(mix[0]),
-            insertion=float(mix[1]),
-            transmission=float(transmission),
-            substitution=float(mix[3] / transmission) if transmission else 0.0,
-        )
 
     def sample(self, num_uses: int, rng: np.random.Generator) -> np.ndarray:
         if num_uses < 0:
@@ -291,21 +248,6 @@ class FeedbackFaultModel:
                 "ack_loss_prob + ack_delay_prob + ack_corrupt_prob must "
                 f"not exceed 1, got {bad}"
             )
-
-    @property
-    def is_perfect(self) -> bool:
-        """True when the feedback path has no faults at all."""
-        return bool(
-            is_zero(self.ack_loss_prob)
-            and is_zero(self.ack_delay_prob)
-            and is_zero(self.ack_corrupt_prob)
-            and is_zero(self.desync_prob)
-        )
-
-    @property
-    def ack_failure_prob(self) -> float:
-        """Probability an ack does not arrive intact and on time."""
-        return self.ack_loss_prob + self.ack_delay_prob + self.ack_corrupt_prob
 
     def ack_outcome(self, rng: np.random.Generator) -> AckOutcome:
         """Sample the fate of one acknowledgment."""

@@ -3,7 +3,7 @@
 A :class:`DiscreteMemorylessChannel` wraps a row-stochastic transition
 matrix ``P(y|x)`` and provides capacity computation (closed-form where
 known, Blahut-Arimoto otherwise), mutual information under a given input
-distribution, sampling, and composition (cascade / product channels).
+distribution, and sampling.
 
 The converted channel of Wang & Lee's Appendix A (Figure 5) is an
 instance of this class; see
@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .blahut_arimoto import BlahutArimotoResult, blahut_arimoto
-from .entropy import mutual_information, validate_distribution
+from .entropy import mutual_information
 
 __all__ = ["DiscreteMemorylessChannel"]
 
@@ -93,37 +93,6 @@ class DiscreteMemorylessChannel:
         """Full Blahut-Arimoto result (capacity + optimal input)."""
         return blahut_arimoto(self._w, tol=tol)
 
-    def output_distribution(self, input_dist: np.ndarray) -> np.ndarray:
-        """Marginal ``P(y)`` induced by *input_dist*."""
-        px = validate_distribution(input_dist)
-        if px.shape[0] != self.num_inputs:
-            raise ValueError("input distribution has wrong length")
-        return px @ self._w
-
-    # ------------------------------------------------------------------
-    # Structural predicates
-    # ------------------------------------------------------------------
-    def is_symmetric(self, *, atol: float = 1e-9) -> bool:
-        """True if every row is a permutation of every other row and every
-        column is a permutation of every other column (Gallager-symmetric
-        channels achieve capacity with a uniform input)."""
-        rows = np.sort(self._w, axis=1)
-        cols = np.sort(self._w, axis=0)
-        return bool(
-            np.allclose(rows, rows[0], atol=atol)
-            and np.allclose(cols, cols[:, [0]], atol=atol)
-        )
-
-    def is_weakly_symmetric(self, *, atol: float = 1e-9) -> bool:
-        """True if rows are permutations of each other and columns all
-        have equal sums (Cover & Thomas weak symmetry)."""
-        rows = np.sort(self._w, axis=1)
-        col_sums = self._w.sum(axis=0)
-        return bool(
-            np.allclose(rows, rows[0], atol=atol)
-            and np.allclose(col_sums, col_sums[0], atol=atol)
-        )
-
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------
@@ -145,19 +114,3 @@ class DiscreteMemorylessChannel:
         rows = cdf[x]
         y = (u[:, None] > rows).sum(axis=1)
         return np.minimum(y, self.num_outputs - 1).astype(np.int64)
-
-    # ------------------------------------------------------------------
-    # Composition
-    # ------------------------------------------------------------------
-    def cascade(self, other: "DiscreteMemorylessChannel") -> "DiscreteMemorylessChannel":
-        """Serial composition: output of *self* feeds *other*."""
-        if self.num_outputs != other.num_inputs:
-            raise ValueError(
-                "cascade requires self.num_outputs == other.num_inputs"
-            )
-        return DiscreteMemorylessChannel(self._w @ other._w)
-
-    def product(self, other: "DiscreteMemorylessChannel") -> "DiscreteMemorylessChannel":
-        """Parallel (product) channel used independently side by side."""
-        w = np.kron(self._w, other._w)
-        return DiscreteMemorylessChannel(w)

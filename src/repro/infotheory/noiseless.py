@@ -45,7 +45,7 @@ def characteristic_root(durations: Sequence[float], *, tol: float = 1e-12) -> fl
     repro.numerics.BracketingError
         When the root cannot be bracketed before the expansion cap
         (vanishingly small durations push ``X0`` beyond 1e12); the
-        error carries the expansion trail for diagnosis.
+        error carries the last bracket for diagnosis.
     """
     t = np.asarray(durations, dtype=float)
     if t.ndim != 1 or t.size == 0:

@@ -22,7 +22,7 @@ rates and checks the measured `(P_d, P_i, P_s)` against them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -96,10 +96,6 @@ class PacketFlowConfig:
     def num_symbols(self) -> int:
         return len(self.gap_durations)
 
-    @property
-    def mean_duration(self) -> float:
-        return float(np.mean(self.gap_durations))
-
     def synchronous_capacity(self) -> float:
         """Naive traditional estimate: the Shannon noiseless-channel
         capacity of the gap alphabet (bits per second), assuming every
@@ -117,10 +113,9 @@ class FlowRecord:
     ----------
     message:
         Symbols the sender encoded.
-    observed_gaps:
-        Inter-arrival gaps the receiver measured, in order.
     decoded:
-        Nearest-duration decoding of the observed gaps.
+        Nearest-duration decoding of the inter-arrival gaps the
+        receiver measured.
     events:
         Ground-truth event labels, one per *channel use* in the
         Definition-1 sense (deletions consume a sent symbol and emit
@@ -130,7 +125,6 @@ class FlowRecord:
     """
 
     message: np.ndarray
-    observed_gaps: np.ndarray
     decoded: np.ndarray
     events: np.ndarray
     duration: float
@@ -142,18 +136,11 @@ def _nearest_symbol(gaps: np.ndarray, durations: np.ndarray) -> np.ndarray:
     return np.minimum(idx, durations.size - 1).astype(np.int64)
 
 
-def transmit_flow(
-    message: np.ndarray,
-    config: PacketFlowConfig,
-    rng: np.random.Generator,
-) -> FlowRecord:
-    """Send *message* as packet gaps through the configured network."""
-    msg = np.asarray(message, dtype=np.int64)
-    if msg.ndim != 1:
-        raise ValueError("message must be 1-D")
-    m = config.num_symbols
-    if msg.size and (msg.min() < 0 or msg.max() >= m):
-        raise ValueError("message symbol out of range")
+def _flow_arrivals(
+    msg: np.ndarray, config: PacketFlowConfig, rng: np.random.Generator
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Sorted receiver arrival times and the per-packet loss mask of
+    one flow; packet ``k + 1`` closes the gap of symbol ``k``."""
     durations = np.asarray(config.gap_durations)
 
     # Departure times: packet k at the cumulative sum of gaps; N symbols
@@ -175,7 +162,22 @@ def transmit_flow(
             # Copy lands a uniform fraction into the next gap.
             next_gap = gaps_sent[k] if k < gaps_sent.size else durations[0]
             arrivals.append(t + jitter + rng.uniform(0.1, 0.9) * next_gap)
-    arrivals_arr = np.sort(np.asarray(arrivals))
+    return np.sort(np.asarray(arrivals)), lost
+
+
+def transmit_flow(
+    message: np.ndarray,
+    config: PacketFlowConfig,
+    rng: np.random.Generator,
+) -> FlowRecord:
+    """Send *message* as packet gaps through the configured network."""
+    msg = np.asarray(message, dtype=np.int64)
+    if msg.ndim != 1:
+        raise ValueError("message must be 1-D")
+    if msg.size and (msg.min() < 0 or msg.max() >= config.num_symbols):
+        raise ValueError("message symbol out of range")
+    durations = np.asarray(config.gap_durations)
+    arrivals_arr, lost = _flow_arrivals(msg, config, rng)
     observed_gaps = np.diff(arrivals_arr)
 
     decoded = (
@@ -204,7 +206,6 @@ def transmit_flow(
 
     return FlowRecord(
         message=msg,
-        observed_gaps=observed_gaps,
         decoded=decoded,
         events=np.asarray(events, dtype=np.int64),
         duration=float(arrivals_arr[-1] - arrivals_arr[0]) if arrivals_arr.size else 0.0,

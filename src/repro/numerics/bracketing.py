@@ -45,8 +45,6 @@ class BracketDiagnostics:
         Function values at those endpoints.
     expansions:
         Geometric expansion steps taken.
-    trail:
-        The last few ``(hi, f(hi))`` pairs, most recent last.
     """
 
     solver: str
@@ -55,7 +53,6 @@ class BracketDiagnostics:
     f_lo: float
     f_hi: float
     expansions: int
-    trail: Tuple[Tuple[float, float], ...] = ()
 
     def describe(self) -> str:
         """One-line human-readable summary."""
@@ -87,7 +84,6 @@ def expand_bracket(
     grow: float = 2.0,
     hi_cap: float,
     solver: str = "bracket",
-    tail_length: int = 6,
 ) -> Tuple[float, float]:
     """Grow ``hi`` geometrically until ``f(hi) <= 0``.
 
@@ -99,7 +95,7 @@ def expand_bracket(
     ------
     BracketingError
         If ``hi`` exceeds *hi_cap* or ``f(hi)`` turns non-finite before
-        a sign change — with the expansion trail attached.
+        a sign change — with the last bracket attached.
     """
     if grow <= 1.0:
         raise ValueError("grow must be > 1")
@@ -107,7 +103,6 @@ def expand_bracket(
         raise ValueError("need hi > lo")
     f_lo = float(f(lo))
     f_hi = float(f(hi))
-    trail = [(float(hi), f_hi)]
     expansions = 0
     # Success requires a *finite* non-positive f(hi): a NaN compares
     # False against 0 and must not be mistaken for a sign change.
@@ -120,7 +115,6 @@ def expand_bracket(
                 f_lo=f_lo,
                 f_hi=f_hi,
                 expansions=expansions,
-                trail=tuple(trail[-tail_length:]),
             )
             record_status(solver, SolverStatus.ABORTED)
             raise BracketingError(
@@ -131,7 +125,6 @@ def expand_bracket(
         hi *= grow
         expansions += 1
         f_hi = float(f(hi))
-        trail.append((float(hi), f_hi))
     return float(lo), float(hi)
 
 

@@ -209,11 +209,6 @@ class IterationGuard:
             return self._finish(SolverStatus.MAX_ITER)
         return None
 
-    def abort(self) -> SolverStatus:
-        """Force an ``aborted`` status (non-finite iterate detected by
-        the caller outside the residual path)."""
-        return self._finish(SolverStatus.ABORTED)
-
     def _finish(self, status: SolverStatus) -> SolverStatus:
         self.status = status
         return status

@@ -99,8 +99,6 @@ class DetectionReport:
     interleaving: float
     coupling_bits: float
     flagged: bool
-    threshold_interleaving: float
-    threshold_coupling: float
 
     def summary(self) -> str:
         verdict = "COVERT CHANNEL SUSPECTED" if self.flagged else "clean"
@@ -138,6 +136,4 @@ def detect_covert_pair(
         interleaving=inter,
         coupling_bits=coupling,
         flagged=flagged,
-        threshold_interleaving=threshold_interleaving,
-        threshold_coupling=threshold_coupling,
     )

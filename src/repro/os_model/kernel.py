@@ -53,9 +53,6 @@ class KernelTrace:
     #: Per-quantum annotations appended by processes (e.g. 'send'/'recv').
     annotations: List[Optional[str]] = field(default_factory=list)
 
-    def runs_of(self, pid: int) -> int:
-        return sum(1 for p in self.schedule if p == pid)
-
     @property
     def num_quanta(self) -> int:
         return len(self.schedule)

@@ -62,30 +62,10 @@ def classify_trace(trace: KernelTrace) -> np.ndarray:
 class ChannelMeasurement:
     """Everything measured from one kernel run."""
 
-    scheduler_name: str
     params: ChannelParameters
     events: np.ndarray
     report: CapacityReport
     quanta: int
-    symbols_offered: int
-    symbols_received: int
-
-    @property
-    def uses_per_quantum(self) -> float:
-        """Channel uses per scheduling quantum (time-base conversion
-        between bits/use and bits/quantum)."""
-        return self.events.size / self.quanta if self.quanta else 0.0
-
-    @property
-    def corrected_capacity_per_quantum(self) -> float:
-        """The paper's corrected capacity in bits per quantum.
-
-        Note this erasure-bound figure is insensitive to insertions
-        (``(1 - P_d) x uses = insertions + transmissions`` per quantum
-        is just the receiver's scheduling share), so scheduler rankings
-        should use :attr:`achievable_per_quantum` instead.
-        """
-        return self.report.corrected_capacity * self.uses_per_quantum
 
     @property
     def sender_slots_per_quantum(self) -> float:
@@ -167,11 +147,8 @@ def run_oblivious_channel(
     )
     report = CapacityEstimator(bits_per_symbol).estimate(params)
     return ChannelMeasurement(
-        scheduler_name=scheduler.name,
         params=params,
         events=events,
         report=report,
         quanta=trace.num_quanta,
-        symbols_offered=sender.position,
-        symbols_received=len(receiver.samples),
     )

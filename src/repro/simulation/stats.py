@@ -32,14 +32,6 @@ class ConfidenceInterval:
     upper: float
     confidence: float
 
-    @property
-    def half_width(self) -> float:
-        return 0.5 * (self.upper - self.lower)
-
-    def contains(self, value: float) -> bool:
-        """Whether *value* lies inside the interval (inclusive)."""
-        return self.lower <= value <= self.upper
-
 
 def mean_confidence_interval(
     samples: Sequence[float], *, confidence: float = 0.95

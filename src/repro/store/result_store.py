@@ -153,10 +153,6 @@ class ResultStore:
             raise StoreError(f"invalid store key {key!r}")
         return self.objects_dir / key[:2] / key
 
-    def contains(self, key: str) -> bool:
-        """Whether a (possibly corrupt) entry exists for *key*."""
-        return (self.path_for(key) / MANIFEST_NAME).exists()
-
     # ------------------------------------------------------------------
     # read path
 

@@ -19,7 +19,6 @@ from ..core.capacity import (
     feedback_lower_bound,
     feedback_lower_bound_exact,
 )
-from ..simulation.mutual_information import plugin_mutual_information
 from .protocols import ProtocolRun, SynchronizationProtocol
 
 __all__ = [
@@ -45,10 +44,6 @@ class ProtocolMeasurement:
         Converted-channel capacity at the *measured* substitution rate,
         scaled to bits per sender slot — the rate a capacity-achieving
         code over the converted channel would realize on this run.
-    empirical_mi_per_symbol:
-        Plug-in mutual information between message and delivered
-        symbols, bits per delivered symbol (consistency check against
-        the converted-channel model).
     theoretical_lower_paper:
         The paper's Theorem 5 bound (eq. 2).
     theoretical_lower_exact:
@@ -61,14 +56,9 @@ class ProtocolMeasurement:
     run: ProtocolRun
     empirical_substitution_rate: float
     empirical_information_per_slot: float
-    empirical_mi_per_symbol: float
     theoretical_lower_paper: float
     theoretical_lower_exact: float
     theoretical_upper: float
-
-    @property
-    def throughput_per_slot(self) -> float:
-        return self.run.throughput_per_slot
 
     @property
     def throughput_per_use(self) -> float:
@@ -105,17 +95,6 @@ def measure_protocol(
     info_per_symbol = substitution_error_capacity(n, sub_rate)
     info_per_slot = run.information_rate_per_slot(info_per_symbol)
 
-    delivered = run.delivered
-    if delivered.size >= 2:
-        mi = plugin_mutual_information(
-            run.message[: delivered.size],
-            delivered,
-            nx=protocol.alphabet_size,
-            ny=protocol.alphabet_size,
-        )
-    else:
-        mi = 0.0
-
     if p.insertion < 1.0:
         lower_paper = feedback_lower_bound(n, p.deletion, p.insertion)
         lower_exact = feedback_lower_bound_exact(n, p.deletion, p.insertion)
@@ -126,7 +105,6 @@ def measure_protocol(
         run=run,
         empirical_substitution_rate=sub_rate,
         empirical_information_per_slot=info_per_slot,
-        empirical_mi_per_symbol=mi,
         theoretical_lower_paper=lower_paper,
         theoretical_lower_exact=lower_exact,
         theoretical_upper=erasure_upper_bound(n, p.deletion),

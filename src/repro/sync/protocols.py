@@ -113,10 +113,6 @@ class ProtocolRun:
         if self.sender_slots > self.channel_uses:
             raise ValueError("sender_slots cannot exceed channel_uses")
 
-    def fault_count(self, name: str) -> int:
-        """Occurrences of fault *name* during the run (0 if absent)."""
-        return self.fault_counts.get(name, 0)
-
     @property
     def symbols_delivered(self) -> int:
         return int(self.delivered.shape[0])
@@ -138,13 +134,6 @@ class ProtocolRun:
         if self.channel_uses == 0:
             return 0.0
         return self.bits_per_symbol * self.symbols_delivered / self.channel_uses
-
-    @property
-    def throughput_per_slot(self) -> float:
-        """Raw symbol throughput x N, bits per sender slot."""
-        if self.sender_slots == 0:
-            return 0.0
-        return self.bits_per_symbol * self.symbols_delivered / self.sender_slots
 
     def information_rate_per_slot(self, per_symbol_information: float) -> float:
         """Scale a per-symbol information content (e.g. ``C_conv`` at the

@@ -79,14 +79,6 @@ class FiniteStateChannel:
             if t.source >= self.num_states or t.target >= self.num_states:
                 raise ValueError(f"transition {t} references unknown state")
 
-    def add_transition(
-        self, source: int, target: int, duration: float, label: str = ""
-    ) -> None:
-        t = Transition(source, target, duration, label)
-        if t.source >= self.num_states or t.target >= self.num_states:
-            raise ValueError("state index out of range")
-        self.transitions.append(t)
-
     # ------------------------------------------------------------------
     def weighted_adjacency(self, w: float) -> np.ndarray:
         """The matrix ``A(W)_{ij} = sum over edges i->j of W^{-t}``."""
@@ -101,22 +93,6 @@ class FiniteStateChannel:
         """Largest eigenvalue magnitude of ``A(W)``."""
         return float(np.max(np.abs(np.linalg.eigvals(self.weighted_adjacency(w)))))
 
-    def is_strongly_connected(self) -> bool:
-        """Whether every state can reach every other state."""
-        adj = np.zeros((self.num_states, self.num_states), dtype=bool)
-        for t in self.transitions:
-            adj[t.source, t.target] = True
-        reach = np.eye(self.num_states, dtype=bool) | adj
-        for _ in range(int(np.ceil(np.log2(max(self.num_states, 2)))) + 1):
-            reach = reach | (reach @ reach)
-        return bool(reach.all())
-
-    def out_degrees(self) -> np.ndarray:
-        deg = np.zeros(self.num_states, dtype=np.int64)
-        for t in self.transitions:
-            deg[t.source] += 1
-        return deg
-
     # ------------------------------------------------------------------
     def capacity(self, *, tol: float = 1e-12) -> float:
         """Capacity in bits per time unit: ``log2(W0)`` with
@@ -129,7 +105,7 @@ class FiniteStateChannel:
         ------
         repro.numerics.BracketingError
             When no root can be bracketed or polished (degenerate
-            duration structure); carries the expansion trail.
+            duration structure); carries the last bracket.
         """
         if not self.transitions:
             return 0.0

@@ -29,7 +29,7 @@ def _graph(**sources):
 
 
 def _callees(graph, qname):
-    return set(graph.functions[qname].callee_names())
+    return {name for name, _line in graph.functions[qname].callees}
 
 
 # -- alias and re-export resolution ------------------------------------

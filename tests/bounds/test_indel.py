@@ -5,6 +5,7 @@ import pytest
 
 from repro.bounds.deletion import block_bound_sweep, deletion_block_transition_stack
 from repro.bounds.indel import indel_block_bound_sweep, indel_block_transition_stack
+from repro.infotheory.kernels import blahut_arimoto_batch
 
 from .oracles import insertion_tail_mass
 
@@ -64,7 +65,6 @@ class TestBound:
         grid = [(0.1, 0.05), (0.2, 0.1)]
         for r in indel_block_bound_sweep(grid, block_length=6):
             assert r.lower_bound <= r.erasure_upper + 1e-9
-            assert r.bracket_width >= 0
 
     def test_matches_deletion_only_information(self):
         """With pi = 0 the block information must match the
@@ -73,14 +73,29 @@ class TestBound:
             [(0.2, 0.0)], block_length=6, max_extra=0
         )
         [r_del] = block_bound_sweep([0.2], block_length=6)
-        assert r_joint.max_block_information == pytest.approx(
-            r_del.max_block_information, abs=1e-6
+        t_joint, _g, _tails = indel_block_transition_stack(
+            6, [(0.2, 0.0)], max_extra=0
         )
+        t_del, _g2 = deletion_block_transition_stack(6, [0.2])
+        assert blahut_arimoto_batch(t_joint, tol=1e-9).capacity[0] == pytest.approx(
+            blahut_arimoto_batch(t_del, tol=1e-9).capacity[0], abs=1e-6
+        )
+        assert r_joint.lower_bound <= r_del.lower_bound + 1e-9
 
     def test_information_decreases_with_insertions(self):
-        r0, r1 = indel_block_bound_sweep([(0.1, 0.0), (0.1, 0.15)], block_length=6)
-        assert r1.max_block_information < r0.max_block_information
+        stack, _g, _tails = indel_block_transition_stack(
+            6, [(0.1, 0.0), (0.1, 0.15)], max_extra=4
+        )
+        c0, c1 = blahut_arimoto_batch(stack, tol=1e-9).capacity
+        assert c1 < c0
 
     def test_synchronous_full_information(self):
         [r] = indel_block_bound_sweep([(0.0, 0.0)], block_length=5, max_extra=0)
-        assert r.max_block_information == pytest.approx(5.0, abs=1e-6)
+        stack, _g, _tails = indel_block_transition_stack(
+            5, [(0.0, 0.0)], max_extra=0
+        )
+        assert blahut_arimoto_batch(stack, tol=1e-9).capacity[0] == pytest.approx(
+            5.0, abs=1e-6
+        )
+        # Dobrushin's charge: log2 of 6 output lengths plus the overflow.
+        assert r.lower_bound == pytest.approx((5.0 - np.log2(7)) / 5, abs=1e-6)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.bounds.indel import indel_block_bound_sweep, indel_block_transition_stack
+from repro.infotheory.kernels import blahut_arimoto_batch
 
 from .oracles import insertion_tail_mass
 
@@ -81,14 +82,24 @@ class TestBlockTransition:
 
 class TestBlockBound:
     def test_zero_insertion_full_rate(self):
+        table, groups, _tail = _insertion_table(5, 0.0, max_extra=2)
+        assert blahut_arimoto_batch(table[None], tol=1e-9).capacity[0] / 5 == pytest.approx(
+            1.0, abs=1e-6
+        )
         [r] = indel_block_bound_sweep([(0.0, 0.0)], block_length=5, max_extra=2)
-        assert r.max_block_information / 5 == pytest.approx(1.0, abs=1e-6)
+        # Dobrushin's charge: log2 of the output lengths plus the overflow.
+        assert r.lower_bound == pytest.approx(
+            (5.0 - np.log2(len(groups) + 1)) / 5, abs=1e-6
+        )
 
     def test_rate_decreases_with_insertion(self):
-        r1, r2 = indel_block_bound_sweep([(0.0, 0.05), (0.0, 0.25)], block_length=5)
-        assert r2.max_block_information < r1.max_block_information
+        stack, _groups, _tails = indel_block_transition_stack(
+            5, [(0.0, 0.05), (0.0, 0.25)], max_extra=4
+        )
+        c1, c2 = blahut_arimoto_batch(stack, tol=1e-9).capacity
+        assert c2 < c1
 
     def test_rate_in_unit_interval(self):
-        [r] = indel_block_bound_sweep([(0.0, 0.15)], block_length=6)
-        assert 0.0 < r.max_block_information / 6 <= 1.0
-        assert r.truncated_mass < 0.05
+        table, _groups, tail = _insertion_table(6, 0.15, max_extra=4)
+        assert 0.0 < blahut_arimoto_batch(table[None], tol=1e-9).capacity[0] / 6 <= 1.0
+        assert tail < 0.05

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bounds.deletion import block_bound_sweep, deletion_block_transition_stack
+from repro.bounds.deletion import deletion_block_transition_stack
 from repro.bounds.markov_input import (
     markov_block_distribution,
     optimize_markov_input_sweep,
@@ -43,10 +43,11 @@ class TestBlockDistribution:
 
 class TestInformation:
     def test_iid_point_matches_deletion_module(self):
-        [b] = block_bound_sweep([0.2], block_length=6)
+        stack, _groups = deletion_block_transition_stack(6, [0.2])
+        uniform = np.full(stack.shape[1], 1.0 / stack.shape[1])
         [bound] = optimize_markov_input_sweep(6, [0.2])
         assert bound.iid_information == pytest.approx(
-            b.iid_block_information, abs=1e-9
+            mutual_information(uniform, stack[0]), abs=1e-9
         )
 
     def test_no_deletion_gives_source_entropy(self):

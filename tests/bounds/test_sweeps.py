@@ -17,6 +17,7 @@ from repro.bounds import (
     indel_block_transition_stack,
     optimize_markov_input_sweep,
 )
+from repro.infotheory.kernels import blahut_arimoto_batch
 
 from .oracles import exact_block_transition, indel_block_transition
 
@@ -37,17 +38,13 @@ class TestDeletionStack:
 
     def test_sweep_matches_scalar_bounds(self):
         sweep = block_bound_sweep(PDS, block_length=4)
-        for pd, row in zip(PDS, sweep):
+        stack, _groups = deletion_block_transition_stack(4, PDS)
+        grid = blahut_arimoto_batch(stack, tol=1e-9).capacity
+        for i, (pd, row) in enumerate(zip(PDS, sweep)):
             [single] = block_bound_sweep([pd], block_length=4)
             assert abs(row.lower_bound - single.lower_bound) < PARITY
-            assert (
-                abs(row.max_block_information - single.max_block_information)
-                < PARITY
-            )
-            assert (
-                abs(row.iid_block_information - single.iid_block_information)
-                < PARITY
-            )
+            alone = blahut_arimoto_batch(stack[i : i + 1], tol=1e-9).capacity[0]
+            assert abs(grid[i] - alone) < PARITY
             assert row.status is single.status
 
     def test_empty_grid_is_empty_sweep(self):
@@ -86,16 +83,18 @@ class TestIndelStack:
         sweep = indel_block_bound_sweep(
             INDEL_GRID, block_length=3, max_extra=2
         )
-        for point, row in zip(INDEL_GRID, sweep):
+        stack, _groups, tails = indel_block_transition_stack(
+            3, INDEL_GRID, max_extra=2
+        )
+        grid = blahut_arimoto_batch(stack, tol=1e-9).capacity
+        for i, (point, row) in enumerate(zip(INDEL_GRID, sweep)):
             [single] = indel_block_bound_sweep(
                 [point], block_length=3, max_extra=2
             )
             assert abs(row.lower_bound - single.lower_bound) < PARITY
-            assert (
-                abs(row.max_block_information - single.max_block_information)
-                < PARITY
-            )
-            assert abs(row.truncated_mass - single.truncated_mass) < 1e-15
+            alone, _g, tail = indel_block_transition_stack(3, [point], max_extra=2)
+            assert abs(grid[i] - blahut_arimoto_batch(alone, tol=1e-9).capacity[0]) < PARITY
+            assert abs(tails[i] - tail[0]) < 1e-15
             assert row.erasure_upper == single.erasure_upper
             assert row.status is single.status
 

@@ -8,6 +8,11 @@ from hypothesis import strategies as st
 from repro.coding.convolutional import NASA_CC_GENERATORS, ConvolutionalCode
 
 
+def _hard_llrs(coded):
+    """Hard decisions as LLRs: bit 0 -> +1, bit 1 -> -1."""
+    return 1.0 - 2.0 * np.asarray(coded, dtype=float)
+
+
 class TestConstruction:
     def test_default_generators(self):
         cc = ConvolutionalCode()
@@ -63,7 +68,7 @@ class TestViterbi:
     def test_noiseless_roundtrip(self, gens, rng):
         cc = ConvolutionalCode(gens)
         bits = rng.integers(0, 2, 200)
-        assert np.array_equal(cc.decode_hard(cc.encode(bits)), bits)
+        assert np.array_equal(cc.viterbi_decode(_hard_llrs(cc.encode(bits))), bits)
 
     def test_corrects_isolated_errors(self, rng):
         cc = ConvolutionalCode((0o23, 0o35))
@@ -72,14 +77,14 @@ class TestViterbi:
         coded[10] ^= 1
         coded[50] ^= 1
         coded[120] ^= 1
-        assert np.array_equal(cc.decode_hard(coded), bits)
+        assert np.array_equal(cc.viterbi_decode(_hard_llrs(coded)), bits)
 
     def test_bsc_performance(self, rng):
         cc = ConvolutionalCode()
         bits = rng.integers(0, 2, 2000)
         coded = cc.encode(bits)
         noisy = coded ^ (rng.random(coded.size) < 0.04)
-        decoded = cc.decode_hard(noisy.astype(int))
+        decoded = cc.viterbi_decode(_hard_llrs(noisy))
         assert (decoded != bits).mean() < 0.01
 
     def test_soft_beats_wrong_hard_decisions(self, rng):
@@ -112,15 +117,10 @@ class TestViterbi:
         with pytest.raises(ValueError):
             cc.viterbi_decode(np.zeros(2))  # shorter than flush
 
-    def test_decode_hard_validates_bits(self):
-        cc = ConvolutionalCode((0o7, 0o5))
-        with pytest.raises(ValueError):
-            cc.decode_hard(np.array([0, 2, 1, 0, 1, 0]))
-
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=15, deadline=None)
     def test_property_roundtrip(self, seed):
         rng = np.random.default_rng(seed)
         cc = ConvolutionalCode((0o23, 0o35))
         bits = rng.integers(0, 2, rng.integers(1, 80))
-        assert np.array_equal(cc.decode_hard(cc.encode(bits)), bits)
+        assert np.array_equal(cc.viterbi_decode(_hard_llrs(cc.encode(bits))), bits)

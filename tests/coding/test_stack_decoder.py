@@ -67,38 +67,35 @@ class TestDecoding:
         ry, _ = channel.transmit(code.encode(bits), rng)
         result = dec.decode(ry, 60)
         assert result.payload.shape == (60,)
-        assert result.nodes_expanded <= 20
         assert not result.completed
 
-    def test_metric_is_finite_on_success(self, code, rng):
-        dec = StackDecoder(
-            code, insertion_prob=0.02, deletion_prob=0.02,
-            substitution_prob=1e-3,
-        )
-        bits = rng.integers(0, 2, 30)
-        result = dec.decode(code.encode(bits), 30)
-        assert np.isfinite(result.metric)
-
     def test_effort_grows_with_noise(self, code, rng):
-        """More channel events -> more tree nodes explored."""
+        """More channel events -> more tree branches explored."""
+
+        class CountingDecoder(StackDecoder):
+            branches = 0
+
+            def _bit_extensions(self, coded_bit, y, j):
+                self.branches += 1
+                return super()._bit_extensions(coded_bit, y, j)
+
         quiet = DriftChannelModel(0.005, 0.005)
         loud = DriftChannelModel(0.05, 0.05)
-        dq = StackDecoder(
+        dq = CountingDecoder(
             code, insertion_prob=0.005, deletion_prob=0.005,
             substitution_prob=1e-3,
         )
-        dl = StackDecoder(
+        dl = CountingDecoder(
             code, insertion_prob=0.05, deletion_prob=0.05,
             substitution_prob=1e-3,
         )
-        nodes_q = nodes_l = 0
         for _ in range(4):
             bits = rng.integers(0, 2, 40)
             yq, _ = quiet.transmit(code.encode(bits), rng)
             yl, _ = loud.transmit(code.encode(bits), rng)
-            nodes_q += dq.decode(yq, 40).nodes_expanded
-            nodes_l += dl.decode(yl, 40).nodes_expanded
-        assert nodes_l > nodes_q
+            dq.decode(yq, 40)
+            dl.decode(yl, 40)
+        assert dl.branches > dq.branches
 
     def test_input_validation(self, code, rng):
         dec = StackDecoder(code, insertion_prob=0.01, deletion_prob=0.01)

@@ -41,7 +41,9 @@ class TestFit:
         assert fit.slope == pytest.approx(2.0)
         assert fit.intercept == pytest.approx(0.1)
         assert fit.r_squared == pytest.approx(1.0)
-        assert fit.max_abs_residual < 1e-12
+        np.testing.assert_allclose(
+            fit.slope * x + fit.intercept, 2 * x + 0.1, rtol=0, atol=1e-12
+        )
 
     def test_erasure_series_slope_one(self):
         pds = np.linspace(0, 0.5, 11)

@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.core.capacity import feedback_time_coefficient
 from repro.core.estimation import CapacityEstimator, CapacityReport
-from repro.core.events import ChannelEvent, ChannelParameters, sample_events
+from repro.core.events import (
+    ChannelEvent,
+    ChannelParameters,
+    empirical_parameters,
+    sample_events,
+)
 
 
 class TestCapacityEstimator:
@@ -48,9 +54,9 @@ class TestCapacityEstimator:
             CapacityEstimator(1, physical_capacity=-5.0)
 
     def test_time_coefficient(self):
-        est = CapacityEstimator(1)
-        assert est.time_coefficient(
-            ChannelParameters.from_rates(0.2, 0.2)
+        params = ChannelParameters.from_rates(0.2, 0.2)
+        assert feedback_time_coefficient(
+            params.deletion, params.insertion
         ) == pytest.approx(1.0)
 
     def test_summary_mentions_key_numbers(self):
@@ -65,7 +71,7 @@ class TestFromEvents:
     def test_estimate_from_sampled_events(self, rng):
         params = ChannelParameters.from_rates(0.3, 0.1)
         events = sample_events(params, 200_000, rng)
-        report = CapacityEstimator(2).estimate_from_events(events)
+        report = CapacityEstimator(2).estimate(empirical_parameters(events))
         assert report.params.deletion == pytest.approx(0.3, abs=0.01)
         assert report.corrected_capacity == pytest.approx(2 * 0.7, abs=0.02)
 
@@ -75,13 +81,13 @@ class TestFromEvents:
         ] * 3
         report = CapacityEstimator(
             physical_capacity=50.0
-        ).estimate_from_events(events)
+        ).estimate(empirical_parameters(events))
         assert report.corrected_physical == pytest.approx(35.0)
 
     def test_report_is_frozen(self):
-        report = CapacityEstimator().estimate_from_events(
+        report = CapacityEstimator().estimate(empirical_parameters(
             [int(ChannelEvent.TRANSMISSION)] * 10
-        )
+        ))
         assert isinstance(report, CapacityReport)
         with pytest.raises(AttributeError):
             report.corrected_capacity = 9.0  # type: ignore[misc]
@@ -93,27 +99,27 @@ class TestDegenerateStreams:
 
     def test_empty_stream_raises_value_error(self):
         with pytest.raises(ValueError, match="empty stream"):
-            CapacityEstimator().estimate_from_events([])
+            CapacityEstimator().estimate(empirical_parameters([]))
 
     def test_empty_ndarray_stream_raises(self):
         with pytest.raises(ValueError, match="empty stream"):
-            CapacityEstimator().estimate_from_events(np.array([], dtype=np.int64))
+            CapacityEstimator().estimate(empirical_parameters(np.array([], dtype=np.int64)))
 
     def test_unknown_event_codes_are_named_not_masked(self):
         # A stream of out-of-vocabulary codes used to count as zero
         # events of every kind and be reported as "empty"; it must
         # name the offending code instead.
         with pytest.raises(ValueError, match="invalid event code 9"):
-            CapacityEstimator().estimate_from_events([9, 9, 9])
+            CapacityEstimator().estimate(empirical_parameters([9, 9, 9]))
 
     def test_mixed_invalid_code_rejected(self):
         events = [int(ChannelEvent.TRANSMISSION)] * 10 + [-2]
         with pytest.raises(ValueError, match="invalid event code"):
-            CapacityEstimator().estimate_from_events(events)
+            CapacityEstimator().estimate(empirical_parameters(events))
 
     def test_nan_event_codes_rejected(self):
         with pytest.raises(ValueError, match="invalid event code"):
-            CapacityEstimator().estimate_from_events(np.array([2.0, np.nan, 2.0]))
+            CapacityEstimator().estimate(empirical_parameters(np.array([2.0, np.nan, 2.0])))
 
     def test_valid_stream_report_is_finite(self):
         events = [int(ChannelEvent.TRANSMISSION)] * 8 + [
@@ -121,7 +127,7 @@ class TestDegenerateStreams:
         ] * 2
         report = CapacityEstimator(
             physical_capacity=10.0
-        ).estimate_from_events(events)
+        ).estimate(empirical_parameters(events))
         assert report.params.deletion == pytest.approx(0.2)
         assert np.isfinite(report.corrected_capacity)
         assert report.corrected_physical == pytest.approx(8.0)

@@ -32,12 +32,6 @@ class TestChannelParameters:
         with pytest.raises(ValueError):
             ChannelParameters.from_rates(0.1, 0.1, substitution=1.5)
 
-    def test_predicates(self):
-        sync = ChannelParameters.from_rates(0.0, 0.0)
-        assert sync.is_synchronous and sync.is_noiseless
-        noisy = ChannelParameters.from_rates(0.1, 0.0, substitution=0.2)
-        assert not noisy.is_noiseless and not noisy.is_synchronous
-
     def test_event_distribution_sums_to_one(self):
         p = ChannelParameters.from_rates(0.2, 0.1, substitution=0.3)
         dist = p.event_distribution()
@@ -99,7 +93,7 @@ class TestEmpiricalParameters:
 
     def test_pure_transmissions(self):
         est = empirical_parameters([int(ChannelEvent.TRANSMISSION)] * 10)
-        assert est.is_synchronous
+        assert est.deletion == 0.0 and est.insertion == 0.0
         assert est.transmission == 1.0
 
     def test_substitution_conditional_on_transmission(self):

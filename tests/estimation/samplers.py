@@ -7,10 +7,9 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.core.events import ChannelEvent
 from repro.estimation.samplers import DMCSampler, _coerce_rows
 from repro.infotheory.probability import validate_probability
-from repro.network.packet_channel import PacketFlowConfig, transmit_flow
+from repro.network.packet_channel import PacketFlowConfig, _flow_arrivals
 
 
 @dataclass(frozen=True)
@@ -59,8 +58,9 @@ class TimedDMCSampler:
 class PacketGapSampler:
     """The network packet-timing channel, receiver's-eye view.
 
-    Sends the requested symbols as one flow through
-    :func:`repro.network.transmit_flow` and reads back, for each sent
+    Sends the requested symbols as one flow through the packet
+    simulation behind :func:`repro.network.transmit_flow` and reads
+    back, for each sent
     symbol, the inter-arrival gap the receiver attributes to it. A
     lost packet merges gaps: the deleted symbol (and any run of
     deleted predecessors) maps to the long merged gap that absorbed
@@ -113,14 +113,13 @@ class PacketGapSampler:
     def sample(
         self, symbols: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        record = transmit_flow(symbols, self.flow_config(), rng)
-        events = record.events[: symbols.size]
-        gaps = record.observed_gaps
+        arrivals, lost = _flow_arrivals(symbols, self.flow_config(), rng)
+        gaps = np.diff(arrivals)
         out = np.empty(symbols.size, dtype=float)
         pending = []  # deleted symbols awaiting their merged gap
         obs = 0
         for k in range(symbols.size):
-            if events[k] == int(ChannelEvent.DELETION):
+            if lost[k + 1]:  # the packet closing gap k never arrived
                 pending.append(k)
                 continue
             gap = float(gaps[obs])

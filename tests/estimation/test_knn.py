@@ -23,10 +23,10 @@ from hypothesis import strategies as st
 from repro.estimation import (
     mixed_mi_contributions,
     mixed_mutual_information,
-    mixed_mutual_information_reference,
     tie_break_jitter,
 )
 from repro.simulation.rng import RngFactory
+from tests.estimation.oracles import mixed_mutual_information_reference
 
 
 def _h2(p: float) -> float:

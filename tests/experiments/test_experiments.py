@@ -150,13 +150,22 @@ GOLDEN_RTOL = 1e-12
 
 def assert_matches_golden(got, want, where="run_all"):
     """Floats within ``GOLDEN_RTOL`` relative (NaN equals NaN); every
-    other cell, key and length exactly."""
+    other cell, key and length exactly.
+
+    There is no absolute tolerance, so a golden cell of exactly 0.0 is
+    matched bit for bit: only 0.0 (or -0.0) passes. A regenerated
+    golden file that turns a cell into 0.0 pins it exactly."""
     if isinstance(want, float):
         assert isinstance(got, float), (where, got, want)
         if math.isnan(want):
             assert math.isnan(got), (where, got, want)
         else:
-            assert math.isclose(got, want, rel_tol=GOLDEN_RTOL), (where, got, want)
+            assert math.isclose(got, want, rel_tol=GOLDEN_RTOL), (
+                where,
+                got,
+                want,
+                f"relative tolerance {GOLDEN_RTOL}: a golden 0.0 matches only 0.0",
+            )
     elif isinstance(want, dict):
         assert isinstance(got, dict) and got.keys() == want.keys(), (where, got)
         for key in want:

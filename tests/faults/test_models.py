@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.events import ChannelEvent, ChannelParameters
+from repro.core.events import ChannelEvent, ChannelParameters, empirical_parameters
 from repro.faults.models import (
     AckOutcome,
     DriftingParameterModel,
@@ -25,8 +25,14 @@ class TestIIDEventModel:
         assert freq_d == pytest.approx(0.1, abs=0.01)
         assert freq_i == pytest.approx(0.05, abs=0.01)
 
-    def test_expected_parameters_is_nominal(self):
-        assert IIDEventModel(GOOD).expected_parameters() is GOOD
+    def test_expected_parameters_is_nominal(self, rng):
+        # The stream's long-run parameters are the nominal bundle.
+        nominal = ChannelParameters.from_rates(0.1, 0.05, substitution=0.2)
+        est = empirical_parameters(IIDEventModel(nominal).sample(200_000, rng))
+        for name in ("deletion", "insertion", "transmission", "substitution"):
+            assert getattr(est, name) == pytest.approx(
+                getattr(nominal, name), abs=0.01
+            )
 
     def test_rejects_negative_uses(self, rng):
         with pytest.raises(ValueError):
@@ -40,15 +46,18 @@ class TestGilbertElliott:
         with pytest.raises(ValueError):
             GilbertElliottModel(GOOD, BAD, p_gb=0.1, p_bg=1.5)
 
-    def test_stationary_bad_fraction(self):
+    def test_stationary_bad_fraction(self, rng):
+        # Long-run share of bad uses: p_gb / (p_gb + p_bg) = 0.2.
         model = GilbertElliottModel(GOOD, BAD, p_gb=0.01, p_bg=0.04)
-        assert model.stationary_bad_fraction == pytest.approx(0.2)
+        model.sample(200_000, rng)
+        assert model.bad_uses / 200_000 == pytest.approx(0.2, abs=0.02)
 
     def test_bad_state_raises_deletion_rate(self, rng):
         model = GilbertElliottModel(GOOD, BAD, p_gb=0.02, p_bg=0.02)
         events = model.sample(200_000, rng)
         freq_d = np.mean(events == ChannelEvent.DELETION)
-        expected = model.expected_parameters().deletion
+        # Half the uses are bad in the long run (p_gb = p_bg).
+        expected = 0.5 * (GOOD.deletion + BAD.deletion)
         assert expected == pytest.approx(0.3, abs=1e-12)
         assert freq_d == pytest.approx(expected, abs=0.02)
         assert model.bad_uses > 0
@@ -87,13 +96,20 @@ class TestDriftingParameterModel:
         with pytest.raises(ValueError):
             DriftingParameterModel(GOOD, BAD, ramp_uses=0)
 
-    def test_params_at_endpoints(self):
-        model = DriftingParameterModel(GOOD, BAD, ramp_uses=1000)
-        assert model.params_at(0).deletion == pytest.approx(GOOD.deletion)
-        assert model.params_at(1000).deletion == pytest.approx(BAD.deletion)
-        assert model.params_at(10_000).deletion == pytest.approx(BAD.deletion)
-        assert model.params_at(500).deletion == pytest.approx(
-            0.5 * (GOOD.deletion + BAD.deletion)
+    def test_params_at_endpoints(self, rng):
+        # A ramp long enough that one 100k-use window sees one bundle.
+        ramp = 10**9
+        model = DriftingParameterModel(GOOD, BAD, ramp_uses=ramp)
+
+        def deletion_rate_at(t):
+            model.t = t
+            return np.mean(model.sample(100_000, rng) == ChannelEvent.DELETION)
+
+        assert deletion_rate_at(0) == pytest.approx(GOOD.deletion, abs=0.01)
+        assert deletion_rate_at(ramp) == pytest.approx(BAD.deletion, abs=0.01)
+        assert deletion_rate_at(10 * ramp) == pytest.approx(BAD.deletion, abs=0.01)
+        assert deletion_rate_at(ramp // 2) == pytest.approx(
+            0.5 * (GOOD.deletion + BAD.deletion), abs=0.01
         )
 
     def test_drift_is_visible_in_frequencies(self, rng):
@@ -111,9 +127,14 @@ class TestDriftingParameterModel:
         model.reset()
         assert model.t == 0
 
-    def test_expected_parameters_is_plateau(self):
+    def test_expected_parameters_is_plateau(self, rng):
+        # Past the ramp the stream holds at the ``end`` bundle.
         model = DriftingParameterModel(GOOD, BAD, ramp_uses=10)
-        assert model.expected_parameters() is BAD
+        model.sample(10, rng)
+        events = model.sample(100_000, rng)
+        assert np.mean(events == ChannelEvent.DELETION) == pytest.approx(
+            BAD.deletion, abs=0.01
+        )
 
 
 class TestFeedbackFaultModel:
@@ -129,8 +150,6 @@ class TestFeedbackFaultModel:
 
     def test_perfect_path(self, rng):
         model = FeedbackFaultModel()
-        assert model.is_perfect
-        assert model.ack_failure_prob == 0.0
         assert all(
             model.ack_outcome(rng) == AckOutcome.DELIVERED for _ in range(100)
         )
@@ -140,8 +159,6 @@ class TestFeedbackFaultModel:
         model = FeedbackFaultModel(
             ack_loss_prob=0.2, ack_delay_prob=0.1, ack_corrupt_prob=0.05
         )
-        assert not model.is_perfect
-        assert model.ack_failure_prob == pytest.approx(0.35)
         outcomes = np.array([int(model.ack_outcome(rng)) for _ in range(20_000)])
         assert np.mean(outcomes == AckOutcome.LOST) == pytest.approx(0.2, abs=0.02)
         assert np.mean(outcomes == AckOutcome.DELAYED) == pytest.approx(

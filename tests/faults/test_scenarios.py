@@ -73,7 +73,8 @@ def test_scenario_shapes():
     )
     assert get_scenario("counter_desync").build(PARAMS).feedback.desync_prob > 0
     stress = get_scenario("stress").build(PARAMS)
-    assert stress.feedback.ack_failure_prob > 0.25
+    fb = stress.feedback
+    assert fb.ack_loss_prob + fb.ack_delay_prob + fb.ack_corrupt_prob > 0.25
     assert stress.feedback.desync_prob > 0
 
 

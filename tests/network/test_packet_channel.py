@@ -17,7 +17,6 @@ class TestConfig:
     def test_valid(self):
         cfg = PacketFlowConfig([1.0, 2.0], loss_prob=0.1)
         assert cfg.num_symbols == 2
-        assert cfg.mean_duration == 1.5
 
     def test_synchronous_capacity_is_shannon(self):
         cfg = PacketFlowConfig([1.0, 2.0])
@@ -43,7 +42,7 @@ class TestCleanNetwork:
         rec = transmit_flow(msg, cfg, rng)
         assert np.array_equal(rec.decoded, msg)
         assert np.all(rec.events == int(ChannelEvent.TRANSMISSION))
-        assert rec.duration == pytest.approx(rec.observed_gaps.sum())
+        assert rec.duration == pytest.approx(np.asarray(cfg.gap_durations)[msg].sum())
 
     def test_duration_is_sum_of_gaps(self, rng):
         cfg = PacketFlowConfig([1.0, 3.0])
@@ -66,7 +65,7 @@ class TestImpairments:
         params = measured_parameters(rec)
         assert params.insertion == pytest.approx(0.1, abs=0.015)
         # The receiver sees more gaps than symbols sent.
-        assert rec.observed_gaps.size > msg.size
+        assert rec.decoded.size > msg.size
 
     def test_jitter_causes_substitutions_only(self, rng):
         cfg = PacketFlowConfig([1.0, 2.0], jitter_std=0.2)
@@ -92,7 +91,7 @@ class TestImpairments:
         rec = transmit_flow(msg, cfg, np.random.default_rng(3))
         # With both interior/last packets almost surely lost, at most
         # one (merged or empty) gap remains.
-        assert rec.observed_gaps.size <= 1
+        assert rec.decoded.size <= 1
 
 
 class TestDecodeGaps:
@@ -113,7 +112,6 @@ class TestMeasurement:
     def test_empty_flow_rejected(self):
         empty = FlowRecord(
             message=np.array([], dtype=int),
-            observed_gaps=np.array([]),
             decoded=np.array([], dtype=int),
             events=np.array([], dtype=int),
             duration=0.0,
@@ -140,7 +138,6 @@ class TestMeasurementDegeneratePaths:
         events = np.asarray(events, dtype=np.int64)
         return FlowRecord(
             message=np.zeros(events.size, dtype=np.int64),
-            observed_gaps=np.array([]),
             decoded=np.array([], dtype=np.int64),
             events=events,
             duration=0.0,
@@ -152,7 +149,7 @@ class TestMeasurementDegeneratePaths:
         # degenerate-but-valid P_d = 1 corner, not NaN or a crash.
         cfg = PacketFlowConfig([1.0, 2.0], loss_prob=0.999999)
         record = transmit_flow(rng.integers(0, 2, 50), cfg, rng)
-        assert record.observed_gaps.size == 0
+        assert record.decoded.size == 0
         params = measured_parameters(record)
         assert params.deletion == 1.0
         assert params.insertion == 0.0
@@ -165,7 +162,7 @@ class TestMeasurementDegeneratePaths:
         cfg = PacketFlowConfig([1.0, 2.0], duplicate_prob=0.9)
         msg = rng.integers(0, 2, 2000)
         record = transmit_flow(msg, cfg, rng)
-        extra = record.observed_gaps.size - msg.size
+        extra = record.decoded.size - msg.size
         assert extra > 0
         counts = np.bincount(record.events, minlength=4)
         assert counts[int(ChannelEvent.INSERTION)] == extra
@@ -197,7 +194,6 @@ class TestMeasurementDegeneratePaths:
     def test_non_integer_events_rejected(self):
         record = FlowRecord(
             message=np.array([0]),
-            observed_gaps=np.array([]),
             decoded=np.array([], dtype=np.int64),
             events=np.array([2.0, 0.5]),
             duration=0.0,

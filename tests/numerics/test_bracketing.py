@@ -40,7 +40,6 @@ class TestExpandBracket:
         assert diag.hi > 64.0
         assert diag.f_hi == 1.0
         assert diag.expansions >= 6
-        assert diag.trail  # expansion trail attached
         assert "nosign" in str(excinfo.value)
 
     def test_non_finite_function_value_raises(self):

@@ -66,12 +66,6 @@ class TestTerminalStatuses:
         guard = IterationGuard("t", max_iter=100)
         assert drive(guard, [np.inf]) is SolverStatus.ABORTED
 
-    def test_explicit_abort(self):
-        guard = IterationGuard("t", max_iter=100)
-        guard.update(1.0)
-        assert guard.abort() is SolverStatus.ABORTED
-        assert guard.status is SolverStatus.ABORTED
-
     def test_detection_can_be_disabled(self):
         guard = IterationGuard(
             "t", max_iter=50, stall_window=None, divergence_factor=None

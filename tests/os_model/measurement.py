@@ -21,7 +21,9 @@ def measure_scheduler(
         "deletion": m.params.deletion,
         "insertion": m.params.insertion,
         "corrected_capacity": m.report.corrected_capacity,
-        "corrected_per_quantum": m.corrected_capacity_per_quantum,
+        "corrected_per_quantum": (
+            m.report.corrected_capacity * m.events.size / m.quanta
+        ),
         "achievable_per_quantum": m.achievable_per_quantum,
         "degradation": m.report.degradation,
     }

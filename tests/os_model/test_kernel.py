@@ -52,7 +52,7 @@ class TestKernel:
         trace = kernel.run(6, rng)
         assert trace.schedule == [0, 1, 0, 1, 0, 1]
         assert trace.annotations[0] == "step-0"
-        assert trace.runs_of(0) == 3
+        assert trace.schedule.count(0) == 3
 
     def test_duplicate_pids_rejected(self):
         with pytest.raises(ValueError):

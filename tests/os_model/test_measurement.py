@@ -85,8 +85,12 @@ class TestRunObliviousChannel:
         assert loaded.params.deletion == pytest.approx(
             base.params.deletion, abs=0.03
         )
-        assert loaded.corrected_capacity_per_quantum == pytest.approx(
-            base.corrected_capacity_per_quantum / 2, rel=0.1
+
+        def corrected_per_quantum(m):
+            return m.report.corrected_capacity * m.events.size / m.quanta
+
+        assert corrected_per_quantum(loaded) == pytest.approx(
+            corrected_per_quantum(base) / 2, rel=0.1
         )
 
     def test_achievable_ranking(self, rng):

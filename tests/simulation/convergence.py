@@ -20,7 +20,12 @@ from repro.simulation.rng import RngFactory
 from repro.simulation.stats import ConfidenceInterval
 from tests.simulation.stats import RunningStats
 
-__all__ = ["SequentialResult", "run_until_precise"]
+__all__ = ["SequentialResult", "half_width", "run_until_precise"]
+
+
+def half_width(ci: ConfidenceInterval) -> float:
+    """Half the width of a two-sided interval."""
+    return 0.5 * (ci.upper - ci.lower)
 
 
 @dataclass(frozen=True)
@@ -100,7 +105,7 @@ def run_until_precise(
     def tight_enough(ci: ConfidenceInterval) -> bool:
         ok = True
         if abs_half_width is not None:
-            ok = ok and ci.half_width <= abs_half_width
+            ok = ok and half_width(ci) <= abs_half_width
         if rel_half_width is not None:
             scale = abs(ci.estimate)
             if is_zero(scale):
@@ -108,7 +113,7 @@ def run_until_precise(
                 # to the absolute criterion if present, else not tight.
                 ok = ok and abs_half_width is not None
             else:
-                ok = ok and ci.half_width / scale <= rel_half_width
+                ok = ok and half_width(ci) / scale <= rel_half_width
         return ok
 
     while count < max_replications:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tests.simulation.convergence import run_until_precise
+from tests.simulation.convergence import half_width, run_until_precise
 
 
 class TestRunUntilPrecise:
@@ -13,7 +13,7 @@ class TestRunUntilPrecise:
             max_replications=5000,
         )
         assert result.reached_target
-        assert result.interval.half_width <= 0.2
+        assert half_width(result.interval) <= 0.2
         assert result.estimate == pytest.approx(5.0, abs=0.5)
 
     def test_reaches_relative_target(self):
@@ -23,7 +23,7 @@ class TestRunUntilPrecise:
             max_replications=5000,
         )
         assert result.reached_target
-        assert result.interval.half_width / abs(result.estimate) <= 0.05
+        assert half_width(result.interval) / abs(result.estimate) <= 0.05
 
     def test_harder_targets_need_more_samples(self):
         loose = run_until_precise(

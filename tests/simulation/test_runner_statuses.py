@@ -26,11 +26,11 @@ class TestSolverStatusSurface:
     def test_real_guarded_solver_statuses_surface(self):
         def trial(rng):
             [point] = block_bound_sweep([0.1], block_length=3)
-            return {"information": point.max_block_information}
+            return {"lower": point.lower_bound}
 
         result = ExperimentRunner(replications=3).run(trial)
         assert result.solver_statuses == {"blahut_arimoto_batch:converged": 3}
-        assert result["information"].mean > 1.0
+        assert result["lower"].mean > 0.0
 
     def test_failed_execution_contributes_no_counts(self):
         calls = []

@@ -19,13 +19,13 @@ class TestMeanCI:
         for k in range(60):
             samples = rng.normal(5.0, 1.0, 40)
             ci = mean_confidence_interval(samples, confidence=0.95)
-            hits += ci.contains(5.0)
+            hits += ci.lower <= 5.0 <= ci.upper
         assert hits >= 50  # ~95% coverage
 
     def test_constant_samples(self):
         ci = mean_confidence_interval([3.0, 3.0, 3.0])
         assert ci.lower == ci.upper == 3.0
-        assert ci.half_width == 0.0
+        assert ci.upper - ci.lower == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -53,7 +53,7 @@ class TestWilson:
     def test_more_trials_narrower(self):
         wide = wilson_interval(5, 10)
         narrow = wilson_interval(500, 1000)
-        assert narrow.half_width < wide.half_width
+        assert narrow.upper - narrow.lower < wide.upper - wide.lower
 
     def test_validation(self):
         with pytest.raises(ValueError):

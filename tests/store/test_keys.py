@@ -60,10 +60,7 @@ def test_arrays_key_on_dtype_shape_and_content():
 def test_dataclass_and_enum_encode():
     result = BlockBoundResult(
         block_length=4,
-        max_block_information=1.5,
-        iid_block_information=1.4,
         lower_bound=0.2,
-        iid_rate=0.35,
         status=SolverStatus.CONVERGED,
     )
     a = canonical_bytes(result)

@@ -12,6 +12,11 @@ def key_for(i):
     return canonical_key("toy", {"i": i})
 
 
+def _has_entry(store, key):
+    """Whether a (possibly corrupt) entry exists for *key*."""
+    return (store.path_for(key) / "manifest.json").exists()
+
+
 @pytest.fixture
 def store(tmp_path):
     return ResultStore(tmp_path / "cache")
@@ -26,7 +31,7 @@ def test_put_fetch_roundtrip_with_manifest(store):
         code_fingerprint="deadbeef",
         compute_seconds=1.25,
     )
-    assert store.contains(key)
+    assert _has_entry(store, key)
     value, entry = store.fetch(key)
     assert value["capacity"] == 0.5
     np.testing.assert_array_equal(value["p"], [0.5, 0.5])
@@ -78,10 +83,10 @@ def test_gc_by_age(store):
     store.put(key_for(1), {"v": 1}, fn_id="toy", created_at=900.0)
     evicted = store.gc(max_age_seconds=200.0, now=1000.0, dry_run=True)
     assert evicted == [key_for(0)] or set(evicted) == {key_for(0)}
-    assert store.contains(key_for(0))  # dry run deleted nothing
+    assert _has_entry(store, key_for(0))  # dry run deleted nothing
     store.gc(max_age_seconds=200.0, now=1000.0)
-    assert not store.contains(key_for(0))
-    assert store.contains(key_for(1))
+    assert not _has_entry(store, key_for(0))
+    assert _has_entry(store, key_for(1))
 
 
 def test_gc_by_size_evicts_least_recently_used(store):
@@ -98,7 +103,7 @@ def test_gc_by_size_evicts_least_recently_used(store):
     per_entry = store.stats().total_bytes // 3
     evicted = store.gc(max_total_bytes=2 * per_entry + per_entry // 2)
     assert keys[0] in evicted
-    assert store.contains(keys[1]) and store.contains(keys[2])
+    assert _has_entry(store, keys[1]) and _has_entry(store, keys[2])
 
 
 def test_gc_collects_corrupt_entries(store):
@@ -106,7 +111,7 @@ def test_gc_collects_corrupt_entries(store):
     store.put(key, {"v": 5}, fn_id="toy")
     (store.path_for(key) / "manifest.json").write_text("not json")
     assert key in store.gc()
-    assert not store.contains(key)
+    assert not _has_entry(store, key)
 
 
 def test_corrupt_payload_reads_as_miss(store):

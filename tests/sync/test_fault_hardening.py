@@ -52,7 +52,7 @@ class TestResendHardened:
         assert np.array_equal(run.delivered, msg)
         assert run.symbol_errors == 0
         assert not run.degraded
-        assert run.fault_count("symbols_abandoned") == 0
+        assert run.fault_counts.get("symbols_abandoned", 0) == 0
         # Rate still converges to the Theorem-3 value.
         assert run.throughput_per_use == pytest.approx(0.8, abs=0.03)
 
@@ -67,8 +67,8 @@ class TestResendHardened:
         with injector.active():
             run = proto.run(msg, rng)
         assert np.array_equal(run.delivered, msg)
-        assert run.fault_count("duplicates") > 0
-        assert run.fault_count("acks_lost") > 0
+        assert run.fault_counts.get("duplicates", 0) > 0
+        assert run.fault_counts.get("acks_lost", 0) > 0
         assert not run.degraded
         # Duplicates burn uses: rate drops below the Theorem-3 value.
         assert run.throughput_per_use < 0.8
@@ -86,9 +86,9 @@ class TestResendHardened:
         with injector.active():
             run = proto.run(msg, rng)
         assert run.symbols_delivered == msg.size  # abandoned -> guessed
-        assert run.fault_count("symbols_abandoned") > 0
+        assert run.fault_counts.get("symbols_abandoned", 0) > 0
         assert run.degraded
-        assert run.symbol_errors <= run.fault_count("symbols_abandoned")
+        assert run.symbol_errors <= run.fault_counts.get("symbols_abandoned", 0)
 
     def test_delayed_acks_wait_out_timeouts(self, rng):
         injector = FaultInjector(
@@ -103,10 +103,9 @@ class TestResendHardened:
         with injector.active():
             run = proto.run(msg, rng)
         assert np.array_equal(run.delivered, msg)
-        assert run.fault_count("acks_delayed") > 0
-        assert run.fault_count("timeout_slots_waited") >= 3 * run.fault_count(
-            "acks_delayed"
-        )
+        assert run.fault_counts.get("acks_delayed", 0) > 0
+        counts = run.fault_counts
+        assert counts.get("timeout_slots_waited", 0) >= 3 * counts["acks_delayed"]
 
     def test_backoff_waits_longer(self, rng):
         def waited(policy):
@@ -119,7 +118,7 @@ class TestResendHardened:
             msg = np.random.default_rng(8).integers(0, 2, 2000)
             with injector.active():
                 run = proto.run(msg, np.random.default_rng(9))
-            return run.fault_count("timeout_slots_waited")
+            return run.fault_counts.get("timeout_slots_waited", 0)
 
         assert waited(RetryPolicy(backoff=2.0)) > waited(RetryPolicy(backoff=1.0))
 
@@ -146,10 +145,10 @@ class TestCounterHardened:
             run = proto.run(msg, rng)
         assert run.symbols_delivered == msg.size
         assert run.degraded
-        assert run.fault_count("desyncs_injected") > 0
-        assert run.fault_count("resync_epochs") > 0
-        assert run.fault_count("desyncs_recovered") > 0
-        assert run.fault_count("misaligned_deliveries") > 0
+        assert run.fault_counts.get("desyncs_injected", 0) > 0
+        assert run.fault_counts.get("resync_epochs", 0) > 0
+        assert run.fault_counts.get("desyncs_recovered", 0) > 0
+        assert run.fault_counts.get("misaligned_deliveries", 0) > 0
 
     def test_tighter_resync_reduces_misalignment(self):
         """Shorter epochs repair desync sooner, so fewer deliveries
@@ -164,7 +163,7 @@ class TestCounterHardened:
             injector.reset()
             with injector.active():
                 run = proto.run(msg, np.random.default_rng(5))
-            return run.fault_count("misaligned_deliveries")
+            return run.fault_counts.get("misaligned_deliveries", 0)
 
         assert misaligned(64) < misaligned(2048)
 
@@ -177,7 +176,7 @@ class TestCounterHardened:
         injector.reset()
         with injector.active():
             run = proto.run(msg, rng)
-        epochs = run.fault_count("resync_epochs")
+        epochs = run.fault_counts.get("resync_epochs", 0)
         assert epochs > 0
         # Slot accounting: deletions + transmissions + epoch overhead.
         assert run.sender_slots == run.deletions + run.transmissions + 10 * epochs
@@ -188,8 +187,8 @@ class TestCounterHardened:
         proto = CounterProtocol(DEL_INS, bits_per_symbol=2, resync_interval=128)
         msg = rng.integers(0, 4, 5000)
         run = proto.run(msg, rng)
-        assert run.fault_count("resync_epochs") > 0
-        assert run.fault_count("desyncs_recovered") == 0
+        assert run.fault_counts.get("resync_epochs", 0) > 0
+        assert run.fault_counts.get("desyncs_recovered", 0) == 0
         assert not run.degraded
 
 

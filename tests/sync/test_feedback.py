@@ -130,4 +130,5 @@ class TestCounterProtocol:
         msg = rng.integers(0, 2, 20_000)
         run = proto.run(msg, rng)
         expected = (1 - pd) / (1 - pi) if pi < 1 else 0.0
-        assert run.throughput_per_slot == pytest.approx(expected, rel=0.1)
+        throughput_per_slot = run.information_rate_per_slot(run.bits_per_symbol)
+        assert throughput_per_slot == pytest.approx(expected, rel=0.1)

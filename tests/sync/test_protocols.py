@@ -31,7 +31,9 @@ class TestProtocolRun:
     def test_throughputs(self):
         run = make_run()
         assert run.throughput_per_use == pytest.approx(2 * 4 / 10)
-        assert run.throughput_per_slot == pytest.approx(2 * 4 / 8)
+        assert run.information_rate_per_slot(run.bits_per_symbol) == pytest.approx(
+            2 * 4 / 8
+        )
 
     def test_information_rate_scaling(self):
         run = make_run()
@@ -47,7 +49,7 @@ class TestProtocolRun:
             delivered=np.array([], dtype=int),
         )
         assert run.throughput_per_use == 0.0
-        assert run.throughput_per_slot == 0.0
+        assert run.information_rate_per_slot(run.bits_per_symbol) == 0.0
         assert run.information_rate_per_slot(1.0) == 0.0
         assert run.symbol_error_rate == 0.0
 

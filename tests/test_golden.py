@@ -6,9 +6,14 @@ produced by the initial validated implementation (cross-checked against
 Blahut-Arimoto and Monte-Carlo simulation; see EXPERIMENTS.md).
 """
 
+import numpy as np
 import pytest
 
-from repro.bounds.deletion import block_bound_sweep, gallager_lower_bound
+from repro.bounds.deletion import (
+    block_bound_sweep,
+    deletion_block_transition_stack,
+    gallager_lower_bound,
+)
 from repro.bounds.markov_input import optimize_markov_input_sweep
 from repro.core.capacity import (
     converted_capacity,
@@ -18,6 +23,8 @@ from repro.core.capacity import (
     feedback_lower_bound_exact,
 )
 from repro.infotheory.channels import z_channel_capacity
+from repro.infotheory.entropy import mutual_information
+from repro.infotheory.kernels import blahut_arimoto_batch
 from repro.infotheory.noiseless import noiseless_capacity_per_second
 from tests.core.noisy import noisy_feedback_lower_bound
 from tests.timing.stc import stc_capacity
@@ -84,8 +91,16 @@ class TestGoldenBlockBounds:
 
     def test_block8_deletion_info(self):
         [b] = block_bound_sweep([0.2], block_length=8)
-        assert b.max_block_information == pytest.approx(4.52990915, abs=1e-6)
-        assert b.iid_block_information == pytest.approx(4.33610051, abs=1e-6)
+        stack, _groups = deletion_block_transition_stack(8, [0.2])
+        uniform = np.full(stack.shape[1], 1.0 / stack.shape[1])
+        [capacity] = blahut_arimoto_batch(stack, tol=1e-9).capacity
+        assert capacity == pytest.approx(4.52990915, abs=1e-6)
+        assert mutual_information(uniform, stack[0]) == pytest.approx(
+            4.33610051, abs=1e-6
+        )
+        assert b.lower_bound == pytest.approx(
+            (4.52990915 - np.log2(9)) / 8, abs=1e-6
+        )
 
     def test_markov_block8(self):
         [b] = optimize_markov_input_sweep(8, [0.3])

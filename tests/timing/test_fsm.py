@@ -77,26 +77,9 @@ class TestFiniteStateChannel:
         slow = fsm_capacity(1, [(0, 0, 2.0), (0, 0, 2.0)])
         assert slow == pytest.approx(fast / 2)
 
-    def test_strong_connectivity(self):
-        chan = FiniteStateChannel(
-            2, [Transition(0, 1, 1.0), Transition(1, 0, 1.0)]
-        )
-        assert chan.is_strongly_connected()
-        chan2 = FiniteStateChannel(2, [Transition(0, 1, 1.0)])
-        assert not chan2.is_strongly_connected()
-
-    def test_out_degrees(self):
-        chan = FiniteStateChannel(
-            2, [Transition(0, 1, 1.0), Transition(0, 0, 1.0)]
-        )
-        assert list(chan.out_degrees()) == [2, 0]
-
     def test_rejects_unknown_state(self):
         with pytest.raises(ValueError):
             FiniteStateChannel(1, [Transition(0, 5, 1.0)])
-        chan = FiniteStateChannel(1)
-        with pytest.raises(ValueError):
-            chan.add_transition(0, 3, 1.0)
 
     def test_weighted_adjacency(self):
         chan = FiniteStateChannel(
