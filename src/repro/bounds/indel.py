@@ -108,7 +108,7 @@ def indel_block_transition_stack(
     grid: Sequence[Tuple[float, float]],
     *,
     max_extra: int = 4,
-) -> Tuple[np.ndarray, List[np.ndarray], np.ndarray]:
+) -> Tuple[np.ndarray, List[np.ndarray]]:
     """Truncated block tables for a whole ``(P_d, P_i)`` grid as a stack.
 
     Every grid point at the same ``(n, max_extra)`` shares the output
@@ -117,7 +117,7 @@ def indel_block_transition_stack(
     yields every output length's block. They are stacked, with the
     truncated tail as an overflow column, into the
     ``(k, 2^n, num_outputs + 1)`` array the batched kernel consumes.
-    Returns ``(stack, output_groups, max_tail_mass_per_point)``.
+    Returns ``(stack, output_groups)``.
     """
     if not 1 <= n <= _MAX_BLOCK:
         raise ValueError(f"block length must be in [1, {_MAX_BLOCK}]")
@@ -139,7 +139,7 @@ def indel_block_transition_stack(
     row_sums = transition.sum(axis=2)
     overflow = np.clip(1.0 - row_sums, 0.0, 1.0)[:, :, None]
     transition = np.concatenate([transition, overflow], axis=2)
-    return transition, groups, overflow.max(axis=(1, 2))
+    return transition, groups
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,7 @@ def _solve_indel_points(
     tol: float,
 ) -> List[IndelBlockResult]:
     """Solve a set of grid points with one batched kernel invocation."""
-    stack, groups, _tails = indel_block_transition_stack(
+    stack, groups = indel_block_transition_stack(
         n, points, max_extra=max_extra
     )
     batch = blahut_arimoto_batch(stack, tol=tol)

@@ -120,14 +120,11 @@ class FlowRecord:
         Ground-truth event labels, one per *channel use* in the
         Definition-1 sense (deletions consume a sent symbol and emit
         nothing; insertions emit a spurious gap).
-    duration:
-        Total flow duration (seconds) at the receiver.
     """
 
     message: np.ndarray
     decoded: np.ndarray
     events: np.ndarray
-    duration: float
 
 
 def _nearest_symbol(gaps: np.ndarray, durations: np.ndarray) -> np.ndarray:
@@ -208,7 +205,6 @@ def transmit_flow(
         message=msg,
         decoded=decoded,
         events=np.asarray(events, dtype=np.int64),
-        duration=float(arrivals_arr[-1] - arrivals_arr[0]) if arrivals_arr.size else 0.0,
     )
 
 

@@ -52,7 +52,3 @@ class TimingChannelConfig:
         # dataclass-generated call.
         if validate_probability(self.preempt_prob, "preempt_prob") >= 1.0:
             raise ValueError("preempt_prob must be in [0, 1)")
-
-    @property
-    def num_symbols(self) -> int:
-        return len(self.durations)

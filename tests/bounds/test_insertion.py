@@ -12,10 +12,10 @@ from .oracles import insertion_tail_mass
 
 
 def _insertion_table(n, insertion_prob, max_extra):
-    stack, groups, tails = indel_block_transition_stack(
+    stack, groups = indel_block_transition_stack(
         n, [(0.0, insertion_prob)], max_extra=max_extra
     )
-    return stack[0], groups, float(tails[0])
+    return stack[0], groups, float(stack[0, :, -1].max())
 
 
 class TestTailMass:
@@ -93,7 +93,7 @@ class TestBlockBound:
         )
 
     def test_rate_decreases_with_insertion(self):
-        stack, _groups, _tails = indel_block_transition_stack(
+        stack, _groups = indel_block_transition_stack(
             5, [(0.0, 0.05), (0.0, 0.25)], max_extra=4
         )
         c1, c2 = blahut_arimoto_batch(stack, tol=1e-9).capacity

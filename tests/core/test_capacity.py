@@ -64,6 +64,8 @@ class TestTimeCoefficient:
     def test_rejects_pi_one(self):
         with pytest.raises(ValueError):
             feedback_time_coefficient(0.0, 1.0)
+        with pytest.raises(ValueError, match=r"insertion_prob must be in \[0, 1\]"):
+            feedback_time_coefficient(0.0, 1.5)
 
 
 class TestConvertedCapacity:

@@ -109,6 +109,8 @@ class TestSchedulerTimingSampler:
     def test_reuses_simulator_validation(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             SchedulerTimingSampler((2, 1))
+        with pytest.raises(ValueError, match="positive integers"):
+            SchedulerTimingSampler((0, 1))
         with pytest.raises(ValueError, match="preempt_prob"):
             SchedulerTimingSampler((1, 2), 1.0)
 

@@ -42,13 +42,6 @@ class TestCleanNetwork:
         rec = transmit_flow(msg, cfg, rng)
         assert np.array_equal(rec.decoded, msg)
         assert np.all(rec.events == int(ChannelEvent.TRANSMISSION))
-        assert rec.duration == pytest.approx(np.asarray(cfg.gap_durations)[msg].sum())
-
-    def test_duration_is_sum_of_gaps(self, rng):
-        cfg = PacketFlowConfig([1.0, 3.0])
-        msg = np.array([0, 1, 0])
-        rec = transmit_flow(msg, cfg, rng)
-        assert rec.duration == pytest.approx(5.0)
 
 
 class TestImpairments:
@@ -114,7 +107,6 @@ class TestMeasurement:
             message=np.array([], dtype=int),
             decoded=np.array([], dtype=int),
             events=np.array([], dtype=int),
-            duration=0.0,
         )
         with pytest.raises(ValueError):
             measured_parameters(empty)
@@ -140,7 +132,6 @@ class TestMeasurementDegeneratePaths:
             message=np.zeros(events.size, dtype=np.int64),
             decoded=np.array([], dtype=np.int64),
             events=events,
-            duration=0.0,
         )
 
     def test_all_interior_packets_lost(self, rng):
@@ -196,7 +187,6 @@ class TestMeasurementDegeneratePaths:
             message=np.array([0]),
             decoded=np.array([], dtype=np.int64),
             events=np.array([2.0, 0.5]),
-            duration=0.0,
         )
         with pytest.raises(ValueError, match="integer"):
             measured_parameters(record)

@@ -8,6 +8,7 @@ from repro.os_model.process import IdleProcess, Process
 from repro.os_model.scheduler import (
     FuzzyTimeScheduler,
     LotteryScheduler,
+    MultilevelFeedbackScheduler,
     RandomScheduler,
     RoundRobinScheduler,
 )
@@ -118,6 +119,10 @@ class TestSchedulers:
     def test_fuzzy_validation(self):
         with pytest.raises(ValueError):
             FuzzyTimeScheduler(1.0)
+        with pytest.raises(ValueError, match="levels"):
+            MultilevelFeedbackScheduler(levels=0)
+        with pytest.raises(ValueError, match="boost_period"):
+            MultilevelFeedbackScheduler(boost_period=0)
 
     def test_schedulers_reject_empty_ready(self):
         rng = np.random.default_rng(0)

@@ -10,7 +10,7 @@ from tests.os_model.timing_channel import simulate_timing_channel
 class TestConfig:
     def test_valid(self):
         cfg = TimingChannelConfig([1, 2, 4], preempt_prob=0.1)
-        assert cfg.num_symbols == 3
+        assert cfg.durations == (1, 2, 4)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -47,7 +47,7 @@ def simulate_timing_channel(
     msg = np.asarray(message, dtype=np.int64)
     if msg.ndim != 1:
         raise ValueError("message must be 1-D")
-    k = config.num_symbols
+    k = len(config.durations)
     if msg.size and (msg.min() < 0 or msg.max() >= k):
         raise ValueError("message symbol out of range")
     durations = np.asarray(config.durations)

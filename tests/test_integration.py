@@ -12,6 +12,7 @@ from repro import (
 from repro.coding import ConvolutionalCode, DriftChannelModel, WatermarkCode
 from repro.core.capacity import feedback_lower_bound_exact
 from repro.core.events import empirical_parameters
+from repro.infotheory.noiseless import noiseless_capacity_per_second
 from repro.os_model import (
     RandomScheduler,
     RoundRobinScheduler,
@@ -19,7 +20,6 @@ from repro.os_model import (
 )
 from repro.sync import CounterProtocol, ResendProtocol, measure_protocol
 from repro.timing import fsm_capacity
-from tests.timing.stc import stc_capacity
 
 
 class TestEstimationPipeline:
@@ -117,7 +117,7 @@ class TestTraditionalEstimatorsAgree:
         times = [1.0, 2.0, 3.5]
         edges = [(0, 0, t) for t in times]
         assert fsm_capacity(1, edges) == pytest.approx(
-            stc_capacity(times), abs=1e-9
+            noiseless_capacity_per_second(times), abs=1e-9
         )
 
 
