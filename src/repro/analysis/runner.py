@@ -185,15 +185,15 @@ def _iter_python_files(paths: Iterable[PathLike]) -> Iterator[Path]:
 def lint_paths(
     paths: Iterable[PathLike],
     *,
-    root: Optional[Path] = None,
     rule_ids: Optional[Sequence[str]] = None,
 ) -> List[Finding]:
-    """Lint files and directories with the file-scoped rules.
+    """Lint files and directories with the file-scoped rules, reporting
+    each file by the path it was given.
 
     Every file is read and parsed exactly once; the parsed contexts
     are shared across all rules.
     """
-    runs = [_run_for_file(p, root) for p in _iter_python_files(paths)]
+    runs = [_run_for_file(p, None) for p in _iter_python_files(paths)]
     return sorted(_lint_runs(runs, get_rules(rule_ids)))
 
 
@@ -273,14 +273,14 @@ def lint_project(
     return sorted(findings)
 
 
-def find_project_root(start: Optional[PathLike] = None) -> Optional[Path]:
-    """Locate the repository root from *start* (default: cwd).
+def find_project_root() -> Optional[Path]:
+    """Locate the repository root from the working directory.
 
     Walks upward looking for a directory containing ``src/repro``;
     falls back to the checkout this package was imported from, so
     ``repro lint`` works from any working directory of the repo.
     """
-    here = Path(start) if start is not None else Path.cwd()
+    here = Path.cwd()
     for candidate in [here, *here.resolve().parents]:
         if (candidate / "src" / "repro").is_dir():
             return candidate

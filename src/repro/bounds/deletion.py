@@ -50,6 +50,10 @@ _MAX_EXACT_BLOCK = 12
 #: suffix is kept so that existing stores keep hitting.
 BLOCK_BOUND_BATCH_FN_ID = "deletion_block_bound_batch"
 
+#: Bracket-width tolerance of the sweep's Blahut-Arimoto solves. It is
+#: part of every point's store key, so editing it misses the store.
+BLOCK_BOUND_TOL = 1e-9
+
 
 def gallager_lower_bound(deletion_prob: float) -> float:
     """Gallager's achievability bound ``1 - H(p_d)`` bits/symbol for
@@ -186,7 +190,7 @@ class BlockBoundResult:
     status:
         :class:`repro.numerics.SolverStatus` of the inner
         Blahut-Arimoto solve: ``converged`` means its bracket is no
-        wider than the sweep's ``tol``. On every status the bound uses
+        wider than :data:`BLOCK_BOUND_TOL`. On every status the bound uses
         the best lower end the solve reached, so it stays a lower bound.
     """
 
@@ -227,7 +231,6 @@ def block_bound_sweep(
     deletion_probs: Sequence[float],
     *,
     block_length: int = 8,
-    tol: float = 1e-9,
 ) -> List[BlockBoundResult]:
     """Finite-block bounds for a whole ``p_d`` grid, batched.
 
@@ -244,6 +247,7 @@ def block_bound_sweep(
     pds = [float(p) for p in deletion_probs]
     if not pds:
         return []
+    tol = BLOCK_BOUND_TOL
     params = [
         {"block_length": block_length, "deletion_prob": pd, "tol": tol}
         for pd in pds

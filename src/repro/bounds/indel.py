@@ -46,6 +46,10 @@ _MAX_EXTRA = 6
 #: suffix is kept so that existing stores keep hitting.
 INDEL_BATCH_FN_ID = "indel_block_bound_batch"
 
+#: Bracket-width tolerance of the sweep's Blahut-Arimoto solves. It is
+#: part of every point's store key, so editing it misses the store.
+INDEL_BOUND_TOL = 1e-9
+
 
 def _strings_of_length(m: int) -> np.ndarray:
     if m == 0:
@@ -206,7 +210,6 @@ def indel_block_bound_sweep(
     *,
     block_length: int = 6,
     max_extra: int = 4,
-    tol: float = 1e-9,
 ) -> List[IndelBlockResult]:
     """Finite-block indel bounds over a ``(P_d, P_i)`` grid, batched.
 
@@ -225,6 +228,7 @@ def indel_block_bound_sweep(
     points = [(float(pd), float(pi)) for pd, pi in grid]
     if not points:
         return []
+    tol = INDEL_BOUND_TOL
     params = [
         {
             "block_length": block_length,

@@ -101,7 +101,7 @@ class MarkovInputBound:
 
 
 def _optimize_over_flip(
-    n: int, deletion_prob: float, transition: np.ndarray, tol: float
+    n: int, deletion_prob: float, transition: np.ndarray
 ) -> MarkovInputBound:
     """The 1-D flip-probability search over a prebuilt block table."""
 
@@ -111,7 +111,7 @@ def _optimize_over_flip(
 
     result = optimize.minimize_scalar(
         objective, bounds=(1e-4, 0.9999), method="bounded",
-        options={"xatol": tol},
+        options={"xatol": 1e-6},
     )
     best_f = float(result.x)
     best_info = float(-result.fun)
@@ -128,7 +128,7 @@ def _optimize_over_flip(
 
 
 def optimize_markov_input_sweep(
-    n: int, deletion_probs: Sequence[float], *, tol: float = 1e-6
+    n: int, deletion_probs: Sequence[float]
 ) -> List[MarkovInputBound]:
     """Optimize the Markov input for a whole ``p_d`` grid at once.
 
@@ -143,6 +143,6 @@ def optimize_markov_input_sweep(
     pds = [float(p) for p in deletion_probs]
     stack, _groups = deletion_block_transition_stack(n, pds)
     return [
-        _optimize_over_flip(n, pd, stack[i], tol)
+        _optimize_over_flip(n, pd, stack[i])
         for i, pd in enumerate(pds)
     ]

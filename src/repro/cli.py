@@ -347,14 +347,14 @@ def _cmd_run(
     if experiment.lower() == "all":
         results = run_all(seed=seed, workers=workers)
     else:
-        results = [
-            run_experiment(
-                experiment,
-                **_runner_kwargs(
-                    experiment, seed=seed, workers=workers, budget=budget
-                ),
+        try:
+            kwargs = _runner_kwargs(
+                experiment, seed=seed, workers=workers, budget=budget
             )
-        ]
+        except KeyError as exc:
+            print(f"error: {exc.args[0]}", file=sys.stderr)
+            return 2
+        results = [run_experiment(experiment, **kwargs)]
     failures = sum(0 if result.passed else 1 for result in results)
     if output_format == "json":
         import json
@@ -490,8 +490,13 @@ def _cmd_faults_run(
     from .simulation.rng import make_rng
     from .sync.feedback import CounterProtocol
 
+    try:
+        fault_scenario = get_scenario(scenario)
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
     params = ChannelParameters.from_rates(deletion=pd, insertion=pi)
-    injector = get_scenario(scenario).build(params, seed=seed)
+    injector = fault_scenario.build(params, seed=seed)
     rng = make_rng(seed)
     message = rng.integers(0, 2**bits, symbols)
     fm = run_under_faults(
@@ -1018,6 +1023,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("usage: repro-covert store {ls,inspect,gc,verify,stats} ...")
         return 2
     if args.command == "service":
+        if args.service_command in ("run", "stats", "replay"):
+            from .faults import get_service_scenario
+
+            try:
+                get_service_scenario(args.scenario)
+            except KeyError as exc:
+                print(f"error: {exc.args[0]}", file=sys.stderr)
+                return 2
         if args.service_command == "run":
             return _cmd_service_run(args)
         if args.service_command == "stats":

@@ -76,8 +76,8 @@ class ConvolutionalCode:
         return len(self.generators)
 
     # ------------------------------------------------------------------
-    def encode(self, bits: np.ndarray, *, terminate: bool = True) -> np.ndarray:
-        """Encode *bits*, optionally appending ``memory`` flush zeros.
+    def encode(self, bits: np.ndarray) -> np.ndarray:
+        """Encode *bits*, appending ``memory`` flush zeros.
 
         Returns the interleaved output stream
         ``[g0(t0), g1(t0), ..., g0(t1), ...]``.
@@ -87,8 +87,7 @@ class ConvolutionalCode:
             raise ValueError("bits must be 1-D")
         if data.size and not np.all((data == 0) | (data == 1)):
             raise ValueError("bits must be 0/1")
-        if terminate:
-            data = np.concatenate([data, np.zeros(self.memory, dtype=np.int64)])
+        data = np.concatenate([data, np.zeros(self.memory, dtype=np.int64)])
         state = 0
         out = np.empty(data.size * self.rate_denominator, dtype=np.int64)
         k = 0

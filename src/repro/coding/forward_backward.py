@@ -73,10 +73,10 @@ class DriftChannelModel:
         Flip probability of transmitted bits.
     max_drift:
         Half-width of the drift window.
-    max_insertions:
-        Cap on insertions per input bit (probability mass beyond the
-        cap is renormalized away; with ``P_i <= 0.2`` and the default
-        cap the truncation is below 1e-3).
+
+    Insertions per input bit are capped at ``max_insertions = 5``
+    (probability mass beyond the cap is renormalized away; with
+    ``P_i <= 0.2`` the truncation is below 1e-3).
     """
 
     def __init__(
@@ -86,7 +86,6 @@ class DriftChannelModel:
         substitution_prob: float = 0.0,
         *,
         max_drift: int = 24,
-        max_insertions: int = 5,
     ) -> None:
         for name, v in (
             ("insertion_prob", insertion_prob),
@@ -99,14 +98,12 @@ class DriftChannelModel:
             raise ValueError("P_i + P_d must be < 1")
         if max_drift < 1:
             raise ValueError("max_drift must be >= 1")
-        if max_insertions < 1:
-            raise ValueError("max_insertions must be >= 1")
         self.pi = insertion_prob
         self.pd = deletion_prob
         self.pt = 1.0 - insertion_prob - deletion_prob
         self.ps = substitution_prob
         self.max_drift = max_drift
-        self.max_insertions = max_insertions
+        self.max_insertions = 5
 
     # ------------------------------------------------------------------
     def _validate(

@@ -16,7 +16,7 @@ lengths of a few hundred bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import optimize
@@ -53,7 +53,6 @@ def _total_log_likelihood(
     pd: float,
     pilots: Sequence[np.ndarray],
     received: Sequence[np.ndarray],
-    substitution_prob: float,
     max_drift: int,
 ) -> float:
     if pi + pd >= 0.95:
@@ -61,7 +60,7 @@ def _total_log_likelihood(
     model = DriftChannelModel(
         insertion_prob=pi,
         deletion_prob=pd,
-        substitution_prob=substitution_prob,
+        substitution_prob=1e-3,
         max_drift=max_drift,
     )
     total = 0.0
@@ -79,8 +78,6 @@ def estimate_channel_parameters(
     pilots: Sequence[np.ndarray],
     received: Sequence[np.ndarray],
     *,
-    substitution_prob: float = 1e-3,
-    max_drift: Optional[int] = None,
     grid: Sequence[float] = (0.01, 0.03, 0.08, 0.15),
 ) -> ChannelEstimate:
     """ML-estimate ``(P_i, P_d)`` from pilot/received pairs.
@@ -91,12 +88,6 @@ def estimate_channel_parameters(
         Known transmitted bit sequences.
     received:
         The corresponding received streams.
-    substitution_prob:
-        Assumed (small) substitution rate of the model; keeps the
-        likelihood finite when a stream contains a flipped bit.
-    max_drift:
-        Drift window; defaults to the worst pilot length difference
-        plus slack, so every pilot's likelihood is finite.
     grid:
         Coarse candidate values for both parameters.
 
@@ -104,15 +95,19 @@ def estimate_channel_parameters(
     -------
     ChannelEstimate
         The polished ML point estimate.
+
+    The model assumes a small substitution rate, 1e-3, which keeps the
+    likelihood finite when a stream contains a flipped bit, and a drift
+    window of the worst pilot length difference plus slack, so every
+    pilot's likelihood is finite.
     """
     if len(pilots) == 0 or len(pilots) != len(received):
         raise ValueError("need matching non-empty pilot/received lists")
-    if max_drift is None:
-        worst = max(
-            abs(len(np.asarray(y)) - len(np.asarray(x)))
-            for x, y in zip(pilots, received)
-        )
-        max_drift = max(12, worst + 8)
+    worst = max(
+        abs(len(np.asarray(y)) - len(np.asarray(x)))
+        for x, y in zip(pilots, received)
+    )
+    max_drift = max(12, worst + 8)
     # A large finite penalty keeps Nelder-Mead's simplex arithmetic
     # well-defined when a candidate leaves the feasible region.
     penalty = 1e12
@@ -122,7 +117,7 @@ def estimate_channel_parameters(
         if not (0.0 <= pi <= 0.45 and 0.0 <= pd <= 0.45):
             return penalty
         value = _total_log_likelihood(
-            pi, pd, pilots, received, substitution_prob, max_drift
+            pi, pd, pilots, received, max_drift
         )
         if not np.isfinite(value):
             return penalty

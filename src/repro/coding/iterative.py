@@ -37,6 +37,10 @@ __all__ = ["IterativeWatermarkCode", "IterativeDecodeResult"]
 
 _EPS = 1e-9
 
+#: Weight of the new outer beliefs when updating the priors (1.0 would
+#: replace them; smaller is smoother).
+DAMPING = 0.8
+
 
 def _logit(p: np.ndarray) -> np.ndarray:
     p = np.clip(p, _EPS, 1.0 - _EPS)
@@ -75,42 +79,23 @@ class IterativeDecodeResult:
 class IterativeWatermarkCode:
     """Watermark code with an LDPC outer code and iterative decoding.
 
-    Parameters
-    ----------
-    ldpc:
-        Outer code; its ``message_length`` is the frame payload size.
-        Defaults to a rate-1/2 PEG code of block length 96.
-    codebook:
-        Sparse mapping (default 3 -> 7).
-    watermark_seed:
-        Shared pseudorandom watermark seed.
-    damping:
-        Weight of the new outer beliefs when updating priors
-        (1.0 = replace, smaller = smoother).
+    The outer code is a rate-1/2 PEG code of block length 96; its
+    ``message_length`` is the frame payload size. The sparse mapping is
+    3 -> 7, and the shared pseudorandom watermark is drawn from seed
+    2005. Updated priors weigh the new outer beliefs by
+    :data:`DAMPING`.
     """
 
-    def __init__(
-        self,
-        *,
-        ldpc: Optional[LDPCCode] = None,
-        codebook: Optional[SparseCodebook] = None,
-        watermark_seed: int = 2005,
-        damping: float = 0.8,
-    ) -> None:
-        if not 0.0 < damping <= 1.0:
-            raise ValueError("damping must be in (0, 1]")
-        if ldpc is None:
-            h = make_peg_parity_check(96, 3, 48, np.random.default_rng(7))
-            ldpc = LDPCCode(h)
-        self.ldpc = ldpc
-        self.codebook = codebook or SparseCodebook(3, 7)
-        self.damping = damping
-        coded_len = ldpc.block_length
+    def __init__(self) -> None:
+        h = make_peg_parity_check(96, 3, 48, np.random.default_rng(7))
+        self.ldpc = LDPCCode(h)
+        self.codebook = SparseCodebook(3, 7)
+        coded_len = self.ldpc.block_length
         rem = (-coded_len) % self.codebook.bits_in
         self._coded_padded = coded_len + rem
         self._num_symbols = self._coded_padded // self.codebook.bits_in
         self.frame_length = self._num_symbols * self.codebook.bits_out
-        wm_rng = np.random.default_rng(watermark_seed)
+        wm_rng = np.random.default_rng(2005)
         self.watermark = wm_rng.integers(0, 2, self.frame_length).astype(np.int64)
 
     @property
@@ -215,7 +200,7 @@ class IterativeWatermarkCode:
             )
             new_pos = self._positions_from_coded_beliefs(full)
             pos_sparse1 = (
-                self.damping * new_pos + (1 - self.damping) * pos_sparse1
+                DAMPING * new_pos + (1 - DAMPING) * pos_sparse1
             )
             pos_sparse1 = np.clip(pos_sparse1, 1e-4, 1 - 1e-4)
         record_status("iterative_watermark", status)

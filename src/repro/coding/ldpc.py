@@ -250,19 +250,13 @@ class LDPCCode:
         record_status("ldpc_bp", SolverStatus.MAX_ITER)
         return hard, False, posterior
 
-    def decode(
-        self,
-        llrs: np.ndarray,
-        *,
-        max_iterations: int = 50,
-    ) -> Tuple[np.ndarray, bool]:
+    def decode(self, llrs: np.ndarray) -> Tuple[np.ndarray, bool]:
         """Sum-product decoding from per-bit LLRs
-        (``log P(y|0) - log P(y|1)``; positive favors 0).
+        (``log P(y|0) - log P(y|1)``; positive favors 0), at most 50
+        iterations.
 
         Returns ``(hard_decisions, converged)`` where *converged* means
         the syndrome check passed.
         """
-        hard, converged, _posterior = self.decode_soft(
-            llrs, max_iterations=max_iterations
-        )
+        hard, converged, _posterior = self.decode_soft(llrs)
         return hard, converged

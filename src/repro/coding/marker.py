@@ -16,7 +16,7 @@ is visible in experiment E8's comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .forward_backward import DriftChannelModel
 
 __all__ = ["MarkerCode", "MarkerDecodeResult"]
 
-_DEFAULT_MARKER = (0, 0, 1)
+_MARKER = (0, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,6 @@ class MarkerCode:
         Information bits per frame.
     period:
         Payload bits between consecutive markers.
-    marker:
-        The known marker pattern.
     outer:
         Optional outer convolutional code; if None the payload is sent
         uncoded (pure marker synchronization).
@@ -60,16 +58,13 @@ class MarkerCode:
         payload_bits: int,
         *,
         period: int = 10,
-        marker: Sequence[int] = _DEFAULT_MARKER,
         outer: Optional[ConvolutionalCode] = None,
     ) -> None:
         if payload_bits < 1:
             raise ValueError("payload_bits must be >= 1")
         if period < 1:
             raise ValueError("period must be >= 1")
-        mk = tuple(int(b) for b in marker)
-        if not mk or any(b not in (0, 1) for b in mk):
-            raise ValueError("marker must be a non-empty 0/1 sequence")
+        mk = _MARKER
         self.payload_bits = payload_bits
         self.period = period
         self.marker = mk

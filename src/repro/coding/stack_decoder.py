@@ -20,7 +20,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -57,15 +56,13 @@ class StackDecoder:
     insertion_prob, deletion_prob, substitution_prob:
         Channel parameters (the decoder's model; should match the true
         channel for best performance).
-    bias:
-        Fano metric bias per *received* bit consumed; default is the
-        code rate in bits, the classic choice.
     max_nodes:
         Search budget.
-    max_drift:
-        Drift hypotheses are confined to ``[-max_drift, +max_drift]``.
-    max_insertions_per_branch:
-        Cap on hypothesized insertions while consuming one coded bit.
+
+    The Fano metric bias per *received* bit consumed is the code rate in
+    bits, the classic choice. Drift hypotheses are confined to
+    ``[-12, +12]``, and at most two insertions are hypothesized while
+    consuming one coded bit.
     """
 
     def __init__(
@@ -75,10 +72,7 @@ class StackDecoder:
         insertion_prob: float,
         deletion_prob: float,
         substitution_prob: float = 0.0,
-        bias: Optional[float] = None,
         max_nodes: int = 200_000,
-        max_drift: int = 12,
-        max_insertions_per_branch: int = 2,
     ) -> None:
         for name, v in (
             ("insertion_prob", insertion_prob),
@@ -94,12 +88,10 @@ class StackDecoder:
         self.pd = deletion_prob
         self.pt = 1.0 - insertion_prob - deletion_prob
         self.ps = substitution_prob
-        self.bias = (
-            bias if bias is not None else 1.0 / code.rate_denominator
-        )
+        self.bias = 1.0 / code.rate_denominator
         self.max_nodes = max_nodes
-        self.max_drift = max_drift
-        self.max_ins = max_insertions_per_branch
+        self.max_drift = 12
+        self.max_ins = 2
 
     # ------------------------------------------------------------------
     def _bit_extensions(self, coded_bit: int, y: np.ndarray, j: int):

@@ -142,35 +142,25 @@ class WatermarkCode:
     ----------
     payload_bits:
         Number of information bits per frame.
-    codebook:
-        Sparse mapping (default 3 -> 7, mean density ~0.12).
-    outer:
-        Outer convolutional code (default constraint length 5,
-        rate 1/2 — short enough for quick frames).
-    watermark_seed:
-        Seed of the pseudorandom watermark shared by both parties.
+
+    The sparse mapping is 3 -> 7 (mean density ~0.12), the outer code a
+    rate-1/2 convolutional code of constraint length 5 (short enough for
+    quick frames), and the pseudorandom watermark both parties share is
+    drawn from seed 2005.
     """
 
-    def __init__(
-        self,
-        payload_bits: int,
-        *,
-        codebook: Optional[SparseCodebook] = None,
-        outer: Optional[ConvolutionalCode] = None,
-        watermark_seed: int = 2005,
-    ) -> None:
+    def __init__(self, payload_bits: int) -> None:
         if payload_bits < 1:
             raise ValueError("payload_bits must be >= 1")
         self.payload_bits = payload_bits
-        self.codebook = codebook or SparseCodebook(3, 7)
-        self.outer = outer or ConvolutionalCode((0o23, 0o35))
-        self.watermark_seed = watermark_seed
+        self.codebook = SparseCodebook(3, 7)
+        self.outer = ConvolutionalCode((0o23, 0o35))
         coded_len = (payload_bits + self.outer.memory) * self.outer.rate_denominator
         rem = (-coded_len) % self.codebook.bits_in
         self._coded_padded = coded_len + rem
         self._num_symbols = self._coded_padded // self.codebook.bits_in
         self.frame_length = self._num_symbols * self.codebook.bits_out
-        wm_rng = np.random.default_rng(watermark_seed)
+        wm_rng = np.random.default_rng(2005)
         self.watermark = wm_rng.integers(0, 2, self.frame_length).astype(np.int64)
 
     @property

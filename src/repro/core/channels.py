@@ -108,14 +108,11 @@ class DeletionInsertionChannel:
         self,
         symbols: np.ndarray,
         rng: np.random.Generator,
-        *,
-        max_uses: Optional[int] = None,
     ) -> TransmissionRecord:
         """Send *symbols* through the channel.
 
         The channel is used until the input queue is exhausted (every
-        queued symbol deleted or transmitted), or until *max_uses* uses
-        have elapsed if given.
+        queued symbol deleted or transmitted).
         """
         queue = np.asarray(symbols, dtype=np.int64)
         if queue.ndim != 1:
@@ -128,21 +125,14 @@ class DeletionInsertionChannel:
         events: List[int] = []
         erasure_view: Optional[List[int]] = [] if self.reveal_locations else None
         qpos = 0
-        uses = 0
         # Draw events lazily in blocks to stay vectorized without
         # overshooting: expected uses per consumed symbol is
         # 1 / (Pd + Pt); insertions extend the run.
         consume_prob = p.deletion + p.transmission
         if consume_prob <= 0 and queue.size > 0:
-            if max_uses is None:
-                raise ValueError(
-                    "channel never consumes input (Pd + Pt = 0); "
-                    "pass max_uses to bound the run"
-                )
+            raise ValueError("channel never consumes input (Pd + Pt = 0)")
         while qpos < queue.size:
-            if max_uses is not None and uses >= max_uses:
-                break
-            block = 1024 if max_uses is None else min(1024, max_uses - uses)
+            block = 1024
             ev_block = sample_events(p, block, rng)
             ins_syms = rng.integers(0, self.alphabet_size, size=block)
             sub_offsets = rng.integers(1, self.alphabet_size, size=block) \
@@ -152,7 +142,6 @@ class DeletionInsertionChannel:
                     break
                 ev = int(ev_block[k])
                 events.append(ev)
-                uses += 1
                 if ev == ChannelEvent.DELETION:
                     if erasure_view is not None:
                         erasure_view.append(ERASURE)
@@ -173,8 +162,6 @@ class DeletionInsertionChannel:
                     if erasure_view is not None:
                         erasure_view.append(sym)
                     qpos += 1
-                if max_uses is not None and uses >= max_uses:
-                    break
 
         return TransmissionRecord(
             received=np.asarray(received, dtype=np.int64),

@@ -5,15 +5,15 @@ is unbounded in ``N`` — but real covert channels pay for wide symbols.
 Two canonical cost models:
 
 * ``"serial"`` — the symbol is written bit by bit into the shared
-  resource: symbol time ``N * time_unit + sync_overhead``. Here the
+  resource: symbol time ``N`` time units. Here the
   physical rate ``R(N) = C_lower_exact(N) / time(N)`` is *monotone
   increasing* in ``N`` (the per-symbol entropy penalty ``H(alpha q)``
-  amortizes), saturating at ``(1 - P_d)/(1 - P_i) (1 - q)/time_unit``
+  amortizes), saturating at ``(1 - P_d)/(1 - P_i) (1 - q)``
   — so the only reason to stop widening is implementation limits, a
   useful but unsurprising fact.
 * ``"timing"`` — the symbol is one of ``2^N`` distinguishable delays
   (an STC-style channel): symbol time grows like the *mean* delay
-  ``~ time_unit * (2^N + 1)/2 + sync_overhead``. The numerator grows
+  ``(2^N + 1)/2``. The numerator grows
   linearly while the denominator grows exponentially, so the rate has
   an **interior optimum** — the "how many timing levels should the
   attacker use?" question, answered by :func:`optimal_symbol_width`.
@@ -48,22 +48,16 @@ def symbol_time(
     bits_per_symbol: int,
     *,
     cost_model: str = "serial",
-    time_unit: float = 1.0,
-    sync_overhead: float = 0.0,
 ) -> float:
-    """Time to convey one symbol under the chosen cost model."""
+    """Time units to convey one symbol under the chosen cost model."""
     if bits_per_symbol < 1:
         raise ValueError("bits_per_symbol must be >= 1")
     if cost_model not in _COST_MODELS:
         raise ValueError(f"cost_model must be one of {_COST_MODELS}")
-    if time_unit <= 0:
-        raise ValueError("time_unit must be positive")
-    if sync_overhead < 0:
-        raise ValueError("sync_overhead must be non-negative")
     if cost_model == "serial":
-        return bits_per_symbol * time_unit + sync_overhead
+        return float(bits_per_symbol)
     # timing: 2^N equiprobable delays 1..2^N time units -> mean delay.
-    return time_unit * (2**bits_per_symbol + 1) / 2.0 + sync_overhead
+    return (2**bits_per_symbol + 1) / 2.0
 
 
 def width_sweep(
@@ -72,8 +66,6 @@ def width_sweep(
     *,
     max_bits: int = 16,
     cost_model: str = "serial",
-    time_unit: float = 1.0,
-    sync_overhead: float = 0.0,
 ) -> List[WidthDesign]:
     """The rate curve over ``N = 1 .. max_bits``."""
     if max_bits < 1:
@@ -81,12 +73,7 @@ def width_sweep(
     out = []
     for n in range(1, max_bits + 1):
         per_slot = feedback_lower_bound_exact(n, deletion_prob, insertion_prob)
-        t = symbol_time(
-            n,
-            cost_model=cost_model,
-            time_unit=time_unit,
-            sync_overhead=sync_overhead,
-        )
+        t = symbol_time(n, cost_model=cost_model)
         out.append(
             WidthDesign(
                 bits_per_symbol=n,
@@ -102,8 +89,6 @@ def optimal_symbol_width(
     *,
     max_bits: int = 16,
     cost_model: str = "timing",
-    time_unit: float = 1.0,
-    sync_overhead: float = 0.0,
 ) -> WidthDesign:
     """The ``N`` maximizing the physical rate over ``1 .. max_bits``.
 
@@ -113,11 +98,6 @@ def optimal_symbol_width(
     monotone and the optimum is ``max_bits``.
     """
     sweep = width_sweep(
-        deletion_prob,
-        insertion_prob,
-        max_bits=max_bits,
-        cost_model=cost_model,
-        time_unit=time_unit,
-        sync_overhead=sync_overhead,
+        deletion_prob, insertion_prob, max_bits=max_bits, cost_model=cost_model
     )
     return max(sweep, key=lambda d: d.rate_per_time)

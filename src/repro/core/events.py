@@ -134,10 +134,9 @@ class ChannelParameters:
             )
 
     @classmethod
-    def from_rates(
-        cls, deletion: float, insertion: float, substitution: float = 0.0
-    ) -> "ChannelParameters":
-        """Build parameters from ``P_d`` and ``P_i``; ``P_t = 1 - P_d - P_i``."""
+    def from_rates(cls, deletion: float, insertion: float) -> "ChannelParameters":
+        """Build parameters from ``P_d`` and ``P_i``; ``P_t = 1 - P_d - P_i``,
+        with no substitutions."""
         transmission = 1.0 - deletion - insertion
         if transmission < -1e-9:
             raise ValueError("deletion + insertion must not exceed 1")
@@ -145,7 +144,6 @@ class ChannelParameters:
             deletion=deletion,
             insertion=insertion,
             transmission=max(0.0, transmission),
-            substitution=substitution,
         )
 
     def event_distribution(self) -> np.ndarray:

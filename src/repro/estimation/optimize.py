@@ -65,6 +65,10 @@ SOLVER_NAME = "sample_capacity"
 #: Store namespace for memoized estimates.
 ESTIMATE_FN_ID = "estimation.sample_capacity"
 
+#: Initial step of the gradient ascent. It is part of every estimate's
+#: store key, so editing it misses the store.
+STEP_SIZE = 0.25
+
 
 @dataclass(frozen=True)
 class SampleCapacityResult:
@@ -318,7 +322,6 @@ def estimate_sample_capacity(
     k: int = 8,
     max_iter: int = 40,
     tol: float = 5e-3,
-    step_size: float = 0.25,
     stall_window: int = 12,
 ) -> SampleCapacityResult:
     """Estimate channel capacity from samples alone.
@@ -346,10 +349,10 @@ def estimate_sample_capacity(
         final-evaluation shuffle.
     k:
         Neighbour order of the mixed KSG estimator.
-    max_iter, tol, step_size, stall_window:
-        Search knobs: iteration cap, optimality-gap tolerance,
-        initial step (decayed as ``1 / (1 + 0.1 t)``), and the guard's
-        stall window.
+    max_iter, tol, stall_window:
+        Search knobs: iteration cap, optimality-gap tolerance, and the
+        guard's stall window. The initial step is :data:`STEP_SIZE`,
+        decayed as ``1 / (1 + 0.1 t)``.
     """
     params = {
         "sampler": sampler,
@@ -358,7 +361,7 @@ def estimate_sample_capacity(
         "k": int(k),
         "max_iter": int(max_iter),
         "tol": float(tol),
-        "step_size": float(step_size),
+        "step_size": float(STEP_SIZE),
         "stall_window": int(stall_window),
     }
 
@@ -371,7 +374,7 @@ def estimate_sample_capacity(
                 int(k),
                 int(max_iter),
                 float(tol),
-                float(step_size),
+                float(STEP_SIZE),
                 int(stall_window),
             )
             for _ in miss_indices

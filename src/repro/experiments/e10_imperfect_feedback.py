@@ -11,7 +11,7 @@ flow still yields most of the capacity.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from ..core.events import ChannelParameters
 from ..infotheory.probability import is_zero
@@ -25,7 +25,7 @@ from .tables import ExperimentResult
 
 __all__ = ["run"]
 
-_DEFAULT_SWEEP: Tuple[Tuple[float, float], ...] = (
+SWEEP: Tuple[Tuple[float, float], ...] = (
     (0.1, 0.0),
     (0.1, 0.1),
     (0.1, 0.3),
@@ -35,25 +35,24 @@ _DEFAULT_SWEEP: Tuple[Tuple[float, float], ...] = (
 )
 
 
-def run(
-    *,
-    seed: int = 0,
-    bits_per_symbol: int = 2,
-    num_symbols: int = 80_000,
-    sweep: Sequence[Tuple[float, float]] = _DEFAULT_SWEEP,
-    tolerance: float = 0.03,
-) -> ExperimentResult:
+# The run's settings, read at call time.
+BITS_PER_SYMBOL = 2
+NUM_SYMBOLS = 80_000
+TOLERANCE = 0.03
+
+
+def run(*, seed: int = 0) -> ExperimentResult:
     """Execute E10 and return the result table."""
     rng = make_rng(seed)
-    n = bits_per_symbol
+    n = BITS_PER_SYMBOL
     rows = []
     passed = True
-    for pd, q in sweep:
+    for pd, q in SWEEP:
         params = ChannelParameters.from_rates(deletion=pd, insertion=0.0)
         protocol = AlternatingBitProtocol(
             params, bits_per_symbol=n, ack_loss_prob=q
         )
-        message = rng.integers(0, 2**n, num_symbols)
+        message = rng.integers(0, 2**n, NUM_SYMBOLS)
         record = protocol.run(message, rng)
         measured = record.throughput_per_use
         theory = lossy_feedback_capacity(n, pd, q)
@@ -71,7 +70,7 @@ def run(
         amortized_ok = block_measured >= measured - 0.02 * n
         recovers = is_zero(q) or block_measured >= 0.95 * perfect
         ok = (
-            rel_err < tolerance
+            rel_err < TOLERANCE
             and record.symbol_errors == 0
             and amortized_ok
             and recovers

@@ -10,8 +10,6 @@ round buys reliability with zero rate cost.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from ..coding.forward_backward import DriftChannelModel
@@ -23,29 +21,29 @@ from .tables import ExperimentResult
 __all__ = ["run"]
 
 
-def run(
-    *,
-    seed: int = 0,
-    insertion_prob: float = 0.04,
-    deletion_prob: float = 0.04,
-    frames: int = 6,
-    iteration_counts: Sequence[int] = (1, 2, 3),
-) -> ExperimentResult:
+# The run's settings, read at call time.
+INSERTION_PROB = 0.04
+DELETION_PROB = 0.04
+FRAMES = 6
+ITERATION_COUNTS = (1, 2, 3)
+
+
+def run(*, seed: int = 0) -> ExperimentResult:
     """Execute E11 and return the result table."""
     rng = make_rng(seed)
     code = IterativeWatermarkCode()
     channel = DriftChannelModel(
-        insertion_prob=insertion_prob,
-        deletion_prob=deletion_prob,
+        insertion_prob=INSERTION_PROB,
+        deletion_prob=DELETION_PROB,
         substitution_prob=0.0,
         max_drift=16,
     )
     rows = []
     mean_bers = {}
-    for iters in iteration_counts:
+    for iters in ITERATION_COUNTS:
         bers = []
         frame_ok = 0
-        for k in range(frames):
+        for k in range(FRAMES):
             frame_rng = make_rng(seed * 1000 + 17 * k)  # same frames per row
             result = code.simulate_frame(channel, frame_rng, iterations=iters)
             bers.append(result.bit_error_rate)
@@ -57,11 +55,11 @@ def run(
                 "rate (bits/bit)": code.rate,
                 "mean BER": mean_bers[iters],
                 "frames ok": frame_ok,
-                "frames": frames,
+                "frames": FRAMES,
             }
         )
-    first = iteration_counts[0]
-    last = iteration_counts[-1]
+    first = ITERATION_COUNTS[0]
+    last = ITERATION_COUNTS[-1]
     passed = mean_bers[last] <= mean_bers[first] + 1e-12
     return ExperimentResult(
         experiment_id="E11",
@@ -74,7 +72,7 @@ def run(
         rows=rows,
         passed=passed,
         notes=(
-            f"Channel P_i={insertion_prob}, P_d={deletion_prob}; the same "
+            f"Channel P_i={INSERTION_PROB}, P_d={DELETION_PROB}; the same "
             "frame seeds are reused across rows so the comparison is "
             "paired."
         ),

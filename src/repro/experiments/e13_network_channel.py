@@ -14,7 +14,7 @@ role the scheduler played in §3.1:
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from ..core.estimation import CapacityEstimator
 from ..network.packet_channel import (
@@ -28,7 +28,7 @@ from .tables import ExperimentResult
 __all__ = ["run"]
 
 #: (loss, duplicate, jitter) rows; jitter in gap-duration units.
-_DEFAULT_SWEEP: Tuple[Tuple[float, float, float], ...] = (
+SWEEP: Tuple[Tuple[float, float, float], ...] = (
     (0.0, 0.0, 0.0),
     (0.0, 0.0, 0.15),
     (0.05, 0.0, 0.0),
@@ -38,26 +38,25 @@ _DEFAULT_SWEEP: Tuple[Tuple[float, float, float], ...] = (
 )
 
 
-def run(
-    *,
-    seed: int = 0,
-    num_symbols: int = 30_000,
-    gap_durations: Sequence[float] = (1.0, 2.0),
-    sweep: Sequence[Tuple[float, float, float]] = _DEFAULT_SWEEP,
-) -> ExperimentResult:
+# The run's settings, read at call time.
+NUM_SYMBOLS = 30_000
+GAP_DURATIONS = (1.0, 2.0)
+
+
+def run(*, seed: int = 0) -> ExperimentResult:
     """Execute E13 and return the result table."""
     rng = make_rng(seed)
     rows = []
     passed = True
-    naive = PacketFlowConfig(gap_durations).synchronous_capacity()
-    for loss, dup, jitter in sweep:
+    naive = PacketFlowConfig(GAP_DURATIONS).synchronous_capacity()
+    for loss, dup, jitter in SWEEP:
         config = PacketFlowConfig(
-            gap_durations,
+            GAP_DURATIONS,
             loss_prob=loss,
             duplicate_prob=dup,
             jitter_std=jitter,
         )
-        message = rng.integers(0, config.num_symbols, num_symbols)
+        message = rng.integers(0, config.num_symbols, NUM_SYMBOLS)
         record = transmit_flow(message, config, rng)
         params = measured_parameters(record)
         report = CapacityEstimator(

@@ -8,27 +8,24 @@ quantum) and the scheduling-delay cost paid by legitimate processes.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from ..os_model.countermeasures import fuzzy_scheduler_tradeoff
 from ..simulation.rng import make_rng
 from .tables import ExperimentResult
 
 __all__ = ["run"]
 
-_DEFAULT_LEVELS = (0.0, 0.15, 0.3, 0.45, 0.6, 0.75)
+FUZZ_LEVELS = (0.0, 0.15, 0.3, 0.45, 0.6, 0.75)
 
 
-def run(
-    *,
-    seed: int = 0,
-    fuzz_levels: Sequence[float] = _DEFAULT_LEVELS,
-    message_symbols: int = 10_000,
-) -> ExperimentResult:
+# The run's settings, read at call time.
+MESSAGE_SYMBOLS = 10_000
+
+
+def run(*, seed: int = 0) -> ExperimentResult:
     """Execute E14 and return the result table."""
     rng = make_rng(seed)
     points = fuzzy_scheduler_tradeoff(
-        fuzz_levels, rng, message_symbols=message_symbols
+        FUZZ_LEVELS, rng, message_symbols=MESSAGE_SYMBOLS
     )
     rows = []
     for p in points:

@@ -20,8 +20,6 @@ the i.i.d. and perfect-feedback assumptions are broken:
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from ..core.events import ChannelParameters
 from ..faults.injector import run_under_faults
 from ..faults.scenarios import get_scenario, list_scenarios
@@ -34,27 +32,26 @@ __all__ = ["run"]
 _DESYNC_SCENARIOS = frozenset({"bursty_loss", "counter_desync", "stress"})
 
 
-def run(
-    *,
-    seed: int = 0,
-    bits_per_symbol: int = 3,
-    num_symbols: int = 25_000,
-    deletion: float = 0.1,
-    insertion: float = 0.05,
-    scenarios: Sequence[str] = (),
-) -> ExperimentResult:
+# The run's settings, read at call time.
+BITS_PER_SYMBOL = 3
+NUM_SYMBOLS = 25_000
+DELETION = 0.1
+INSERTION = 0.05
+
+
+def run(*, seed: int = 0) -> ExperimentResult:
     """Execute E15 and return the result table."""
     rng = make_rng(seed)
-    n = bits_per_symbol
-    params = ChannelParameters.from_rates(deletion=deletion, insertion=insertion)
-    names = list(scenarios) or [s.name for s in list_scenarios()]
+    n = BITS_PER_SYMBOL
+    params = ChannelParameters.from_rates(deletion=DELETION, insertion=INSERTION)
+    names = [s.name for s in list_scenarios()]
     rows = []
     passed = True
     for name in names:
         scenario = get_scenario(name)
         injector = scenario.build(params, seed=seed)
         protocol = CounterProtocol(params, bits_per_symbol=n)
-        message = rng.integers(0, 2**n, num_symbols)
+        message = rng.integers(0, 2**n, NUM_SYMBOLS)
         fm = run_under_faults(protocol, message, rng, injector)
         recovery_expected = name in _DESYNC_SCENARIOS
         recovery_ok = (not recovery_expected) or (

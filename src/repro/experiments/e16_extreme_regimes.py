@@ -89,7 +89,12 @@ def extreme_grid() -> List[Tuple[str, float, Callable[[], np.ndarray], float]]:
     return grid
 
 
-def run(*, tol: float = 1e-10, max_iter: int = 10_000) -> ExperimentResult:
+# The run's settings, read at call time.
+TOL = 1e-10
+MAX_ITER = 10_000
+
+
+def run() -> ExperimentResult:
     """Execute E16 and return the result table."""
     grid = extreme_grid()
     matrices = [factory() for _regime, _pd, factory, _exact in grid]
@@ -101,7 +106,7 @@ def run(*, tol: float = 1e-10, max_iter: int = 10_000) -> ExperimentResult:
             members = [i for i, m in enumerate(matrices) if m.shape == shape]
             stack = np.stack([matrices[i] for i in members])
             results = blahut_arimoto_batch(
-                stack, tol=tol, max_iter=max_iter
+                stack, tol=TOL, max_iter=MAX_ITER
             ).unbatch()
             for result in results:
                 record_status("blahut_arimoto", result.status)

@@ -20,7 +20,7 @@ does two things:
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -65,19 +65,17 @@ _DMC_CASES: Tuple[Tuple[str, Tuple[Tuple[float, ...], ...]], ...] = (
 )
 
 #: Scheduler-channel sweep: preemption probability per quantum.
-_PREEMPT_SWEEP: Tuple[float, ...] = (0.0, 0.1, 0.3)
+PREEMPT_SWEEP: Tuple[float, ...] = (0.0, 0.1, 0.3)
 
 #: Burst-length alphabet of the scheduler channel (quanta).
 _BURSTS: Tuple[int, ...] = (1, 2, 4)
 
 
-def run(
-    *,
-    seed: int = 0,
-    n_samples: int = 4096,
-    gate_bits: float = AGREEMENT_GATE_BITS,
-    preempt_sweep: Sequence[float] = _PREEMPT_SWEEP,
-) -> ExperimentResult:
+# The run's settings, read at call time.
+N_SAMPLES = 4096
+
+
+def run(*, seed: int = 0) -> ExperimentResult:
     """Execute E17 and return the result table."""
     rows = []
     passed = True
@@ -86,10 +84,10 @@ def run(
     for label, matrix in _DMC_CASES:
         exact = blahut_arimoto(np.asarray(matrix))
         est = estimate_sample_capacity(
-            DMCSampler(matrix), n_samples=n_samples, seed=seed
+            DMCSampler(matrix), n_samples=N_SAMPLES, seed=seed
         )
         err = abs(est.capacity - exact.capacity)
-        ok = err <= gate_bits and est.status.value != "aborted"
+        ok = err <= AGREEMENT_GATE_BITS and est.status.value != "aborted"
         passed = passed and ok
         rows.append(
             {
@@ -112,23 +110,23 @@ def run(
         np.asarray(_BURSTS, dtype=float) + 1.0,
     )
     previous = float("inf")
-    for preempt in preempt_sweep:
+    for preempt in PREEMPT_SWEEP:
         est = estimate_sample_capacity(
             SchedulerTimingSampler(_BURSTS, preempt),
-            n_samples=n_samples,
+            n_samples=N_SAMPLES,
             seed=seed,
         )
         if is_zero(preempt):
             reference = noiseless.capacity
             err = abs(est.capacity - reference)
-            ok = err <= gate_bits
+            ok = err <= AGREEMENT_GATE_BITS
         else:
             # No enumerable reference exists: require the first
             # capacity numbers to be sane — positive, below the
             # noiseless anchor, and monotone in the noise.
             reference = float("nan")
             err = float("nan")
-            ok = 0.0 < est.capacity <= previous + gate_bits
+            ok = 0.0 < est.capacity <= previous + AGREEMENT_GATE_BITS
         passed = passed and ok
         previous = est.capacity
         rows.append(

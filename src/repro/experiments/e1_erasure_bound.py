@@ -14,7 +14,7 @@ its genie-aided (extended erasure) twin on the *same* randomness:
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .tables import ExperimentResult
 
 __all__ = ["run"]
 
-_DEFAULT_SWEEP: Tuple[Tuple[float, float], ...] = (
+SWEEP: Tuple[Tuple[float, float], ...] = (
     (0.0, 0.0),
     (0.05, 0.0),
     (0.1, 0.05),
@@ -39,27 +39,26 @@ _DEFAULT_SWEEP: Tuple[Tuple[float, float], ...] = (
 )
 
 
-def run(
-    *,
-    seed: int = 0,
-    bits_per_symbol: int = 2,
-    num_symbols: int = 40_000,
-    sweep: Sequence[Tuple[float, float]] = _DEFAULT_SWEEP,
-) -> ExperimentResult:
+# The run's settings, read at call time.
+BITS_PER_SYMBOL = 2
+NUM_SYMBOLS = 40_000
+
+
+def run(*, seed: int = 0) -> ExperimentResult:
     """Execute E1 and return the result table."""
     rng = make_rng(seed)
-    n = bits_per_symbol
+    n = BITS_PER_SYMBOL
     alphabet = 2**n
     rows = []
     passed = True
-    bounds = erasure_bound_profile(n, [pd for pd, _ in sweep])
-    for (pd, pi), bound in zip(sweep, bounds):
+    bounds = erasure_bound_profile(n, [pd for pd, _ in SWEEP])
+    for (pd, pi), bound in zip(SWEEP, bounds):
         bound = float(bound)
         params = ChannelParameters.from_rates(deletion=pd, insertion=pi)
         channel = DeletionInsertionChannel(
             params, bits_per_symbol=n, reveal_locations=True
         )
-        message = rng.integers(0, alphabet, num_symbols)
+        message = rng.integers(0, alphabet, NUM_SYMBOLS)
         record = channel.transmit(message, rng)
 
         # Genie (erasure) receiver: knows locations; every non-erased

@@ -9,8 +9,6 @@ Theorem 3.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from ..core.events import ChannelParameters
 from ..core.theorems import theorem3_feedback_capacity
 from ..simulation.rng import make_rng
@@ -19,31 +17,30 @@ from .tables import ExperimentResult
 
 __all__ = ["run"]
 
-_DEFAULT_PDS = (0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7)
+DELETION_PROBS = (0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7)
 
 
-def run(
-    *,
-    seed: int = 0,
-    bits_per_symbol: int = 3,
-    num_symbols: int = 100_000,
-    deletion_probs: Sequence[float] = _DEFAULT_PDS,
-    tolerance: float = 0.02,
-) -> ExperimentResult:
+# The run's settings, read at call time.
+BITS_PER_SYMBOL = 3
+NUM_SYMBOLS = 100_000
+TOLERANCE = 0.02
+
+
+def run(*, seed: int = 0) -> ExperimentResult:
     """Execute E2 and return the result table."""
     rng = make_rng(seed)
-    n = bits_per_symbol
+    n = BITS_PER_SYMBOL
     rows = []
     passed = True
-    for pd in deletion_probs:
+    for pd in DELETION_PROBS:
         params = ChannelParameters.from_rates(deletion=pd, insertion=0.0)
         protocol = ResendProtocol(params, bits_per_symbol=n)
-        message = rng.integers(0, 2**n, num_symbols)
+        message = rng.integers(0, 2**n, NUM_SYMBOLS)
         run_record = protocol.run(message, rng)
         measured = run_record.throughput_per_use
         theory = theorem3_feedback_capacity(n, pd)
         rel_err = abs(measured - theory) / theory if theory else abs(measured)
-        ok = rel_err < tolerance and run_record.symbol_errors == 0
+        ok = rel_err < TOLERANCE and run_record.symbol_errors == 0
         passed = passed and ok
         rows.append(
             {

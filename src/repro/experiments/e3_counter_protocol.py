@@ -18,7 +18,7 @@ For a sweep of ``(P_d, P_i)`` the experiment verifies three things:
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from ..core.capacity import alpha, converted_insertion_fraction
 from ..core.events import ChannelParameters
@@ -29,7 +29,7 @@ from .tables import ExperimentResult
 
 __all__ = ["run"]
 
-_DEFAULT_SWEEP: Tuple[Tuple[float, float], ...] = (
+SWEEP: Tuple[Tuple[float, float], ...] = (
     (0.0, 0.05),
     (0.0, 0.15),
     (0.1, 0.1),
@@ -38,23 +38,22 @@ _DEFAULT_SWEEP: Tuple[Tuple[float, float], ...] = (
 )
 
 
-def run(
-    *,
-    seed: int = 0,
-    bits_per_symbol: int = 3,
-    num_symbols: int = 150_000,
-    sweep: Sequence[Tuple[float, float]] = _DEFAULT_SWEEP,
-    tolerance: float = 0.03,
-) -> ExperimentResult:
+# The run's settings, read at call time.
+BITS_PER_SYMBOL = 3
+NUM_SYMBOLS = 150_000
+TOLERANCE = 0.03
+
+
+def run(*, seed: int = 0) -> ExperimentResult:
     """Execute E3 and return the result table."""
     rng = make_rng(seed)
-    n = bits_per_symbol
+    n = BITS_PER_SYMBOL
     rows = []
     passed = True
-    for pd, pi in sweep:
+    for pd, pi in SWEEP:
         params = ChannelParameters.from_rates(deletion=pd, insertion=pi)
         protocol = CounterProtocol(params, bits_per_symbol=n)
-        message = rng.integers(0, 2**n, num_symbols)
+        message = rng.integers(0, 2**n, NUM_SYMBOLS)
         m = measure_protocol(protocol, message, rng)
         expected_sub = alpha(n) * converted_insertion_fraction(pd, pi)
         sub_ok = abs(m.empirical_substitution_rate - expected_sub) < max(
@@ -62,7 +61,7 @@ def run(
         )
         rate_ok = (
             abs(m.empirical_information_per_slot - m.theoretical_lower_exact)
-            < tolerance * n
+            < TOLERANCE * n
         )
         order_ok = (
             m.theoretical_lower_exact

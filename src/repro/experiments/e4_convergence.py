@@ -21,14 +21,14 @@ from .tables import ExperimentResult
 
 __all__ = ["convergence_trial", "run"]
 
-_DEFAULT_NS = (1, 2, 4, 8, 12, 16, 24)
-_DEFAULT_PS = (0.05, 0.1, 0.2)
+BITS_PER_SYMBOL_VALUES = (1, 2, 4, 8, 12, 16, 24)
+PROBS = (0.05, 0.1, 0.2)
 
 
 def convergence_trial(
     rng: np.random.Generator,
     *,
-    bits_per_symbol_values: Sequence[int] = _DEFAULT_NS,
+    bits_per_symbol_values: Sequence[int] = BITS_PER_SYMBOL_VALUES,
     draws: int = 200,
 ) -> Dict[str, float]:
     """One Monte-Carlo replication of the E4 convergence spot-check.
@@ -70,21 +70,22 @@ def convergence_trial(
     }
 
 
+# The run's settings, read at call time.
+MONTE_CARLO_REPLICATIONS = 4
+
+
 def run(
     *,
-    bits_per_symbol_values: Sequence[int] = _DEFAULT_NS,
-    probs: Sequence[float] = _DEFAULT_PS,
     seed: int = 0,
     workers: int = 1,
-    monte_carlo_replications: int = 4,
     budget: Optional[float] = None,
 ) -> ExperimentResult:
     """Execute E4 and return the result table.
 
     The table itself is deterministic; a seeded Monte-Carlo spot-check
-    (:func:`convergence_trial`, *monte_carlo_replications* replications,
-    optionally fanned over *workers* processes) randomizes ``p`` and is
-    reported in the notes. Identical seeds give identical results for
+    (:func:`convergence_trial`, :data:`MONTE_CARLO_REPLICATIONS`
+    replications, optionally fanned over *workers* processes) randomizes
+    ``p`` and is reported in the notes. Identical seeds give identical results for
     any worker count. *budget* caps the Monte-Carlo wall-clock
     (``ExperimentRunner.time_budget_seconds``); an exhausted budget is
     reported in the notes and fails the spot-check only if no
@@ -92,9 +93,9 @@ def run(
     """
     rows = []
     passed = True
-    for p in probs:
+    for p in PROBS:
         previous = -1.0
-        for n in bits_per_symbol_values:
+        for n in BITS_PER_SYMBOL_VALUES:
             ratio = convergence_ratio(n, p)
             approx = convergence_ratio_limit(n, p)
             monotone = ratio >= previous - 1e-12
@@ -115,7 +116,7 @@ def run(
             )
             previous = ratio
         # Convergence: the largest N must be within H(p)/(N(1-p)) of 1.
-        final_gap = 1.0 - convergence_ratio(max(bits_per_symbol_values), p)
+        final_gap = 1.0 - convergence_ratio(max(BITS_PER_SYMBOL_VALUES), p)
         if final_gap > 0.12:
             passed = False
 
@@ -123,60 +124,59 @@ def run(
         "The gap decays like H(p)/(N(1-p)) + O(2^-N): doubling N "
         "roughly halves it."
     )
-    if monte_carlo_replications > 0:
-        runner = ExperimentRunner(
-            root_seed=seed,
-            replications=monte_carlo_replications,
-            workers=workers,
-            time_budget_seconds=budget,
+    runner = ExperimentRunner(
+        root_seed=seed,
+        replications=MONTE_CARLO_REPLICATIONS,
+        workers=workers,
+        time_budget_seconds=budget,
+    )
+    try:
+        mc = runner.run(
+            partial(
+                convergence_trial,
+                bits_per_symbol_values=tuple(BITS_PER_SYMBOL_VALUES),
+            ),
+            label="e4/monte-carlo",
         )
-        try:
-            mc = runner.run(
-                partial(
-                    convergence_trial,
-                    bits_per_symbol_values=tuple(bits_per_symbol_values),
-                ),
-                label="e4/monte-carlo",
-            )
-        except RuntimeError as exc:
-            # Too few replications for intervals (e.g. the budget ran
-            # out almost immediately); completed work is checkpointed,
-            # so re-running with more budget resumes instead of redoing.
-            mc = None
-            passed = False
-            notes += f" Monte-Carlo spot-check aborted ({exc}) -> FAILED."
-        completed = (
-            len(mc["min_ratio"].samples)
-            if mc is not None and "min_ratio" in mc
-            else 0
+    except RuntimeError as exc:
+        # Too few replications for intervals (e.g. the budget ran
+        # out almost immediately); completed work is checkpointed,
+        # so re-running with more budget resumes instead of redoing.
+        mc = None
+        passed = False
+        notes += f" Monte-Carlo spot-check aborted ({exc}) -> FAILED."
+    completed = (
+        len(mc["min_ratio"].samples)
+        if mc is not None and "min_ratio" in mc
+        else 0
+    )
+    if mc is None:
+        pass
+    elif completed:
+        worst_violation = max(
+            max(mc["max_monotonicity_violation"].samples),
+            max(mc["max_bound_violation"].samples),
         )
-        if mc is None:
-            pass
-        elif completed:
-            worst_violation = max(
-                max(mc["max_monotonicity_violation"].samples),
-                max(mc["max_bound_violation"].samples),
-            )
-            mc_ok = worst_violation <= 1e-12
-            passed = passed and mc_ok
-            notes += (
-                f" Monte-Carlo spot-check ({completed} "
-                f"replications x 200 draws, seed {seed}): "
-                f"worst violation {worst_violation:.3g}, "
-                f"min ratio {min(mc['min_ratio'].samples):.4f} -> "
-                f"{'ok' if mc_ok else 'FAILED'}."
-            )
-        else:
-            passed = False
-            notes += (
-                " Monte-Carlo spot-check: no replication finished "
-                "within the budget -> FAILED."
-            )
-        if mc is not None and mc.budget_exhausted:
-            notes += (
-                f" (wall-clock budget {budget:.3g}s exhausted after "
-                f"{completed}/{monte_carlo_replications} replications)"
-            )
+        mc_ok = worst_violation <= 1e-12
+        passed = passed and mc_ok
+        notes += (
+            f" Monte-Carlo spot-check ({completed} "
+            f"replications x 200 draws, seed {seed}): "
+            f"worst violation {worst_violation:.3g}, "
+            f"min ratio {min(mc['min_ratio'].samples):.4f} -> "
+            f"{'ok' if mc_ok else 'FAILED'}."
+        )
+    else:
+        passed = False
+        notes += (
+            " Monte-Carlo spot-check: no replication finished "
+            "within the budget -> FAILED."
+        )
+    if mc is not None and mc.budget_exhausted:
+        notes += (
+            f" (wall-clock budget {budget:.3g}s exhausted after "
+            f"{completed}/{MONTE_CARLO_REPLICATIONS} replications)"
+        )
     return ExperimentResult(
         experiment_id="E4",
         title="Asymptotic convergence of the feedback bounds (P_i = P_d)",

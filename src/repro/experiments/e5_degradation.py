@@ -12,8 +12,6 @@ Two series:
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from ..core.degradation import (
@@ -25,20 +23,20 @@ from .tables import ExperimentResult
 
 __all__ = ["run"]
 
-_DEFAULT_PDS = (0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4)
+DELETION_PROBS = (0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4)
 
 
-def run(
-    *,
-    bits_per_symbol: int = 4,
-    deletion_probs: Sequence[float] = _DEFAULT_PDS,
-    insertion_prob: float = 0.05,
-) -> ExperimentResult:
+# The run's settings, read at call time.
+BITS_PER_SYMBOL = 4
+INSERTION_PROB = 0.05
+
+
+def run() -> ExperimentResult:
     """Execute E5 and return the result table (deterministic)."""
-    pds = np.asarray(deletion_probs, dtype=float)
+    pds = np.asarray(DELETION_PROBS, dtype=float)
     upper_series = np.asarray([relative_degradation_upper(p) for p in pds])
     lower_series = degradation_series(
-        bits_per_symbol, pds, insertion_prob=insertion_prob
+        BITS_PER_SYMBOL, pds, insertion_prob=INSERTION_PROB
     )
     fit_upper = fit_degradation(pds, upper_series)
     fit_lower = fit_degradation(pds, lower_series)
@@ -49,21 +47,21 @@ def run(
             {
                 "P_d": float(pd),
                 "erasure degradation": float(du),
-                f"achievable degr (Pi={insertion_prob})": float(dl),
+                f"achievable degr (Pi={INSERTION_PROB})": float(dl),
             }
         )
     rows.append(
         {
             "P_d": "fit slope",
             "erasure degradation": fit_upper.slope,
-            f"achievable degr (Pi={insertion_prob})": fit_lower.slope,
+            f"achievable degr (Pi={INSERTION_PROB})": fit_lower.slope,
         }
     )
     rows.append(
         {
             "P_d": "fit R^2",
             "erasure degradation": fit_upper.r_squared,
-            f"achievable degr (Pi={insertion_prob})": fit_lower.r_squared,
+            f"achievable degr (Pi={INSERTION_PROB})": fit_lower.r_squared,
         }
     )
     passed = (
@@ -82,7 +80,7 @@ def run(
         columns=[
             "P_d",
             "erasure degradation",
-            f"achievable degr (Pi={insertion_prob})",
+            f"achievable degr (Pi={INSERTION_PROB})",
         ],
         rows=rows,
         passed=passed,

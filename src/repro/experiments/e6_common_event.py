@@ -10,7 +10,7 @@ receiver degenerates into feedback) predicts ``ratio <= 1`` everywhere.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from ..simulation.rng import make_rng
 from ..sync.common_event import (
@@ -22,7 +22,7 @@ from .tables import ExperimentResult
 
 __all__ = ["run"]
 
-_DEFAULT_SWEEP: Tuple[Tuple[float, float], ...] = (
+SWEEP: Tuple[Tuple[float, float], ...] = (
     (0.0, 0.0),
     (0.1, 0.1),
     (0.2, 0.1),
@@ -32,22 +32,21 @@ _DEFAULT_SWEEP: Tuple[Tuple[float, float], ...] = (
 )
 
 
-def run(
-    *,
-    seed: int = 0,
-    bits_per_symbol: int = 2,
-    num_symbols: int = 40_000,
-    sweep: Sequence[Tuple[float, float]] = _DEFAULT_SWEEP,
-) -> ExperimentResult:
+# The run's settings, read at call time.
+BITS_PER_SYMBOL = 2
+NUM_SYMBOLS = 40_000
+
+
+def run(*, seed: int = 0) -> ExperimentResult:
     """Execute E6 and return the result table."""
     rng = make_rng(seed)
     rows = []
     passed = True
-    for s_miss, r_miss in sweep:
+    for s_miss, r_miss in SWEEP:
         config = CommonEventConfig(sender_miss=s_miss, receiver_miss=r_miss)
-        message = rng.integers(0, 2**bits_per_symbol, num_symbols)
+        message = rng.integers(0, 2**BITS_PER_SYMBOL, NUM_SYMBOLS)
         run_record = simulate_common_event_channel(
-            message, config, rng, bits_per_symbol=bits_per_symbol
+            message, config, rng, bits_per_symbol=BITS_PER_SYMBOL
         )
         comparison = compare_with_feedback(run_record)
         ok = comparison["ratio"] <= 1.0 + 1e-9

@@ -12,7 +12,7 @@ quanta.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -44,19 +44,18 @@ DEFAULT_SCHEDULERS: Tuple[Tuple[str, Callable[[], Scheduler]], ...] = (
 )
 
 
-def run(
-    *,
-    seed: int = 0,
-    message_symbols: int = 20_000,
-    schedulers: Sequence[Tuple[str, Callable[[], Scheduler]]] = DEFAULT_SCHEDULERS,
-) -> ExperimentResult:
+# The run's settings, read at call time.
+MESSAGE_SYMBOLS = 20_000
+
+
+def run(*, seed: int = 0) -> ExperimentResult:
     """Execute E7 and return the result table."""
     rng = make_rng(seed)
     rows = []
     rates = {}
-    for label, factory in schedulers:
+    for label, factory in DEFAULT_SCHEDULERS:
         m = run_oblivious_channel(
-            factory(), rng, message_symbols=message_symbols
+            factory(), rng, message_symbols=MESSAGE_SYMBOLS
         )
         rates[label] = m.achievable_per_quantum
         rows.append(
@@ -72,17 +71,17 @@ def run(
     # Handshake variant under the random scheduler: zero loss, but
     # waiting overhead caps throughput at ~1/4 bit per quantum.
     hs_rng = make_rng(seed + 1)
-    message = hs_rng.integers(0, 2, message_symbols)
+    message = hs_rng.integers(0, 2, MESSAGE_SYMBOLS)
     sender = HandshakeSender(0, message)
     receiver = HandshakeReceiver(1)
     kernel = UniprocessorKernel([sender, receiver], RandomScheduler())
     kernel.run(
-        64 * message_symbols, hs_rng, stop_condition=lambda _k: sender.done
+        64 * MESSAGE_SYMBOLS, hs_rng, stop_condition=lambda _k: sender.done
     )
     delivered = receiver.received
     lossless = bool(
         np.array_equal(delivered, message[: delivered.size])
-        and delivered.size >= message_symbols - 1
+        and delivered.size >= MESSAGE_SYMBOLS - 1
     )
     hs_rate = delivered.size / kernel.time if kernel.time else 0.0
     rows.append(

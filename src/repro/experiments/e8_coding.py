@@ -18,7 +18,6 @@ techniques are required".
 
 from __future__ import annotations
 
-
 import numpy as np
 
 from ..coding.convolutional import ConvolutionalCode
@@ -34,52 +33,52 @@ from .tables import ExperimentResult
 __all__ = ["run"]
 
 
-def run(
-    *,
-    seed: int = 0,
-    insertion_prob: float = 0.02,
-    deletion_prob: float = 0.02,
-    frames: int = 4,
-    payload_bits: int = 48,
-) -> ExperimentResult:
+# The run's settings, read at call time.
+INSERTION_PROB = 0.02
+DELETION_PROB = 0.02
+FRAMES = 4
+PAYLOAD_BITS = 48
+
+
+def run(*, seed: int = 0) -> ExperimentResult:
     """Execute E8 and return the result table."""
     rng = make_rng(seed)
     channel = DriftChannelModel(
-        insertion_prob=insertion_prob,
-        deletion_prob=deletion_prob,
+        insertion_prob=INSERTION_PROB,
+        deletion_prob=DELETION_PROB,
         substitution_prob=0.0,
         max_drift=14,
     )
-    feedback_rate = feedback_lower_bound_exact(1, deletion_prob, insertion_prob)
-    upper = erasure_upper_bound(1, deletion_prob)
+    feedback_rate = feedback_lower_bound_exact(1, DELETION_PROB, INSERTION_PROB)
+    upper = erasure_upper_bound(1, DELETION_PROB)
 
     rows = []
 
     # Watermark code ---------------------------------------------------
-    wm = WatermarkCode(payload_bits=payload_bits)
-    wm_bers = [wm.simulate_frame(channel, rng).bit_error_rate for _ in range(frames)]
+    wm = WatermarkCode(payload_bits=PAYLOAD_BITS)
+    wm_bers = [wm.simulate_frame(channel, rng).bit_error_rate for _ in range(FRAMES)]
     rows.append(
         {
             "scheme": "watermark (DM01)",
             "rate (bits/bit)": wm.rate,
             "mean BER": float(np.mean(wm_bers)),
             "frames ok": sum(1 for b in wm_bers if is_zero(b)),
-            "frames": frames,
+            "frames": FRAMES,
         }
     )
 
     # Marker code -------------------------------------------------------
     mk = MarkerCode(
-        payload_bits, period=9, outer=ConvolutionalCode((0o23, 0o35))
+        PAYLOAD_BITS, period=9, outer=ConvolutionalCode((0o23, 0o35))
     )
-    mk_bers = [mk.simulate_frame(channel, rng).bit_error_rate for _ in range(frames)]
+    mk_bers = [mk.simulate_frame(channel, rng).bit_error_rate for _ in range(FRAMES)]
     rows.append(
         {
             "scheme": "marker + conv",
             "rate (bits/bit)": mk.rate,
             "mean BER": float(np.mean(mk_bers)),
             "frames ok": sum(1 for b in mk_bers if is_zero(b)),
-            "frames": frames,
+            "frames": FRAMES,
         }
     )
 
@@ -87,27 +86,27 @@ def run(
     code = ConvolutionalCode((0o23, 0o35))
     stack = StackDecoder(
         code,
-        insertion_prob=insertion_prob,
-        deletion_prob=deletion_prob,
+        insertion_prob=INSERTION_PROB,
+        deletion_prob=DELETION_PROB,
         substitution_prob=1e-3,
         max_nodes=150_000,
     )
     stack_errs = []
     stack_len = None
-    for _ in range(frames):
-        bits = rng.integers(0, 2, payload_bits)
+    for _ in range(FRAMES):
+        bits = rng.integers(0, 2, PAYLOAD_BITS)
         tx = code.encode(bits)
         stack_len = tx.size
         ry, _ = channel.transmit(tx, rng)
-        result = stack.decode(ry, payload_bits)
+        result = stack.decode(ry, PAYLOAD_BITS)
         stack_errs.append(float((result.payload != bits).mean()))
     rows.append(
         {
             "scheme": "conv + stack (Zig69)",
-            "rate (bits/bit)": payload_bits / stack_len,
+            "rate (bits/bit)": PAYLOAD_BITS / stack_len,
             "mean BER": float(np.mean(stack_errs)),
             "frames ok": sum(1 for b in stack_errs if is_zero(b)),
-            "frames": frames,
+            "frames": FRAMES,
         }
     )
 
@@ -116,8 +115,8 @@ def run(
             "scheme": "feedback (Thm 5)",
             "rate (bits/bit)": feedback_rate,
             "mean BER": 0.0,
-            "frames ok": frames,
-            "frames": frames,
+            "frames ok": FRAMES,
+            "frames": FRAMES,
         }
     )
     rows.append(
@@ -125,8 +124,8 @@ def run(
             "scheme": "upper bound N(1-Pd)",
             "rate (bits/bit)": upper,
             "mean BER": 0.0,
-            "frames ok": frames,
-            "frames": frames,
+            "frames ok": FRAMES,
+            "frames": FRAMES,
         }
     )
 
@@ -148,7 +147,7 @@ def run(
         rows=rows,
         passed=passed,
         notes=(
-            f"Channel: P_i={insertion_prob}, P_d={deletion_prob}, no "
+            f"Channel: P_i={INSERTION_PROB}, P_d={DELETION_PROB}, no "
             "substitutions. All code rates sit well below the Theorem-5 "
             "feedback rate."
         ),

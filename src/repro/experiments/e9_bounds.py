@@ -13,26 +13,24 @@ the quantity the paper's Section 4 narrative revolves around.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from ..bounds.brackets import capacity_bracket_sweep
 from .tables import ExperimentResult
 
 __all__ = ["run"]
 
-_DEFAULT_PDS = (0.05, 0.1, 0.2, 0.3, 0.5)
+DELETION_PROBS = (0.05, 0.1, 0.2, 0.3, 0.5)
 
 
-def run(
-    *,
-    deletion_probs: Sequence[float] = _DEFAULT_PDS,
-    block_length: int = 8,
-) -> ExperimentResult:
+# The run's settings, read at call time.
+BLOCK_LENGTH = 8
+
+
+def run() -> ExperimentResult:
     """Execute E9 and return the result table (deterministic)."""
     rows = []
     passed = True
     for bracket in capacity_bracket_sweep(
-        deletion_probs, block_length=block_length
+        DELETION_PROBS, block_length=BLOCK_LENGTH
     ):
         ok = bracket.is_consistent()
         passed = passed and ok
@@ -40,7 +38,7 @@ def run(
             {
                 "p_d": bracket.deletion_prob,
                 "Gallager LB": bracket.gallager_lower,
-                f"block-{block_length} LB": bracket.block_lower,
+                f"block-{BLOCK_LENGTH} LB": bracket.block_lower,
                 "best LB": bracket.best_lower,
                 "erasure UB": bracket.erasure_upper,
                 "feedback C": bracket.feedback_capacity,
@@ -58,7 +56,7 @@ def run(
         columns=[
             "p_d",
             "Gallager LB",
-            f"block-{block_length} LB",
+            f"block-{BLOCK_LENGTH} LB",
             "best LB",
             "erasure UB",
             "feedback C",

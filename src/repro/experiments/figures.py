@@ -100,12 +100,12 @@ def ascii_plot(
     series: Dict[str, Sequence[float]],
     x_values: Sequence[float],
     *,
-    width: int = 60,
-    height: int = 14,
     x_label: str = "x",
     y_label: str = "y",
 ) -> str:
-    """Plot named series as ASCII (one marker character per series)."""
+    """Plot named series as ASCII (one marker character per series) on a
+    60 x 14 grid."""
+    width, height = 60, 14
     if not series:
         raise ValueError("need at least one series")
     xs = np.asarray(x_values, dtype=float)
@@ -138,11 +138,12 @@ def ascii_plot(
     return "\n".join(lines)
 
 
-def convergence_figure(*, probs=(0.05, 0.1, 0.2), max_n: int = 24) -> str:
-    """ASCII plot of eqs. (6)-(7): C_lower/C_upper vs N at P_i = P_d."""
-    ns = list(range(1, max_n + 1))
+def convergence_figure() -> str:
+    """ASCII plot of eqs. (6)-(7): C_lower/C_upper vs N at P_i = P_d,
+    for N up to 24."""
+    ns = list(range(1, 25))
     series = {
-        f"p={p}": [convergence_ratio(n, p) for n in ns] for p in probs
+        f"p={p}": [convergence_ratio(n, p) for n in ns] for p in (0.05, 0.1, 0.2)
     }
     return (
         "Convergence of C_lower/C_upper at P_i = P_d (paper eqs. 6-7)\n"
@@ -150,17 +151,18 @@ def convergence_figure(*, probs=(0.05, 0.1, 0.2), max_n: int = 24) -> str:
     )
 
 
-def rate_figure(*, bits_per_symbol: int = 2, insertion: float = 0.05) -> str:
-    """ASCII plot of the Theorem-5 rate vs P_d (the E5 degradation)."""
+def rate_figure() -> str:
+    """ASCII plot of the Theorem-5 rate vs P_d (the E5 degradation) at
+    N = 2 and P_i = 0.05."""
+    n, insertion = 2, 0.05
     pds = np.linspace(0.0, 0.6, 25)
     series = {
         "exact LB": [
-            feedback_lower_bound_exact(bits_per_symbol, float(pd), insertion)
-            for pd in pds
+            feedback_lower_bound_exact(n, float(pd), insertion) for pd in pds
         ],
-        "erasure UB": [bits_per_symbol * (1 - float(pd)) for pd in pds],
+        "erasure UB": [n * (1 - float(pd)) for pd in pds],
     }
     return (
-        f"Feedback rates vs P_d (N={bits_per_symbol}, P_i={insertion})\n"
+        f"Feedback rates vs P_d (N={n}, P_i={insertion})\n"
         + ascii_plot(series, pds, x_label="P_d", y_label="bits")
     )

@@ -52,15 +52,20 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
 }
 
 
-def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
-    """Run one experiment by id (case-insensitive)."""
+def _runner(experiment_id: str) -> Callable[..., ExperimentResult]:
+    """The registered runner of *experiment_id* (case-insensitive)."""
     key = experiment_id.upper()
     if key not in EXPERIMENTS:
         raise KeyError(
             f"unknown experiment {experiment_id!r}; "
             f"known: {sorted(EXPERIMENTS)}"
         )
-    return EXPERIMENTS[key](**kwargs)
+    return EXPERIMENTS[key]
+
+
+def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
+    """Run one experiment by id (case-insensitive)."""
+    return _runner(experiment_id)(**kwargs)
 
 
 def runner_kwargs(experiment_id: str, **kwargs) -> Dict:
@@ -69,7 +74,7 @@ def runner_kwargs(experiment_id: str, **kwargs) -> Dict:
 
     Reads the runner's ``__code__``, the one attribute a wrapped
     registry entry is guaranteed to carry."""
-    code = EXPERIMENTS[experiment_id.upper()].__code__
+    code = _runner(experiment_id).__code__
     names = code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
     return {k: v for k, v in kwargs.items() if k in names}
 

@@ -237,8 +237,6 @@ def run_under_faults(
     message: np.ndarray,
     rng: np.random.Generator,
     injector: FaultInjector,
-    *,
-    max_uses: Optional[int] = None,
 ) -> FaultedMeasurement:
     """Execute *protocol* under *injector* and measure against the
     empirical Theorem-1 bound.
@@ -248,7 +246,7 @@ def run_under_faults(
     """
     injector.reset()
     with injector.active():
-        measurement = measure_protocol(protocol, message, rng, max_uses=max_uses)
+        measurement = measure_protocol(protocol, message, rng)
     run = measurement.run
     empirical = _empirical_event_parameters(run)
     bound = erasure_upper_bound(protocol.bits_per_symbol, empirical.deletion)

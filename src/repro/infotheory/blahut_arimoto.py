@@ -19,8 +19,6 @@ rate-distortion functions", IEEE Trans. IT, 1972.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..store import cached_solve
@@ -41,16 +39,14 @@ def blahut_arimoto(
     transition: np.ndarray,
     *,
     tol: float = 1e-10,
-    max_iter: int = 10_000,
-    initial_input: Optional[np.ndarray] = None,
 ) -> BlahutArimotoResult:
     """Compute DMC capacity via the Blahut-Arimoto iteration.
 
     A one-channel call of
     :func:`repro.infotheory.kernels.blahut_arimoto_batch` on the
-    ``(nx, ny)`` row-stochastic matrix *transition*; the keywords are
-    the kernel's. Memoized through :mod:`repro.store` when a result
-    store is active (``REPRO_STORE_DIR`` or
+    ``(nx, ny)`` row-stochastic matrix *transition*, with a
+    10,000-iteration cap; *tol* is the kernel's. Memoized through
+    :mod:`repro.store` when a result store is active (``REPRO_STORE_DIR`` or
     :func:`repro.store.use_store`); with no store the decorator is a
     bit-exact pass-through.
 
@@ -65,10 +61,7 @@ def blahut_arimoto(
     if w.ndim != 2:
         raise ValueError("transition must be a 2-D matrix P(y|x)")
     batch: BatchedBAResult = blahut_arimoto_batch(
-        w[None],
-        tol=tol,
-        max_iter=max_iter,
-        initial_input=initial_input,
+        w[None], tol=tol, max_iter=10_000
     )
     return batch.unbatch()[0]
 

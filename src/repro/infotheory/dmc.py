@@ -85,13 +85,13 @@ class DiscreteMemorylessChannel:
         """``I(X; Y)`` in bits under input distribution *input_dist*."""
         return mutual_information(input_dist, self._w)
 
-    def capacity(self, *, tol: float = 1e-10) -> float:
+    def capacity(self) -> float:
         """Channel capacity in bits per use, via Blahut-Arimoto."""
-        return self.capacity_result(tol=tol).capacity
+        return self.capacity_result().capacity
 
-    def capacity_result(self, *, tol: float = 1e-10) -> BlahutArimotoResult:
+    def capacity_result(self) -> BlahutArimotoResult:
         """Full Blahut-Arimoto result (capacity + optimal input)."""
-        return blahut_arimoto(self._w, tol=tol)
+        return blahut_arimoto(self._w)
 
     # ------------------------------------------------------------------
     # Sampling

@@ -44,18 +44,18 @@ def _xlogx(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def validate_distribution(p: ArrayLike, *, atol: float = 1e-9) -> np.ndarray:
+def validate_distribution(p: ArrayLike) -> np.ndarray:
     """Validate that *p* is a probability distribution and return it.
 
     Raises
     ------
     ValueError
         If any entry is negative or the entries do not sum to 1 within
-        *atol*.
+        1e-9.
     """
     arr = _as_prob_array(p)
     total = float(arr.sum())
-    if not np.isclose(total, 1.0, atol=atol):
+    if not np.isclose(total, 1.0, atol=1e-9):
         raise ValueError(f"distribution sums to {total}, expected 1.0")
     return arr
 

@@ -134,29 +134,6 @@ def validate_transition_stack(transitions: np.ndarray) -> np.ndarray:
     return w
 
 
-def _initial_stack(
-    initial_input: Optional[np.ndarray], k: int, nx: int
-) -> np.ndarray:
-    """Per-channel start points: a fresh copy, never the caller's array."""
-    if initial_input is None:
-        return np.full((k, nx), 1.0 / nx)
-    p = np.array(initial_input, dtype=float)
-    if p.shape == (nx,):
-        p = np.broadcast_to(p, (k, nx)).copy()
-    if p.shape != (k, nx):
-        raise ValueError("initial_input has wrong shape")
-    if np.any(p < 0) or not np.allclose(p.sum(axis=1), 1.0, atol=1e-9):
-        raise ValueError("initial_input rows must be distributions")
-    if np.any(p == 0):
-        # Zero entries can never recover under the multiplicative
-        # update; smooth (only) the rows that contain exact zeros so a
-        # strictly positive start point passes through untouched.
-        rows = np.any(p == 0, axis=1)
-        smoothed = p[rows] + 1e-12
-        p[rows] = smoothed / smoothed.sum(axis=1, keepdims=True)
-    return p
-
-
 @dataclass(frozen=True)
 class BlahutArimotoResult:
     """Outcome of a Blahut-Arimoto run on one channel.
@@ -179,7 +156,7 @@ class BlahutArimotoResult:
         never below the rounding of its ends. The capacity lies in
         ``[capacity, capacity + gap]``, up to that rounding, on every
         status: ``capacity + gap`` is a certified upper end (for a
-        penalized or timed solve, of that objective).
+        timed solve, of the rate per unit time).
     status:
         Terminal :class:`repro.numerics.SolverStatus` of the solve.
     """
@@ -261,21 +238,18 @@ def blahut_arimoto_batch(
     *,
     tol: float = 1e-10,
     max_iter: int = 10_000,
-    initial_input: Optional[np.ndarray] = None,
-    penalties: Optional[np.ndarray] = None,
     durations: Optional[np.ndarray] = None,
 ) -> BatchedBAResult:
     """Blahut-Arimoto over a ``(k, nx, ny)`` stack of channels at once.
 
-    Each channel ends exactly as if solved alone; its stack-mates only
-    share the loop. Records no solver status.
+    Each channel starts from the uniform input and ends exactly as if
+    solved alone; its stack-mates only share the loop. Records no
+    solver status.
 
-    The loop maximizes ``(I(p, W_k) - p . pen_k) / (p . tau_k)`` per
-    channel, with no penalties and unit durations by default (plain
-    capacity). The penalty is subtracted from each input's divergence
-    before both ends of the bracket and the multiplicative update.
-    ``capacity`` is the objective's best lower end floored at 0; with
-    *durations* it is in bits per time unit.
+    The loop maximizes ``I(p, W_k) / (p . tau_k)`` per channel, with
+    unit durations by default (plain capacity). ``capacity`` is the
+    objective's best lower end floored at 0; with *durations* it is in
+    bits per time unit.
 
     Parameters
     ----------
@@ -289,17 +263,9 @@ def blahut_arimoto_batch(
         divided by its durations when given).
     max_iter:
         Iteration cap.
-    initial_input:
-        Start point (default uniform): one ``(nx,)`` row for the stack
-        or a ``(k, nx)`` array. Rows with exact zeros are smoothed (a
-        zero never recovers under the multiplicative update); strictly
-        positive rows are used exactly. Never written to.
-    penalties:
-        Per-input penalties: one ``(nx,)`` row for the stack or a
-        ``(k, nx)`` array (default none).
     durations:
-        Positive, finite per-input symbol durations, shaped like
-        *penalties* (default none: unit cost).
+        Positive, finite per-input symbol durations: one ``(nx,)`` row
+        for the stack or a ``(k, nx)`` array (default none: unit cost).
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -307,13 +273,8 @@ def blahut_arimoto_batch(
         raise ValueError("tol must be non-negative")
     w = validate_transition_stack(transitions)
     k, nx, _ny = w.shape
-    p = _initial_stack(initial_input, k, nx)
+    p = np.full((k, nx), 1.0 / nx)
     h = _neg_entropy(w)
-    # Zero penalties subtract exactly nothing, so the plain solve takes
-    # the same code path bit for bit.
-    pen = _per_input(
-        np.zeros(nx) if penalties is None else penalties, "penalties", k, nx
-    )
     # Without durations no tau term is evaluated: unit cost is the
     # plain loop's arithmetic, bit for bit.
     tau = None if durations is None else _per_input(durations, "durations", k, nx)
@@ -349,7 +310,7 @@ def blahut_arimoto_batch(
     with stage("solver"):
         while True:
             it += 1
-            d = _divergence_step(p, w, h) - pen
+            d = _divergence_step(p, w, h)
             lower = np.einsum("kx,kx->k", p, d)
             if tau is None:
                 upper = np.max(d, axis=1)
@@ -416,7 +377,7 @@ def blahut_arimoto_batch(
                 if done.all():
                     break
                 keep = ~done
-                idx, w, h, pen = idx[keep], w[keep], h[keep], pen[keep]
+                idx, w, h = idx[keep], w[keep], h[keep]
                 if tau is not None:
                     tau = tau[keep]
                 best_lower, best_p = best_lower[keep], best_p[keep]

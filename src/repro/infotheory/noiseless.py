@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 
-def characteristic_root(durations: Sequence[float], *, tol: float = 1e-12) -> float:
+def characteristic_root(durations: Sequence[float]) -> float:
     """Largest real root ``X0 > 1`` of ``sum_i X^{-t_i} = 1``.
 
     Parameters
@@ -62,7 +62,7 @@ def characteristic_root(durations: Sequence[float], *, tol: float = 1e-12) -> fl
     lo, hi = expand_bracket(
         f, 1.0, 2.0, hi_cap=1e12, solver="characteristic_root"
     )
-    return guarded_brentq(f, lo, hi, xtol=tol, solver="characteristic_root")
+    return guarded_brentq(f, lo, hi, xtol=1e-12, solver="characteristic_root")
 
 
 def noiseless_capacity_per_second(durations: Sequence[float]) -> float:

@@ -30,38 +30,37 @@ ArrayLike = Union[float, Iterable[float], np.ndarray]
 PROB_ATOL = 1e-12
 
 
-def is_zero(p: ArrayLike, *, atol: float = PROB_ATOL) -> Union[bool, np.ndarray]:
-    """True where *p* equals 0 up to *atol*.
+def is_zero(p: ArrayLike) -> Union[bool, np.ndarray]:
+    """True where *p* equals 0 up to :data:`PROB_ATOL`.
 
     Scalars return a ``bool``; arrays return an elementwise boolean
     array, so the result composes with numpy masks.
     """
     arr = np.asarray(p, dtype=float)
-    out = np.abs(arr) <= atol
+    out = np.abs(arr) <= PROB_ATOL
     if np.isscalar(p) or arr.ndim == 0:
         return bool(out)
     return out
 
 
-def is_one(p: ArrayLike, *, atol: float = PROB_ATOL) -> Union[bool, np.ndarray]:
-    """True where *p* equals 1 up to *atol* (elementwise for arrays)."""
+def is_one(p: ArrayLike) -> Union[bool, np.ndarray]:
+    """True where *p* equals 1 up to :data:`PROB_ATOL` (elementwise for
+    arrays)."""
     arr = np.asarray(p, dtype=float)
-    out = np.abs(arr - 1.0) <= atol
+    out = np.abs(arr - 1.0) <= PROB_ATOL
     if np.isscalar(p) or arr.ndim == 0:
         return bool(out)
     return out
 
 
-def validate_probability(
-    value: float, name: str = "probability", *, atol: float = PROB_ATOL
-) -> float:
+def validate_probability(value: float, name: str = "probability") -> float:
     """Check that *value* is a probability and return it clipped to [0, 1].
 
-    Values within *atol* outside the interval (floating-point spill from
+    Values within :data:`PROB_ATOL` outside the interval (floating-point spill from
     closed-form algebra) are accepted and clipped; anything further out,
     and NaN, raises ``ValueError`` naming the offending field.
     """
     v = float(value)
-    if not np.isfinite(v) or v < -atol or v > 1.0 + atol:
+    if not np.isfinite(v) or v < -PROB_ATOL or v > 1.0 + PROB_ATOL:
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
     return min(1.0, max(0.0, v))

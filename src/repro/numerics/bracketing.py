@@ -81,11 +81,10 @@ def expand_bracket(
     lo: float,
     hi: float,
     *,
-    grow: float = 2.0,
     hi_cap: float,
     solver: str = "bracket",
 ) -> Tuple[float, float]:
-    """Grow ``hi`` geometrically until ``f(hi) <= 0``.
+    """Double ``hi`` until ``f(hi) <= 0``.
 
     Assumes ``f`` is (weakly) decreasing with ``f(lo) > 0``, the shape
     of every characteristic equation in this package. Returns the
@@ -97,8 +96,6 @@ def expand_bracket(
         If ``hi`` exceeds *hi_cap* or ``f(hi)`` turns non-finite before
         a sign change — with the last bracket attached.
     """
-    if grow <= 1.0:
-        raise ValueError("grow must be > 1")
     if not hi > lo:
         raise ValueError("need hi > lo")
     f_lo = float(f(lo))
@@ -122,7 +119,7 @@ def expand_bracket(
                 f"expansion cap {hi_cap:g}",
                 diagnostics,
             )
-        hi *= grow
+        hi *= 2.0
         expansions += 1
         f_hi = float(f(hi))
     return float(lo), float(hi)
@@ -134,7 +131,6 @@ def guarded_brentq(
     hi: float,
     *,
     xtol: float,
-    rtol: float = 8.9e-16,
     solver: str = "brentq",
 ) -> float:
     """Brent's method with failures translated to :class:`BracketingError`.
@@ -144,7 +140,7 @@ def guarded_brentq(
     the iterative solvers.
     """
     try:
-        root = optimize.brentq(f, lo, hi, xtol=xtol, rtol=rtol)
+        root = optimize.brentq(f, lo, hi, xtol=xtol, rtol=8.9e-16)
     except (ValueError, RuntimeError) as exc:
         diagnostics = BracketDiagnostics(
             solver=solver,

@@ -128,12 +128,10 @@ class IterationGuard:
     stall_window:
         Iterations without a new best residual before declaring a
         stall. ``None`` disables stall detection.
-    divergence_factor:
-        Residual growing beyond ``divergence_factor * best_residual``
-        (after the best is established) is a divergence. ``None``
-        disables divergence detection.
-    tail_length:
-        How many trailing residuals the diagnostics keep.
+
+    A residual above ``1e6 * best_residual`` (after the best is
+    established) is a divergence, and the diagnostics keep the last 8
+    residuals.
     """
 
     def __init__(
@@ -143,8 +141,6 @@ class IterationGuard:
         max_iter: int,
         tol: float = 0.0,
         stall_window: Optional[int] = 100,
-        divergence_factor: Optional[float] = 1e6,
-        tail_length: int = 8,
     ) -> None:
         if max_iter < 1:
             raise ValueError("max_iter must be >= 1")
@@ -152,21 +148,16 @@ class IterationGuard:
             raise ValueError("tol must be non-negative")
         if stall_window is not None and stall_window < 1:
             raise ValueError("stall_window must be >= 1 (or None)")
-        if divergence_factor is not None and divergence_factor <= 1:
-            raise ValueError("divergence_factor must be > 1 (or None)")
-        if tail_length < 1:
-            raise ValueError("tail_length must be >= 1")
         self.solver = solver
         self.max_iter = max_iter
         self.tol = tol
         self.stall_window = stall_window
-        self.divergence_factor = divergence_factor
         self.iterations = 0
         self.status: Optional[SolverStatus] = None
         self.best_residual = float("inf")
         self.best_iteration = 0
         self.best_value: Any = None
-        self._tail: Deque[float] = deque(maxlen=tail_length)
+        self._tail: Deque[float] = deque(maxlen=8)
 
     # ------------------------------------------------------------------
     def update(self, residual: float, value: Any = None) -> Optional[SolverStatus]:
@@ -194,10 +185,8 @@ class IterationGuard:
             if value is not None:
                 self.best_value = value
             return self._finish(SolverStatus.CONVERGED)
-        if (
-            self.divergence_factor is not None
-            and np.isfinite(self.best_residual)
-            and residual > self.divergence_factor * max(self.best_residual, 1e-30)
+        if np.isfinite(self.best_residual) and residual > 1e6 * max(
+            self.best_residual, 1e-30
         ):
             return self._finish(SolverStatus.DIVERGED)
         if (

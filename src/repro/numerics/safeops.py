@@ -55,16 +55,16 @@ def safe_log(x: ArrayLike, *, floor: float = LOG_FLOOR) -> np.ndarray:
     return np.log(_floored(x, floor, "safe_log"))
 
 
-def safe_log2(x: ArrayLike, *, floor: float = LOG_FLOOR) -> np.ndarray:
-    """Base-2 log of a non-negative array, floored at *floor*.
+def safe_log2(x: ArrayLike) -> np.ndarray:
+    """Base-2 log of a non-negative array, floored at :data:`LOG_FLOOR`.
 
     The bits-domain twin of :func:`safe_log`; the workhorse of the
     Blahut-Arimoto and timed-DMC solvers.
     """
-    return np.log2(_floored(x, floor, "safe_log2"))
+    return np.log2(_floored(x, LOG_FLOOR, "safe_log2"))
 
 
-def masked_log2(x: ArrayLike, *, floor: float = LOG_FLOOR) -> np.ndarray:
+def masked_log2(x: ArrayLike) -> np.ndarray:
     """Base-2 log on the positive entries of *x*, exact ``0.0`` elsewhere.
 
     The Blahut-Arimoto family needs ``log2 W`` only where ``W > 0`` —
@@ -72,14 +72,14 @@ def masked_log2(x: ArrayLike, *, floor: float = LOG_FLOOR) -> np.ndarray:
     the ``W`` factor kills the term — so the log of a zero entry is
     *meaningless*, not merely small. This helper makes that explicit:
     positive entries get :func:`safe_log2` (subnormals still pass
-    through the *floor*), zeros map to exactly ``0.0``, and negative
+    through :data:`LOG_FLOOR`), zeros map to exactly ``0.0``, and negative
     entries raise like every other ``safe_*`` primitive. It replaces
     the ``np.where(w > 0, safe_log2(w), 0.0)`` idiom previously
     duplicated across the scalar solvers, and is the form the batched
     kernels precompute once per ``(k, nx, ny)`` stack.
     """
     arr = np.asarray(x, dtype=float)
-    return np.where(arr > 0, np.log2(_floored(arr, floor, "masked_log2")), 0.0)
+    return np.where(arr > 0, np.log2(_floored(arr, LOG_FLOOR, "masked_log2")), 0.0)
 
 
 def _normalized(shifted: np.ndarray, axis: int) -> np.ndarray:

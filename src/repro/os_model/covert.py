@@ -34,15 +34,8 @@ __all__ = [
 class ObliviousSender(Process):
     """Writes the next message symbol on every scheduled quantum."""
 
-    def __init__(
-        self,
-        pid: int,
-        message: np.ndarray,
-        *,
-        name: str = "sender",
-        tickets: int = 1,
-    ) -> None:
-        super().__init__(pid, name, tickets=tickets)
+    def __init__(self, pid: int, message: np.ndarray) -> None:
+        super().__init__(pid, "sender")
         self.message = np.asarray(message, dtype=np.int64)
         if self.message.ndim != 1:
             raise ValueError("message must be 1-D")
@@ -63,14 +56,8 @@ class ObliviousSender(Process):
 class ObliviousReceiver(Process):
     """Reads the shared register on every scheduled quantum."""
 
-    def __init__(
-        self,
-        pid: int,
-        *,
-        name: str = "receiver",
-        tickets: int = 1,
-    ) -> None:
-        super().__init__(pid, name, tickets=tickets)
+    def __init__(self, pid: int) -> None:
+        super().__init__(pid, "receiver")
         self.samples: List[int] = []
 
     def step(self, kernel: UniprocessorKernel) -> None:
@@ -88,15 +75,8 @@ class HandshakeSender(Process):
     SYNC_READY = "S-R"
     SYNC_ACK = "R-S"
 
-    def __init__(
-        self,
-        pid: int,
-        message: np.ndarray,
-        *,
-        name: str = "hs-sender",
-        tickets: int = 1,
-    ) -> None:
-        super().__init__(pid, name, tickets=tickets)
+    def __init__(self, pid: int, message: np.ndarray) -> None:
+        super().__init__(pid, "hs-sender")
         self.message = np.asarray(message, dtype=np.int64)
         if self.message.ndim != 1:
             raise ValueError("message must be 1-D")
@@ -125,14 +105,8 @@ class HandshakeSender(Process):
 class HandshakeReceiver(Process):
     """Figure-1 receiver: reads only when a new symbol is flagged."""
 
-    def __init__(
-        self,
-        pid: int,
-        *,
-        name: str = "hs-receiver",
-        tickets: int = 1,
-    ) -> None:
-        super().__init__(pid, name, tickets=tickets)
+    def __init__(self, pid: int) -> None:
+        super().__init__(pid, "hs-receiver")
         self.samples: List[int] = []
         self._seen_ready = 0
         self.waits = 0

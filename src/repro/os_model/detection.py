@@ -112,26 +112,21 @@ def detect_covert_pair(
     trace: KernelTrace,
     written: Optional[Sequence[int]] = None,
     read: Optional[Sequence[int]] = None,
-    *,
-    alphabet_size: int = 2,
-    threshold_interleaving: float = 0.75,
-    threshold_coupling: float = 0.25,
 ) -> DetectionReport:
     """Fuse the interleaving and coupling signals into a verdict.
 
     A pair is flagged when *either* signal exceeds its threshold —
     interleaving catches handshake-style channels (which couple timing
     but may encrypt values), coupling catches oblivious channels even
-    under scrambled scheduling. Thresholds default to values with <1%
-    false positives on independent workloads (see the test suite).
+    under scrambled scheduling. The thresholds, interleaving 0.75 and
+    coupling 0.25 bits over a binary alphabet, give <1% false positives
+    on independent workloads (see the test suite).
     """
     inter = interleaving_score(trace)
     coupling = 0.0
     if written is not None and read is not None:
-        coupling = value_coupling_bits(
-            written, read, alphabet_size=alphabet_size
-        )
-    flagged = inter >= threshold_interleaving or coupling >= threshold_coupling
+        coupling = value_coupling_bits(written, read, alphabet_size=2)
+    flagged = inter >= 0.75 or coupling >= 0.25
     return DetectionReport(
         interleaving=inter,
         coupling_bits=coupling,

@@ -31,8 +31,8 @@ class SharedRegister:
     access counters.
     """
 
-    def __init__(self, initial: int = 0) -> None:
-        self.value = int(initial)
+    def __init__(self) -> None:
+        self.value = 0
         self.writes = 0
         self.reads = 0
 

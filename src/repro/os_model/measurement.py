@@ -103,9 +103,7 @@ def run_oblivious_channel(
     rng: np.random.Generator,
     *,
     message_symbols: int = 20_000,
-    bits_per_symbol: int = 1,
     extra_processes: Optional[Sequence] = None,
-    quanta: Optional[int] = None,
 ) -> ChannelMeasurement:
     """Run the §3.1 oblivious channel under *scheduler* and measure it.
 
@@ -114,26 +112,23 @@ def run_oblivious_channel(
     scheduler:
         Policy under evaluation.
     message_symbols:
-        Length of the random message the sender keeps offering.
-    bits_per_symbol:
-        Symbol width of the register alphabet.
+        Length of the random binary message the sender keeps offering.
     extra_processes:
         Optional background load (e.g. :class:`IdleProcess` instances).
-    quanta:
-        Scheduling quanta to simulate (default: enough for the sender
-        to finish with high probability).
+
+    The run lasts at most ``8 * message_symbols`` quanta per process,
+    enough for the sender to finish with high probability.
     """
-    alphabet = 2**bits_per_symbol
-    message = rng.integers(0, alphabet, message_symbols)
+    message = rng.integers(0, 2, message_symbols)
     sender = ObliviousSender(0, message)
     receiver = ObliviousReceiver(1)
     procs = [sender, receiver] + list(extra_processes or [])
     kernel = UniprocessorKernel(procs, scheduler)
-    budget = quanta if quanta is not None else 8 * message_symbols * len(procs)
+    budget = 8 * message_symbols * len(procs)
     trace = kernel.run(budget, rng, stop_condition=lambda _k: sender.done)
     events = classify_trace(trace)
     if events.size == 0:
-        raise ValueError("no channel events occurred; increase quanta")
+        raise ValueError("no channel events occurred")
     counts = np.bincount(events, minlength=4)
     total = counts.sum()
     params = ChannelParameters(
@@ -145,7 +140,7 @@ def run_oblivious_channel(
         )
         / total,
     )
-    report = CapacityEstimator(bits_per_symbol).estimate(params)
+    report = CapacityEstimator(1).estimate(params)
     return ChannelMeasurement(
         params=params,
         events=events,

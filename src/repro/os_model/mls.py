@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -84,7 +83,6 @@ def exploit_with_legal_feedback(
     *,
     bits_per_symbol: int = 1,
     message_symbols: int = 50_000,
-    policy: Optional[MLSPolicy] = None,
 ) -> ProtocolMeasurement:
     """Run the Theorem-5 counter protocol using the legal MLS feedback.
 
@@ -96,7 +94,7 @@ def exploit_with_legal_feedback(
         perfect feedback path is *not* freely available and the
         no-feedback analysis of Section 4.1 applies instead).
     """
-    policy = policy or MLSPolicy()
+    policy = MLSPolicy()
     if not policy.is_covert(sender.level, receiver.level):
         raise PermissionError(
             f"flow {sender.name} -> {receiver.name} is legal; "

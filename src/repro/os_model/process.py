@@ -22,24 +22,13 @@ class Process(abc.ABC):
         Unique process id.
     name:
         Human-readable label.
-    tickets:
-        Share weight under lottery scheduling.
     """
 
-    def __init__(
-        self,
-        pid: int,
-        name: str = "",
-        *,
-        tickets: int = 1,
-    ) -> None:
+    def __init__(self, pid: int, name: str = "") -> None:
         if pid < 0:
             raise ValueError("pid must be non-negative")
-        if tickets < 1:
-            raise ValueError("tickets must be >= 1")
         self.pid = pid
         self.name = name or f"proc-{pid}"
-        self.tickets = tickets
         self.quanta_run = 0
 
     @abc.abstractmethod

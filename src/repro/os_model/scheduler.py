@@ -85,15 +85,19 @@ class RandomScheduler(Scheduler):
 
 
 class LotteryScheduler(Scheduler):
-    """Ticket-proportional random scheduling (Waldspurger & Weihl)."""
+    """Ticket-proportional random scheduling (Waldspurger & Weihl).
+
+    Every process holds one ticket, so the draw is uniform, as in
+    :class:`RandomScheduler`, but made through the weighted draw, which
+    consumes the random stream differently.
+    """
 
     name = "lottery"
 
     def select(self, ready: Sequence[Process], rng: np.random.Generator) -> Process:
         if not ready:
             raise ValueError("no ready processes")
-        tickets = np.asarray([p.tickets for p in ready], dtype=float)
-        probs = tickets / tickets.sum()
+        probs = np.full(len(ready), 1.0 / len(ready))
         return ready[int(rng.choice(len(ready), p=probs))]
 
 
@@ -136,11 +140,12 @@ class StrideScheduler(Scheduler):
     """Deterministic proportional-share scheduling (Waldspurger 1995).
 
     Each process advances a virtual "pass" by ``stride = BIG / tickets``
-    when it runs; the lowest pass runs next. With equal tickets this
-    degenerates to round-robin, so the covert pair sees a synchronous
-    channel — the deterministic counterpart of the lottery scheduler,
-    included to show that proportional *fairness* alone does not
-    disturb the covert channel; *randomness* does.
+    when it runs; the lowest pass runs next. Every process holds one
+    ticket, so the stride is ``BIG`` and this is round-robin: the covert
+    pair sees a synchronous channel — the deterministic counterpart of
+    the lottery scheduler, included to show that proportional
+    *fairness* alone does not disturb the covert channel; *randomness*
+    does.
     """
 
     name = "stride"
@@ -161,7 +166,7 @@ class StrideScheduler(Scheduler):
             if p.pid not in self._pass:
                 self._pass[p.pid] = floor
         chosen = min(ready, key=lambda p: (self._pass[p.pid], p.pid))
-        self._pass[chosen.pid] += self._BIG / chosen.tickets
+        self._pass[chosen.pid] += self._BIG
         return chosen
 
     def reset(self) -> None:
@@ -171,9 +176,9 @@ class StrideScheduler(Scheduler):
 class MultilevelFeedbackScheduler(Scheduler):
     """A simplified multilevel feedback queue (MLFQ).
 
-    Processes that keep consuming quanta are demoted through ``levels``
-    priority levels; a periodic boost (every ``boost_period`` quanta)
-    returns everyone to the top. Within the top occupied level the
+    Processes that keep consuming quanta are demoted through three
+    priority levels; a periodic boost (every 50 quanta) returns
+    everyone to the top. Within the top occupied level the
     choice is round-robin. Because the §3.1 covert pair is always
     runnable, both parties ride the demotion/boost cycle together and
     the induced interleaving is *mostly* alternating with periodic
@@ -182,13 +187,7 @@ class MultilevelFeedbackScheduler(Scheduler):
 
     name = "mlfq"
 
-    def __init__(self, levels: int = 3, boost_period: int = 50) -> None:
-        if levels < 1:
-            raise ValueError("levels must be >= 1")
-        if boost_period < 1:
-            raise ValueError("boost_period must be >= 1")
-        self.levels = levels
-        self.boost_period = boost_period
+    def __init__(self) -> None:
         self._level: dict = {}
         self._ticks = 0
         self._rr = 0
@@ -197,7 +196,7 @@ class MultilevelFeedbackScheduler(Scheduler):
         if not ready:
             raise ValueError("no ready processes")
         self._ticks += 1
-        if self._ticks % self.boost_period == 0:
+        if self._ticks % 50 == 0:
             self._level.clear()
         for p in ready:
             self._level.setdefault(p.pid, 0)
@@ -206,7 +205,7 @@ class MultilevelFeedbackScheduler(Scheduler):
         chosen = candidates[self._rr % len(candidates)]
         self._rr += 1
         # Consuming a full quantum demotes the process one level.
-        self._level[chosen.pid] = min(self.levels - 1, self._level[chosen.pid] + 1)
+        self._level[chosen.pid] = min(2, self._level[chosen.pid] + 1)
         return chosen
 
     def reset(self) -> None:

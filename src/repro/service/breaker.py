@@ -1,22 +1,22 @@
 """Circuit breaker over the worker tier: closed / open / half-open.
 
-When the worker pool is sick — consecutive crashes, or latency whose
-exponentially-weighted moving average blows through its threshold —
-continuing to dispatch batches makes overload worse and burns the retry
+When the worker pool is sick (consecutive crashes), continuing to
+dispatch batches makes overload worse and burns the retry
 budget of every queued query. The breaker cuts dispatch instead:
 **open** fails fast to the shed ladder (queries still get *answers*,
 degraded ones), then after a cooldown a **half-open** probe decides
 whether the tier has healed.
 
-The clock is injectable (and only used for the cooldown — never for
-results), so tests drive breaker transitions without sleeping.
+The clock (``_clock``, :func:`time.monotonic`) is used only for the
+cooldown, never for results; tests swap it to drive breaker
+transitions without sleeping.
 """
 
 from __future__ import annotations
 
 import enum
 import time
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 __all__ = ["BreakerState", "CircuitBreaker"]
 
@@ -30,49 +30,34 @@ class BreakerState(str, enum.Enum):
 
 
 class CircuitBreaker:
-    """Failure- and latency-triggered circuit breaker.
+    """Failure-triggered circuit breaker.
 
     Parameters
     ----------
     failure_threshold:
         Consecutive recorded failures that trip the breaker.
-    latency_threshold_seconds:
-        Optional EWMA latency that trips the breaker even while calls
-        "succeed" — a tier that answers in 30 s is down in every way
-        that matters to a deadline. ``None`` disables the latency trip.
-    ewma_alpha:
-        Smoothing factor of the latency EWMA (higher = more reactive).
     cooldown_seconds:
         How long an open breaker waits before allowing the half-open
         probe.
-    clock:
-        Monotonic time source; injectable so tests control the
-        cooldown. Observability/flow-control only — never feeds
-        results.
+
+    Successful dispatches fold their latency into an exponentially
+    weighted moving average (smoothing factor 0.3), reported by
+    :meth:`snapshot`; it never trips the breaker.
     """
 
     def __init__(
         self,
         *,
         failure_threshold: int = 5,
-        latency_threshold_seconds: Optional[float] = None,
-        ewma_alpha: float = 0.3,
         cooldown_seconds: float = 5.0,
-        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
-        if latency_threshold_seconds is not None and latency_threshold_seconds <= 0:
-            raise ValueError("latency_threshold_seconds must be positive")
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
         if cooldown_seconds < 0:
             raise ValueError("cooldown_seconds must be non-negative")
         self.failure_threshold = failure_threshold
-        self.latency_threshold_seconds = latency_threshold_seconds
-        self.ewma_alpha = ewma_alpha
         self.cooldown_seconds = cooldown_seconds
-        self._clock = clock
+        self._clock = time.monotonic
         self._state = BreakerState.CLOSED
         self._consecutive_failures = 0
         self._opened_at: Optional[float] = None
@@ -118,9 +103,7 @@ class CircuitBreaker:
         """Report a successful dispatch (and optionally its latency).
 
         Closes a half-open breaker, resets the consecutive-failure
-        count, and folds the latency into the EWMA — which may
-        immediately re-trip the breaker when the tier is "succeeding"
-        too slowly to be useful.
+        count, and folds the latency into the EWMA.
         """
         self._consecutive_failures = 0
         self._probe_inflight = False
@@ -130,16 +113,9 @@ class CircuitBreaker:
             if self.latency_ewma is None:
                 self.latency_ewma = float(latency_seconds)
             else:
-                a = self.ewma_alpha
                 self.latency_ewma = (
-                    a * float(latency_seconds) + (1.0 - a) * self.latency_ewma
+                    0.3 * float(latency_seconds) + 0.7 * self.latency_ewma
                 )
-            if (
-                self.latency_threshold_seconds is not None
-                and self.latency_ewma > self.latency_threshold_seconds
-                and self._state is BreakerState.CLOSED
-            ):
-                self._trip()
 
     def record_failure(self) -> None:
         """Report a failed dispatch.

@@ -208,8 +208,6 @@ class ResultStore:
         fn_id: str,
         code_fingerprint: str = "",
         compute_seconds: float = 0.0,
-        created_at: Optional[float] = None,
-        extra: Optional[Dict[str, Any]] = None,
     ) -> bool:
         """Persist *value* under *key*; returns True when this call
         created the entry.
@@ -223,9 +221,8 @@ class ResultStore:
         if entry_dir.exists():
             return False
         payload, arrays = encode_value(value)
-        if created_at is None:
-            # Provenance metadata only — never feeds a computation.
-            created_at = time.time()  # repro: noqa[DET001]
+        # Provenance metadata only — never feeds a computation.
+        created_at = time.time()  # repro: noqa[DET001]
         staging = self._tmp_dir / f"{key}.{os.getpid()}.{next(_STAGING_SEQ)}"
         staging.mkdir(parents=True)
         try:
@@ -247,8 +244,6 @@ class ResultStore:
                 "compute_seconds": float(compute_seconds),
                 "hashes": hashes,
             }
-            if extra:
-                manifest["extra"] = extra
             (staging / MANIFEST_NAME).write_text(
                 json.dumps(manifest, sort_keys=True, indent=1),
                 encoding="utf-8",
@@ -336,7 +331,6 @@ class ResultStore:
         *,
         max_age_seconds: Optional[float] = None,
         max_total_bytes: Optional[int] = None,
-        now: Optional[float] = None,
         dry_run: bool = False,
     ) -> List[str]:
         """Evict entries by age and/or size budget; returns evicted keys.
@@ -347,9 +341,8 @@ class ResultStore:
         store fits *max_total_bytes*. Corrupt entries are always
         evicted — they can never serve a hit.
         """
-        if now is None:
-            # Maintenance policy, not simulation state.
-            now = time.time()  # repro: noqa[DET001]
+        # Maintenance policy, not simulation state.
+        now = time.time()  # repro: noqa[DET001]
         evicted: List[str] = []
         readable: Dict[str, StoreEntry] = {e.key: e for e in self.entries()}
         for key in self.keys():

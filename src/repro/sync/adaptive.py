@@ -108,7 +108,6 @@ def run_adaptive_session(
     pilot_frames: int = 3,
     pilot_length: int = 150,
     payload_symbols: int = 30_000,
-    grid=(0.01, 0.04, 0.1),
 ) -> AdaptiveCovertSession:
     """Execute the probe-estimate-transmit workflow.
 
@@ -132,7 +131,9 @@ def run_adaptive_session(
         pilots.append(bits)
         received.append(y)
         pilot_uses += int(events.size)
-    estimate = estimate_channel_parameters(pilots, received, grid=grid)
+    estimate = estimate_channel_parameters(
+        pilots, received, grid=(0.01, 0.04, 0.1)
+    )
 
     # Size the protocol with the *estimated* parameters (they determine
     # nothing structural for the counter protocol itself, but a real

@@ -47,24 +47,28 @@ from .protocols import ProtocolRun, RetryPolicy, SynchronizationProtocol
 
 __all__ = ["ResendProtocol", "CounterProtocol"]
 
+#: Channel uses between the counter protocol's resynchronization
+#: epochs while desync faults are active.
+RESYNC_INTERVAL = 512
+
+#: Sender slots one epoch costs (the repeated counter exchange).
+RESYNC_COST_SLOTS = 4
+
 
 class _BufferedEventSource:
     """Pull events one at a time, drawing through ``sample_events`` in
     blocks so fault hooks see the same block-structured access pattern
     as the unhardened protocols."""
 
-    def __init__(
-        self, params: ChannelParameters, rng: np.random.Generator, block: int = 256
-    ) -> None:
+    def __init__(self, params: ChannelParameters, rng: np.random.Generator) -> None:
         self._params = params
         self._rng = rng
-        self._block = block
         self._buf = np.empty(0, dtype=np.int64)
         self._next = 0
 
     def next_event(self) -> int:
         if self._next >= self._buf.shape[0]:
-            self._buf = sample_events(self._params, self._block, self._rng)
+            self._buf = sample_events(self._params, 256, self._rng)
             self._next = 0
         ev = int(self._buf[self._next])
         self._next += 1
@@ -96,18 +100,14 @@ class ResendProtocol(SynchronizationProtocol):
         super().__init__(params, bits_per_symbol=bits_per_symbol)
         self.retry_policy = retry_policy
 
-    def run(
-        self,
-        message: np.ndarray,
-        rng: np.random.Generator,
-        *,
-        max_uses: Optional[int] = None,
-    ) -> ProtocolRun:
+    def run(self, message: np.ndarray, rng: np.random.Generator) -> ProtocolRun:
         msg = self._validate_message(message)
         injector = active_fault_injector()
         if injector is not None or self.retry_policy is not None:
-            return self._run_event_driven(msg, rng, max_uses, injector)
+            return self._run_event_driven(msg, rng, injector)
         p_d = self.params.deletion
+        if p_d >= 1.0 and msg.size:
+            raise ValueError("deletion probability 1 never delivers")
         uses = 0
         delivered_count = 0
         deletions = 0
@@ -115,37 +115,12 @@ class ResendProtocol(SynchronizationProtocol):
         # delivery is geometric with success probability 1 - p_d.
         remaining = msg.size
         while remaining > 0:
-            if max_uses is not None and uses >= max_uses:
-                break
-            budget = None if max_uses is None else max_uses - uses
-            if p_d >= 1.0:
-                # Nothing ever gets through; burn the budget (if any).
-                if budget is None:
-                    raise ValueError(
-                        "deletion probability 1 never delivers; pass max_uses"
-                    )
-                uses += budget
-                deletions += budget
-                break
             attempts = rng.geometric(1.0 - p_d, size=min(remaining, 4096))
-            for a in attempts:
-                a = int(a)
-                if budget is not None and uses + a > max_uses:
-                    # Partial attempt: all uses up to the budget are
-                    # failed resends.
-                    spent = max_uses - uses
-                    uses += spent
-                    deletions += spent
-                    remaining = 0
-                    break
-                uses += a
-                deletions += a - 1
-                delivered_count += 1
-                remaining -= 1
-                if remaining == 0:
-                    break
-            if max_uses is not None and uses >= max_uses:
-                break
+            spent = int(attempts.sum())
+            uses += spent
+            deletions += spent - attempts.size
+            delivered_count += attempts.size
+            remaining -= attempts.size
 
         delivered = msg[:delivered_count].copy()
         return ProtocolRun(
@@ -163,7 +138,6 @@ class ResendProtocol(SynchronizationProtocol):
         self,
         msg: np.ndarray,
         rng: np.random.Generator,
-        max_uses: Optional[int],
         injector,
     ) -> ProtocolRun:
         """Fault-tolerant sender: per-event simulation with timeouts.
@@ -188,14 +162,10 @@ class ResendProtocol(SynchronizationProtocol):
         deletions = insertions = transmissions = 0
         duplicates = abandoned = retries = 0
         waited_slots = 0
-        budget_hit = False
 
-        while pos < msg.size and not budget_hit:
+        while pos < msg.size:
             failures = 0
             while True:
-                if max_uses is not None and uses >= max_uses:
-                    budget_hit = True
-                    break
                 ev = source.next_event()
                 uses += 1
                 if ev == ChannelEvent.INSERTION:
@@ -223,16 +193,15 @@ class ResendProtocol(SynchronizationProtocol):
                         # has already launched one duplicate by then,
                         # which the receiver discards.
                         waited_slots += policy.timeout_after(failures)
-                        if max_uses is None or uses < max_uses:
-                            dup = source.next_event()
-                            uses += 1
-                            if dup == ChannelEvent.DELETION:
-                                deletions += 1
-                            elif dup == ChannelEvent.INSERTION:
-                                insertions += 1
-                            else:
-                                transmissions += 1
-                                duplicates += 1
+                        dup = source.next_event()
+                        uses += 1
+                        if dup == ChannelEvent.DELETION:
+                            deletions += 1
+                        elif dup == ChannelEvent.INSERTION:
+                            insertions += 1
+                        else:
+                            transmissions += 1
+                            duplicates += 1
                         delivered[pos] = msg[pos]
                         pos += 1
                         break
@@ -273,7 +242,7 @@ class ResendProtocol(SynchronizationProtocol):
             insertions=insertions,
             transmissions=transmissions,
             bits_per_symbol=self.bits_per_symbol,
-            degraded=abandoned > 0 or budget_hit,
+            degraded=abandoned > 0,
             fault_counts=fault_counts,
         )
 
@@ -303,60 +272,24 @@ class CounterProtocol(SynchronizationProtocol):
     wait/skip decisions are computed against a stale belief and every
     delivered symbol is *misaligned* — silently wrong output, the worst
     failure mode for a capacity measurement. The hardened protocol runs
-    a **resynchronization epoch** every ``resync_interval`` channel
-    uses: both sides exchange their full counters over a robust
-    (repeated) feedback round costing ``resync_cost_slots`` sender
-    slots, the sender adopts the receiver's count, and alignment is
-    restored. Detection and recovery are accounted in
+    a **resynchronization epoch** every :data:`RESYNC_INTERVAL` channel
+    uses while desync faults are active: both sides exchange their full
+    counters over a robust (repeated) feedback round costing
+    :data:`RESYNC_COST_SLOTS` sender slots, the sender adopts the
+    receiver's count, and alignment is restored. Detection and recovery are accounted in
     ``fault_counts`` (``desyncs_injected``, ``desyncs_recovered``,
     ``resync_epochs``, ``misaligned_deliveries``) and flip the run's
     ``degraded`` flag. Without an active injector the original
     perfect-feedback behaviour is preserved exactly.
-
-    Parameters
-    ----------
-    resync_interval:
-        Channel uses between resynchronization epochs. ``None`` picks
-        512 when desync faults are active and disables epochs
-        otherwise.
-    resync_cost_slots:
-        Sender slots one epoch costs (the repeated counter exchange).
     """
 
-    def __init__(
-        self,
-        params: ChannelParameters,
-        *,
-        bits_per_symbol: int = 1,
-        resync_interval: Optional[int] = None,
-        resync_cost_slots: int = 4,
-    ) -> None:
-        if resync_interval is not None and resync_interval < 1:
-            raise ValueError("resync_interval must be >= 1")
-        if resync_cost_slots < 0:
-            raise ValueError("resync_cost_slots must be non-negative")
-        super().__init__(params, bits_per_symbol=bits_per_symbol)
-        self.resync_interval = resync_interval
-        self.resync_cost_slots = resync_cost_slots
-
-    _DEFAULT_RESYNC_INTERVAL = 512
-
-    def run(
-        self,
-        message: np.ndarray,
-        rng: np.random.Generator,
-        *,
-        max_uses: Optional[int] = None,
-    ) -> ProtocolRun:
+    def run(self, message: np.ndarray, rng: np.random.Generator) -> ProtocolRun:
         msg = self._validate_message(message)
         p = self.params
         injector = active_fault_injector()
         desync_active = (
             injector is not None and injector.feedback.desync_prob > 0.0
         )
-        resync_interval = self.resync_interval
-        if resync_interval is None and desync_active:
-            resync_interval = self._DEFAULT_RESYNC_INTERVAL
 
         delivered = np.empty(msg.size, dtype=np.int64)
         pos = 0  # next message position to be fixed at the receiver
@@ -371,9 +304,7 @@ class CounterProtocol(SynchronizationProtocol):
         resync_epochs = 0
         misaligned = 0
         while pos < msg.size:
-            if max_uses is not None and uses >= max_uses:
-                break
-            block = 2048 if max_uses is None else min(2048, max_uses - uses)
+            block = 2048
             events = sample_events(p, block, rng)
             inserted_syms = rng.integers(0, self.alphabet_size, size=block)
             for k in range(block):
@@ -404,13 +335,13 @@ class CounterProtocol(SynchronizationProtocol):
                         delivered[pos] = msg[src]
                         misaligned += 1
                     pos += 1
-                if resync_interval is not None:
+                if desync_active:
                     since_resync += 1
-                    if since_resync >= resync_interval:
+                    if since_resync >= RESYNC_INTERVAL:
                         since_resync = 0
                         resync_epochs += 1
-                        uses += self.resync_cost_slots
-                        sender_slots += self.resync_cost_slots
+                        uses += RESYNC_COST_SLOTS
+                        sender_slots += RESYNC_COST_SLOTS
                         if offset != 0:
                             offset = 0
                             desyncs_recovered += 1
@@ -420,7 +351,7 @@ class CounterProtocol(SynchronizationProtocol):
                             injector.log.record("resync_epochs")
 
         fault_counts = {}
-        if resync_interval is not None or desync_active:
+        if desync_active:
             fault_counts = {
                 "resync_epochs": resync_epochs,
                 "desyncs_recovered": desyncs_recovered,

@@ -9,7 +9,6 @@ E2/E3 can assert "simulation matches theorem" in one place.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -83,11 +82,9 @@ def measure_protocol(
     protocol: SynchronizationProtocol,
     message: np.ndarray,
     rng: np.random.Generator,
-    *,
-    max_uses: Optional[int] = None,
 ) -> ProtocolMeasurement:
     """Execute *protocol* on *message* and compare against theory."""
-    run = protocol.run(message, rng, max_uses=max_uses)
+    run = protocol.run(message, rng)
     n = protocol.bits_per_symbol
     p = protocol.params
 

@@ -31,8 +31,6 @@ penalty — the ablation reported in experiment E10.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..core.events import ChannelParameters
@@ -101,13 +99,7 @@ class AlternatingBitProtocol(SynchronizationProtocol):
         super().__init__(params, bits_per_symbol=bits_per_symbol)
         self.ack_loss_prob = ack_loss_prob
 
-    def run(
-        self,
-        message: np.ndarray,
-        rng: np.random.Generator,
-        *,
-        max_uses: Optional[int] = None,
-    ) -> ProtocolRun:
+    def run(self, message: np.ndarray, rng: np.random.Generator) -> ProtocolRun:
         msg = self._validate_message(message)
         p_d = self.params.deletion
         q = self.ack_loss_prob
@@ -118,28 +110,13 @@ class AlternatingBitProtocol(SynchronizationProtocol):
         duplicates = 0
         remaining = msg.size
         if success <= 0.0 and remaining > 0:
-            if max_uses is None:
-                raise ValueError(
-                    "protocol can never advance (p_d = 1); pass max_uses"
-                )
+            raise ValueError("protocol can never advance (p_d = 1)")
         while remaining > 0:
-            if max_uses is not None and uses >= max_uses:
-                break
-            if success <= 0.0:
-                spent = max_uses - uses
-                uses += spent
-                deletions += spent  # at best: everything lost
-                break
             # Per-symbol round count: geometric in the joint success.
             batch = min(remaining, 4096)
             rounds = rng.geometric(success, size=batch)
             for r in rounds:
                 r = int(r)
-                if max_uses is not None and uses + r > max_uses:
-                    spent = max_uses - uses
-                    uses += spent
-                    remaining = 0
-                    break
                 uses += r
                 # Of the r - 1 failed rounds, each failed by deletion
                 # w.p. p_d / (1 - success') ... classify for the record:
@@ -152,10 +129,6 @@ class AlternatingBitProtocol(SynchronizationProtocol):
                 duplicates += (r - 1) - fail_del
                 delivered_count += 1
                 remaining -= 1
-                if remaining == 0:
-                    break
-            if max_uses is not None and uses >= max_uses:
-                break
 
         delivered = msg[:delivered_count].copy()
         return ProtocolRun(
@@ -207,13 +180,7 @@ class BlockAckProtocol(SynchronizationProtocol):
         self.block_size = block_size
         self.ack_repeats = 1 + int(np.floor(np.log2(block_size)))
 
-    def run(
-        self,
-        message: np.ndarray,
-        rng: np.random.Generator,
-        *,
-        max_uses: Optional[int] = None,
-    ) -> ProtocolRun:
+    def run(self, message: np.ndarray, rng: np.random.Generator) -> ProtocolRun:
         msg = self._validate_message(message)
         p_d = self.params.deletion
         q_round = self.ack_loss_prob**self.ack_repeats
@@ -222,8 +189,7 @@ class BlockAckProtocol(SynchronizationProtocol):
         transmissions = 0
         delivered_count = 0
         pos = 0
-        budget_hit = False
-        while pos < msg.size and not budget_hit:
+        while pos < msg.size:
             window = min(self.block_size, msg.size - pos)
             pending = np.ones(window, dtype=bool)
             # Receiver-side knowledge accumulates across rounds even if
@@ -233,9 +199,6 @@ class BlockAckProtocol(SynchronizationProtocol):
             received_mask = np.zeros(window, dtype=bool)
             while pending.any():
                 n_pending = int(pending.sum())
-                if max_uses is not None and uses + n_pending > max_uses:
-                    budget_hit = True
-                    break
                 uses += n_pending
                 survived = rng.random(n_pending) >= p_d
                 deletions += n_pending - int(survived.sum())
@@ -245,8 +208,6 @@ class BlockAckProtocol(SynchronizationProtocol):
                 # Cumulative ack round (repeated on the feedback path).
                 if rng.random() >= q_round:
                     pending = ~received_mask
-            if budget_hit:
-                break
             delivered_count += window
             pos += window
 

@@ -86,9 +86,8 @@ class ProtocolRun:
         Symbol width ``N``.
     degraded:
         True when the protocol fell back to a degraded mode during the
-        run — it abandoned symbols after retry exhaustion, recovered
-        from counter desynchronization, or ran out of budget while
-        faults were active. A degraded run is still *honest*: the
+        run — it abandoned symbols after retry exhaustion or recovered
+        from counter desynchronization. A degraded run is still *honest*: the
         record reflects what actually happened on the wire.
     fault_counts:
         Per-run fault accounting (e.g. ``acks_lost``,
@@ -163,15 +162,9 @@ class SynchronizationProtocol(abc.ABC):
         self.alphabet_size = 2**bits_per_symbol
 
     @abc.abstractmethod
-    def run(
-        self,
-        message: np.ndarray,
-        rng: np.random.Generator,
-        *,
-        max_uses: Optional[int] = None,
-    ) -> ProtocolRun:
-        """Execute the protocol until the message is exhausted (or
-        *max_uses* channel uses elapse) and return the run record."""
+    def run(self, message: np.ndarray, rng: np.random.Generator) -> ProtocolRun:
+        """Execute the protocol until the message is exhausted and
+        return the run record."""
 
     def _validate_message(self, message: np.ndarray) -> np.ndarray:
         msg = np.asarray(message, dtype=np.int64)

@@ -94,7 +94,7 @@ class FiniteStateChannel:
         return float(np.max(np.abs(np.linalg.eigvals(self.weighted_adjacency(w)))))
 
     # ------------------------------------------------------------------
-    def capacity(self, *, tol: float = 1e-12) -> float:
+    def capacity(self) -> float:
         """Capacity in bits per time unit: ``log2(W0)`` with
         ``rho(A(W0)) = 1``.
 
@@ -122,15 +122,13 @@ class FiniteStateChannel:
         lo, hi = expand_bracket(
             f, 0.0, 1.0, hi_cap=700.0, solver="fsm_capacity"
         )
-        root = guarded_brentq(f, lo, hi, xtol=tol, solver="fsm_capacity")
+        root = guarded_brentq(f, lo, hi, xtol=1e-12, solver="fsm_capacity")
         return float(root / np.log(2.0))
 
 
-def fsm_capacity(
-    num_states: int, edges: Sequence[Tuple[int, int, float]], *, tol: float = 1e-12
-) -> float:
+def fsm_capacity(num_states: int, edges: Sequence[Tuple[int, int, float]]) -> float:
     """Convenience wrapper: capacity of an FSM given ``(src, dst, t)`` edges."""
     chan = FiniteStateChannel(
         num_states, [Transition(s, d, t) for (s, d, t) in edges]
     )
-    return chan.capacity(tol=tol)
+    return chan.capacity()

@@ -73,9 +73,6 @@ def _replay_timed_status(result: TimedDMCResult) -> None:
 def timed_dmc_capacity(
     transition: np.ndarray,
     durations: np.ndarray,
-    *,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
 ) -> TimedDMCResult:
     """Capacity (bits per time unit) of a DMC with per-input durations.
 
@@ -90,8 +87,9 @@ def timed_dmc_capacity(
         non-negative, rows summing to 1).
     durations:
         Positive per-input occupation times, length ``nx``.
-    tol, max_iter:
-        Bracket-width tolerance and iteration cap of the solve.
+
+    The solve stops at a bracket width of 1e-10 or after 10,000
+    iterations.
     """
     w = np.asarray(transition, dtype=float)
     tau = np.asarray(durations, dtype=float)
@@ -100,7 +98,7 @@ def timed_dmc_capacity(
     if tau.shape != (w.shape[0],):
         raise ValueError("durations must match the input alphabet")
     [result] = blahut_arimoto_batch(
-        w, tol=tol, max_iter=max_iter, durations=tau
+        w, tol=1e-10, max_iter=10_000, durations=tau
     ).unbatch()
     record_status("timed_dmc", result.status)
     p = result.input_distribution

@@ -28,17 +28,31 @@ The body of a definition or member becomes one only once it is live,
 so the scan grows the live set until nothing changes: code reached only
 from dead code is dead too. Tests are not callers; an oracle a test
 needs lives under ``tests/``.
+
+A parameter with a default, on a live module-level function or a live
+class's method (``__init__`` included, other dunders and nested
+functions not), is live only when a call in a live context passes it:
+by keyword, by position (counting ``self`` for a method), or through
+``*``/``**`` unpacking, which passes every parameter. Callees are
+matched by name, following ``import … as`` and plain-assignment
+aliases (``self.estimate = estimate_sample_capacity``),
+``functools.partial``, ``super().__init__`` and inherited constructors.
+A keyword that a function with ``**kwargs`` takes but does not name (a
+forwarder such as ``run_experiment``) sets every parameter of that
+name. Dataclass fields are out of scope: the store codec writes them.
+A setting only tests vary is a module constant they monkeypatch.
 """
 
 import ast
 import re
 from pathlib import Path
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[2]
 
 # (module path relative to the root, name) for a module-level
-# definition, (module path, "Class.member") for a class member.
+# definition, (module path, "Class.member") for a class member, and
+# (module path, "function(param)") for a parameter.
 Def = Tuple[str, str]
 
 _YAML_ATTRIBUTE = re.compile(r"\.([A-Za-z_]\w*)")
@@ -127,29 +141,134 @@ def _size(stmt: ast.stmt) -> int:
     return stmt.end_lineno - first + 1
 
 
+class _Owner(NamedTuple):
+    """A function or method whose defaulted parameters the scan checks."""
+
+    key: Def
+    positional: List[str]
+    named: Set[str]
+    defaulted: List[str]
+    offset: int
+    varkw: bool
+
+
+def _owner(key: Def, fn: ast.AST, method: bool) -> _Owner:
+    args = fn.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    named = set(positional) | {a.arg for a in args.kwonlyargs}
+    defaulted = positional[len(positional) - len(args.defaults):]
+    defaulted += [
+        a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+    ]
+    offset = int(method and "staticmethod" not in _decorator_names(fn))
+    return _Owner(key, positional, named, defaulted, offset, args.kwarg is not None)
+
+
+def _call_name(node: ast.expr) -> str:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return ""
+
+
+def _aliases(tree: ast.AST, out: Dict[str, Set[str]]) -> None:
+    """Record ``import … as`` and plain-assignment aliases: the alias
+    name maps to the name it stands for."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for a in node.names:
+                if a.asname:
+                    out.setdefault(a.asname, set()).add(a.name.rpartition(".")[2])
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            value = _call_name(node.value)
+            for target in _targets(node):
+                name = _call_name(target)
+                if value and name and name != value:
+                    out.setdefault(name, set()).add(value)
+
+
+def _resolve(name: str, aliases: Dict[str, Set[str]]) -> Set[str]:
+    seen, todo = set(), [name]
+    while todo:
+        n = todo.pop()
+        if n and n not in seen:
+            seen.add(n)
+            todo.extend(aliases.get(n, ()))
+    return seen
+
+
+def _calls(
+    context: ast.AST, cls: str, bases: Dict[str, List[str]]
+) -> Iterable[Tuple[Set[str], List[ast.expr], List[ast.keyword]]]:
+    """Each call under ``context``: its callee names, positional
+    arguments and keywords. ``super().__init__`` names the enclosing
+    class's bases and ``cls`` the class; ``partial(f, …)`` calls ``f``."""
+    for node in ast.walk(context):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        name = _call_name(func)
+        if name == "partial" and args:
+            func, args = args[0], args[1:]
+            name = _call_name(func)
+        if (
+            name == "__init__"
+            and isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Call)
+            and _call_name(func.value.func) == "super"
+        ):
+            names = set(bases.get(cls, ()))
+        elif name == "cls" and cls:
+            names = {cls}
+        else:
+            names = {name}
+        yield names, args, node.keywords
+
+
 def scan(root: Path) -> Tuple[Set[Def], Dict[Def, int]]:
     """Return the dead definitions under ``root`` and each one's line
     count. ``root`` holds ``src/repro``, the caller directories
-    ``examples/`` and ``benchmarks/``, and ``.github/workflows/``."""
+    ``examples/`` and ``benchmarks/``, and ``.github/workflows/``.
+    A dead parameter is keyed ``(module, "function(name)")`` and
+    counts one line."""
     bodies: Dict[Def, Set[str]] = {}
     sizes: Dict[Def, int] = {}
     live_refs: Set[str] = set()
     live: Set[Def] = set()
+    # The code that becomes a live context with each definition, and
+    # the class it sits in (for ``super()`` and ``cls``).
+    contexts: Dict[Def, List[Tuple[ast.AST, str]]] = {}
+    live_contexts: List[Tuple[ast.AST, str]] = []
+    owners: Dict[str, List[_Owner]] = {}
+    bases: Dict[str, List[str]] = {}
+    inits: Dict[str, _Owner] = {}
+    aliases: Dict[str, Set[str]] = {}
 
-    def define(key: Def, refs: Set[str], size: int) -> None:
+    def define(
+        key: Def, refs: Set[str], size: int, nodes: List[ast.AST], cls: str
+    ) -> None:
         bodies[key] = bodies.get(key, set()) | (refs - {_token(key)})
         sizes[key] = sizes.get(key, 0) + size
+        contexts.setdefault(key, []).extend((n, cls) for n in nodes)
 
     for path in sorted((root / "src" / "repro").rglob("*.py")):
         rel = str(path.relative_to(root))
-        for stmt in ast.parse(path.read_text(), filename=rel).body:
+        tree = ast.parse(path.read_text(), filename=rel)
+        _aliases(tree, aliases)
+        for stmt in tree.body:
             if _is_all(stmt):
                 continue
             names = _defined_names(stmt)
             if not names:
                 live_refs |= _references([stmt], strings=True)
+                live_contexts.append((stmt, ""))
                 continue
+            nodes: List[ast.AST] = [stmt]
+            cls = ""
             if isinstance(stmt, ast.ClassDef):
+                cls = stmt.name
+                bases[cls] = [_call_name(b) for b in stmt.bases]
                 members = _members(stmt)
                 inner = {id(node) for _, node in members}
                 shell = stmt.decorator_list + stmt.bases + stmt.keywords
@@ -158,27 +277,42 @@ def scan(root: Path) -> Tuple[Set[Def], Dict[Def, int]]:
                         shell.append(member)
                     elif isinstance(member, ast.AnnAssign):
                         shell.append(member.annotation)
+                    if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        if member.name == "__init__":
+                            inits[cls] = _owner((rel, cls), member, method=True)
+                            owners.setdefault(cls, []).append(inits[cls])
                 refs = _references(shell, strings=True)
+                nodes = shell
                 for name, node in members:
+                    key = (rel, f"{stmt.name}.{name}")
                     if isinstance(node, ast.AnnAssign):
                         body = [node.value] if node.value is not None else []
                     else:
                         body = [node]
+                        owner = _owner(key, node, method=True)
+                        owners.setdefault(name, []).append(owner)
                     refs_of_member = _references(body, strings=True)
-                    define((rel, f"{stmt.name}.{name}"), refs_of_member, _size(node))
+                    define(key, refs_of_member, _size(node), body, cls)
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 value = stmt.value
                 refs = _references([value], strings=True) if value is not None else set()
+                nodes = [value] if value is not None else []
             else:
                 refs = _references([stmt], strings=True)
+                owners.setdefault(stmt.name, []).append(
+                    _owner((rel, stmt.name), stmt, method=False)
+                )
             for name in names:
                 key = (rel, name)
-                define(key, refs, _size(stmt))
+                define(key, refs, _size(stmt), nodes, cls)
                 if "register" in _decorator_names(stmt):
                     live.add(key)
     for directory in ("examples", "benchmarks"):
         for path in sorted((root / directory).rglob("*.py")):
-            live_refs |= _references([ast.parse(path.read_text())], strings=False)
+            tree = ast.parse(path.read_text())
+            _aliases(tree, aliases)
+            live_refs |= _references([tree], strings=False)
+            live_contexts.append((tree, ""))
     for path in sorted((root / ".github" / "workflows").glob("*.yml")):
         live_refs |= {"." + m for m in _YAML_ATTRIBUTE.findall(path.read_text())}
 
@@ -192,7 +326,45 @@ def scan(root: Path) -> Tuple[Set[Def], Dict[Def, int]]:
                 live.add(key)
                 live_refs |= refs
                 changed = True
-    return set(bodies) - live, sizes
+
+    # A class without its own __init__ is built by its nearest base's.
+    for cls in bases:
+        base = cls
+        while base not in inits and bases.get(base):
+            base = bases[base][0]
+        if base != cls and base in inits:
+            owners.setdefault(cls, []).append(inits[base])
+
+    passed: Set[Tuple[Def, str]] = set()
+    forwarded: Set[str] = set()
+    for key in live:
+        live_contexts.extend(contexts[key])
+    for context, cls in live_contexts:
+        for names, args, keywords in _calls(context, cls, bases):
+            callees = set().union(*(_resolve(n, aliases) for n in names))
+            unpacked = any(isinstance(a, ast.Starred) for a in args) or any(
+                kw.arg is None for kw in keywords
+            )
+            for owner in (o for n in callees for o in owners.get(n, ())):
+                given = set(owner.defaulted) if unpacked else set()
+                given.update(owner.positional[owner.offset:][: len(args)])
+                for kw in keywords:
+                    if kw.arg in owner.named:
+                        given.add(kw.arg)
+                    elif kw.arg is not None and owner.varkw:
+                        forwarded.add(kw.arg)
+                passed |= {(owner.key, p) for p in given}
+
+    dead = set(bodies) - live
+    for owner in {o.key: o for group in owners.values() for o in group}.values():
+        if owner.key not in live:
+            continue
+        for param in owner.defaulted:
+            if (owner.key, param) not in passed and param not in forwarded:
+                key = (owner.key[0], f"{owner.key[1]}({param})")
+                dead.add(key)
+                sizes[key] = 1
+    return dead, sizes
 
 
 def test_every_src_definition_has_a_live_caller():
@@ -202,8 +374,9 @@ def test_every_src_definition_has_a_live_caller():
         for module, name in sorted(dead)
     )
     assert not dead, (
-        f"{len(dead)} definitions or members in src/ have no caller outside "
-        f"tests (delete them, or move an oracle under tests/):\n{report}"
+        f"{len(dead)} definitions, members or parameters in src/ have no "
+        "caller outside tests (delete them, move an oracle under tests/, or "
+        f"make a test-only setting a module constant):\n{report}"
     )
 
 
@@ -249,4 +422,76 @@ def solve():
         ("src/repro/mod.py", "Result.test_only"),
         ("src/repro/mod.py", "Result.dead_method"),
         ("src/repro/mod.py", "Result.reached_from_dead"),
+    }
+
+
+def test_scan_reaches_parameters(tmp_path):
+    """The parameter scan on a tiny tree: a default that only a test or
+    a dead function sets is reported; positional, aliased, inherited,
+    ``super().__init__`` and forwarded keywords, and unpacked calls,
+    keep theirs live."""
+    files = {
+        "src/repro/mod.py": '''
+REGISTRY = {}
+
+
+def solve(x, by_position=1, by_alias=2, test_only=3, from_dead=4):
+    return x
+
+
+def unpacked(a=1, b=2):
+    return a + b
+
+
+def registered(by_name=1):
+    return by_name
+
+
+REGISTRY["registered"] = registered
+
+
+def forward(**kwargs):
+    return REGISTRY["registered"](**kwargs)
+
+
+def dead_caller():
+    return solve(0, from_dead=5)
+
+
+class Base:
+    def __init__(self, via_super=1, inherited=2):
+        self.total = via_super + inherited
+
+
+class Child(Base):
+    def __init__(self):
+        super().__init__(via_super=3)
+
+    def scale(self, factor=2):
+        return self.total * factor
+
+
+class Plain(Base):
+    pass
+''',
+        "examples/demo.py": '''
+from repro.mod import Child, Plain, forward, solve, unpacked
+
+fast = solve
+args = (1, 2)
+print(solve(0, 1), fast(0, by_alias=2), forward(by_name=3), unpacked(*args))
+print(Child().scale(3), Plain(inherited=4).total)
+''',
+        "benchmarks/__init__.py": "",
+        "tests/test_mod.py": "from repro.mod import solve\nsolve(0, test_only=1)\n",
+    }
+    for rel, text in files.items():
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_text(text)
+
+    dead, _ = scan(tmp_path)
+    assert dead == {
+        ("src/repro/mod.py", "dead_caller"),
+        ("src/repro/mod.py", "solve(test_only)"),
+        ("src/repro/mod.py", "solve(from_dead)"),
     }

@@ -103,7 +103,7 @@ class TestViterbi:
         bits = rng.integers(0, 2, 60)
         state = 0
         # Encode without termination by trimming flush output.
-        coded_full = cc.encode(bits, terminate=False)
+        coded_full = cc.encode(bits)[: bits.size * cc.rate_denominator]
         decoded = cc.viterbi_decode(
             1.0 - 2.0 * coded_full.astype(float), terminated=False
         )

@@ -14,8 +14,6 @@ class TestConstruction:
             DriftChannelModel(-0.1, 0.1)
         with pytest.raises(ValueError):
             DriftChannelModel(0.1, 0.1, max_drift=0)
-        with pytest.raises(ValueError):
-            DriftChannelModel(0.1, 0.1, max_insertions=0)
 
     def test_pt_computed(self):
         m = DriftChannelModel(0.1, 0.2)

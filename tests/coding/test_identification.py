@@ -55,9 +55,7 @@ class TestEstimation:
         est = estimate_channel_parameters(
             pilots, received, grid=(0.02, 0.05, 0.1)
         )
-        truth_ll = _total_log_likelihood(
-            0.05, 0.05, pilots, received, 1e-3, 24
-        )
+        truth_ll = _total_log_likelihood(0.05, 0.05, pilots, received, 24)
         assert est.log_likelihood >= truth_ll - 1e-6
 
     def test_validation(self):

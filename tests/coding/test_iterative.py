@@ -26,10 +26,6 @@ class TestGeometry:
         with pytest.raises(ValueError):
             code.encode(np.zeros(3, dtype=int))
 
-    def test_damping_validation(self):
-        with pytest.raises(ValueError):
-            IterativeWatermarkCode(damping=0.0)
-
 
 class TestDecoding:
     def test_clean_channel_one_iteration(self, code, rng):

@@ -121,6 +121,6 @@ class TestDecoding:
 
     def test_hopeless_input_reports_nonconverged(self, small_code, rng):
         llr = rng.normal(0, 0.1, small_code.block_length)
-        _decoded, converged = small_code.decode(llr, max_iterations=5)
+        _decoded, converged, _ = small_code.decode_soft(llr, max_iterations=5)
         # Random soup rarely satisfies parity in 5 iterations.
         assert isinstance(converged, bool)

@@ -10,15 +10,15 @@ from repro.coding.marker import MarkerCode
 
 class TestGeometry:
     def test_frame_length_accounting(self):
-        mc = MarkerCode(20, period=5, marker=(0, 1))
-        # 20 payload bits -> 4 marker groups of 2 bits.
-        assert mc.frame_length == 20 + 4 * 2
-        assert mc.rate == pytest.approx(20 / 28)
+        mc = MarkerCode(20, period=5)
+        # 20 payload bits -> 4 marker groups of 3 bits.
+        assert mc.frame_length == 20 + 4 * 3
+        assert mc.rate == pytest.approx(20 / 32)
 
     def test_partial_last_group(self):
-        mc = MarkerCode(7, period=5, marker=(1,))
+        mc = MarkerCode(7, period=5)
         # Groups: 5 + marker, 2 + marker.
-        assert mc.frame_length == 7 + 2
+        assert mc.frame_length == 7 + 2 * 3
 
     def test_with_outer_code(self):
         outer = ConvolutionalCode((0o7, 0o5))
@@ -32,22 +32,18 @@ class TestGeometry:
             MarkerCode(0)
         with pytest.raises(ValueError):
             MarkerCode(10, period=0)
-        with pytest.raises(ValueError):
-            MarkerCode(10, marker=())
-        with pytest.raises(ValueError):
-            MarkerCode(10, marker=(0, 2))
 
 
 class TestEncode:
     def test_markers_in_place(self):
-        mc = MarkerCode(6, period=3, marker=(1, 0))
+        mc = MarkerCode(6, period=3)
         frame = mc.encode(np.zeros(6, dtype=int))
         # Payload zeros; markers visible at their slots.
         assert frame.size == mc.frame_length
         assert frame.sum() == 2  # two marker groups, each contributing one 1
 
     def test_payload_recoverable_from_template(self, rng):
-        mc = MarkerCode(12, period=4, marker=(0, 0, 1))
+        mc = MarkerCode(12, period=4)
         payload = rng.integers(0, 2, 12)
         frame = mc.encode(payload)
         assert np.array_equal(frame[mc._is_payload], payload)

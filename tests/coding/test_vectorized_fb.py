@@ -18,13 +18,11 @@ from tests.coding.fb_oracle import decode_reference, log_likelihood_reference
 TOL = 1e-12
 
 
-def _random_instance(rng, *, max_drift=10, max_insertions=4):
+def _random_instance(rng, *, max_drift=10):
     pd_ = float(rng.uniform(0.0, 0.3))
     pi_ = float(rng.uniform(0.0, min(0.3, 0.85 - pd_)))
     ps_ = float(rng.uniform(0.0, 0.2))
-    model = DriftChannelModel(
-        pi_, pd_, ps_, max_drift=max_drift, max_insertions=max_insertions
-    )
+    model = DriftChannelModel(pi_, pd_, ps_, max_drift=max_drift)
     n = int(rng.integers(6, 72))
     bits = rng.integers(0, 2, size=n)
     for _ in range(64):

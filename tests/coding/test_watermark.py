@@ -88,12 +88,6 @@ class TestWatermarkCode:
         with pytest.raises(ValueError):
             wc.encode(np.zeros(10, dtype=int))
 
-    def test_watermark_seed_changes_frame(self, rng):
-        payload = rng.integers(0, 2, 24)
-        a = WatermarkCode(24, watermark_seed=1).encode(payload)
-        b = WatermarkCode(24, watermark_seed=2).encode(payload)
-        assert not np.array_equal(a, b)
-
     def test_clean_channel_decodes(self, rng):
         wc = WatermarkCode(payload_bits=36)
         channel = DriftChannelModel(0.0, 0.0, max_drift=4)

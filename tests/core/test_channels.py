@@ -1,5 +1,7 @@
 """Deletion-insertion channel simulators (Definition 1 / Figure 2)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,7 +64,7 @@ class TestDeletionInsertionChannel:
         assert _deletions(rec) + _transmissions(rec) == 5000  # all consumed
 
     def test_substitution_errors(self, rng):
-        params = ChannelParameters.from_rates(0.0, 0.0, substitution=0.3)
+        params = replace(ChannelParameters.from_rates(0.0, 0.0), substitution=0.3)
         chan = DeletionInsertionChannel(params, bits_per_symbol=4)
         msg = rng.integers(0, 16, 20_000)
         rec = chan.transmit(msg, rng)
@@ -71,13 +73,6 @@ class TestDeletionInsertionChannel:
         # Substituted symbols are never equal to the original.
         sub_mask = rec.events == ChannelEvent.SUBSTITUTION
         assert np.all(rec.received[sub_mask] != msg[sub_mask])
-
-    def test_max_uses_truncation(self, rng):
-        params = ChannelParameters.from_rates(0.5, 0.0)
-        chan = DeletionInsertionChannel(params)
-        rec = chan.transmit(rng.integers(0, 2, 10_000), rng, max_uses=100)
-        assert rec.num_uses == 100
-        assert _consumed(rec) <= 10_000
 
     def test_rejects_out_of_alphabet(self, rng):
         chan = DeletionInsertionChannel(ChannelParameters.from_rates(0.1, 0.1))
@@ -98,11 +93,8 @@ class TestDeletionInsertionChannel:
     def test_never_consuming_channel_needs_max_uses(self, rng):
         params = ChannelParameters.from_rates(0.0, 1.0)
         chan = DeletionInsertionChannel(params)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="never consumes"):
             chan.transmit(np.array([0, 1]), rng)
-        rec = chan.transmit(np.array([0, 1]), rng, max_uses=50)
-        assert rec.num_uses == 50
-        assert _insertions(rec) == 50
 
     @given(
         st.floats(min_value=0.0, max_value=0.6),

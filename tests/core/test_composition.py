@@ -1,5 +1,7 @@
 """Composition laws for deletion-insertion stages."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.channels import DeletionInsertionChannel
@@ -57,7 +59,7 @@ class TestComposeParameters:
             compose_parameters([])
         with pytest.raises(ValueError):
             compose_parameters(
-                [ChannelParameters.from_rates(0.1, 0.0, substitution=0.1)]
+                [replace(ChannelParameters.from_rates(0.1, 0.0), substitution=0.1)]
             )
         with pytest.raises(ValueError):
             compose_parameters(

@@ -12,8 +12,7 @@ from repro.core.design import (
 
 class TestSymbolTime:
     def test_serial_linear(self):
-        assert symbol_time(4, cost_model="serial", time_unit=2.0) == 8.0
-        assert symbol_time(4, cost_model="serial", sync_overhead=1.0) == 5.0
+        assert symbol_time(4, cost_model="serial") == 4.0
 
     def test_timing_exponential(self):
         assert symbol_time(3, cost_model="timing") == pytest.approx(4.5)
@@ -23,10 +22,6 @@ class TestSymbolTime:
             symbol_time(0)
         with pytest.raises(ValueError):
             symbol_time(3, cost_model="quantum")
-        with pytest.raises(ValueError):
-            symbol_time(3, time_unit=0.0)
-        with pytest.raises(ValueError):
-            symbol_time(3, sync_overhead=-1.0)
 
 
 class TestRates:
@@ -50,15 +45,6 @@ class TestRates:
         sweep = width_sweep(0.1, 0.05, max_bits=10, cost_model="timing")
         # The curve decreases after the optimum.
         assert sweep[-1].rate_per_time < best.rate_per_time
-
-    def test_overhead_pushes_optimum_wider(self):
-        lean = optimal_symbol_width(
-            0.05, 0.02, cost_model="timing", sync_overhead=0.0
-        )
-        heavy = optimal_symbol_width(
-            0.05, 0.02, cost_model="timing", sync_overhead=20.0
-        )
-        assert heavy.bits_per_symbol >= lean.bits_per_symbol
 
     def test_rate_function_matches_sweep(self):
         r = feedback_lower_bound_exact(3, 0.1, 0.05) / symbol_time(

@@ -1,5 +1,7 @@
 """ChannelParameters and event-stream utilities (Definition 1)."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,10 +32,10 @@ class TestChannelParameters:
         with pytest.raises(ValueError):
             ChannelParameters(deletion=-0.1, insertion=0.1, transmission=1.0)
         with pytest.raises(ValueError):
-            ChannelParameters.from_rates(0.1, 0.1, substitution=1.5)
+            replace(ChannelParameters.from_rates(0.1, 0.1), substitution=1.5)
 
     def test_event_distribution_sums_to_one(self):
-        p = ChannelParameters.from_rates(0.2, 0.1, substitution=0.3)
+        p = replace(ChannelParameters.from_rates(0.2, 0.1), substitution=0.3)
         dist = p.event_distribution()
         assert dist.sum() == pytest.approx(1.0)
         # SUBSTITUTION share = Pt * Ps
@@ -61,7 +63,7 @@ class TestSampling:
         assert sample_events(p, 1000, rng).shape == (1000,)
 
     def test_sample_statistics(self, rng):
-        p = ChannelParameters.from_rates(0.3, 0.2, substitution=0.1)
+        p = replace(ChannelParameters.from_rates(0.3, 0.2), substitution=0.1)
         events = sample_events(p, 200_000, rng)
         counts = event_counts(events)
         total = sum(counts.values())
@@ -80,7 +82,7 @@ class TestSampling:
 
 class TestEmpiricalParameters:
     def test_roundtrip(self, rng):
-        p = ChannelParameters.from_rates(0.25, 0.15, substitution=0.05)
+        p = replace(ChannelParameters.from_rates(0.25, 0.15), substitution=0.05)
         events = sample_events(p, 300_000, rng)
         est = empirical_parameters(events)
         assert est.deletion == pytest.approx(0.25, abs=0.01)

@@ -1,5 +1,7 @@
 """Noisy-channel extension of the feedback bounds."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,13 +64,13 @@ class TestClosedForms:
 class TestNoisyCounterProtocol:
     def test_accepts_substitution_params(self):
         NoisyCounterProtocol(
-            ChannelParameters.from_rates(0.1, 0.1, substitution=0.2)
+            replace(ChannelParameters.from_rates(0.1, 0.1), substitution=0.2)
         )
 
     def test_substitution_rate_matches_theory(self, rng):
         n, pd, pi, ps = 2, 0.15, 0.1, 0.1
         proto = NoisyCounterProtocol(
-            ChannelParameters.from_rates(pd, pi, substitution=ps),
+            replace(ChannelParameters.from_rates(pd, pi), substitution=ps),
             bits_per_symbol=n,
         )
         run = proto.run(rng.integers(0, 4, 200_000), rng)
@@ -94,7 +96,7 @@ class TestNoisyCounterProtocol:
 
         n, pd, pi, ps = 3, 0.1, 0.1, 0.05
         proto = NoisyCounterProtocol(
-            ChannelParameters.from_rates(pd, pi, substitution=ps),
+            replace(ChannelParameters.from_rates(pd, pi), substitution=ps),
             bits_per_symbol=n,
         )
         run = proto.run(rng.integers(0, 8, 200_000), rng)

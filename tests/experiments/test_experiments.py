@@ -7,8 +7,32 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.experiments import (
+    e1_erasure_bound,
+    e2_feedback_deletion,
+    e3_counter_protocol,
+    e6_common_event,
+    e7_scheduler,
+    e8_coding,
+    e9_bounds,
+    e10_imperfect_feedback,
+    e11_iterative_decoding,
+    e12_markov_bounds,
+    e13_network_channel,
+    e14_countermeasure,
+    e15_fault_resilience,
+    e16_extreme_regimes,
+)
 from repro.experiments.registry import EXPERIMENTS, run_all, run_experiment
+from repro.faults.scenarios import get_scenario
 from repro.experiments.tables import ExperimentResult
+
+
+def scaled_down(monkeypatch, module, **settings):
+    """Run with smaller module-level settings, for test speed."""
+    for name, value in settings.items():
+        assert hasattr(module, name), name
+        monkeypatch.setattr(module, name, value)
 
 
 class TestRegistry:
@@ -29,25 +53,37 @@ class TestRegistry:
 class TestIndividualExperiments:
     """Each experiment, scaled down for test speed, must PASS."""
 
-    def test_e1(self):
-        r = run_experiment(
-            "E1", num_symbols=15_000, sweep=((0.0, 0.0), (0.2, 0.1))
+    def test_e1(self, monkeypatch):
+        scaled_down(
+            monkeypatch,
+            e1_erasure_bound,
+            NUM_SYMBOLS=15_000,
+            SWEEP=((0.0, 0.0), (0.2, 0.1)),
         )
+        r = run_experiment("E1")
         assert r.passed, r.summary()
 
-    def test_e2(self):
-        r = run_experiment(
-            "E2", num_symbols=40_000, deletion_probs=(0.0, 0.2, 0.5)
+    def test_e2(self, monkeypatch):
+        scaled_down(
+            monkeypatch,
+            e2_feedback_deletion,
+            NUM_SYMBOLS=40_000,
+            DELETION_PROBS=(0.0, 0.2, 0.5),
         )
+        r = run_experiment("E2")
         assert r.passed, r.summary()
         # Simulated rate within tolerance of N(1-pd) on every row.
         for row in r.rows:
             assert row["rel err"] < 0.02
 
-    def test_e3(self):
-        r = run_experiment(
-            "E3", num_symbols=60_000, sweep=((0.0, 0.1), (0.15, 0.1))
+    def test_e3(self, monkeypatch):
+        scaled_down(
+            monkeypatch,
+            e3_counter_protocol,
+            NUM_SYMBOLS=60_000,
+            SWEEP=((0.0, 0.1), (0.15, 0.1)),
         )
+        r = run_experiment("E3")
         assert r.passed, r.summary()
 
     def test_e4(self):
@@ -64,57 +100,86 @@ class TestIndividualExperiments:
         r = run_experiment("E5")
         assert r.passed, r.summary()
 
-    def test_e6(self):
-        r = run_experiment("E6", num_symbols=8000)
+    def test_e6(self, monkeypatch):
+        scaled_down(monkeypatch, e6_common_event, NUM_SYMBOLS=8000)
+        r = run_experiment("E6")
         assert r.passed, r.summary()
         for row in r.rows:
             assert row["ratio"] <= 1.0 + 1e-9
 
-    def test_e7(self):
-        r = run_experiment("E7", message_symbols=6000)
+    def test_e7(self, monkeypatch):
+        scaled_down(monkeypatch, e7_scheduler, MESSAGE_SYMBOLS=6000)
+        r = run_experiment("E7")
         assert r.passed, r.summary()
 
-    def test_e8(self):
-        r = run_experiment("E8", frames=2, payload_bits=36)
+    def test_e8(self, monkeypatch):
+        scaled_down(monkeypatch, e8_coding, FRAMES=2, PAYLOAD_BITS=36)
+        r = run_experiment("E8")
         assert r.passed, r.summary()
 
-    def test_e10(self):
-        r = run_experiment("E10", num_symbols=30_000, sweep=((0.1, 0.0), (0.2, 0.3)))
-        assert r.passed, r.summary()
-
-    def test_e11(self):
-        r = run_experiment("E11", frames=2, iteration_counts=(1, 2))
-        assert r.passed, r.summary()
-
-    def test_e14(self):
-        r = run_experiment(
-            "E14", fuzz_levels=(0.0, 0.4, 0.7), message_symbols=4000
+    def test_e10(self, monkeypatch):
+        scaled_down(
+            monkeypatch,
+            e10_imperfect_feedback,
+            NUM_SYMBOLS=30_000,
+            SWEEP=((0.1, 0.0), (0.2, 0.3)),
         )
+        r = run_experiment("E10")
         assert r.passed, r.summary()
 
-    def test_e13(self):
-        r = run_experiment(
-            "E13", num_symbols=8000, sweep=((0.0, 0.0, 0.0), (0.1, 0.05, 0.1))
+    def test_e11(self, monkeypatch):
+        scaled_down(
+            monkeypatch, e11_iterative_decoding, FRAMES=2, ITERATION_COUNTS=(1, 2)
         )
+        r = run_experiment("E11")
         assert r.passed, r.summary()
 
-    def test_e12(self):
-        r = run_experiment("E12", deletion_probs=(0.1, 0.4), block_length=6)
+    def test_e14(self, monkeypatch):
+        scaled_down(
+            monkeypatch,
+            e14_countermeasure,
+            FUZZ_LEVELS=(0.0, 0.4, 0.7),
+            MESSAGE_SYMBOLS=4000,
+        )
+        r = run_experiment("E14")
+        assert r.passed, r.summary()
+
+    def test_e13(self, monkeypatch):
+        scaled_down(
+            monkeypatch,
+            e13_network_channel,
+            NUM_SYMBOLS=8000,
+            SWEEP=((0.0, 0.0, 0.0), (0.1, 0.05, 0.1)),
+        )
+        r = run_experiment("E13")
+        assert r.passed, r.summary()
+
+    def test_e12(self, monkeypatch):
+        scaled_down(
+            monkeypatch, e12_markov_bounds, DELETION_PROBS=(0.1, 0.4), BLOCK_LENGTH=6
+        )
+        r = run_experiment("E12")
         assert r.passed, r.summary()
         assert r.rows[1]["gain (bits)"] > r.rows[0]["gain (bits)"]
 
-    def test_e9(self):
-        r = run_experiment("E9", deletion_probs=(0.1, 0.3), block_length=6)
+    def test_e9(self, monkeypatch):
+        scaled_down(
+            monkeypatch, e9_bounds, DELETION_PROBS=(0.1, 0.3), BLOCK_LENGTH=6
+        )
+        r = run_experiment("E9")
         assert r.passed, r.summary()
         for row in r.rows:
             assert row["best LB"] <= row["erasure UB"]
 
-    def test_e15(self):
-        r = run_experiment(
-            "E15",
-            num_symbols=12_000,
-            scenarios=("baseline", "counter_desync", "lossy_ack"),
+    def test_e15(self, monkeypatch):
+        names = ("baseline", "counter_desync", "lossy_ack")
+        scaled_down(
+            monkeypatch,
+            e15_fault_resilience,
+            NUM_SYMBOLS=12_000,
+            list_scenarios=lambda: [get_scenario(n) for n in names],
         )
+        r = run_experiment("E15")
         assert r.passed, r.summary()
         by_name = {row["scenario"]: row for row in r.rows}
         assert not by_name["baseline"]["degraded"]
@@ -133,8 +198,9 @@ class TestIndividualExperiments:
             if not np.isnan(row["|err| (bits)"]):
                 assert row["|err| (bits)"] <= 0.05, row
 
-    def test_e16(self):
-        r = run_experiment("E16", max_iter=5_000)
+    def test_e16(self, monkeypatch):
+        scaled_down(monkeypatch, e16_extreme_regimes, MAX_ITER=5_000)
+        r = run_experiment("E16")
         assert r.passed, r.summary()
         for row in r.rows:
             assert row["finite"]

@@ -29,8 +29,7 @@ class TestFigures:
 class TestAsciiPlot:
     def test_basic_structure(self):
         out = ascii_plot(
-            {"linear": [0, 1, 2, 3]}, [0, 1, 2, 3],
-            width=20, height=5, x_label="t", y_label="v",
+            {"linear": [0, 1, 2, 3]}, [0, 1, 2, 3], x_label="t", y_label="v"
         )
         lines = out.splitlines()
         assert lines[0].startswith("v")
@@ -38,9 +37,7 @@ class TestAsciiPlot:
         assert "t: 0 .. 3" in out
 
     def test_multiple_series_distinct_markers(self):
-        out = ascii_plot(
-            {"a": [0.0, 1.0], "b": [1.0, 0.0]}, [0, 1], width=10, height=4
-        )
+        out = ascii_plot({"a": [0.0, 1.0], "b": [1.0, 0.0]}, [0, 1])
         assert "* a" in out and "o b" in out
 
     def test_constant_series(self):
@@ -54,7 +51,7 @@ class TestAsciiPlot:
             ascii_plot({}, [0, 1])
 
     def test_extremes_plotted(self):
-        out = ascii_plot({"s": [0.0, 10.0]}, [0, 1], width=10, height=4)
+        out = ascii_plot({"s": [0.0, 10.0]}, [0, 1])
         grid_lines = [l for l in out.splitlines() if l.startswith("  |")]
         # Max value on the top row, min on the bottom row.
         assert "*" in grid_lines[0]
@@ -63,12 +60,12 @@ class TestAsciiPlot:
 
 class TestCurveFigures:
     def test_convergence_figure(self):
-        text = convergence_figure(probs=(0.1,), max_n=8)
+        text = convergence_figure()
         assert "eqs. 6-7" in text
         assert "p=0.1" in text
 
     def test_rate_figure(self):
-        text = rate_figure(bits_per_symbol=2, insertion=0.05)
+        text = rate_figure()
         assert "exact LB" in text and "erasure UB" in text
 
 

@@ -1,5 +1,7 @@
 """Fault models: event-stream processes and the feedback fault model."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ class TestIIDEventModel:
 
     def test_expected_parameters_is_nominal(self, rng):
         # The stream's long-run parameters are the nominal bundle.
-        nominal = ChannelParameters.from_rates(0.1, 0.05, substitution=0.2)
+        nominal = replace(ChannelParameters.from_rates(0.1, 0.05), substitution=0.2)
         est = empirical_parameters(IIDEventModel(nominal).sample(200_000, rng))
         for name in ("deletion", "insertion", "transmission", "substitution"):
             assert getattr(est, name) == pytest.approx(

@@ -8,9 +8,9 @@ the kernel's safeguarded over-relaxed step and stopped by the same
 running bracket. The kernel must match the loop to 1e-12 per channel,
 with the same iteration count and terminal status.
 
-It also keeps a plain-step (``mu = 1``), unguarded penalized loop as
-the reference for plain Blahut-Arimoto: it stops on ``gap < tol`` or
-the iteration cap, and returns the last iterate.
+It also keeps a plain-step (``mu = 1``), unguarded loop as the
+reference for plain Blahut-Arimoto: it stops on ``gap < tol`` or the
+iteration cap, and returns the last iterate.
 
 :func:`converted_channel` builds the transition matrix of the paper's
 converted channel, the input the Theorem 5 closed form ``C_conv`` is
@@ -45,8 +45,6 @@ def reference_blahut_arimoto(
     *,
     tol: float = 1e-10,
     max_iter: int = 10_000,
-    initial_input: Optional[np.ndarray] = None,
-    penalties: Optional[np.ndarray] = None,
     durations: Optional[np.ndarray] = None,
 ) -> BlahutArimotoResult:
     """Compute DMC capacity via the scalar Blahut-Arimoto iteration.
@@ -77,18 +75,9 @@ def reference_blahut_arimoto(
         Stopping threshold on the running bracket's width.
     max_iter:
         Iteration cap.
-    initial_input:
-        Optional starting input distribution (defaults to uniform).
-        Zero entries can never recover under the multiplicative update,
-        so a start point containing exact zeros is smoothed slightly; a
-        strictly positive start point is used exactly as given.
-    penalties:
-        Optional per-input penalties, shape ``(nx,)``: the loop then
-        maximizes ``I(p, W) - p . penalties``, subtracting them from
-        each input's divergence.
     durations:
         Optional positive per-input durations ``tau``, shape ``(nx,)``:
-        the loop then maximizes ``(I(p, W) - p . penalties) / (p . tau)``
+        the loop then maximizes ``I(p, W) / (p . tau)``
         with the kernel's ends ``value / (p . tau)`` and
         ``max_x d(x) / tau_x`` and its step shift ``d - L* tau``.
 
@@ -108,20 +97,7 @@ def reference_blahut_arimoto(
     if not np.allclose(w.sum(axis=1), 1.0, atol=1e-9):
         raise ValueError("transition matrix rows must each sum to 1")
     nx = w.shape[0]
-    pen = np.zeros(nx) if penalties is None else np.asarray(penalties, float)
-
-    if initial_input is None:
-        p = np.full(nx, 1.0 / nx)
-    else:
-        p = np.asarray(initial_input, dtype=float)
-        if p.shape != (nx,):
-            raise ValueError("initial_input has wrong shape")
-        if np.any(p < 0) or not np.isclose(p.sum(), 1.0, atol=1e-9):
-            raise ValueError("initial_input must be a distribution")
-        if np.any(p == 0):
-            # Zero entries can never recover; smooth slightly. A
-            # strictly positive start point passes through untouched.
-            p = (p + 1e-12) / (p + 1e-12).sum()
+    p = np.full(nx, 1.0 / nx)
 
     # The kernel's own step: which iterate holds the best lower end is
     # decided at rounding level, so the oracle must round the same way.
@@ -131,7 +107,6 @@ def reference_blahut_arimoto(
         max_iter=max_iter,
         tol=tol,
         stall_window=200,
-        divergence_factor=None,
     )
     lower, upper, best_p = -np.inf, np.inf, p
     gap = np.inf
@@ -143,9 +118,9 @@ def reference_blahut_arimoto(
     status: Optional[SolverStatus] = None
     with stage("solver"):
         while status is None:
-            # D(W(.|x) || q) - pen(x) for each x, in bits.
-            d = _divergence_step(p[None], w[None], h)[0] - pen
-            value = float(np.einsum("x,x->", p, d))  # I(p, W) - p . pen
+            # D(W(.|x) || q) for each x, in bits.
+            d = _divergence_step(p[None], w[None], h)[0]
+            value = float(np.einsum("x,x->", p, d))  # I(p, W)
             if durations is None:
                 top = float(d.max())
             else:
@@ -189,8 +164,8 @@ def reference_blahut_arimoto(
 
 
 @dataclass(frozen=True)
-class PenalizedReference:
-    """Per-channel outcome of :func:`reference_penalized_blahut_arimoto`:
+class PlainReference:
+    """Per-channel outcome of :func:`reference_plain_blahut_arimoto`:
     arrays over the stack axis, ``gap`` being each channel's last gap."""
 
     input_distribution: np.ndarray
@@ -199,21 +174,19 @@ class PenalizedReference:
     gap: np.ndarray
 
 
-def reference_penalized_blahut_arimoto(
+def reference_plain_blahut_arimoto(
     transitions: np.ndarray,
-    penalties: np.ndarray,
     *,
     tol: float = 1e-11,
     max_iter: int = 5000,
-) -> PenalizedReference:
-    """Maximize ``I(p, W_k) - p . penalties_k`` per channel of a
-    ``(k, nx, ny)`` stack by plain Blahut-Arimoto steps, with no guard:
+) -> PlainReference:
+    """Maximize ``I(p, W_k)`` per channel of a ``(k, nx, ny)`` stack by
+    plain Blahut-Arimoto steps, with no guard:
     a channel stops when its duality gap is below *tol* or at
     *max_iter*, keeping its last iterate. Same precomputed-entropy
     divergence as the kernel."""
     w = np.asarray(transitions, dtype=float)
     k, nx, _ny = w.shape
-    pen = np.asarray(penalties, dtype=float)
     h = _neg_entropy(w)
 
     out_p = np.empty((k, nx))
@@ -226,7 +199,7 @@ def reference_penalized_blahut_arimoto(
     it = 0
     while idx.size:
         it += 1
-        d = _divergence_step(p, w, h) - pen
+        d = _divergence_step(p, w, h)
         value = np.einsum("kx,kx->k", p, d)
         gap = d.max(axis=1) - value
         conv = gap < tol
@@ -238,11 +211,9 @@ def reference_penalized_blahut_arimoto(
             converged[t] = conv[done]
             iterations[t] = it
             keep = ~done
-            idx, w, h, pen, p, d = (
-                idx[keep], w[keep], h[keep], pen[keep], p[keep], d[keep]
-            )
+            idx, w, h, p, d = idx[keep], w[keep], h[keep], p[keep], d[keep]
         p = normalized_exp2(safe_log2(p) + d, axis=-1)
-    return PenalizedReference(
+    return PlainReference(
         input_distribution=out_p,
         converged=converged,
         iterations=iterations,

@@ -66,13 +66,6 @@ class TestAlgorithmBehavior:
     def test_identity_channel(self):
         assert blahut_arimoto(np.eye(8)).capacity == pytest.approx(3.0, abs=1e-8)
 
-    def test_initial_input_respected(self):
-        result = blahut_arimoto(
-            binary_symmetric_channel(0.2).transition_matrix,
-            initial_input=np.array([0.9, 0.1]),
-        )
-        assert result.capacity == pytest.approx(1.0 - binary_entropy(0.2), abs=1e-6)
-
     def test_rejects_bad_matrix(self):
         with pytest.raises(ValueError):
             blahut_arimoto(np.array([[0.9, 0.2], [0.1, 0.9]]))
@@ -80,13 +73,6 @@ class TestAlgorithmBehavior:
             blahut_arimoto(np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             blahut_arimoto(np.array([[1.1, -0.1], [0.5, 0.5]]))
-
-    def test_rejects_bad_initial(self):
-        w = binary_symmetric_channel(0.1).transition_matrix
-        with pytest.raises(ValueError):
-            blahut_arimoto(w, initial_input=np.array([0.5, 0.5, 0.0]))
-        with pytest.raises(ValueError):
-            blahut_arimoto(w, initial_input=np.array([0.7, 0.7]))
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=20, deadline=None)

@@ -1,22 +1,15 @@
-"""Guarded Blahut-Arimoto behaviour: input validation, initial-input
-smoothing policy, and honest statuses on E16's extreme grid."""
+"""Guarded Blahut-Arimoto behaviour: input validation and honest
+statuses on E16's extreme grid."""
 
 import numpy as np
 import pytest
 
-from repro.experiments import run_experiment
+from repro.experiments import e16_extreme_regimes, run_experiment
 from repro.experiments.e16_extreme_regimes import extreme_grid
-from repro.infotheory import (
-    binary_symmetric_channel,
-    blahut_arimoto,
-    blahut_arimoto_batch,
-    mutual_information,
-)
+from repro.infotheory import blahut_arimoto, blahut_arimoto_batch
 from repro.numerics import SolverStatus
 
 from .oracles import reference_blahut_arimoto
-
-BSC = binary_symmetric_channel(0.1).transition_matrix
 
 
 class TestInputValidation:
@@ -27,35 +20,6 @@ class TestInputValidation:
         w_inf = np.array([[0.5, 0.5], [np.inf, 0.0]])
         with pytest.raises(ValueError, match="non-finite"):
             blahut_arimoto(w_inf)
-
-
-class TestInitialInputPolicy:
-    def test_zero_entries_are_smoothed_and_recover(self):
-        # A [1, 0] start point is absorbing under the plain
-        # multiplicative update; smoothing must let it reach capacity.
-        result = blahut_arimoto(BSC, initial_input=np.array([1.0, 0.0]))
-        assert result.converged
-        exact = 1.0 - (-0.1 * np.log2(0.1) - 0.9 * np.log2(0.9))
-        assert result.capacity == pytest.approx(exact, abs=1e-8)
-        assert result.input_distribution == pytest.approx([0.5, 0.5], abs=1e-4)
-
-    def test_strictly_positive_start_used_exactly(self):
-        # With max_iter=1 the reported lower bound is I(p0, W) for the
-        # *given* p0 — any smoothing of a strictly positive start would
-        # perturb it.
-        p0 = np.array([0.3, 0.7])
-        result = blahut_arimoto(BSC, initial_input=p0, max_iter=1)
-        assert result.capacity == pytest.approx(
-            mutual_information(p0, BSC), abs=1e-12
-        )
-
-    def test_invalid_initial_input(self):
-        with pytest.raises(ValueError, match="shape"):
-            blahut_arimoto(BSC, initial_input=np.array([1.0, 0.0, 0.0]))
-        with pytest.raises(ValueError, match="distribution"):
-            blahut_arimoto(BSC, initial_input=np.array([0.6, 0.6]))
-        with pytest.raises(ValueError, match="distribution"):
-            blahut_arimoto(BSC, initial_input=np.array([1.5, -0.5]))
 
 
 class TestE16Grid:
@@ -75,12 +39,13 @@ class TestE16Grid:
                 assert abs(result.capacity - oracle.capacity) < 1e-12
                 assert abs(result.gap - oracle.gap) < 1e-12
 
-    def test_converged_rows_are_within_tol(self):
+    def test_converged_rows_are_within_tol(self, monkeypatch):
         # On a 50-iteration budget the Z rows at P_d = 0.999, 1 - 1e-6
         # and 1 - 1e-9 end max_iter. A converged label on any of them
         # would claim a bracket wider than the tol the caller asked for.
-        tol = 1e-10
-        result = run_experiment("E16", tol=tol, max_iter=50)
+        tol = e16_extreme_regimes.TOL
+        monkeypatch.setattr(e16_extreme_regimes, "MAX_ITER", 50)
+        result = run_experiment("E16")
         assert result.passed, result.summary()
         statuses = [row["status"] for row in result.rows]
         assert SolverStatus.MAX_ITER.value in statuses

@@ -6,13 +6,11 @@ promises *semantic* equality with a scalar loop
 capacity, same input distribution, same iteration count and terminal
 status per channel — while iterating a whole ``(k, nx, ny)`` stack at
 once. These tests hold it to that over randomized and generated stacks
-(structural zeros, near-deterministic rows, erasure rows at P_d -> 1,
-shared and per-channel starting points), hold its
-``penalties`` input to the same oracle and to the plain-step
-penalized loop
-(:func:`tests.infotheory.oracles.reference_penalized_blahut_arimoto`),
-and check that every exit, whatever its status, brackets the optimum
-between ``capacity`` and ``capacity + gap``.
+(structural zeros, near-deterministic rows, erasure rows at P_d -> 1),
+hold it to the plain-step loop
+(:func:`tests.infotheory.oracles.reference_plain_blahut_arimoto`), and
+check that every exit, plain or timed, whatever its status,
+brackets the optimum between ``capacity`` and ``capacity + gap``.
 """
 
 import numpy as np
@@ -35,7 +33,7 @@ from repro.numerics import (
     safe_log2,
 )
 
-from .oracles import reference_blahut_arimoto, reference_penalized_blahut_arimoto
+from .oracles import reference_blahut_arimoto, reference_plain_blahut_arimoto
 
 PARITY = 1e-12
 
@@ -217,34 +215,10 @@ class TestBatchSemantics:
             assert part.converged == scalar.converged
             assert part.status is scalar.status
 
-    def test_shared_and_per_channel_initial_input(self):
-        stack = random_stack(3, 4, 4, seed=31)
-        shared = np.array([0.4, 0.3, 0.2, 0.1])
-        batch = blahut_arimoto_batch(stack, initial_input=shared)
-        for i in range(3):
-            scalar = reference_blahut_arimoto(stack[i], initial_input=shared)
-            assert abs(batch.capacity[i] - scalar.capacity) < PARITY
-        per_channel = np.tile(shared, (3, 1))
-        batch2 = blahut_arimoto_batch(stack, initial_input=per_channel)
-        np.testing.assert_array_equal(batch.capacity, batch2.capacity)
-
-    def test_initial_input_is_not_overwritten(self):
-        # A float (k, nx) start point used to be aliased and come back
-        # holding the final iterates (and its zero rows smoothed).
-        stack = random_stack(2, 2, 3, seed=67)
-        for init in (
-            np.array([[0.3, 0.7], [0.6, 0.4]]),
-            np.array([[1.0, 0.0], [0.6, 0.4]]),
-        ):
-            before = init.copy()
-            blahut_arimoto_batch(stack, initial_input=init)
-            np.testing.assert_array_equal(init, before)
-
     def test_scalar_solver_is_a_one_stack_call(self):
         w = random_stack(1, 3, 4, seed=71)[0]
-        p0 = np.array([0.2, 0.3, 0.5])
-        scalar = blahut_arimoto(w, initial_input=p0)
-        [part] = blahut_arimoto_batch(w[None], initial_input=p0).unbatch()
+        scalar = blahut_arimoto(w)
+        [part] = blahut_arimoto_batch(w[None]).unbatch()
         assert scalar.capacity == part.capacity
         np.testing.assert_array_equal(
             scalar.input_distribution, part.input_distribution
@@ -266,6 +240,10 @@ class TestBatchSemantics:
             blahut_arimoto_batch(w, max_iter=0)
         with pytest.raises(ValueError, match="tol"):
             blahut_arimoto_batch(w, tol=-1.0)
+        with pytest.raises(ValueError, match="durations must have shape"):
+            blahut_arimoto_batch(w, durations=np.ones(3))
+        with pytest.raises(ValueError, match="positive and finite"):
+            blahut_arimoto_batch(w, durations=np.array([1.0, 0.0]))
 
     def test_max_iter_exhaustion_reports_honestly(self):
         stack = random_stack(3, 4, 6, seed=41)
@@ -295,41 +273,14 @@ class TestBatchSemantics:
 
 
 class TestPenalizedBatch:
-    """The kernel's ``penalties`` input: the timed-DMC Lagrangian step."""
-
-    def test_zero_penalty_recovers_capacity_input(self):
-        stack = random_stack(4, 3, 5, seed=43)
-        result = blahut_arimoto_batch(
-            stack, penalties=np.zeros((4, 3)), tol=1e-11, max_iter=5000
-        )
-        assert result.converged.all()
-        reference = blahut_arimoto_batch(stack, tol=1e-11)
-        # Same fixed point (up to each iteration's own tolerance).
-        assert np.max(
-            np.abs(result.input_distribution - reference.input_distribution)
-        ) < 1e-6
-
-    def test_penalty_shifts_mass_off_expensive_inputs(self):
-        stack = random_stack(1, 3, 4, seed=47)
-        free = blahut_arimoto_batch(
-            stack, penalties=np.zeros((1, 3)), tol=1e-11, max_iter=5000
-        )
-        pen = np.array([[5.0, 0.0, 0.0]])
-        taxed = blahut_arimoto_batch(
-            stack, penalties=pen, tol=1e-11, max_iter=5000
-        )
-        assert (
-            taxed.input_distribution[0, 0] < free.input_distribution[0, 0]
-        )
+    """Tight iteration budgets: each channel stops on its own."""
 
     def test_tiny_max_iter_reports_unconverged(self):
         # Regression for the silent-exhaustion bug: the batch must say
         # so when a channel runs out of iterations, not return a stale
         # iterate as if it had converged.
         stack = random_stack(3, 4, 6, seed=53)
-        result = blahut_arimoto_batch(
-            stack, penalties=np.zeros((3, 4)), tol=1e-14, max_iter=2
-        )
+        result = blahut_arimoto_batch(stack, tol=1e-14, max_iter=2)
         assert not result.converged.any()
         assert np.all(result.iterations == 2)
         # Frozen iterates are still valid distributions.
@@ -341,66 +292,55 @@ class TestPenalizedBatch:
         easy = np.eye(3)[None]
         hard = random_stack(1, 3, 3, seed=59)
         stack = np.concatenate([easy, hard])
-        result = blahut_arimoto_batch(
-            stack, penalties=np.zeros((2, 3)), tol=1e-11, max_iter=4
-        )
+        result = blahut_arimoto_batch(stack, tol=1e-11, max_iter=4)
         assert bool(result.converged[0])
         assert not bool(result.converged[1])
         assert result.iterations[0] <= result.iterations[1]
 
-    def test_bad_penalty_shape_rejected(self):
-        stack = random_stack(2, 3, 3, seed=61)
-        with pytest.raises(ValueError, match="penalties"):
-            blahut_arimoto_batch(stack, penalties=np.zeros((2, 4)))
-
 
 @st.composite
-def penalized_problems(draw):
-    """A generated stack with per-input penalties in [0, 5]."""
+def timed_problems(draw):
+    """A generated stack, with unit cost or per-input durations in
+    [1, 6]."""
     stack = draw(channel_stacks())
     k, nx, _ny = stack.shape
     scale = draw(st.sampled_from([0.0, 0.1, 1.0, 5.0]))
+    if not scale:
+        return stack, None
     seed = draw(st.integers(0, 2**32 - 1))
-    return stack, scale * np.random.default_rng(seed).random((k, nx))
+    return stack, 1.0 + scale * np.random.default_rng(seed).random((k, nx))
 
 
-def penalized_objective(p, w, pen):
-    """``I(p, W) - p . pen`` through the entropy module, not the kernel."""
-    return mutual_information(p, w) - float(p @ pen)
+def objective(p, w, tau=None):
+    """``I(p, W)``, per unit time ``p . tau`` when timed, through the
+    entropy module, not the kernel."""
+    value = mutual_information(p, w)
+    return value if tau is None else value / float(p @ tau)
 
 
 class TestPenalizedOracleParity:
-    """The kernel with ``penalties`` against the scalar oracle given the
-    same penalties, and against the plain-step penalized loop. Every
-    channel ends on the scalar oracle's iterate, step and status, bit
-    for bit. Where the plain loop converges the kernel converges too,
-    and their objectives agree within tol; where the loop does not, the
-    kernel's gap is no worse than the loop's last one. On every status the
-    kernel's answer is certified: the loop's objective lies within the
-    kernel's reported gap of the kernel's own."""
+    """The kernel against the scalar oracle and against the plain-step
+    loop. Every channel ends on the scalar oracle's iterate, step and
+    status, bit for bit. Where the plain loop converges the kernel
+    converges too, and their capacities agree within tol; where the
+    loop does not, the kernel's gap is no worse than the loop's last
+    one. On every status the kernel's answer is certified: the loop's
+    mutual information lies within the kernel's reported gap of the
+    kernel's own."""
 
     @settings(max_examples=60, derandomize=True, deadline=None)
-    @given(problem=penalized_problems())
-    def test_kernel_matches_penalized_oracle(self, problem):
-        stack, pen = problem
-        loop = reference_penalized_blahut_arimoto(
-            stack, pen, tol=1e-11, max_iter=500
-        )
-        kernel = blahut_arimoto_batch(
-            stack, penalties=pen, tol=1e-11, max_iter=500
-        )
+    @given(stack=channel_stacks())
+    def test_kernel_matches_penalized_oracle(self, stack):
+        loop = reference_plain_blahut_arimoto(stack, tol=1e-11, max_iter=500)
+        kernel = blahut_arimoto_batch(stack, tol=1e-11, max_iter=500)
         for i in range(stack.shape[0]):
             p = kernel.input_distribution[i]
-            scalar = reference_blahut_arimoto(
-                stack[i], penalties=pen[i], tol=1e-11, max_iter=500
-            )
+            scalar = reference_blahut_arimoto(stack[i], tol=1e-11, max_iter=500)
             np.testing.assert_array_equal(p, scalar.input_distribution)
             assert kernel.iterations[i] == scalar.iterations
             assert kernel.statuses[i] is scalar.status
-            reached = penalized_objective(p, stack[i], pen[i])
-            plain = penalized_objective(
-                loop.input_distribution[i], stack[i], pen[i]
-            )
+            reached = objective(p, stack[i])
+            plain = objective(loop.input_distribution[i], stack[i])
             if loop.converged[i]:
                 assert bool(kernel.converged[i])
                 assert abs(reached - plain) <= 1e-11
@@ -413,23 +353,23 @@ class TestPenalizedOracleParity:
             assert abs(p.sum() - 1.0) < 1e-12
 
     def test_gap_kink_does_not_stop_the_kernel(self):
-        # The single-iterate gap of this Lagrangian solve reaches its
-        # early best at step 50 and stays above it until step 517, more
-        # than STALL_WINDOW iterations, while the lower bound keeps
-        # rising. The kernel must run on and converge where the scalar
-        # oracle does.
-        w = np.array([[0.46, 0.54], [0.62, 0.38], [0.61, 0.39]])
-        pen = np.array([0.02, 0.09, 0.09])
+        # The single-iterate gap of this timed solve reaches its early
+        # best at step 16 and stays above it until step 345, more than
+        # STALL_WINDOW iterations, while the bracket keeps narrowing.
+        # The kernel must run on and converge where the scalar oracle
+        # does.
+        w = np.array([[0.2, 0.8], [0.13, 0.87], [0.21, 0.79]])
+        tau = np.array([1.2, 2.2, 1.2])
         oracle = reference_blahut_arimoto(
-            w, penalties=pen, tol=1e-11, max_iter=5000
+            w, durations=tau, tol=1e-11, max_iter=5000
         )
         kernel = blahut_arimoto_batch(
-            w, penalties=pen, tol=1e-11, max_iter=5000
+            w, durations=tau, tol=1e-11, max_iter=5000
         )
         assert oracle.status is SolverStatus.CONVERGED
-        assert oracle.iterations == 545
+        assert oracle.iterations == 521
         assert kernel.statuses == (SolverStatus.CONVERGED,)
-        assert kernel.iterations[0] == 545
+        assert kernel.iterations[0] == 521
         np.testing.assert_array_equal(
             kernel.input_distribution[0], oracle.input_distribution
         )
@@ -461,37 +401,32 @@ class TestPenalizedOracleParity:
 class TestRunningCertificate:
     """Every exit of the kernel is certified: the optimum lies in
     ``[value, value + gap]``, where ``value`` is the objective
-    ``I(p, W) - p . pen`` of the reported iterate, on every status.
-    The optimum is bracketed by a tol-1e-14 solve of the same channel,
-    itself certified the same way, and a channel is converged exactly
-    when its gap is within tol. The 60 draws end 56 channels converged,
-    70 max_iter and 14 stalled."""
+    ``I(p, W)`` (per unit time when timed) of the reported iterate, on
+    every status. The optimum is bracketed by a tol-1e-14 solve of the
+    same channel, itself certified the same way, and a channel is
+    converged exactly when its gap is within tol."""
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(
-        problem=penalized_problems(),
+        problem=timed_problems(),
         max_iter=st.sampled_from([1, 5, 50, 2000]),
         tol=st.sampled_from([1e-6, 1e-10, 1e-18]),
     )
     def test_every_status_brackets_the_optimum(self, problem, max_iter, tol):
-        stack, pen = problem
+        stack, tau = problem
         kernel = blahut_arimoto_batch(
-            stack, penalties=pen, tol=tol, max_iter=max_iter
+            stack, durations=tau, tol=tol, max_iter=max_iter
         )
         tight = blahut_arimoto_batch(
-            stack, penalties=pen, tol=1e-14, max_iter=2000
+            stack, durations=tau, tol=1e-14, max_iter=2000
         )
         for i in range(stack.shape[0]):
+            tau_i = None if tau is None else tau[i]
             assert bool(kernel.converged[i]) == (kernel.gap[i] <= tol)
-            value = penalized_objective(
-                kernel.input_distribution[i], stack[i], pen[i]
-            )
-            optimum = penalized_objective(
-                tight.input_distribution[i], stack[i], pen[i]
-            )
+            value = objective(kernel.input_distribution[i], stack[i], tau_i)
+            optimum = objective(tight.input_distribution[i], stack[i], tau_i)
             assert value <= optimum + tight.gap[i] + 1e-12
             assert optimum <= value + kernel.gap[i] + 1e-12
-            if not pen[i].any():
-                # Unpenalized, the reported capacity is the lower end.
-                assert kernel.capacity[i] <= optimum + tight.gap[i] + 1e-12
-                assert optimum <= kernel.capacity[i] + kernel.gap[i] + 1e-12
+            # The reported capacity is the lower end.
+            assert kernel.capacity[i] <= optimum + tight.gap[i] + 1e-12
+            assert optimum <= kernel.capacity[i] + kernel.gap[i] + 1e-12

@@ -24,12 +24,6 @@ class TestExpandBracket:
         assert hi == 16.0  # 1 -> 2 -> 4 -> 8 -> 16
         assert f(lo) > 0 >= f(hi)
 
-    def test_custom_growth_factor(self):
-        lo, hi = expand_bracket(
-            lambda x: 50.0 - x, 0.0, 1.0, grow=10.0, hi_cap=1e6
-        )
-        assert hi == 100.0
-
     def test_cap_exceeded_raises_with_diagnostics(self):
         with pytest.raises(BracketingError) as excinfo:
             expand_bracket(
@@ -61,8 +55,6 @@ class TestExpandBracket:
             expand_bracket(lambda x: 1.0, 0.0, 1.0, hi_cap=2.0)
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError, match="grow"):
-            expand_bracket(lambda x: -x, 0.0, 1.0, grow=1.0, hi_cap=10.0)
         with pytest.raises(ValueError, match="hi > lo"):
             expand_bracket(lambda x: -x, 1.0, 1.0, hi_cap=10.0)
 

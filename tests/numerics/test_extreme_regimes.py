@@ -15,6 +15,7 @@ from repro.infotheory import (
     bec_capacity,
     binary_erasure_channel,
     blahut_arimoto,
+    blahut_arimoto_batch,
     z_channel,
     z_channel_capacity,
 )
@@ -104,7 +105,8 @@ class TestHonestPartialAnswers:
     def test_truncated_run_is_finite_with_honest_status(self):
         # Starve the solver of iterations: the status must say so and
         # the best-so-far estimate stays finite.
-        result = blahut_arimoto(z_channel(0.999).transition_matrix, max_iter=20)
+        w = z_channel(0.999).transition_matrix
+        [result] = blahut_arimoto_batch(w[None], max_iter=20).unbatch()
         assert np.isfinite(result.capacity)
         assert not result.converged
         assert result.status in (

@@ -51,10 +51,8 @@ class TestTerminalStatuses:
         assert status is SolverStatus.STALLED
 
     def test_diverged(self):
-        guard = IterationGuard(
-            "t", max_iter=1000, tol=1e-9, divergence_factor=10.0
-        )
-        status = drive(guard, [1.0, 0.5, 100.0])
+        guard = IterationGuard("t", max_iter=1000, tol=1e-9)
+        status = drive(guard, [1.0, 0.5, 1e7])
         assert status is SolverStatus.DIVERGED
 
     def test_aborted_on_nan(self):
@@ -67,18 +65,14 @@ class TestTerminalStatuses:
         assert drive(guard, [np.inf]) is SolverStatus.ABORTED
 
     def test_detection_can_be_disabled(self):
-        guard = IterationGuard(
-            "t", max_iter=50, stall_window=None, divergence_factor=None
-        )
-        status = drive(guard, [1.0] * 50 + [1e9])
+        guard = IterationGuard("t", max_iter=50, stall_window=None)
+        status = drive(guard, [1.0] * 50)
         assert status is SolverStatus.MAX_ITER
 
 
 class TestBestIterate:
     def test_best_value_survives_later_worse_iterates(self):
-        guard = IterationGuard(
-            "t", max_iter=10, tol=0.0, stall_window=None, divergence_factor=None
-        )
+        guard = IterationGuard("t", max_iter=10, tol=0.0, stall_window=None)
         drive(guard, [1.0, 0.01, 0.5, 0.9], values=["w", "best", "x", "y"])
         assert guard.best_value == "best"
         assert guard.best_residual == pytest.approx(0.01)
@@ -95,14 +89,15 @@ class TestBestIterate:
 
 class TestDiagnostics:
     def test_fields_and_describe(self):
-        guard = IterationGuard("mysolver", max_iter=100, tol=1e-6, tail_length=3)
-        drive(guard, [4.0, 3.0, 2.0, 1.0, 1e-7])
+        guard = IterationGuard("mysolver", max_iter=100, tol=1e-6)
+        drive(guard, [10.0, 9.0, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0, 1e-7])
         diag = guard.diagnostics(notes=("retry 1",))
         assert diag.solver == "mysolver"
         assert diag.status is SolverStatus.CONVERGED
-        assert diag.iterations == 5
-        assert diag.residual_tail == (2.0, 1.0, 1e-7)  # tail_length trims
-        assert diag.best_iteration == 5
+        assert diag.iterations == 11
+        # The tail keeps the last 8 residuals.
+        assert diag.residual_tail == (7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0, 1e-7)
+        assert diag.best_iteration == 11
         assert diag.notes == ("retry 1",)
         text = diag.describe()
         assert "mysolver" in text
@@ -121,8 +116,6 @@ class TestValidation:
             {"max_iter": 0},
             {"max_iter": 10, "tol": -1.0},
             {"max_iter": 10, "stall_window": 0},
-            {"max_iter": 10, "divergence_factor": 1.0},
-            {"max_iter": 10, "tail_length": 0},
         ],
     )
     def test_bad_constructor_args(self, kwargs):

@@ -114,11 +114,3 @@ class TestDetector:
         report = detect_covert_pair(trace)
         assert report.flagged
         assert report.coupling_bits == 0.0
-
-    def test_threshold_knobs(self, rng):
-        trace, written, read = run_covert(rng, RoundRobinScheduler())
-        strict = detect_covert_pair(
-            trace, written, read,
-            threshold_interleaving=1.1, threshold_coupling=2.0,
-        )
-        assert not strict.flagged

@@ -8,7 +8,6 @@ from repro.os_model.process import IdleProcess, Process
 from repro.os_model.scheduler import (
     FuzzyTimeScheduler,
     LotteryScheduler,
-    MultilevelFeedbackScheduler,
     RandomScheduler,
     RoundRobinScheduler,
 )
@@ -21,8 +20,8 @@ class CountingProcess(Process):
 
 class TestSharedRegister:
     def test_read_write(self):
-        reg = SharedRegister(5)
-        assert reg.read() == 5
+        reg = SharedRegister()
+        assert reg.read() == 0
         reg.write(9)
         assert reg.read() == 9
         assert reg.writes == 1
@@ -33,8 +32,6 @@ class TestProcess:
     def test_validation(self):
         with pytest.raises(ValueError):
             CountingProcess(-1)
-        with pytest.raises(ValueError):
-            CountingProcess(0, tickets=0)
 
     def test_default_name(self):
         assert CountingProcess(3).name == "proc-3"
@@ -100,16 +97,6 @@ class TestSchedulers:
         sched = self._run(RandomScheduler())
         assert sched.mean() == pytest.approx(0.5, abs=0.02)
 
-    def test_lottery_respects_tickets(self):
-        procs = [
-            CountingProcess(0, tickets=3),
-            CountingProcess(1, tickets=1),
-        ]
-        kernel = UniprocessorKernel(procs, LotteryScheduler())
-        trace = kernel.run(20_000, np.random.default_rng(0))
-        share = np.asarray(trace.schedule).mean()
-        assert share == pytest.approx(0.25, abs=0.02)
-
     def test_fuzzy_time_repeats_processes(self):
         sched = self._run(FuzzyTimeScheduler(0.5), quanta=20_000)
         repeats = (sched[1:] == sched[:-1]).mean()
@@ -119,10 +106,6 @@ class TestSchedulers:
     def test_fuzzy_validation(self):
         with pytest.raises(ValueError):
             FuzzyTimeScheduler(1.0)
-        with pytest.raises(ValueError, match="levels"):
-            MultilevelFeedbackScheduler(levels=0)
-        with pytest.raises(ValueError, match="boost_period"):
-            MultilevelFeedbackScheduler(boost_period=0)
 
     def test_schedulers_reject_empty_ready(self):
         rng = np.random.default_rng(0)

@@ -87,18 +87,6 @@ class TestSchedulersExtra:
         assert m.params.deletion == 0.0
         assert m.params.insertion == 0.0
 
-    def test_stride_proportional_share(self, rng):
-        from repro.os_model.kernel import UniprocessorKernel
-        from repro.os_model.process import IdleProcess
-        from repro.os_model.scheduler import StrideScheduler
-
-        a = IdleProcess(0, tickets=3)
-        b = IdleProcess(1, tickets=1)
-        kernel = UniprocessorKernel([a, b], StrideScheduler())
-        trace = kernel.run(4000, rng)
-        share = np.asarray(trace.schedule).mean()  # fraction of pid 1
-        assert share == pytest.approx(0.25, abs=0.02)
-
     def test_mlfq_synchronous_for_symmetric_pair(self, rng):
         from repro.os_model.measurement import run_oblivious_channel
         from repro.os_model.scheduler import MultilevelFeedbackScheduler
@@ -107,11 +95,3 @@ class TestSchedulersExtra:
             MultilevelFeedbackScheduler(), rng, message_symbols=3000
         )
         assert m.params.deletion == 0.0
-
-    def test_mlfq_validation(self):
-        from repro.os_model.scheduler import MultilevelFeedbackScheduler
-
-        with pytest.raises(ValueError):
-            MultilevelFeedbackScheduler(levels=0)
-        with pytest.raises(ValueError):
-            MultilevelFeedbackScheduler(boost_period=0)

@@ -13,20 +13,16 @@ class FakeClock:
         return self.now
 
 
-def make_breaker(**overrides):
+def make_breaker():
     clock = FakeClock()
-    kwargs = dict(failure_threshold=3, cooldown_seconds=10.0, clock=clock)
-    kwargs.update(overrides)
-    return CircuitBreaker(**kwargs), clock
+    breaker = CircuitBreaker(failure_threshold=3, cooldown_seconds=10.0)
+    breaker._clock = clock
+    return breaker, clock
 
 
 def test_validation():
     with pytest.raises(ValueError):
         CircuitBreaker(failure_threshold=0)
-    with pytest.raises(ValueError):
-        CircuitBreaker(latency_threshold_seconds=0.0)
-    with pytest.raises(ValueError):
-        CircuitBreaker(ewma_alpha=0.0)
     with pytest.raises(ValueError):
         CircuitBreaker(cooldown_seconds=-1.0)
 
@@ -82,17 +78,6 @@ def test_probe_success_closes_probe_failure_reopens():
     assert breaker.allow() is False  # a fresh cooldown started
 
 
-def test_latency_ewma_trips_a_succeeding_tier():
-    breaker, _ = make_breaker(
-        latency_threshold_seconds=1.0, ewma_alpha=0.5
-    )
-    breaker.record_success(latency_seconds=0.5)
-    assert breaker.state is BreakerState.CLOSED
-    for _ in range(8):
-        breaker.record_success(latency_seconds=4.0)
-    assert breaker.state is BreakerState.OPEN  # "success" too slow to count
-
-
 def test_transitions_are_counted_for_observability():
     breaker, clock = make_breaker()
     for _ in range(3):
@@ -114,3 +99,6 @@ def test_snapshot_reports_latency_ewma():
     assert breaker.snapshot()["latency_ewma_seconds"] is None
     breaker.record_success(latency_seconds=0.25)
     assert breaker.snapshot()["latency_ewma_seconds"] == 0.25
+    breaker.record_success(latency_seconds=1.25)
+    assert breaker.snapshot()["latency_ewma_seconds"] == pytest.approx(0.55)
+    assert breaker.state is BreakerState.CLOSED

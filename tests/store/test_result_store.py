@@ -1,11 +1,12 @@
 """ResultStore behaviour: publish, fetch, maintenance, corruption."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.store import ResultStore, StoreError, canonical_key
+from repro.store import ResultStore, StoreError, canonical_key, result_store
 
 
 def key_for(i):
@@ -78,13 +79,19 @@ def test_delete_keys_entries_stats(store):
     assert len(list(store.entries())) == 3
 
 
-def test_gc_by_age(store):
-    store.put(key_for(0), {"v": 0}, fn_id="toy", created_at=100.0)
-    store.put(key_for(1), {"v": 1}, fn_id="toy", created_at=900.0)
-    evicted = store.gc(max_age_seconds=200.0, now=1000.0, dry_run=True)
+def test_gc_by_age(store, monkeypatch):
+    clock = {"now": 100.0}
+    monkeypatch.setattr(
+        result_store, "time", SimpleNamespace(time=lambda: clock["now"])
+    )
+    store.put(key_for(0), {"v": 0}, fn_id="toy")
+    clock["now"] = 900.0
+    store.put(key_for(1), {"v": 1}, fn_id="toy")
+    clock["now"] = 1000.0
+    evicted = store.gc(max_age_seconds=200.0, dry_run=True)
     assert evicted == [key_for(0)] or set(evicted) == {key_for(0)}
     assert _has_entry(store, key_for(0))  # dry run deleted nothing
-    store.gc(max_age_seconds=200.0, now=1000.0)
+    store.gc(max_age_seconds=200.0)
     assert not _has_entry(store, key_for(0))
     assert _has_entry(store, key_for(1))
 

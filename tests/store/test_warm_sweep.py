@@ -11,6 +11,7 @@ points.
 
 import pytest
 
+from repro.bounds import deletion
 from repro.bounds.brackets import capacity_bracket_sweep
 from repro.bounds.deletion import block_bound_sweep
 from repro.numerics import (
@@ -90,19 +91,16 @@ def test_store_disabled_sweep_is_unaffected(tmp_path):
     ],
 )
 def test_fallback_points_record_the_same_statuses_cold_and_warm(
-    tmp_path, block_length, deletion_prob
+    tmp_path, monkeypatch, block_length, deletion_prob
 ):
     """A point that ends non-converged (a tol below float resolution
     stalls it) records one status, its final one, both when it is
     solved and when a hit replays it."""
+    monkeypatch.setattr(deletion, "BLOCK_BOUND_TOL", 1e-18)
     with use_store(ResultStore(tmp_path / "cache")):
         with collect_solver_statuses() as cold:
-            block_bound_sweep(
-                [deletion_prob], block_length=block_length, tol=1e-18
-            )
+            block_bound_sweep([deletion_prob], block_length=block_length)
         with collect_solver_statuses() as warm:
-            block_bound_sweep(
-                [deletion_prob], block_length=block_length, tol=1e-18
-            )
+            block_bound_sweep([deletion_prob], block_length=block_length)
     assert cold == {"blahut_arimoto_batch:stalled": 1}
     assert warm == cold

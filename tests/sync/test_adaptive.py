@@ -1,5 +1,7 @@
 """Adaptive probe-estimate-transmit sessions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -50,7 +52,7 @@ class TestAdaptiveSession:
     def test_rejects_noisy_channel(self, rng):
         with pytest.raises(ValueError):
             run_adaptive_session(
-                ChannelParameters.from_rates(0.1, 0.0, substitution=0.1),
+                replace(ChannelParameters.from_rates(0.1, 0.0), substitution=0.1),
                 rng,
             )
 

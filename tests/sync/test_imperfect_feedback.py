@@ -120,13 +120,6 @@ class TestProtocol:
         assert run.channel_uses == run.deletions + run.transmissions
         assert run.transmissions >= run.symbols_delivered  # duplicates
 
-    def test_max_uses(self, rng):
-        proto = AlternatingBitProtocol(
-            ChannelParameters.from_rates(0.4, 0.0), ack_loss_prob=0.4
-        )
-        run = proto.run(rng.integers(0, 2, 1_000_000), rng, max_uses=2000)
-        assert run.channel_uses <= 2000
-
     @given(
         st.floats(min_value=0.0, max_value=0.6),
         st.floats(min_value=0.0, max_value=0.6),
@@ -210,14 +203,3 @@ class TestBlockAck:
         assert vals[-1] == pytest.approx(0.8, abs=0.02)
         with pytest.raises(ValueError):
             block_ack_rate(1, 0.2, 0.4, 0)
-
-    def test_max_uses(self, rng):
-        from repro.sync.imperfect_feedback import BlockAckProtocol
-
-        proto = BlockAckProtocol(
-            ChannelParameters.from_rates(0.4, 0.0),
-            ack_loss_prob=0.4,
-            block_size=8,
-        )
-        run = proto.run(rng.integers(0, 2, 1_000_000), rng, max_uses=1500)
-        assert run.channel_uses <= 1500

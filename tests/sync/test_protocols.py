@@ -1,5 +1,7 @@
 """ProtocolRun records and base-class validation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -62,13 +64,13 @@ class TestProtocolRun:
 
 class TestBaseClass:
     class _Dummy(SynchronizationProtocol):
-        def run(self, message, rng, *, max_uses=None):  # pragma: no cover
+        def run(self, message, rng):  # pragma: no cover
             raise NotImplementedError
 
     def test_rejects_substitution_noise(self):
         with pytest.raises(ValueError):
             self._Dummy(
-                ChannelParameters.from_rates(0.1, 0.1, substitution=0.2)
+                replace(ChannelParameters.from_rates(0.1, 0.1), substitution=0.2)
             )
 
     def test_rejects_bad_bits(self):

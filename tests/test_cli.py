@@ -61,9 +61,11 @@ class TestCommands:
         assert main([]) == 2
         assert "usage" in capsys.readouterr().out.lower()
 
-    def test_unknown_experiment_raises(self):
-        with pytest.raises(KeyError):
-            main(["run", "E99"])
+    def test_unknown_experiment_exits_2(self, capsys):
+        assert main(["run", "E99"]) == 2
+        err = capsys.readouterr().err
+        assert "error: unknown experiment 'E99'; known: [" in err
+        assert "Traceback" not in err
 
     def test_faults_list(self, capsys):
         assert main(["faults", "list"]) == 0
@@ -82,9 +84,15 @@ class TestCommands:
         assert "within bound       : True" in out
         assert "desyncs_injected" in out
 
-    def test_faults_unknown_scenario(self):
-        with pytest.raises(KeyError):
-            main(["faults", "run", "no_such_scenario"])
+    def test_faults_unknown_scenario(self, capsys):
+        assert main(["faults", "run", "no_such_scenario"]) == 2
+        err = capsys.readouterr().err
+        assert "error: unknown fault scenario 'no_such_scenario'; known: [" in err
+
+    def test_service_unknown_scenario_exits_2(self, capsys):
+        assert main(["service", "run", "--scenario", "nosuch"]) == 2
+        err = capsys.readouterr().err
+        assert "error: unknown service fault scenario 'nosuch'; available: " in err
 
     def test_faults_without_subcommand(self, capsys):
         assert main(["faults"]) == 2

@@ -8,6 +8,7 @@ import pytest
 
 from repro.infotheory.channels import binary_symmetric_channel, z_channel
 from repro.infotheory.entropy import binary_entropy
+from repro.infotheory.kernels import blahut_arimoto_batch
 from repro.infotheory.noiseless import noiseless_capacity_per_second
 from repro.numerics import SolverStatus, collect_solver_statuses
 from repro.timing.timed_dmc import timed_dmc_capacity
@@ -104,14 +105,13 @@ class TestValidation:
 
 class TestStarvedBudget:
     def test_exhausted_budget_reports_a_certified_bracket(self):
-        # Two iterations cannot certify this channel: the status says
-        # so, and the answer is still a finite bracket on the capacity.
+        # Two iterations of the kernel cannot certify this channel: the
+        # status says so, and the answer is still a finite bracket on
+        # the capacity the full solve reports.
         w = z_channel(0.2).transition_matrix
         tau = np.array([1.0, 2.0])
-        with collect_solver_statuses() as statuses:
-            r = timed_dmc_capacity(w, tau, max_iter=2)
+        [r] = blahut_arimoto_batch(w, durations=tau, max_iter=2).unbatch()
         assert r.status is SolverStatus.MAX_ITER
-        assert dict(statuses) == {"timed_dmc:max_iter": 1}
         assert np.isfinite(r.gap) and r.gap > 1e-10
         full = timed_dmc_capacity(w, tau)
         assert r.capacity <= full.capacity + full.gap
@@ -135,14 +135,14 @@ class TestKernelInnerSolve:
     def test_warm_store_replays_the_status(self, tmp_path):
         from repro.store import ResultStore, use_store
 
-        w = z_channel(0.2).transition_matrix
-        tau = np.array([1.0, 2.0])
+        # Draw 274 ends stalled at the default budget.
+        w, tau = DRAWS[274]
         with use_store(ResultStore(tmp_path / "store")):
             with collect_solver_statuses() as cold:
-                timed_dmc_capacity(w, tau, max_iter=2)
+                timed_dmc_capacity(w, tau)
             with collect_solver_statuses() as warm:
-                timed_dmc_capacity(w, tau, max_iter=2)
-        assert dict(cold) == {"timed_dmc:max_iter": 1}
+                timed_dmc_capacity(w, tau)
+        assert dict(cold) == {"timed_dmc:stalled": 1}
         assert dict(warm) == dict(cold)
 
 
@@ -229,7 +229,9 @@ class TestTimedCertificate:
         if draw in PINNED_OPTIMA:
             low = high = PINNED_OPTIMA[draw]
         else:
-            tight = timed_dmc_capacity(w, tau, tol=1e-14, max_iter=20_000)
+            [tight] = blahut_arimoto_batch(
+                w, durations=tau, tol=1e-14, max_iter=20_000
+            ).unbatch()
             low, high = tight.capacity, tight.capacity + tight.gap
         assert result.capacity <= high + 1e-14
         assert low <= result.capacity + result.gap + 1e-14
