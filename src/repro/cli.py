@@ -488,20 +488,23 @@ def _cmd_faults_run(
     from .faults.injector import run_under_faults
     from .faults.scenarios import get_scenario
     from .simulation.rng import make_rng
-    from .sync.feedback import CounterProtocol
 
     try:
         fault_scenario = get_scenario(scenario)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    params = ChannelParameters.from_rates(deletion=pd, insertion=pi)
-    injector = fault_scenario.build(params, seed=seed)
     rng = make_rng(seed)
     message = rng.integers(0, 2**bits, symbols)
-    fm = run_under_faults(
-        CounterProtocol(params, bits_per_symbol=bits), message, rng, injector
-    )
+    try:
+        params = ChannelParameters.from_rates(deletion=pd, insertion=pi)
+        injector = fault_scenario.build(params, seed=seed)
+        fm = run_under_faults(params, message, rng, injector, bits_per_symbol=bits)
+    except ValueError as exc:
+        # Bad rates, or a channel no run can finish on (P_d = 1), are
+        # usage errors.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"scenario           : {scenario}")
     print(f"completed          : {fm.completed}")
     print(f"degraded           : {fm.run.degraded}")

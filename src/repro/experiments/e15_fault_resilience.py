@@ -1,5 +1,5 @@
-"""E15 — fault resilience: the hardened protocols under every named
-fault scenario (extension; see ``repro.faults``).
+"""E15 — fault resilience: the hardened counter protocol under every
+named fault scenario (extension; see ``repro.faults``).
 
 The paper's Theorem 1 bound ``N (1 - P_d)`` is stated for i.i.d.
 events, but its *estimation recipe* (§4.3) is empirical: measure the
@@ -12,7 +12,7 @@ the i.i.d. and perfect-feedback assumptions are broken:
 2. the achieved information rate never exceeds the *empirical* erasure
    bound ``N (1 - P̂_d)`` computed from the observed event frequencies
    of the faulted run — capacity claims degrade, they don't break;
-3. under scenarios that inject counter desync (``bursty_loss``,
+3. under every scenario with a counter-desync rate (``bursty_loss``,
    ``counter_desync``, ``stress``), the resynchronization machinery
    actually engages (epochs run and recoveries happen), i.e. the run is
    honestly flagged ``degraded`` instead of silently misaligned.
@@ -24,12 +24,9 @@ from ..core.events import ChannelParameters
 from ..faults.injector import run_under_faults
 from ..faults.scenarios import get_scenario, list_scenarios
 from ..simulation.rng import make_rng
-from ..sync.feedback import CounterProtocol
 from .tables import ExperimentResult
 
 __all__ = ["run"]
-
-_DESYNC_SCENARIOS = frozenset({"bursty_loss", "counter_desync", "stress"})
 
 
 # The run's settings, read at call time.
@@ -50,10 +47,9 @@ def run(*, seed: int = 0) -> ExperimentResult:
     for name in names:
         scenario = get_scenario(name)
         injector = scenario.build(params, seed=seed)
-        protocol = CounterProtocol(params, bits_per_symbol=n)
         message = rng.integers(0, 2**n, NUM_SYMBOLS)
-        fm = run_under_faults(protocol, message, rng, injector)
-        recovery_expected = name in _DESYNC_SCENARIOS
+        fm = run_under_faults(params, message, rng, injector, bits_per_symbol=n)
+        recovery_expected = injector.desync_prob > 0
         recovery_ok = (not recovery_expected) or (
             fm.run.degraded
             and fm.fault_counts.get("resync_epochs", 0) > 0

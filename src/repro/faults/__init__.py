@@ -2,11 +2,13 @@
 
 The paper's capacity results assume i.i.d. channel events and a perfect
 feedback path. This package systematically breaks those assumptions —
-bursty Gilbert-Elliott loss, slow parameter drift, lossy/delayed/
-corrupted acknowledgments, and counter desynchronization — so the
-protocols and bounds can be measured where the theory's hypotheses
-fail. See ``docs/api.md`` ("Fault injection & resilience") for a tour
-and :mod:`repro.experiments.e15_fault_resilience` for the sweep.
+bursty Gilbert-Elliott loss, slow parameter drift, and counter
+desynchronization — so the counter protocol and the bounds can be
+measured where the theory's hypotheses fail. Lossy acknowledgments are
+measured separately, by :class:`repro.sync.AlternatingBitProtocol` and
+:class:`repro.sync.BlockAckProtocol` in experiment E10. See
+``docs/api.md`` ("Fault injection & resilience") for a tour and
+:mod:`repro.experiments.e15_fault_resilience` for the sweep.
 """
 
 from .injector import (
@@ -16,10 +18,8 @@ from .injector import (
     run_under_faults,
 )
 from .models import (
-    AckOutcome,
     DriftingParameterModel,
     EventStreamModel,
-    FeedbackFaultModel,
     GilbertElliottModel,
     IIDEventModel,
 )
@@ -40,10 +40,8 @@ from .service_faults import (
 )
 
 __all__ = [
-    "AckOutcome",
     "DriftingParameterModel",
     "EventStreamModel",
-    "FeedbackFaultModel",
     "GilbertElliottModel",
     "IIDEventModel",
     "FaultLog",

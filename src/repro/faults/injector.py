@@ -1,35 +1,34 @@
-"""Fault injection for protocols and channel simulators.
+"""Fault injection for the counter protocol.
 
 A :class:`FaultInjector` bundles an event-stream fault model (bursty,
-drifting, or i.i.d.) with a :class:`~repro.faults.models.
-FeedbackFaultModel` and *installs* itself for the duration of a run:
+drifting, or i.i.d.) with a counter-desync rate and *installs* itself
+for the duration of a run:
 
 * the forward path is intercepted through
-  :func:`repro.core.events.set_event_sampler_hook`, so every protocol
-  and channel simulator that draws events via
-  :func:`repro.core.events.sample_events` runs **unmodified** under the
-  fault model;
-* the feedback path is consulted explicitly by the hardened protocols
-  in :mod:`repro.sync.feedback` via :func:`active_injector`.
+  :func:`repro.core.events.set_event_sampler_hook`, so every draw made
+  via :func:`repro.core.events.sample_events` comes from the fault
+  model;
+* counter desync is drawn by :meth:`FaultInjector.desync`, which
+  :class:`~repro.sync.feedback.CounterProtocol` consults through
+  :func:`repro.core.events.active_fault_injector`.
 
-All fault randomness comes from the injector's own seeded
-:class:`~repro.simulation.rng.RngFactory` substreams ("feedback",
-"abandon"), never from the protocol's generator — so enabling feedback
-faults does not perturb the channel event stream, and a fault scenario
-is reproducible bit-for-bit from ``(scenario, seed)``.
+Desync randomness comes from the injector's own seeded
+:class:`~repro.simulation.rng.RngFactory` substream ("feedback"), never
+from the protocol's generator, so a desync rate does not perturb the
+channel event stream, and a fault scenario is reproducible bit-for-bit
+from ``(scenario, seed)``.
 
-:func:`run_under_faults` is the one-call harness: it executes any
-:class:`~repro.sync.protocols.SynchronizationProtocol` under a fault
-injector and reports the achieved rate next to the Theorem-1 erasure
-bound ``N (1 - P̂_d)`` computed from the *empirical* event frequencies
-of the faulted run.
+:func:`run_under_faults` is the one-call harness: it runs the counter
+protocol under a fault injector and reports the achieved rate next to
+the Theorem-1 erasure bound ``N (1 - P̂_d)`` computed from the
+*empirical* event frequencies of the faulted run.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator
 
 import numpy as np
 
@@ -39,14 +38,15 @@ from ..core.events import (
     set_active_fault_injector,
     set_event_sampler_hook,
 )
+from ..infotheory.probability import is_zero, validate_probability
 from ..simulation.rng import RngFactory
+from ..sync.feedback import CounterProtocol
 from ..sync.harness import (
     ProtocolMeasurement,
     measure_protocol,
     substitution_error_capacity,
 )
-from ..sync.protocols import SynchronizationProtocol
-from .models import AckOutcome, EventStreamModel, FeedbackFaultModel
+from .models import EventStreamModel
 
 __all__ = [
     "FaultLog",
@@ -62,9 +62,9 @@ class FaultLog:
 
     counts: Dict[str, int] = field(default_factory=dict)
 
-    def record(self, name: str, n: int = 1) -> None:
-        """Add *n* occurrences of fault *name*."""
-        self.counts[name] = self.counts.get(name, 0) + n
+    def record(self, name: str) -> None:
+        """Add one occurrence of fault *name*."""
+        self.counts[name] = self.counts.get(name, 0) + 1
 
     def get(self, name: str) -> int:
         return self.counts.get(name, 0)
@@ -78,40 +78,41 @@ class FaultLog:
 
 
 class FaultInjector:
-    """Injects forward-path and feedback-path faults into protocol runs.
+    """Injects forward-path faults and counter desync into protocol runs.
 
     Parameters
     ----------
     event_model:
-        Replacement event process for the forward channel. ``None``
-        leaves the forward path on the protocol's own i.i.d. model.
-    feedback:
-        Feedback-path fault rates (defaults to a perfect path).
+        Replacement event process for the forward channel.
+    desync_prob:
+        Per-channel-use probability that the receiver's symbol counter
+        silently drifts by one relative to the sender's belief: the
+        fault :class:`~repro.sync.feedback.CounterProtocol`'s
+        resynchronization epochs exist to repair.
     seed:
-        Root seed for the injector's private fault streams.
+        Root seed for the injector's private desync stream.
     """
 
     def __init__(
         self,
-        event_model: Optional[EventStreamModel] = None,
-        feedback: Optional[FeedbackFaultModel] = None,
+        event_model: EventStreamModel,
         *,
+        desync_prob: float = 0.0,
         seed: int = 0,
     ) -> None:
         self.event_model = event_model
-        self.feedback = feedback if feedback is not None else FeedbackFaultModel()
+        self.desync_prob = validate_probability(desync_prob, "desync_prob")
         self.seed = int(seed)
-        self._factory = RngFactory(self.seed)
         self.log = FaultLog()
+        self.reset()
 
     # ------------------------------------------------------------------
     # lifecycle
 
     def reset(self) -> None:
         """Restart fault streams and counters for an independent run."""
-        if self.event_model is not None:
-            self.event_model.reset()
-        self._factory = RngFactory(self.seed)
+        self.event_model.reset()
+        self._desync_rng = RngFactory(self.seed).stream("feedback")
         self.log.clear()
 
     @contextmanager
@@ -119,12 +120,10 @@ class FaultInjector:
         """Install this injector for the duration of a ``with`` block.
 
         Installs the forward-path event hook and registers the injector
-        as the active one the hardened feedback protocols consult.
-        Nesting restores the previous injector on exit.
+        as the active one the counter protocol consults. Nesting
+        restores the previous injector on exit.
         """
-        previous_hook = set_event_sampler_hook(
-            self._sample_events_hook if self.event_model is not None else None
-        )
+        previous_hook = set_event_sampler_hook(self._sample_events_hook)
         previous_active = set_active_fault_injector(self)
         try:
             yield self
@@ -132,49 +131,24 @@ class FaultInjector:
             set_active_fault_injector(previous_active)
             set_event_sampler_hook(previous_hook)
 
-    # ------------------------------------------------------------------
-    # forward path
-
     def _sample_events_hook(
         self, params: ChannelParameters, num_uses: int, rng: np.random.Generator
     ) -> np.ndarray:
         """Hook body for :func:`repro.core.events.sample_events`."""
-        events = self.event_model.sample(num_uses, rng)
-        self.log.record("faulted_uses", num_uses)
-        return events
-
-    # ------------------------------------------------------------------
-    # feedback path (consulted by hardened protocols)
-
-    @property
-    def _feedback_rng(self) -> np.random.Generator:
-        return self._factory.stream("feedback")
-
-    def ack_outcome(self) -> AckOutcome:
-        """Sample and record the fate of one acknowledgment."""
-        outcome = self.feedback.ack_outcome(self._feedback_rng)
-        if outcome == AckOutcome.LOST:
-            self.log.record("acks_lost")
-        elif outcome == AckOutcome.DELAYED:
-            self.log.record("acks_delayed")
-        elif outcome == AckOutcome.CORRUPTED:
-            self.log.record("acks_corrupted")
-        return outcome
+        return self.event_model.sample(num_uses, rng)
 
     def desync(self) -> int:
         """Sample a counter-desync fault for one channel use.
 
         Returns the signed counter drift (0 for no fault, else ±1) and
-        records it.
+        records it. At rate 0 nothing is drawn.
         """
-        if not self.feedback.desync_occurs(self._feedback_rng):
+        if is_zero(self.desync_prob):
+            return 0
+        if not self._desync_rng.random() < self.desync_prob:
             return 0
         self.log.record("desyncs_injected")
-        return 1 if self._feedback_rng.random() < 0.5 else -1
-
-    def abandon_guess(self, alphabet_size: int) -> int:
-        """A receiver-side stand-in symbol for an abandoned position."""
-        return int(self._factory.stream("abandon").integers(0, alphabet_size))
+        return 1 if self._desync_rng.random() < 0.5 else -1
 
 
 @dataclass(frozen=True)
@@ -233,25 +207,31 @@ def _empirical_event_parameters(run) -> ChannelParameters:
 
 
 def run_under_faults(
-    protocol: SynchronizationProtocol,
+    params: ChannelParameters,
     message: np.ndarray,
     rng: np.random.Generator,
     injector: FaultInjector,
+    *,
+    bits_per_symbol: int,
 ) -> FaultedMeasurement:
-    """Execute *protocol* under *injector* and measure against the
-    empirical Theorem-1 bound.
+    """Run the counter protocol at nominal *params* under *injector*
+    and measure against the empirical Theorem-1 bound.
 
-    The injector is reset first, so repeated calls with identical seeds
-    are bit-for-bit reproducible.
+    The counter protocol is the one protocol that draws its events
+    through :func:`repro.core.events.sample_events` and consults the
+    injector's desync stream, so it is built here rather than taken
+    from the caller. The injector is reset first, so repeated calls
+    with identical seeds are bit-for-bit reproducible.
     """
+    protocol = CounterProtocol(params, bits_per_symbol=bits_per_symbol)
     injector.reset()
     with injector.active():
         measurement = measure_protocol(protocol, message, rng)
     run = measurement.run
     empirical = _empirical_event_parameters(run)
-    bound = erasure_upper_bound(protocol.bits_per_symbol, empirical.deletion)
+    bound = erasure_upper_bound(bits_per_symbol, empirical.deletion)
     info_per_symbol = substitution_error_capacity(
-        protocol.bits_per_symbol, run.symbol_error_rate
+        bits_per_symbol, run.symbol_error_rate
     )
     info_per_use = (
         info_per_symbol * run.symbols_delivered / run.channel_uses

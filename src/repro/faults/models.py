@@ -1,46 +1,41 @@
 """Fault models for non-synchronous covert channels.
 
-The paper's analysis (Theorems 1-5) assumes i.i.d. channel events and a
-perfect feedback path. Real covert channels violate both: scheduling
-noise is *bursty* (periods of heavy contention push ``P_d``/``P_i`` up
-for many consecutive uses), system load makes the event probabilities
-*drift* over a run, and the feedback path itself loses, delays, or
-corrupts acknowledgments and can silently desynchronize the two
-counters of the Appendix-A protocol. This module provides generative
-models for all of these regimes:
+The paper's analysis (Theorems 1-5) assumes i.i.d. channel events.
+Real covert channels violate that: scheduling noise is *bursty*
+(periods of heavy contention push ``P_d``/``P_i`` up for many
+consecutive uses), and system load makes the event probabilities
+*drift* over a run. This module provides generative models of the
+forward event stream for these regimes:
 
 * :class:`IIDEventModel` — the paper's baseline, as a stream model;
 * :class:`GilbertElliottModel` — two-state (good/bad) Markov-modulated
   event process, the classic bursty-loss model;
 * :class:`DriftingParameterModel` — slow deterministic drift of
-  ``(P_d, P_i)`` between two parameter bundles;
-* :class:`FeedbackFaultModel` — ack loss / delay / corruption and
-  counter-desync rates for the receiver-to-sender path.
+  ``(P_d, P_i)`` between two parameter bundles.
 
-Every model draws from an explicit ``numpy.random.Generator`` so fault
-streams are reproducible bit-for-bit; :class:`repro.faults.injector.
-FaultInjector` wires them to seeded :class:`repro.simulation.rng.
-RngFactory` substreams.
+No model may stay at ``P_d = 1`` forever: every use would be a
+deletion and no protocol run could end, so such a model is refused at
+construction. Every model draws from an explicit
+``numpy.random.Generator`` so fault streams are reproducible
+bit-for-bit. The feedback-path fault, counter desync, is drawn by
+:class:`repro.faults.injector.FaultInjector` from its own seeded
+substream.
 """
 
 from __future__ import annotations
 
 import abc
-import enum
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.events import ChannelParameters
-from ..infotheory.probability import is_zero, validate_probability
+from ..infotheory.probability import is_one
 
 __all__ = [
     "EventStreamModel",
     "IIDEventModel",
     "GilbertElliottModel",
     "DriftingParameterModel",
-    "AckOutcome",
-    "FeedbackFaultModel",
 ]
 
 
@@ -76,6 +71,8 @@ class IIDEventModel(EventStreamModel):
     """The paper's baseline: i.i.d. events at fixed parameters."""
 
     def __init__(self, params: ChannelParameters) -> None:
+        if is_one(params.deletion):
+            raise ValueError("deletion probability 1 never delivers")
         self.params = params
 
     def sample(self, num_uses: int, rng: np.random.Generator) -> np.ndarray:
@@ -118,6 +115,10 @@ class GilbertElliottModel(EventStreamModel):
         for name, p in (("p_gb", p_gb), ("p_bg", p_bg)):
             if not 0.0 < p <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1], got {p}")
+        if is_one(good.deletion) and is_one(bad.deletion):
+            raise ValueError(
+                "deletion probability 1 in both states never delivers"
+            )
         self.good = good
         self.bad = bad
         self.p_gb = p_gb
@@ -175,6 +176,8 @@ class DriftingParameterModel(EventStreamModel):
     ) -> None:
         if ramp_uses < 1:
             raise ValueError("ramp_uses must be >= 1")
+        if is_one(end.deletion):
+            raise ValueError("end deletion probability 1 never delivers")
         self.start = start
         self.end = end
         self.ramp_uses = ramp_uses
@@ -195,75 +198,3 @@ class DriftingParameterModel(EventStreamModel):
         ] + frac[:, None] * self.end.event_distribution()[None, :]
         self.t += num_uses
         return _sample_from_rows(probs, rng)
-
-
-class AckOutcome(enum.IntEnum):
-    """Fate of one acknowledgment on a faulty feedback path."""
-
-    DELIVERED = 0
-    LOST = 1
-    DELAYED = 2
-    CORRUPTED = 3
-
-
-@dataclass(frozen=True)
-class FeedbackFaultModel:
-    """Fault rates for the receiver-to-sender feedback path.
-
-    Attributes
-    ----------
-    ack_loss_prob:
-        Probability an acknowledgment never arrives.
-    ack_delay_prob:
-        Probability an acknowledgment arrives late — after the sender's
-        timeout, so the sender retransmits a symbol the receiver
-        already has.
-    ack_corrupt_prob:
-        Probability an acknowledgment arrives unreadable; a hardened
-        sender must treat it as lost (but the event is accounted
-        separately).
-    desync_prob:
-        Per-channel-use probability that the receiver's symbol counter
-        silently drifts by one relative to the sender's belief —
-        the fault :class:`repro.sync.feedback.CounterProtocol`'s
-        resynchronization epochs exist to repair.
-    """
-
-    ack_loss_prob: float = 0.0
-    ack_delay_prob: float = 0.0
-    ack_corrupt_prob: float = 0.0
-    desync_prob: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in (
-            "ack_loss_prob",
-            "ack_delay_prob",
-            "ack_corrupt_prob",
-            "desync_prob",
-        ):
-            validate_probability(getattr(self, name), name)
-        bad = self.ack_loss_prob + self.ack_delay_prob + self.ack_corrupt_prob
-        if bad > 1.0 + 1e-12:
-            raise ValueError(
-                "ack_loss_prob + ack_delay_prob + ack_corrupt_prob must "
-                f"not exceed 1, got {bad}"
-            )
-
-    def ack_outcome(self, rng: np.random.Generator) -> AckOutcome:
-        """Sample the fate of one acknowledgment."""
-        u = float(rng.random())
-        if u < self.ack_loss_prob:
-            return AckOutcome.LOST
-        u -= self.ack_loss_prob
-        if u < self.ack_delay_prob:
-            return AckOutcome.DELAYED
-        u -= self.ack_delay_prob
-        if u < self.ack_corrupt_prob:
-            return AckOutcome.CORRUPTED
-        return AckOutcome.DELIVERED
-
-    def desync_occurs(self, rng: np.random.Generator) -> bool:
-        """Sample whether a counter-desync fault strikes this use."""
-        if is_zero(self.desync_prob):
-            return False
-        return bool(rng.random() < self.desync_prob)

@@ -2,9 +2,10 @@
 
 A scenario is a reproducible recipe for a :class:`~repro.faults.
 injector.FaultInjector`: given the *nominal* channel parameters and a
-seed it builds the injector, so any protocol can be stress-tested under
-``bursty_loss`` or ``stress`` with one call. Experiment E15 sweeps this
-registry; the CLI lists it via ``repro-covert faults list``.
+seed it builds the injector, so the counter protocol can be
+stress-tested under ``bursty_loss`` or ``stress`` with one call.
+Experiment E15 sweeps this registry; the CLI lists it via
+``repro-covert faults list``.
 
 The registry is extensible: :func:`register_scenario` adds new recipes
 (e.g. traces fitted to a real scheduler) without touching the sweep
@@ -18,12 +19,7 @@ from typing import Callable, Dict, List
 
 from ..core.events import ChannelParameters
 from .injector import FaultInjector
-from .models import (
-    DriftingParameterModel,
-    FeedbackFaultModel,
-    GilbertElliottModel,
-    IIDEventModel,
-)
+from .models import DriftingParameterModel, GilbertElliottModel, IIDEventModel
 
 __all__ = [
     "FaultScenario",
@@ -71,7 +67,7 @@ def _degraded(params: ChannelParameters, extra_d: float, extra_i: float) -> Chan
 
 
 def _baseline(params: ChannelParameters, seed: int) -> FaultInjector:
-    return FaultInjector(IIDEventModel(params), FeedbackFaultModel(), seed=seed)
+    return FaultInjector(IIDEventModel(params), seed=seed)
 
 
 def _bursty_loss(params: ChannelParameters, seed: int) -> FaultInjector:
@@ -81,47 +77,18 @@ def _bursty_loss(params: ChannelParameters, seed: int) -> FaultInjector:
         p_gb=0.01,
         p_bg=0.05,
     )
-    feedback = FeedbackFaultModel(ack_loss_prob=0.05, desync_prob=0.002)
-    return FaultInjector(model, feedback, seed=seed)
+    return FaultInjector(model, desync_prob=0.002, seed=seed)
 
 
 def _slow_drift(params: ChannelParameters, seed: int) -> FaultInjector:
     model = DriftingParameterModel(
         start=params, end=_degraded(params, 0.20, 0.05), ramp_uses=20_000
     )
-    return FaultInjector(model, FeedbackFaultModel(), seed=seed)
-
-
-def _lossy_ack(params: ChannelParameters, seed: int) -> FaultInjector:
-    return FaultInjector(
-        IIDEventModel(params),
-        FeedbackFaultModel(ack_loss_prob=0.2),
-        seed=seed,
-    )
-
-
-def _delayed_ack(params: ChannelParameters, seed: int) -> FaultInjector:
-    return FaultInjector(
-        IIDEventModel(params),
-        FeedbackFaultModel(ack_delay_prob=0.2),
-        seed=seed,
-    )
-
-
-def _ack_corruption(params: ChannelParameters, seed: int) -> FaultInjector:
-    return FaultInjector(
-        IIDEventModel(params),
-        FeedbackFaultModel(ack_corrupt_prob=0.15),
-        seed=seed,
-    )
+    return FaultInjector(model, seed=seed)
 
 
 def _counter_desync(params: ChannelParameters, seed: int) -> FaultInjector:
-    return FaultInjector(
-        IIDEventModel(params),
-        FeedbackFaultModel(desync_prob=0.005),
-        seed=seed,
-    )
+    return FaultInjector(IIDEventModel(params), desync_prob=0.005, seed=seed)
 
 
 def _stress(params: ChannelParameters, seed: int) -> FaultInjector:
@@ -131,13 +98,7 @@ def _stress(params: ChannelParameters, seed: int) -> FaultInjector:
         p_gb=0.02,
         p_bg=0.04,
     )
-    feedback = FeedbackFaultModel(
-        ack_loss_prob=0.15,
-        ack_delay_prob=0.10,
-        ack_corrupt_prob=0.05,
-        desync_prob=0.01,
-    )
-    return FaultInjector(model, feedback, seed=seed)
+    return FaultInjector(model, desync_prob=0.01, seed=seed)
 
 
 SCENARIOS: Dict[str, FaultScenario] = {}
@@ -155,8 +116,7 @@ for _name, _desc, _builder in (
     ("baseline", "nominal i.i.d. events, perfect feedback", _baseline),
     (
         "bursty_loss",
-        "Gilbert-Elliott bursts of heavy loss + mild ack loss + rare "
-        "counter desync",
+        "Gilbert-Elliott bursts of heavy loss + rare counter desync",
         _bursty_loss,
     ),
     (
@@ -164,9 +124,6 @@ for _name, _desc, _builder in (
         "P_d/P_i ramp up over the run (load drift)",
         _slow_drift,
     ),
-    ("lossy_ack", "20% of acknowledgments lost", _lossy_ack),
-    ("delayed_ack", "20% of acknowledgments arrive late", _delayed_ack),
-    ("ack_corruption", "15% of acknowledgments unreadable", _ack_corruption),
     (
         "counter_desync",
         "receiver counter drifts ±1 w.p. 0.5% per use",
@@ -174,7 +131,7 @@ for _name, _desc, _builder in (
     ),
     (
         "stress",
-        "long bad bursts + every feedback fault at once",
+        "long bad bursts + counter desync w.p. 1% per use",
         _stress,
     ),
 ):

@@ -435,7 +435,6 @@ class ExperimentRunner:
     collect_timing: bool = False
     max_pool_restarts: int = 2
     worker_hang_seconds: Optional[float] = None
-    _factory: RngFactory = field(init=False, repr=False)
     _pool_restarts: int = field(default=0, init=False, repr=False)
     _journal_end: Optional[int] = field(default=None, init=False, repr=False)
 
@@ -454,7 +453,6 @@ class ExperimentRunner:
             raise ValueError("max_pool_restarts must be non-negative")
         if self.worker_hang_seconds is not None and self.worker_hang_seconds <= 0:
             raise ValueError("worker_hang_seconds must be positive")
-        self._factory = RngFactory(self.root_seed)
 
     # ------------------------------------------------------------------
     # checkpointing

@@ -25,7 +25,7 @@ from .harness import (
     measure_protocol,
     substitution_error_capacity,
 )
-from .protocols import ProtocolRun, RetryPolicy, SynchronizationProtocol
+from .protocols import ProtocolRun, SynchronizationProtocol
 
 __all__ = [
     "AdaptiveCovertSession",
@@ -45,6 +45,5 @@ __all__ = [
     "measure_protocol",
     "substitution_error_capacity",
     "ProtocolRun",
-    "RetryPolicy",
     "SynchronizationProtocol",
 ]

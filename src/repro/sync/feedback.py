@@ -19,20 +19,17 @@ channel use is a deletion, insertion, or transmission, and the perfect
 feedback assumption means the sender knows the receiver's counter before
 every sender slot.
 
-**Fault hardening.** Both protocols also survive the fault regimes of
-:mod:`repro.faults`: when a fault injector is active
-(:func:`repro.core.events.active_fault_injector`), :class:`ResendProtocol`
-switches to an event-driven sender with a timeout/retry/backoff
-:class:`~repro.sync.protocols.RetryPolicy`, and :class:`CounterProtocol`
-runs periodic *resynchronization epochs* that detect and repair counter
-desync instead of silently producing misaligned output. Without an
-injector the original perfect-feedback semantics — and the exact RNG
-consumption — are preserved bit-for-bit.
+**Desync hardening.** When a fault injector with a counter-desync rate
+is active (:func:`repro.core.events.active_fault_injector`),
+:class:`CounterProtocol` runs periodic *resynchronization epochs* that
+detect and repair counter desync instead of silently producing
+misaligned output. Without one, the original perfect-feedback
+semantics, and the exact RNG consumption, are preserved bit for bit.
+:class:`ResendProtocol` draws its geometric delivery times directly,
+so a fault injector's event model does not reach it.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -43,7 +40,7 @@ from ..core.events import (
     sample_events,
 )
 from ..infotheory.probability import is_zero
-from .protocols import ProtocolRun, RetryPolicy, SynchronizationProtocol
+from .protocols import ProtocolRun, SynchronizationProtocol
 
 __all__ = ["ResendProtocol", "CounterProtocol"]
 
@@ -53,26 +50,6 @@ RESYNC_INTERVAL = 512
 
 #: Sender slots one epoch costs (the repeated counter exchange).
 RESYNC_COST_SLOTS = 4
-
-
-class _BufferedEventSource:
-    """Pull events one at a time, drawing through ``sample_events`` in
-    blocks so fault hooks see the same block-structured access pattern
-    as the unhardened protocols."""
-
-    def __init__(self, params: ChannelParameters, rng: np.random.Generator) -> None:
-        self._params = params
-        self._rng = rng
-        self._buf = np.empty(0, dtype=np.int64)
-        self._next = 0
-
-    def next_event(self) -> int:
-        if self._next >= self._buf.shape[0]:
-            self._buf = sample_events(self._params, 256, self._rng)
-            self._next = 0
-        ev = int(self._buf[self._next])
-        self._next += 1
-        return ev
 
 
 class ResendProtocol(SynchronizationProtocol):
@@ -85,29 +62,17 @@ class ResendProtocol(SynchronizationProtocol):
     ``N (1 - p_d)`` bits per use — the erasure capacity of eq. (1).
     """
 
-    def __init__(
-        self,
-        params: ChannelParameters,
-        *,
-        bits_per_symbol: int = 1,
-        retry_policy: Optional[RetryPolicy] = None,
-    ) -> None:
+    def __init__(self, params: ChannelParameters, *, bits_per_symbol: int = 1) -> None:
         if not is_zero(params.insertion):
             raise ValueError(
                 "ResendProtocol handles deletions only; use CounterProtocol "
                 "for channels with insertions"
             )
         super().__init__(params, bits_per_symbol=bits_per_symbol)
-        self.retry_policy = retry_policy
 
     def run(self, message: np.ndarray, rng: np.random.Generator) -> ProtocolRun:
         msg = self._validate_message(message)
-        injector = active_fault_injector()
-        if injector is not None or self.retry_policy is not None:
-            return self._run_event_driven(msg, rng, injector)
         p_d = self.params.deletion
-        if p_d >= 1.0 and msg.size:
-            raise ValueError("deletion probability 1 never delivers")
         uses = 0
         delivered_count = 0
         deletions = 0
@@ -132,118 +97,6 @@ class ResendProtocol(SynchronizationProtocol):
             insertions=0,
             transmissions=delivered_count,
             bits_per_symbol=self.bits_per_symbol,
-        )
-
-    def _run_event_driven(
-        self,
-        msg: np.ndarray,
-        rng: np.random.Generator,
-        injector,
-    ) -> ProtocolRun:
-        """Fault-tolerant sender: per-event simulation with timeouts.
-
-        Used whenever a fault injector is active or a
-        :class:`RetryPolicy` was supplied. Each send is one channel use;
-        after a send whose acknowledgment does not come back intact the
-        sender waits out a (backed-off) timeout and retries, abandoning
-        the symbol once ``max_retries`` is exhausted — the receiver
-        then holds only a guess for that position, which is exactly an
-        erasure turned substitution. Spurious arrivals injected by the
-        fault model carry no valid sequence tag and are discarded by
-        the receiver (a channel use, but no sender slot).
-        """
-        from ..faults.models import AckOutcome  # deferred: avoids cycle
-
-        policy = self.retry_policy or RetryPolicy()
-        source = _BufferedEventSource(self.params, rng)
-        delivered = np.empty(msg.size, dtype=np.int64)
-        pos = 0
-        uses = 0
-        deletions = insertions = transmissions = 0
-        duplicates = abandoned = retries = 0
-        waited_slots = 0
-
-        while pos < msg.size:
-            failures = 0
-            while True:
-                ev = source.next_event()
-                uses += 1
-                if ev == ChannelEvent.INSERTION:
-                    # Spurious symbol: receiver discards it; the sender's
-                    # attempt is still pending, so this use costs nothing
-                    # but channel time.
-                    insertions += 1
-                    continue
-                if ev == ChannelEvent.DELETION:
-                    deletions += 1
-                    outcome = None  # nothing arrived, nothing to ack
-                else:  # TRANSMISSION / SUBSTITUTION both deliver a copy
-                    transmissions += 1
-                    outcome = (
-                        injector.ack_outcome()
-                        if injector is not None
-                        else AckOutcome.DELIVERED
-                    )
-                    if outcome == AckOutcome.DELIVERED:
-                        delivered[pos] = msg[pos]
-                        pos += 1
-                        break
-                    if outcome == AckOutcome.DELAYED:
-                        # The ack arrives after the timeout: the sender
-                        # has already launched one duplicate by then,
-                        # which the receiver discards.
-                        waited_slots += policy.timeout_after(failures)
-                        dup = source.next_event()
-                        uses += 1
-                        if dup == ChannelEvent.DELETION:
-                            deletions += 1
-                        elif dup == ChannelEvent.INSERTION:
-                            insertions += 1
-                        else:
-                            transmissions += 1
-                            duplicates += 1
-                        delivered[pos] = msg[pos]
-                        pos += 1
-                        break
-                    # LOST or CORRUPTED: delivered but unacknowledged —
-                    # the resend below is a duplicate the receiver will
-                    # discard via its sequence tag.
-                    duplicates += 1
-                # Attempt failed (deletion, or ack lost/corrupted).
-                waited_slots += policy.timeout_after(failures)
-                failures += 1
-                retries += 1
-                if policy.max_retries is not None and failures > policy.max_retries:
-                    # Give up: signal a skip with the next symbol's
-                    # sequence tag; the receiver records its best guess.
-                    delivered[pos] = (
-                        injector.abandon_guess(self.alphabet_size)
-                        if injector is not None
-                        else int(rng.integers(0, self.alphabet_size))
-                    )
-                    pos += 1
-                    abandoned += 1
-                    break
-
-        fault_counts = {
-            "retries": retries,
-            "duplicates": duplicates,
-            "symbols_abandoned": abandoned,
-            "timeout_slots_waited": waited_slots,
-        }
-        if injector is not None:
-            fault_counts.update(injector.log.snapshot())
-        return ProtocolRun(
-            message=msg,
-            delivered=delivered[:pos].copy(),
-            channel_uses=uses,
-            sender_slots=uses - insertions,
-            deletions=deletions,
-            insertions=insertions,
-            transmissions=transmissions,
-            bits_per_symbol=self.bits_per_symbol,
-            degraded=abandoned > 0,
-            fault_counts=fault_counts,
         )
 
 
@@ -287,9 +140,7 @@ class CounterProtocol(SynchronizationProtocol):
         msg = self._validate_message(message)
         p = self.params
         injector = active_fault_injector()
-        desync_active = (
-            injector is not None and injector.feedback.desync_prob > 0.0
-        )
+        desync_active = injector is not None and injector.desync_prob > 0.0
 
         delivered = np.empty(msg.size, dtype=np.int64)
         pos = 0  # next message position to be fixed at the receiver
@@ -345,10 +196,8 @@ class CounterProtocol(SynchronizationProtocol):
                         if offset != 0:
                             offset = 0
                             desyncs_recovered += 1
-                            if injector is not None:
-                                injector.log.record("desyncs_recovered")
-                        if injector is not None:
-                            injector.log.record("resync_epochs")
+                            injector.log.record("desyncs_recovered")
+                        injector.log.record("resync_epochs")
 
         fault_counts = {}
         if desync_active:
@@ -356,11 +205,8 @@ class CounterProtocol(SynchronizationProtocol):
                 "resync_epochs": resync_epochs,
                 "desyncs_recovered": desyncs_recovered,
                 "misaligned_deliveries": misaligned,
+                "desyncs_injected": injector.log.get("desyncs_injected"),
             }
-            if injector is not None:
-                fault_counts.setdefault(
-                    "desyncs_injected", injector.log.get("desyncs_injected")
-                )
         return ProtocolRun(
             message=msg,
             delivered=delivered[:pos].copy(),

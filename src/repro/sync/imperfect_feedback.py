@@ -109,8 +109,6 @@ class AlternatingBitProtocol(SynchronizationProtocol):
         deletions = 0
         duplicates = 0
         remaining = msg.size
-        if success <= 0.0 and remaining > 0:
-            raise ValueError("protocol can never advance (p_d = 1)")
         while remaining > 0:
             # Per-symbol round count: geometric in the joint success.
             batch = min(remaining, 4096)

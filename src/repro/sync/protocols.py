@@ -18,48 +18,14 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
 from ..core.events import ChannelParameters
-from ..infotheory.probability import is_zero
+from ..infotheory.probability import is_one, is_zero
 
-__all__ = ["ProtocolRun", "RetryPolicy", "SynchronizationProtocol"]
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Timeout/retry/backoff policy for feedback-driven senders.
-
-    Under a faulty feedback path an acknowledgment may never arrive, so
-    a hardened sender waits ``ack_timeout_slots`` after each attempt,
-    multiplies the wait by ``backoff`` after every consecutive failure
-    (capped at ``max_timeout_slots``), and abandons the symbol after
-    ``max_retries`` failed attempts (``None`` = retry forever, the
-    paper's implicit policy). Waiting burns latency, not channel uses;
-    runs account it under ``fault_counts["timeout_slots_waited"]``.
-    """
-
-    ack_timeout_slots: int = 1
-    max_retries: Optional[int] = None
-    backoff: float = 1.0
-    max_timeout_slots: int = 1024
-
-    def __post_init__(self) -> None:
-        if self.ack_timeout_slots < 1:
-            raise ValueError("ack_timeout_slots must be >= 1")
-        if self.max_retries is not None and self.max_retries < 0:
-            raise ValueError("max_retries must be None or >= 0")
-        if self.backoff < 1.0:
-            raise ValueError("backoff must be >= 1")
-        if self.max_timeout_slots < self.ack_timeout_slots:
-            raise ValueError("max_timeout_slots must be >= ack_timeout_slots")
-
-    def timeout_after(self, consecutive_failures: int) -> int:
-        """Wait (in slots) after the given number of failed attempts."""
-        wait = self.ack_timeout_slots * self.backoff**consecutive_failures
-        return int(min(self.max_timeout_slots, wait))
+__all__ = ["ProtocolRun", "SynchronizationProtocol"]
 
 
 @dataclass(frozen=True)
@@ -86,13 +52,13 @@ class ProtocolRun:
         Symbol width ``N``.
     degraded:
         True when the protocol fell back to a degraded mode during the
-        run — it abandoned symbols after retry exhaustion or recovered
-        from counter desynchronization. A degraded run is still *honest*: the
+        run: it recovered from counter desynchronization or delivered
+        misaligned symbols. A degraded run is still *honest*: the
         record reflects what actually happened on the wire.
     fault_counts:
-        Per-run fault accounting (e.g. ``acks_lost``,
+        Per-run fault accounting (``desyncs_injected``,
         ``desyncs_recovered``, ``resync_epochs``,
-        ``symbols_abandoned``). Empty for fault-free runs.
+        ``misaligned_deliveries``). Empty for fault-free runs.
     """
 
     message: np.ndarray
@@ -167,9 +133,17 @@ class SynchronizationProtocol(abc.ABC):
         return the run record."""
 
     def _validate_message(self, message: np.ndarray) -> np.ndarray:
+        """The message as an int array, checked against the alphabet.
+
+        Every :meth:`run` calls this first, so it is also where a run
+        that could never end is refused: at ``P_d = 1`` every send is
+        deleted and no protocol ever advances.
+        """
         msg = np.asarray(message, dtype=np.int64)
         if msg.ndim != 1:
             raise ValueError("message must be a 1-D array of symbols")
         if msg.size and (msg.min() < 0 or msg.max() >= self.alphabet_size):
             raise ValueError("message symbol out of alphabet range")
+        if msg.size and is_one(self.params.deletion):
+            raise ValueError("deletion probability 1 never delivers")
         return msg

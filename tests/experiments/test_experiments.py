@@ -172,7 +172,7 @@ class TestIndividualExperiments:
             assert row["best LB"] <= row["erasure UB"]
 
     def test_e15(self, monkeypatch):
-        names = ("baseline", "counter_desync", "lossy_ack")
+        names = ("baseline", "counter_desync", "slow_drift")
         scaled_down(
             monkeypatch,
             e15_fault_resilience,

@@ -11,8 +11,7 @@ from repro.faults.injector import (
     FaultLog,
     run_under_faults,
 )
-from repro.faults.models import FeedbackFaultModel, IIDEventModel
-from repro.sync.feedback import CounterProtocol
+from repro.faults.models import IIDEventModel
 
 PARAMS = ChannelParameters.from_rates(deletion=0.1, insertion=0.05)
 HEAVY = ChannelParameters.from_rates(deletion=0.6, insertion=0.0)
@@ -21,8 +20,8 @@ HEAVY = ChannelParameters.from_rates(deletion=0.6, insertion=0.0)
 class TestFaultLog:
     def test_record_and_snapshot(self):
         log = FaultLog()
-        log.record("x")
-        log.record("x", 2)
+        for _ in range(3):
+            log.record("x")
         assert log.get("x") == 3
         assert log.get("missing") == 0
         snap = log.snapshot()
@@ -44,15 +43,7 @@ class TestActivation:
             assert active_fault_injector() is injector
             events = sample_events(PARAMS, 50_000, rng)
         assert np.mean(events == 0) == pytest.approx(0.6, abs=0.02)
-        assert injector.log.get("faulted_uses") == 50_000
         assert active_fault_injector() is None  # uninstalled on exit
-
-    def test_no_event_model_leaves_forward_path_alone(self, rng):
-        injector = FaultInjector(feedback=FeedbackFaultModel(ack_loss_prob=0.5))
-        baseline = sample_events(PARAMS, 2000, np.random.default_rng(11))
-        with injector.active():
-            hooked = sample_events(PARAMS, 2000, np.random.default_rng(11))
-        assert np.array_equal(baseline, hooked)
 
     def test_nesting_restores_previous(self):
         outer = FaultInjector(IIDEventModel(HEAVY), seed=1)
@@ -65,21 +56,33 @@ class TestActivation:
 
 
 class TestFaultStreams:
+    def test_desync_validation(self):
+        with pytest.raises(ValueError):
+            FaultInjector(IIDEventModel(PARAMS), desync_prob=-0.1)
+        with pytest.raises(ValueError):
+            FaultInjector(IIDEventModel(PARAMS), desync_prob=1.5)
+
     def test_feedback_stream_independent_of_protocol_rng(self, rng):
-        """Drawing ack outcomes does not consume the caller's rng."""
-        injector = FaultInjector(
-            feedback=FeedbackFaultModel(ack_loss_prob=0.5), seed=9
-        )
+        """Drawing desync faults does not consume the caller's rng."""
+        injector = FaultInjector(IIDEventModel(PARAMS), desync_prob=0.5, seed=9)
         state_before = rng.bit_generator.state
         for _ in range(100):
-            injector.ack_outcome()
+            injector.desync()
         assert rng.bit_generator.state == state_before
-        assert injector.log.get("acks_lost") > 20
+        assert injector.log.get("desyncs_injected") > 20
+
+    def test_no_desync_at_rate_zero(self):
+        injector = FaultInjector(IIDEventModel(PARAMS), seed=9)
+        assert not any(injector.desync() for _ in range(100))
+        assert injector.log.get("desyncs_injected") == 0
+
+    def test_desync_frequency(self):
+        injector = FaultInjector(IIDEventModel(PARAMS), desync_prob=0.1, seed=1)
+        hits = sum(injector.desync() != 0 for _ in range(20_000))
+        assert hits / 20_000 == pytest.approx(0.1, abs=0.02)
 
     def test_desync_values(self):
-        injector = FaultInjector(
-            feedback=FeedbackFaultModel(desync_prob=0.5), seed=4
-        )
+        injector = FaultInjector(IIDEventModel(PARAMS), desync_prob=0.5, seed=4)
         drifts = [injector.desync() for _ in range(2000)]
         assert set(drifts) == {-1, 0, 1}
         assert injector.log.get("desyncs_injected") == sum(
@@ -87,31 +90,18 @@ class TestFaultStreams:
         )
 
     def test_reset_reproduces_streams(self):
-        injector = FaultInjector(
-            IIDEventModel(PARAMS),
-            FeedbackFaultModel(ack_loss_prob=0.3, desync_prob=0.1),
-            seed=21,
-        )
-        a = [int(injector.ack_outcome()) for _ in range(500)]
+        injector = FaultInjector(IIDEventModel(PARAMS), desync_prob=0.1, seed=21)
         d = [injector.desync() for _ in range(500)]
         injector.reset()
-        assert [int(injector.ack_outcome()) for _ in range(500)] == a
         assert [injector.desync() for _ in range(500)] == d
-        assert injector.log.get("acks_lost") == a.count(1)
-
-    def test_abandon_guess_in_range(self):
-        injector = FaultInjector(seed=5)
-        guesses = [injector.abandon_guess(8) for _ in range(200)]
-        assert all(0 <= g < 8 for g in guesses)
-        assert len(set(guesses)) > 1
+        assert injector.log.get("desyncs_injected") == sum(x != 0 for x in d)
 
 
 class TestRunUnderFaults:
     def test_baseline_completes_within_bound(self, rng):
         injector = FaultInjector(IIDEventModel(PARAMS), seed=0)
-        proto = CounterProtocol(PARAMS, bits_per_symbol=2)
         msg = rng.integers(0, 4, 5000)
-        fm = run_under_faults(proto, msg, rng, injector)
+        fm = run_under_faults(PARAMS, msg, rng, injector, bits_per_symbol=2)
         assert fm.completed
         assert fm.within_bound
         assert fm.empirical_params.deletion == pytest.approx(0.1, abs=0.02)
@@ -125,25 +115,23 @@ class TestRunUnderFaults:
         heavy = FaultInjector(
             IIDEventModel(ChannelParameters.from_rates(0.5, 0.05)), seed=0
         )
-        proto = CounterProtocol(PARAMS, bits_per_symbol=2)
         msg = np.random.default_rng(1).integers(0, 4, 5000)
-        fm_light = run_under_faults(proto, msg, np.random.default_rng(2), light)
-        fm_heavy = run_under_faults(proto, msg, np.random.default_rng(2), heavy)
+        fm_light, fm_heavy = (
+            run_under_faults(
+                PARAMS, msg, np.random.default_rng(2), inj, bits_per_symbol=2
+            )
+            for inj in (light, heavy)
+        )
         assert fm_heavy.empirical_params.deletion > 0.4
         assert fm_heavy.empirical_erasure_bound < fm_light.empirical_erasure_bound
         assert fm_heavy.within_bound
 
     def test_reproducible_from_seed(self):
         def one_run():
-            injector = FaultInjector(
-                IIDEventModel(HEAVY),
-                FeedbackFaultModel(desync_prob=0.01),
-                seed=13,
-            )
-            proto = CounterProtocol(PARAMS, bits_per_symbol=2)
+            injector = FaultInjector(IIDEventModel(HEAVY), desync_prob=0.01, seed=13)
             rng = np.random.default_rng(13)
             msg = rng.integers(0, 4, 3000)
-            return run_under_faults(proto, msg, rng, injector)
+            return run_under_faults(PARAMS, msg, rng, injector, bits_per_symbol=2)
 
         a, b = one_run(), one_run()
         assert np.array_equal(a.run.delivered, b.run.delivered)

@@ -1,4 +1,4 @@
-"""Fault models: event-stream processes and the feedback fault model."""
+"""Fault models: event-stream processes."""
 
 from dataclasses import replace
 
@@ -7,15 +7,14 @@ import pytest
 
 from repro.core.events import ChannelEvent, ChannelParameters, empirical_parameters
 from repro.faults.models import (
-    AckOutcome,
     DriftingParameterModel,
-    FeedbackFaultModel,
     GilbertElliottModel,
     IIDEventModel,
 )
 
 GOOD = ChannelParameters.from_rates(deletion=0.1, insertion=0.05)
 BAD = ChannelParameters.from_rates(deletion=0.5, insertion=0.15)
+DEAD = ChannelParameters.from_rates(deletion=1.0, insertion=0.0)
 
 
 class TestIIDEventModel:
@@ -40,6 +39,10 @@ class TestIIDEventModel:
         with pytest.raises(ValueError):
             IIDEventModel(GOOD).sample(-1, rng)
 
+    def test_rejects_certain_deletion(self):
+        with pytest.raises(ValueError, match="never delivers"):
+            IIDEventModel(DEAD)
+
 
 class TestGilbertElliott:
     def test_validation(self):
@@ -47,6 +50,10 @@ class TestGilbertElliott:
             GilbertElliottModel(GOOD, BAD, p_gb=0.0, p_bg=0.1)
         with pytest.raises(ValueError):
             GilbertElliottModel(GOOD, BAD, p_gb=0.1, p_bg=1.5)
+        with pytest.raises(ValueError, match="never delivers"):
+            GilbertElliottModel(DEAD, DEAD, p_gb=0.1, p_bg=0.1)
+        # One dead state still leaves the chain a way out.
+        GilbertElliottModel(GOOD, DEAD, p_gb=0.1, p_bg=0.1)
 
     def test_stationary_bad_fraction(self, rng):
         # Long-run share of bad uses: p_gb / (p_gb + p_bg) = 0.2.
@@ -97,6 +104,10 @@ class TestDriftingParameterModel:
     def test_validation(self):
         with pytest.raises(ValueError):
             DriftingParameterModel(GOOD, BAD, ramp_uses=0)
+        with pytest.raises(ValueError, match="never delivers"):
+            DriftingParameterModel(GOOD, DEAD, ramp_uses=100)
+        # Starting dead is fine: the ramp leaves P_d = 1.
+        DriftingParameterModel(DEAD, GOOD, ramp_uses=100)
 
     def test_params_at_endpoints(self, rng):
         # A ramp long enough that one 100k-use window sees one bundle.
@@ -137,40 +148,3 @@ class TestDriftingParameterModel:
         assert np.mean(events == ChannelEvent.DELETION) == pytest.approx(
             BAD.deletion, abs=0.01
         )
-
-
-class TestFeedbackFaultModel:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FeedbackFaultModel(ack_loss_prob=-0.1)
-        with pytest.raises(ValueError):
-            FeedbackFaultModel(desync_prob=1.5)
-        with pytest.raises(ValueError):
-            FeedbackFaultModel(
-                ack_loss_prob=0.5, ack_delay_prob=0.4, ack_corrupt_prob=0.2
-            )
-
-    def test_perfect_path(self, rng):
-        model = FeedbackFaultModel()
-        assert all(
-            model.ack_outcome(rng) == AckOutcome.DELIVERED for _ in range(100)
-        )
-        assert not any(model.desync_occurs(rng) for _ in range(100))
-
-    def test_outcome_frequencies(self, rng):
-        model = FeedbackFaultModel(
-            ack_loss_prob=0.2, ack_delay_prob=0.1, ack_corrupt_prob=0.05
-        )
-        outcomes = np.array([int(model.ack_outcome(rng)) for _ in range(20_000)])
-        assert np.mean(outcomes == AckOutcome.LOST) == pytest.approx(0.2, abs=0.02)
-        assert np.mean(outcomes == AckOutcome.DELAYED) == pytest.approx(
-            0.1, abs=0.02
-        )
-        assert np.mean(outcomes == AckOutcome.CORRUPTED) == pytest.approx(
-            0.05, abs=0.02
-        )
-
-    def test_desync_frequency(self, rng):
-        model = FeedbackFaultModel(desync_prob=0.1)
-        hits = sum(model.desync_occurs(rng) for _ in range(20_000))
-        assert hits / 20_000 == pytest.approx(0.1, abs=0.02)

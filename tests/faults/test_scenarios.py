@@ -23,9 +23,6 @@ EXPECTED_NAMES = {
     "baseline",
     "bursty_loss",
     "slow_drift",
-    "lossy_ack",
-    "delayed_ack",
-    "ack_corruption",
     "counter_desync",
     "stress",
 }
@@ -45,7 +42,9 @@ def test_get_scenario_unknown():
 def test_register_rejects_duplicates():
     with pytest.raises(ValueError):
         register_scenario(
-            FaultScenario("baseline", "dup", lambda p, s: FaultInjector())
+            FaultScenario(
+                "baseline", "dup", lambda p, s: FaultInjector(IIDEventModel(p))
+            )
         )
 
 
@@ -58,8 +57,8 @@ def test_every_scenario_builds():
 
 
 def test_build_injector_shorthand():
-    a = get_scenario("lossy_ack").build(PARAMS, seed=5)
-    assert a.feedback.ack_loss_prob == pytest.approx(0.2)
+    a = get_scenario("counter_desync").build(PARAMS, seed=5)
+    assert a.desync_prob == pytest.approx(0.005)
     assert isinstance(a.event_model, IIDEventModel)
 
 
@@ -71,11 +70,10 @@ def test_scenario_shapes():
         get_scenario("slow_drift").build(PARAMS).event_model,
         DriftingParameterModel,
     )
-    assert get_scenario("counter_desync").build(PARAMS).feedback.desync_prob > 0
+    desync = {s.name for s in list_scenarios() if s.build(PARAMS).desync_prob > 0}
+    assert desync == {"bursty_loss", "counter_desync", "stress"}
     stress = get_scenario("stress").build(PARAMS)
-    fb = stress.feedback
-    assert fb.ack_loss_prob + fb.ack_delay_prob + fb.ack_corrupt_prob > 0.25
-    assert stress.feedback.desync_prob > 0
+    assert isinstance(stress.event_model, GilbertElliottModel)
 
 
 def test_scenarios_scale_with_nominal_params():

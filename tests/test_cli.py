@@ -89,6 +89,14 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "error: unknown fault scenario 'no_such_scenario'; known: [" in err
 
+    @pytest.mark.parametrize(
+        "scenario", ["baseline", "bursty_loss", "slow_drift", "counter_desync", "stress"]
+    )
+    def test_faults_certain_deletion_exits_2(self, capsys, scenario):
+        argv = ["faults", "run", scenario, "--pd", "1.0", "--pi", "0", "--symbols", "16"]
+        assert main(argv) == 2
+        assert "never delivers" in capsys.readouterr().err
+
     def test_service_unknown_scenario_exits_2(self, capsys):
         assert main(["service", "run", "--scenario", "nosuch"]) == 2
         err = capsys.readouterr().err
